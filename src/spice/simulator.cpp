@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/lu.hpp"
 #include "util/budget.hpp"
 #include "util/diag.hpp"
 #include "util/faults.hpp"
@@ -21,6 +20,78 @@ Simulator::Simulator(const Circuit& circuit, DiagnosticsSink* diagnostics,
                      Budget* budget)
     : circuit_(circuit), diag_(diagnostics), budget_(budget) {
   caps_ = gather_caps();
+
+  // One walk over the devices records every (row, col) each stamp touches;
+  // the pattern is built from them and each recorded entry then resolves to
+  // its slot.
+  const int nn = circuit_.node_count() - 1;
+  const int nvs = static_cast<int>(circuit_.vsources().size());
+  std::vector<std::pair<int, int>> entries;
+  entries.reserve(4 * (circuit_.resistors().size() + caps_.size() +
+                       circuit_.vccs().size() + circuit_.vsources().size()) +
+                  6 * (circuit_.vcvs().size() + circuit_.mosfets().size()) +
+                  static_cast<std::size_t>(nn));
+  auto at = [&](int row, int col) {
+    if (row < 0 || col < 0) return -1;
+    entries.emplace_back(row, col);
+    return static_cast<int>(entries.size()) - 1;
+  };
+  auto quad = [&](int p, int n, int cp, int cn) {
+    return Quad{at(p, cp), at(n, cn), at(p, cn), at(n, cp)};
+  };
+  auto incidence = [&](int p, int n, int br) {
+    return Quad{at(p, br), at(br, p), at(n, br), at(br, n)};
+  };
+  slots_.resistors.reserve(circuit_.resistors().size());
+  for (const Resistor& r : circuit_.resistors()) {
+    slots_.resistors.push_back(quad(r.a - 1, r.b - 1, r.a - 1, r.b - 1));
+  }
+  slots_.caps.reserve(caps_.size());
+  for (const LinearCap& c : caps_) {
+    slots_.caps.push_back(quad(c.a - 1, c.b - 1, c.a - 1, c.b - 1));
+  }
+  for (const Vccs& g : circuit_.vccs()) {
+    slots_.vccs.push_back(quad(g.p - 1, g.n - 1, g.cp - 1, g.cn - 1));
+  }
+  for (int k = 0; k < nvs; ++k) {
+    const VSource& v = circuit_.vsources()[static_cast<std::size_t>(k)];
+    slots_.vsources.push_back(incidence(v.p - 1, v.n - 1, nn + k));
+  }
+  for (std::size_t k = 0; k < circuit_.vcvs().size(); ++k) {
+    const Vcvs& e = circuit_.vcvs()[k];
+    const int br = nn + nvs + static_cast<int>(k);
+    slots_.vcvs.push_back(incidence(e.p - 1, e.n - 1, br));
+    slots_.vcvs_control.push_back({at(br, e.cp - 1), at(br, e.cn - 1)});
+  }
+  slots_.mosfets.reserve(circuit_.mosfets().size());
+  for (const Mosfet& m : circuit_.mosfets()) {
+    const int d = m.d - 1, g = m.g - 1, s = m.s - 1;
+    slots_.mosfets.push_back(
+        {at(d, g), at(d, d), at(d, s), at(s, g), at(s, d), at(s, s)});
+  }
+  slots_.node_diag.reserve(static_cast<std::size_t>(nn));
+  for (int k = 0; k < nn; ++k) slots_.node_diag.push_back(at(k, k));
+
+  pattern_ = linalg::SparsePattern(n_unknowns(), entries);
+  auto resolve = [&](int& slot) {
+    if (slot >= 0) {
+      const auto& [row, col] = entries[static_cast<std::size_t>(slot)];
+      slot = pattern_.slot(row, col);
+    }
+  };
+  auto resolve_all = [&](auto& groups) {
+    for (auto& group : groups) {
+      for (int& slot : group) resolve(slot);
+    }
+  };
+  resolve_all(slots_.resistors);
+  resolve_all(slots_.caps);
+  resolve_all(slots_.vccs);
+  resolve_all(slots_.vsources);
+  resolve_all(slots_.vcvs);
+  resolve_all(slots_.vcvs_control);
+  resolve_all(slots_.mosfets);
+  for (int& slot : slots_.node_diag) resolve(slot);
 }
 
 double Simulator::voltage(const std::vector<double>& x, NodeId node) const {
@@ -80,22 +151,71 @@ std::vector<Simulator::LinearCap> Simulator::gather_caps() const {
   return caps;
 }
 
+/// One analysis call's solver state on the simulator's pattern: matrix
+/// values, rhs, solution and the sparse LU, plus the largest linearized KCL
+/// residual of its converged Newton solves. Local to the call, so concurrent analyses on
+/// one Simulator share nothing mutable. The destructor adds the call's
+/// totals to the obs registry, once per call on every exit path.
+template <typename T>
+struct Simulator::System {
+  explicit System(const linalg::SparsePattern& p)
+      : pattern(p),
+        a(static_cast<std::size_t>(p.nnz())),
+        b(static_cast<std::size_t>(p.size())),
+        x(static_cast<std::size_t>(p.size())),
+        lu(p) {}
+
+  void clear() {
+    std::fill(a.begin(), a.end(), T{});
+    std::fill(b.begin(), b.end(), T{});
+  }
+
+  /// Factors `a` and solves into `x`; false when singular.
+  bool solve() {
+    if (!lu.factor(a)) return false;
+    lu.solve(b, x);
+    return true;
+  }
+
+  /// Linearized KCL residual of a converged Newton solve: A and b are the
+  /// final Jacobian and rhs the LU just solved, so this is the solver's
+  /// backward error. It catches a bad factorization (stale order, missing
+  /// fill, weak pivot), not a wrong stamp, which A and b share with the solve.
+  void check_kcl(const std::vector<T>& x_converged) {
+    kcl_max = std::max(kcl_max,
+                       linalg::relative_residual(pattern, a, x_converged, b));
+    ++kcl_checks;
+  }
+
+  System(const System&) = delete;
+  System& operator=(const System&) = delete;
+  ~System() {
+    obs::counter_add("sim.lu.factorizations", lu.factorizations());
+    obs::counter_add("sim.lu.reorders", lu.reorders());
+    if (kcl_checks > 0) obs::record("sim.kcl_residual_max", kcl_max);
+  }
+
+  const linalg::SparsePattern& pattern;
+  std::vector<T> a, b, x;
+  linalg::SparseLu<T> lu;
+  double kcl_max = 0.0;
+  long kcl_checks = 0;
+};
+
 namespace {
 
-/// Adds a conductance g between nodes a and b of a real MNA matrix.
-void add_g(linalg::RealMatrix& m, NodeId a, NodeId b, double g) {
-  if (a > 0) m(static_cast<std::size_t>(a - 1), static_cast<std::size_t>(a - 1)) += g;
-  if (b > 0) m(static_cast<std::size_t>(b - 1), static_cast<std::size_t>(b - 1)) += g;
-  if (a > 0 && b > 0) {
-    m(static_cast<std::size_t>(a - 1), static_cast<std::size_t>(b - 1)) -= g;
-    m(static_cast<std::size_t>(b - 1), static_cast<std::size_t>(a - 1)) -= g;
-  }
+template <typename T>
+void add(std::vector<T>& a, int slot, T v) {
+  if (slot >= 0) a[static_cast<std::size_t>(slot)] += v;
 }
 
-void add_entry(linalg::RealMatrix& m, int row, int col, double v) {
-  if (row >= 0 && col >= 0) {
-    m(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += v;
-  }
+/// Stamps v, v, -v, -v into a four-entry stamp's slots.
+template <typename T>
+void add_quad(std::vector<T>& a, const std::array<int, 4>& q, T v) {
+  add(a, q[0], v);
+  add(a, q[1], v);
+  add(a, q[2], -v);
+  add(a, q[3], -v);
 }
 
 void add_rhs(std::vector<double>& b, int row, double v) {
@@ -104,47 +224,32 @@ void add_rhs(std::vector<double>& b, int row, double v) {
 
 }  // namespace
 
-void Simulator::stamp_linear(linalg::RealMatrix& a) const {
-  for (const Resistor& r : circuit_.resistors()) {
-    add_g(a, r.a, r.b, 1.0 / r.r);
+template <typename T>
+void Simulator::stamp_linear(std::vector<T>& a) const {
+  for (std::size_t k = 0; k < slots_.resistors.size(); ++k) {
+    add_quad(a, slots_.resistors[k], T{1.0 / circuit_.resistors()[k].r});
   }
-  for (const Vccs& g : circuit_.vccs()) {
-    const int p = g.p - 1, n = g.n - 1, cp = g.cp - 1, cn = g.cn - 1;
-    // Current gm * v(cp,cn) flows p -> n through the source.
-    add_entry(a, p, cp, g.gm);
-    add_entry(a, p, cn, -g.gm);
-    add_entry(a, n, cp, -g.gm);
-    add_entry(a, n, cn, g.gm);
+  // Current gm * v(cp,cn) flows p -> n through a VCCS.
+  for (std::size_t k = 0; k < slots_.vccs.size(); ++k) {
+    add_quad(a, slots_.vccs[k], T{circuit_.vccs()[k].gm});
   }
-  const int nn = circuit_.node_count() - 1;
-  const int nvs = static_cast<int>(circuit_.vsources().size());
-  for (std::size_t k = 0; k < circuit_.vcvs().size(); ++k) {
-    const Vcvs& e = circuit_.vcvs()[k];
-    const int br = nn + nvs + static_cast<int>(k);
-    const int p = e.p - 1, n = e.n - 1, cp = e.cp - 1, cn = e.cn - 1;
-    // Branch current unknown flows p -> n.
-    add_entry(a, p, br, 1.0);
-    add_entry(a, n, br, -1.0);
-    // Branch equation: v(p) - v(n) - gain * (v(cp) - v(cn)) = 0.
-    add_entry(a, br, p, 1.0);
-    add_entry(a, br, n, -1.0);
-    add_entry(a, br, cp, -e.gain);
-    add_entry(a, br, cn, e.gain);
+  // Branch current unknowns flow p -> n; the branch rows read
+  // v(p) - v(n) (- gain * (v(cp) - v(cn)) for a VCVS).
+  for (const Quad& q : slots_.vsources) add_quad(a, q, T{1.0});
+  for (std::size_t k = 0; k < slots_.vcvs.size(); ++k) {
+    const double gain = circuit_.vcvs()[k].gain;
+    add_quad(a, slots_.vcvs[k], T{1.0});
+    add(a, slots_.vcvs_control[k][0], T{-gain});
+    add(a, slots_.vcvs_control[k][1], T{gain});
   }
 }
 
-void Simulator::stamp_sources(linalg::RealMatrix& a, std::vector<double>& b,
-                              double t, double scale) const {
+void Simulator::stamp_sources(std::vector<double>& b, double t,
+                              double scale) const {
   const int nn = circuit_.node_count() - 1;
   for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
-    const VSource& v = circuit_.vsources()[k];
-    const int br = nn + static_cast<int>(k);
-    const int p = v.p - 1, n = v.n - 1;
-    add_entry(a, p, br, 1.0);
-    add_entry(a, n, br, -1.0);
-    add_entry(a, br, p, 1.0);
-    add_entry(a, br, n, -1.0);
-    add_rhs(b, br, scale * v.wave.value(t));
+    add_rhs(b, nn + static_cast<int>(k),
+            scale * circuit_.vsources()[k].wave.value(t));
   }
   for (const ISource& i : circuit_.isources()) {
     const double val = scale * i.wave.value(t);
@@ -174,52 +279,59 @@ MosOperatingPoint Simulator::eval_mosfet(const Mosfet& m,
   return op;
 }
 
-void Simulator::stamp_mosfets(linalg::RealMatrix& a, std::vector<double>& b,
+namespace {
+
+/// The small-signal MOS conductances gm (g -> d/s) and gds (d -> s).
+template <typename T>
+void add_mos(std::vector<T>& a, const std::array<int, 6>& slot, double gm,
+             double gds) {
+  add(a, slot[0], T{gm});
+  add(a, slot[1], T{gds});
+  add(a, slot[2], T{-(gm + gds)});
+  add(a, slot[3], T{-gm});
+  add(a, slot[4], T{-gds});
+  add(a, slot[5], T{gm + gds});
+}
+
+}  // namespace
+
+void Simulator::stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                               const std::vector<double>& x) const {
-  for (const Mosfet& m : circuit_.mosfets()) {
+  for (std::size_t k = 0; k < slots_.mosfets.size(); ++k) {
+    const Mosfet& m = circuit_.mosfets()[k];
     const MosOperatingPoint op = eval_mosfet(m, x);
-    const int d = m.d - 1, g = m.g - 1, s = m.s - 1;
     // Linearized drain current into the drain node:
     //   Id(v) = Id0 + gm (vgs - vgs0) + gds (vds - vds0)
-    add_entry(a, d, g, op.gm);
-    add_entry(a, d, d, op.gds);
-    add_entry(a, d, s, -(op.gm + op.gds));
-    add_entry(a, s, g, -op.gm);
-    add_entry(a, s, d, -op.gds);
-    add_entry(a, s, s, op.gm + op.gds);
+    add_mos(a, slots_.mosfets[k], op.gm, op.gds);
     const double ieq = op.id - op.gm * op.vgs - op.gds * op.vds;
-    add_rhs(b, d, -ieq);
-    add_rhs(b, s, ieq);
+    add_rhs(b, m.d - 1, -ieq);
+    add_rhs(b, m.s - 1, ieq);
   }
 }
 
 OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
                               double source_scale,
-                              const std::vector<double>& guess) const {
+                              const std::vector<double>& guess,
+                              System<double>& sys) const {
   const int n = n_unknowns();
   const int nn = circuit_.node_count() - 1;
   std::vector<double> x = guess;
   if (x.empty()) x.assign(static_cast<std::size_t>(n), 0.0);
   OLP_CHECK(static_cast<int>(x.size()) == n, "bad initial guess size");
 
-  linalg::RealMatrix a(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-  std::vector<double> b(static_cast<std::size_t>(n), 0.0);
-
   OpResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Budget-bounded Newton: unwind with the current (non-converged) state.
     if (budget_ != nullptr && budget_->check()) break;
-    a.set_zero();
-    std::fill(b.begin(), b.end(), 0.0);
-    stamp_linear(a);
-    stamp_sources(a, b, 0.0, source_scale);
-    stamp_mosfets(a, b, x);
-    for (int k = 0; k < nn; ++k) {
-      add_entry(a, k, k, gmin + options.gmin_floor);
+    sys.clear();
+    stamp_linear(sys.a);
+    stamp_sources(sys.b, 0.0, source_scale);
+    stamp_mosfets(sys.a, sys.b, x);
+    for (const int slot : slots_.node_diag) {
+      add(sys.a, slot, gmin + options.gmin_floor);
     }
 
-    std::vector<double> x_new;
-    if (!linalg::solve(a, b, x_new)) {
+    if (!sys.solve()) {
       result.converged = false;
       result.iterations = iter + 1;
       result.x = std::move(x);
@@ -227,14 +339,12 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
     }
 
     // Damped update on node voltages; branch currents move freely.
-    double max_dv = 0.0;
     bool within_tol = true;
     for (int k = 0; k < n; ++k) {
       const std::size_t ks = static_cast<std::size_t>(k);
-      double delta = x_new[ks] - x[ks];
+      double delta = sys.x[ks] - x[ks];
       if (k < nn) {
         delta = std::clamp(delta, -options.damping, options.damping);
-        max_dv = std::max(max_dv, std::fabs(delta));
         if (std::fabs(delta) >
             options.vtol_abs + options.vtol_rel * std::fabs(x[ks])) {
           within_tol = false;
@@ -243,12 +353,12 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
       x[ks] += delta;
     }
     if (within_tol && iter > 0) {
+      sys.check_kcl(x);
       result.converged = true;
       result.iterations = iter + 1;
       result.x = std::move(x);
       return result;
     }
-    (void)max_dv;
   }
   result.converged = false;
   result.iterations = options.max_iterations;
@@ -260,13 +370,15 @@ OpResult Simulator::op(const OpOptions& options) const {
   obs::Span span("sim.op");
   obs::counter_add("sim.op");
   SimStats::global().op_count++;
-  OpResult result = op_impl(options);
+  System<double> sys(pattern_);
+  OpResult result = op_impl(options, sys);
   obs::record("sim.op.newton_iterations", result.iterations);
   if (!result.converged) obs::counter_add("sim.op.nonconverged");
   return result;
 }
 
-OpResult Simulator::op_impl(const OpOptions& options) const {
+OpResult Simulator::op_impl(const OpOptions& options,
+                            System<double>& sys) const {
   if (FaultInjector::global().should_fail(FaultSite::kOpNonConvergence)) {
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "chaos",
@@ -280,7 +392,7 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
   }
 
   // Stage 1: plain Newton from the provided guess.
-  OpResult r = newton_dc(options, 0.0, 1.0, options.initial_guess);
+  OpResult r = newton_dc(options, 0.0, 1.0, options.initial_guess, sys);
   if (r.converged) return r;
   // Budget exhausted: skip the continuation ladder, return what we have.
   if (budget_ != nullptr && budget_->check()) return r;
@@ -290,7 +402,7 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
   std::vector<double> warm = options.initial_guess;
   bool chain_ok = true;
   for (double gmin = 1e-3; gmin >= 1e-12; gmin *= 1e-2) {
-    OpResult stage = newton_dc(options, gmin, 1.0, warm);
+    OpResult stage = newton_dc(options, gmin, 1.0, warm, sys);
     if (!stage.converged) {
       chain_ok = false;
       break;
@@ -298,7 +410,7 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
     warm = stage.x;
   }
   if (chain_ok) {
-    OpResult final_stage = newton_dc(options, 0.0, 1.0, warm);
+    OpResult final_stage = newton_dc(options, 0.0, 1.0, warm, sys);
     if (final_stage.converged) return final_stage;
     r = final_stage;
   }
@@ -307,14 +419,14 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
   // Stage 3: source stepping — ramp all independent sources from zero.
   warm.assign(static_cast<std::size_t>(n_unknowns()), 0.0);
   for (double scale = 0.1; scale <= 1.0 + 1e-12; scale += 0.1) {
-    OpResult stage = newton_dc(options, 1e-9, scale, warm);
+    OpResult stage = newton_dc(options, 1e-9, scale, warm, sys);
     if (!stage.converged) {
       OLP_WARN << "source stepping failed at scale " << scale;
       return stage;
     }
     warm = stage.x;
   }
-  OpResult final_stage = newton_dc(options, 0.0, 1.0, warm);
+  OpResult final_stage = newton_dc(options, 0.0, 1.0, warm, sys);
   return final_stage;
 }
 
@@ -374,18 +486,6 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   OLP_CHECK(static_cast<int>(op_x.size()) == n, "ac needs an OP solution");
 
   using C = std::complex<double>;
-  auto addc = [&](linalg::ComplexMatrix& m, int row, int col, C v) {
-    if (row >= 0 && col >= 0) {
-      m(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += v;
-    }
-  };
-  auto addc_g = [&](linalg::ComplexMatrix& m, NodeId a, NodeId b, C g) {
-    addc(m, a - 1, a - 1, g);
-    addc(m, b - 1, b - 1, g);
-    addc(m, a - 1, b - 1, -g);
-    addc(m, b - 1, a - 1, -g);
-  };
-
   // Small-signal MOS parameters are bias-only; compute them once.
   const std::vector<MosOperatingPoint> mos_ops = mos_operating_points(op_x);
 
@@ -393,81 +493,47 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   result.frequencies = options.frequencies;
   result.solutions.reserve(options.frequencies.size());
 
-  linalg::ComplexMatrix a(static_cast<std::size_t>(n),
-                          static_cast<std::size_t>(n));
+  System<C> sys(pattern_);
   for (double freq : options.frequencies) {
     OLP_CHECK(freq > 0.0, "AC frequency must be positive");
     const double omega = 2.0 * M_PI * freq;
-    a.set_zero();
-    std::vector<C> b(static_cast<std::size_t>(n), C{});
-
-    for (const Resistor& r : circuit_.resistors()) {
-      addc_g(a, r.a, r.b, C{1.0 / r.r, 0.0});
+    sys.clear();
+    stamp_linear(sys.a);
+    for (std::size_t k = 0; k < caps_.size(); ++k) {
+      add_quad(sys.a, slots_.caps[k], C{0.0, omega * caps_[k].c});
     }
-    for (const LinearCap& c : caps_) {
-      addc_g(a, c.a, c.b, C{0.0, omega * c.c});
-    }
-    for (const Vccs& g : circuit_.vccs()) {
-      addc(a, g.p - 1, g.cp - 1, C{g.gm, 0});
-      addc(a, g.p - 1, g.cn - 1, C{-g.gm, 0});
-      addc(a, g.n - 1, g.cp - 1, C{-g.gm, 0});
-      addc(a, g.n - 1, g.cn - 1, C{g.gm, 0});
-    }
-    for (std::size_t k = 0; k < circuit_.mosfets().size(); ++k) {
-      const Mosfet& m = circuit_.mosfets()[k];
-      const MosOperatingPoint& op = mos_ops[k];
-      addc(a, m.d - 1, m.g - 1, C{op.gm, 0});
-      addc(a, m.d - 1, m.d - 1, C{op.gds, 0});
-      addc(a, m.d - 1, m.s - 1, C{-(op.gm + op.gds), 0});
-      addc(a, m.s - 1, m.g - 1, C{-op.gm, 0});
-      addc(a, m.s - 1, m.d - 1, C{-op.gds, 0});
-      addc(a, m.s - 1, m.s - 1, C{op.gm + op.gds, 0});
+    for (std::size_t k = 0; k < mos_ops.size(); ++k) {
+      add_mos(sys.a, slots_.mosfets[k], mos_ops[k].gm, mos_ops[k].gds);
     }
     for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
       const VSource& v = circuit_.vsources()[k];
-      const int br = nn + static_cast<int>(k);
-      addc(a, v.p - 1, br, C{1, 0});
-      addc(a, v.n - 1, br, C{-1, 0});
-      addc(a, br, v.p - 1, C{1, 0});
-      addc(a, br, v.n - 1, C{-1, 0});
       if (v.ac_mag != 0.0) {
-        b[static_cast<std::size_t>(br)] =
+        sys.b[static_cast<std::size_t>(nn) + k] =
             std::polar(v.ac_mag, v.ac_phase);
       }
     }
     for (const ISource& i : circuit_.isources()) {
       if (i.ac_mag == 0.0) continue;
       const C val = std::polar(i.ac_mag, i.ac_phase);
-      if (i.p > 0) b[static_cast<std::size_t>(i.p - 1)] -= val;
-      if (i.n > 0) b[static_cast<std::size_t>(i.n - 1)] += val;
-    }
-    const int nvs = static_cast<int>(circuit_.vsources().size());
-    for (std::size_t k = 0; k < circuit_.vcvs().size(); ++k) {
-      const Vcvs& e = circuit_.vcvs()[k];
-      const int br = nn + nvs + static_cast<int>(k);
-      addc(a, e.p - 1, br, C{1, 0});
-      addc(a, e.n - 1, br, C{-1, 0});
-      addc(a, br, e.p - 1, C{1, 0});
-      addc(a, br, e.n - 1, C{-1, 0});
-      addc(a, br, e.cp - 1, C{-e.gain, 0});
-      addc(a, br, e.cn - 1, C{e.gain, 0});
+      if (i.p > 0) sys.b[static_cast<std::size_t>(i.p - 1)] -= val;
+      if (i.n > 0) sys.b[static_cast<std::size_t>(i.n - 1)] += val;
     }
     // Tiny conductance to ground keeps isolated internal nodes solvable.
-    for (int k = 0; k < nn; ++k) addc(a, k, k, C{1e-12, 0});
+    for (const int slot : slots_.node_diag) add(sys.a, slot, C{1e-12, 0});
 
-    std::vector<C> x;
-    if (!linalg::solve(a, b, x)) {
-      // Recoverable: report and emit a zero solution at this frequency so
-      // callers see a degraded (not aborted) sweep.
-      OLP_WARN << "AC system singular at f=" << freq;
-      if (diag_) {
-        diag_->report(DiagSeverity::kError, "simulator", "ac",
-                      "AC system singular at f=" + std::to_string(freq) +
-                          "; emitting zero solution");
-      }
-      x.assign(static_cast<std::size_t>(n), C{});
+    if (sys.solve()) {
+      result.solutions.push_back(sys.x);
+      continue;
     }
-    result.solutions.push_back(std::move(x));
+    // Recoverable: report and emit a zero solution at this frequency so
+    // callers see a degraded (not aborted) sweep.
+    OLP_WARN << "AC system singular at f=" << freq;
+    if (diag_) {
+      diag_->report(DiagSeverity::kError, "simulator", "ac",
+                    "AC system singular at f=" + std::to_string(freq) +
+                        "; emitting zero solution");
+    }
+    result.solutions.emplace_back(static_cast<std::size_t>(n), C{});
   }
   return result;
 }
@@ -563,9 +629,7 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     return va - vb;
   };
 
-  linalg::RealMatrix a(static_cast<std::size_t>(n),
-                       static_cast<std::size_t>(n));
-  std::vector<double> b(static_cast<std::size_t>(n), 0.0);
+  System<double> sys(pattern_);
 
   const double h = options.dt;
   const long steps = static_cast<long>(std::ceil(options.tstop / h));
@@ -577,11 +641,10 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
                           std::vector<double>& x_out) -> bool {
     x_out = x_prev;  // warm start
     for (int iter = 0; iter < options.max_newton; ++iter) {
-      a.set_zero();
-      std::fill(b.begin(), b.end(), 0.0);
-      stamp_linear(a);
-      stamp_sources(a, b, t_at, 1.0);
-      stamp_mosfets(a, b, x_out);
+      sys.clear();
+      stamp_linear(sys.a);
+      stamp_sources(sys.b, t_at, 1.0);
+      stamp_mosfets(sys.a, sys.b, x_out);
       for (std::size_t k = 0; k < caps_.size(); ++k) {
         const LinearCap& c = caps_[k];
         if (c.c <= 0) continue;
@@ -594,19 +657,18 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
           geq = c.c / h_at;
           ieq_into_a = geq * v_prev;
         }
-        add_g(a, c.a, c.b, geq);
-        add_rhs(b, c.a - 1, ieq_into_a);
-        add_rhs(b, c.b - 1, -ieq_into_a);
+        add_quad(sys.a, slots_.caps[k], geq);
+        add_rhs(sys.b, c.a - 1, ieq_into_a);
+        add_rhs(sys.b, c.b - 1, -ieq_into_a);
       }
-      for (int k = 0; k < nn; ++k) add_entry(a, k, k, 1e-12);
+      for (const int slot : slots_.node_diag) add(sys.a, slot, 1e-12);
 
-      std::vector<double> x_next;
-      if (!linalg::solve(a, b, x_next)) return false;
+      if (!sys.solve()) return false;
 
       bool within_tol = true;
       for (int k = 0; k < n; ++k) {
         const std::size_t ks = static_cast<std::size_t>(k);
-        double delta = x_next[ks] - x_out[ks];
+        double delta = sys.x[ks] - x_out[ks];
         if (k < nn) {
           delta = std::clamp(delta, -0.5, 0.5);
           if (std::fabs(delta) > 1e-7 + 1e-5 * std::fabs(x_out[ks])) {
@@ -615,7 +677,10 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
         }
         x_out[ks] += delta;
       }
-      if (within_tol && iter > 0) return true;
+      if (within_tol && iter > 0) {
+        sys.check_kcl(x_out);
+        return true;
+      }
     }
     return false;
   };

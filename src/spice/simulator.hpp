@@ -5,7 +5,13 @@
 //
 // Unknown ordering: node voltages for nodes 1..N-1 first, then one branch
 // current per independent voltage source, then one per VCVS.
+//
+// Every analysis stamps into one structural pattern built by the constructor
+// (see DESIGN.md §6k): each device knows its matrix slots, and each analysis
+// call orders a sparse LU once and refactors it numerically per Newton
+// iteration, timestep or frequency.
 
+#include <array>
 #include <atomic>
 #include <complex>
 #include <functional>
@@ -13,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/sparse_lu.hpp"
 #include "spice/circuit.hpp"
 
 namespace olp {
@@ -157,28 +163,49 @@ class Simulator {
     bool use_ic = false;
   };
 
+  /// Slots of a four-entry stamp taking +v, +v, -v, -v: a conductance, a
+  /// VCCS, or a voltage source's incidence. -1 marks a ground row/column.
+  using Quad = std::array<int, 4>;
+
+  /// Matrix slots of every device, in circuit order.
+  struct Slots {
+    std::vector<Quad> resistors;
+    std::vector<Quad> caps;      ///< parallel to caps_
+    std::vector<Quad> vccs;      ///< (p,cp) (n,cn) (p,cn) (n,cp)
+    std::vector<Quad> vsources;  ///< (p,br) (br,p) (n,br) (br,n)
+    std::vector<Quad> vcvs;      ///< incidence as for vsources
+    std::vector<std::array<int, 2>> vcvs_control;  ///< (br,cp) (br,cn)
+    /// (d,g) (d,d) (d,s) (s,g) (s,d) (s,s)
+    std::vector<std::array<int, 6>> mosfets;
+    std::vector<int> node_diag;  ///< (k,k) for every node unknown k
+  };
+
+  /// Per-analysis solver state (values, rhs, solution, LU); see the .cpp.
+  template <typename T>
+  struct System;
+
   int n_unknowns() const { return circuit_.unknown_count(); }
-  int node_index(NodeId n) const { return n - 1; }  // valid for n > 0
 
   /// One transient attempt with the given options (no retry ladder).
   TranResult tran_attempt(const TranOptions& options) const;
 
   /// op() continuation ladder without the instrumentation wrapper.
-  OpResult op_impl(const OpOptions& options) const;
+  OpResult op_impl(const OpOptions& options, System<double>& sys) const;
 
   /// One Newton solve of the DC system with sources scaled by `source_scale`
   /// and `gmin` to ground on every node. Returns convergence and iterations.
   OpResult newton_dc(const OpOptions& options, double gmin,
-                     double source_scale,
-                     const std::vector<double>& guess) const;
+                     double source_scale, const std::vector<double>& guess,
+                     System<double>& sys) const;
 
-  /// Stamps all static linear devices (R, VCVS, VCCS) into A.
-  void stamp_linear(linalg::RealMatrix& a) const;
-  /// Stamps independent sources at time t (or DC) scaled by `scale`.
-  void stamp_sources(linalg::RealMatrix& a, std::vector<double>& b, double t,
-                     double scale) const;
+  /// Stamps all static linear devices (R, VCVS, VCCS) and the voltage-source
+  /// incidence into the matrix values.
+  template <typename T>
+  void stamp_linear(std::vector<T>& a) const;
+  /// Stamps independent source values at time t (or DC) scaled by `scale`.
+  void stamp_sources(std::vector<double>& b, double t, double scale) const;
   /// Stamps linearized MOSFETs around the solution `x`.
-  void stamp_mosfets(linalg::RealMatrix& a, std::vector<double>& b,
+  void stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                      const std::vector<double>& x) const;
 
   /// Effective MOS terminal small-signal quantities (shared by OP/AC paths).
@@ -190,6 +217,8 @@ class Simulator {
 
   const Circuit& circuit_;
   std::vector<LinearCap> caps_;
+  linalg::SparsePattern pattern_;
+  Slots slots_;
   DiagnosticsSink* diag_ = nullptr;
   Budget* budget_ = nullptr;
 };

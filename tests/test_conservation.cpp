@@ -1,12 +1,17 @@
 // Conservation-law property tests for the simulator: Kirchhoff's current law
 // at source branches, AC superposition/linearity, transient charge
-// conservation, and energy bookkeeping on randomized networks.
+// conservation, energy bookkeeping on randomized networks, and the
+// simulator's linearized KCL self-check on the paper's testbenches.
 
 #include <gtest/gtest.h>
 
 #include "circuits/common.hpp"
+#include "circuits/ota5t.hpp"
+#include "circuits/strongarm.hpp"
+#include "circuits/vco.hpp"
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 
 namespace olp::spice {
@@ -165,6 +170,72 @@ TEST(Conservation, ResistorPowerMatchesSourcePower) {
   const double vb = sim.voltage(op.x, b);
   const double p_r = (va - vb) * (va - vb) / 1e3 + vb * vb / 3e3;
   EXPECT_NEAR(p_source, p_r, 1e-9);
+}
+
+// The simulator's linearized KCL self-check: every converged op solve and
+// accepted transient step leaves a relative residual
+// ||Ax - b|| / max(|A||x|, |b|) with its final Jacobian and rhs, and each
+// analysis records its maximum as one "sim.kcl_residual_max" sample. This is
+// the sparse solver's backward error on the real matrices: on the paper's
+// testbenches, annotated with extracted layout parasitics, it must stay at
+// round-off level.
+class KclSelfCheck : public ::testing::Test {
+ protected:
+  static const tech::Technology& t() {
+    static const tech::Technology tech = tech::make_default_finfet_tech();
+    return tech;
+  }
+
+  static circuits::Realization extracted(
+      const std::vector<circuits::InstanceSpec>& instances) {
+    circuits::Realization real = circuits::schematic_realization(instances, t());
+    real.ideal = false;
+    return real;
+  }
+
+  /// The analyses' residual maxima recorded while `run` executes.
+  template <typename F>
+  static obs::DistributionStats residuals(F&& run) {
+    obs::ScopedObservability scope;
+    run();
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const auto it = snap.distributions.find("sim.kcl_residual_max");
+    if (it == snap.distributions.end()) return {};
+    EXPECT_GT(snap.counter("sim.lu.factorizations"), 0);
+    return it->second;
+  }
+};
+
+TEST_F(KclSelfCheck, OtaTestbench) {
+  circuits::Ota5T ota(t());
+  const obs::DistributionStats r = residuals([&] {
+    ASSERT_TRUE(ota.prepare());
+    EXPECT_FALSE(ota.measure(extracted(ota.instances())).empty());
+  });
+  EXPECT_GT(r.count, 0);
+  EXPECT_LT(r.max, 1e-9);
+}
+
+TEST_F(KclSelfCheck, StrongArmTestbench) {
+  circuits::StrongArmComparator sa(t());
+  const obs::DistributionStats r = residuals([&] {
+    ASSERT_TRUE(sa.prepare());
+    EXPECT_FALSE(sa.measure(extracted(sa.instances())).empty());
+  });
+  EXPECT_GT(r.count, 0);
+  EXPECT_LT(r.max, 1e-9);
+}
+
+TEST_F(KclSelfCheck, ExtractedVcoTestbench) {
+  // One control voltage of the 8-stage ring: an op and ~2500 transient
+  // steps on the extracted full circuit.
+  circuits::RoVco vco(t(), 8);
+  const obs::DistributionStats r = residuals([&] {
+    ASSERT_TRUE(vco.prepare());
+    EXPECT_TRUE(vco.frequency(extracted(vco.instances()), 0.5).has_value());
+  });
+  EXPECT_GE(r.count, 2);
+  EXPECT_LT(r.max, 1e-9);
 }
 
 }  // namespace
