@@ -37,6 +37,7 @@
 #include "util/logging.hpp"
 #include "util/obs.hpp"
 #include "util/table.hpp"
+#include "util/jsonl.hpp"
 #include "util/trace_export.hpp"
 
 namespace {
@@ -278,7 +279,7 @@ int main() {
   json += std::string("  \"pass\": ") + (pass ? "true" : "false") + "\n";
   json += "}\n";
   std::string err;
-  if (!obs::json_well_formed(json, &err)) {
+  if (!jsonl::well_formed(json, &err)) {
     std::cerr << "internal error: BENCH_obs.json malformed: " << err << "\n";
     return 1;
   }

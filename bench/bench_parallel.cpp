@@ -27,6 +27,7 @@
 #include "core/optimizer.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
+#include "util/jsonl.hpp"
 #include "util/trace_export.hpp"
 #include "util/task_pool.hpp"
 
@@ -253,7 +254,7 @@ int main() {
   json += std::string("  \"pass\": ") + (pass ? "true" : "false") + "\n";
   json += "}\n";
   std::string err;
-  if (!obs::json_well_formed(json, &err)) {
+  if (!jsonl::well_formed(json, &err)) {
     std::cerr << "internal error: BENCH_parallel.json malformed: " << err
               << "\n";
     return 1;

@@ -6,7 +6,6 @@
 //
 //   classic      the serial heap-Dijkstra baseline (the flow default)
 //   fast         pattern-route fast paths + bidirectional/A* bucket search
-//   partitioned  disjoint-window batches on a 4-worker pool
 //   negotiated   PathFinder-style rip-up-and-reroute (fast core inside)
 //
 // Two gates are enforced (exit nonzero on failure):
@@ -35,7 +34,6 @@
 #include <olp/olp.hpp>
 
 #include "route/router_engine.hpp"
-#include "util/task_pool.hpp"
 
 namespace {
 
@@ -114,13 +112,11 @@ struct Row {
 /// backend, so the first repeat records them and later repeats verify
 /// nothing drifted would be redundant — they just race the clock.
 void run_once(const tech::Technology& t,
-              const std::vector<route::NetPins>& nets, TaskPool* pool,
-              Row& row, bool first_rep) {
+              const std::vector<route::NetPins>& nets, Row& row,
+              bool first_rep) {
   route::GlobalRouter router(t, vco_region(), {});
-  route::RouterEngineOptions eopt;
-  eopt.backend = row.backend;
-  if (row.backend == route::RouterBackend::kPartitioned) eopt.pool = pool;
-  const auto engine = route::make_router_engine(router, eopt);
+  const auto engine = route::make_router_engine(
+      router, route::RouterEngineOptions{row.backend});
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<route::NetRoute> routes = engine->route_nets(nets);
   const auto t1 = std::chrono::steady_clock::now();
@@ -178,12 +174,10 @@ int main() {
   set_log_level(log_level_from_env("OLP_LOG_LEVEL", LogLevel::kError));
   const tech::Technology t = tech::make_default_finfet_tech();
   const std::vector<route::NetPins> nets = vco_assembly_nets(8);
-  TaskPool pool(4);
 
   std::vector<Row> rows;
   for (const route::RouterBackend backend :
        {route::RouterBackend::kClassic, route::RouterBackend::kFast,
-        route::RouterBackend::kPartitioned,
         route::RouterBackend::kNegotiated}) {
     Row row;
     row.backend = backend;
@@ -196,11 +190,11 @@ int main() {
   {
     Row warmup;
     warmup.backend = route::RouterBackend::kClassic;
-    run_once(t, nets, &pool, warmup, /*first_rep=*/true);
+    run_once(t, nets, warmup, /*first_rep=*/true);
   }
   const int kRepeats = 9;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    for (Row& row : rows) run_once(t, nets, &pool, row, rep == 0);
+    for (Row& row : rows) run_once(t, nets, row, rep == 0);
   }
 
   TextTable table("Router backends: 8-stage RO-VCO assembly, " +
@@ -275,7 +269,7 @@ int main() {
   json += std::string("  \"pass\": ") + (pass ? "true" : "false") + "\n";
   json += "}\n";
   std::string err;
-  if (!obs::json_well_formed(json, &err)) {
+  if (!jsonl::well_formed(json, &err)) {
     std::cerr << "internal error: BENCH_route.json malformed: " << err << "\n";
     return 1;
   }

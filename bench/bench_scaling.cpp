@@ -251,7 +251,7 @@ int main() {
   json += std::string("  \"pass\": ") + (pass ? "true" : "false") + "\n";
   json += "}\n";
   std::string err;
-  if (!obs::json_well_formed(json, &err)) {
+  if (!jsonl::well_formed(json, &err)) {
     std::cerr << "internal error: BENCH_scaling.json malformed: " << err << "\n";
     return 1;
   }

@@ -26,6 +26,7 @@
 #include "util/obs.hpp"
 #include "util/table.hpp"
 #include "util/env.hpp"
+#include "util/jsonl.hpp"
 #include "util/trace_export.hpp"
 #include "util/units.hpp"
 
@@ -58,8 +59,8 @@ int main() {
         obs::to_chrome_trace_json(report.telemetry.snapshot);
     const std::string telemetry_json = obs::to_json(report.telemetry);
     std::string err;
-    if (!obs::json_well_formed(trace_json, &err) ||
-        !obs::json_well_formed(telemetry_json, &err)) {
+    if (!jsonl::well_formed(trace_json, &err) ||
+        !jsonl::well_formed(telemetry_json, &err)) {
       std::cerr << "trace export produced malformed JSON: " << err << "\n";
       return 1;
     }

@@ -117,8 +117,8 @@ void BatchReport::write_jsonl(const std::string& path) const {
   obs::write_text_file(path, to_jsonl());
 }
 
-CachePool::CachePool(std::size_t max_entries_per_cache, bool locked_reads)
-    : max_entries_(max_entries_per_cache), locked_reads_(locked_reads) {}
+CachePool::CachePool(std::size_t max_entries_per_cache)
+    : max_entries_(max_entries_per_cache) {}
 
 core::EvalCache* CachePool::cache_for_scope(const std::string& scope) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -126,7 +126,6 @@ core::EvalCache* CachePool::cache_for_scope(const std::string& scope) {
   if (slot == nullptr) {
     core::EvalCacheOptions copt;
     copt.max_entries = max_entries_;
-    copt.locked_reads = locked_reads_;
     slot = std::make_unique<core::EvalCache>(copt);
   }
   return slot.get();
@@ -251,7 +250,7 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
   // in different scopes must not share entries — the evaluation key does not
   // cover the technology — so each scope gets its own cache. Resolved up
   // front, serially, so the pool is read-only while jobs run.
-  CachePool caches(options_.cache_max_entries, options_.cache_locked_reads);
+  CachePool caches(options_.cache_max_entries);
   std::vector<core::EvalCache*> cache_of(jobs.size(), nullptr);
   if (options_.share_cache) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -100,13 +100,6 @@ struct BatchOptions {
   /// Capacity bound per scope cache (0 = unbounded, the deterministic
   /// default). OLP_CACHE_MAX_ENTRIES overrides at runner construction.
   std::size_t cache_max_entries = 0;
-  /// Bench-only A/B switch: run every shared scope cache with the legacy
-  /// mutex-striped read path (core::EvalCacheOptions::locked_reads) instead
-  /// of the lock-free published-index reads. Results are bit-identical
-  /// either way; only the contention telemetry differs. Used by
-  /// bench/bench_stage_scaling.cpp to separate the cache-contention win
-  /// from the worker-scaling win.
-  bool cache_locked_reads = false;
 };
 
 /// The set of shared evaluation caches behind a batch or the resident
@@ -118,10 +111,8 @@ struct BatchOptions {
 class CachePool {
  public:
   /// Every cache created by this pool is bounded to `max_entries_per_cache`
-  /// entries (0 = unbounded). `locked_reads` selects the legacy mutex-read
-  /// cache path for every cache created (bench A/B only, see BatchOptions).
-  explicit CachePool(std::size_t max_entries_per_cache = 0,
-                     bool locked_reads = false);
+  /// entries (0 = unbounded).
+  explicit CachePool(std::size_t max_entries_per_cache = 0);
 
   CachePool(const CachePool&) = delete;
   CachePool& operator=(const CachePool&) = delete;
@@ -151,7 +142,6 @@ class CachePool {
 
  private:
   const std::size_t max_entries_;
-  const bool locked_reads_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<core::EvalCache>> caches_;
 };

@@ -8,7 +8,6 @@
 
 #include "core/eval_cache.hpp"
 #include "geom/svg.hpp"
-#include "route/parallel.hpp"
 #include "route/realize.hpp"
 #include "util/budget.hpp"
 #include "util/env.hpp"
@@ -235,23 +234,16 @@ FlowEngine::FlowEngine(const tech::Technology& technology, FlowOptions options)
   options_.num_threads = threads_from_env(options_.num_threads);
   options_.eval_cache = env::flag("OLP_EVAL_CACHE", options_.eval_cache);
   options_.budget_limits = budget_options_from_env(options_.budget_limits);
-  options_.placer_parallel_moves = static_cast<int>(env::integer(
-      "OLP_PLACER_MOVES", options_.placer_parallel_moves));
-  options_.partitioned_routing =
-      env::flag("OLP_ROUTE_PARTITIONED", options_.partitioned_routing);
   if (env::has("OLP_ROUTER")) {
     const std::string name = env::str("OLP_ROUTER");
     if (const auto backend = route::parse_router_backend(name)) {
       options_.router = *backend;
     } else if (!name.empty()) {
       OLP_WARN << "OLP_ROUTER=" << name
-               << " is not a router backend (classic|fast|partitioned|"
-                  "negotiated); keeping "
+               << " is not a router backend (classic|fast|negotiated); keeping "
                << route::router_backend_name(options_.router);
     }
   }
-  options_.router_negotiation_iterations = static_cast<int>(env::integer(
-      "OLP_ROUTER_ITERS", options_.router_negotiation_iterations));
 }
 
 TaskPool* FlowEngine::pool() const {
@@ -359,16 +351,6 @@ void FlowEngine::place_and_route(
   popt.iterations = options_.placer_iterations;
   popt.seed = options_.seed;
   popt.budget = budget;
-  // The parallel stage modes apply to the REAL placement/routing only.
-  // Combo quick trials (recognizable by budget_obs == nullptr, see the
-  // header) keep the classic serial stages: their metric feeds a
-  // best-combination comparison, and the env overrides re-applied by the
-  // quick engine's constructor must not flip a trial into a different
-  // trajectory than the one the trial loop was tuned against.
-  if (budget_obs != nullptr && options_.placer_parallel_moves >= 2) {
-    popt.parallel_moves = options_.placer_parallel_moves;
-    popt.pool = pool();
-  }
   const place::AnnealingPlacer placer(popt);
   report.placement = placer.place(blocks, pnets, {});
   obs::counter_add("placer.runs");
@@ -421,19 +403,15 @@ void FlowEngine::place_and_route(
   // Backend selection (route/router_engine.hpp). The classic engine
   // reproduces the historic serial loop exactly — budget check before each
   // net, skipped nets routed=false, widened-layer fallback per net — so
-  // the default stays byte-identical to the pre-engine router. The opt-in
-  // backends are gated the same way as the parallel placer above: combo
-  // quick trials (budget_obs == nullptr) always route classic.
-  route::RouterBackend backend = options_.router;
-  if (backend == route::RouterBackend::kClassic &&
-      options_.partitioned_routing) {
-    backend = route::RouterBackend::kPartitioned;
-  }
-  if (budget_obs == nullptr) backend = route::RouterBackend::kClassic;
+  // the default stays byte-identical to the pre-engine router. Combo quick
+  // trials (recognizable by budget_obs == nullptr, see the header) always
+  // route classic: their metric feeds a best-combination comparison, and the
+  // env override re-applied by the quick engine's constructor must not flip
+  // a trial into a different trajectory than the one the trial loop was
+  // tuned against.
   route::RouterEngineOptions eopt;
-  eopt.backend = backend;
-  if (backend == route::RouterBackend::kPartitioned) eopt.pool = pool();
-  eopt.negotiation_iterations = options_.router_negotiation_iterations;
+  eopt.backend = budget_obs == nullptr ? route::RouterBackend::kClassic
+                                       : options_.router;
   const std::unique_ptr<route::RouterEngine> engine =
       route::make_router_engine(router, eopt);
   std::vector<route::NetRoute> routes = engine->route_nets(nets);

@@ -14,14 +14,12 @@
 //   run(FlowMode::kManualOracle): exhaustive configuration/tuning/wire search
 //                                 standing in for expert manual layout.
 //
-// The per-mode methods optimize()/conventional()/manual_oracle() remain as
-// deprecated wrappers; they forward to run() verbatim and will be removed.
-//
 // Environment overrides (see util/env.hpp for the full catalog) are applied
 // ONCE, at FlowEngine construction: OLP_THREADS onto num_threads,
 // OLP_EVAL_CACHE onto eval_cache, OLP_DEADLINE_MS / OLP_TESTBENCH_BUDGET
-// onto budget_limits. run() uses the constructed options verbatim, so two
-// runs of one engine can never see different environments.
+// onto budget_limits, OLP_ROUTER onto router. run() uses the constructed
+// options verbatim, so two runs of one engine can never see different
+// environments.
 
 #include <cstdint>
 #include <map>
@@ -112,36 +110,13 @@ struct FlowOptions {
   /// Concurrent runs (batch jobs) must set this false — the batch runner
   /// rebases once and attaches one pooled snapshot to the whole batch.
   bool own_telemetry = true;
-  /// Parallel-moves annealing for the FINAL placement: <= 1 (the default)
-  /// keeps the serial trajectory the default-mode goldens pin down; K >= 2
-  /// evaluates K candidate moves per temperature step on the worker pool,
-  /// accepting deterministically by (cost, move-index) — bit-identical at
-  /// every thread count, but a different anneal trajectory with its own
-  /// golden (tests/test_stage_parallel.cpp). OLP_PLACER_MOVES overrides at
-  /// engine construction. Combo-choice quick placements stay serial either
-  /// way (they run inside pooled sweeps already).
-  int placer_parallel_moves = 0;
-  /// Dependency-partitioned concurrent net routing (route/parallel.hpp):
-  /// nets with disjoint congestion windows route concurrently, batches are
-  /// barriers, leftovers retry serially in net order. Off by default (the
-  /// serial router is the default-mode golden); the partitioned trajectory
-  /// is bit-identical across thread counts and carries its own golden.
-  /// OLP_ROUTE_PARTITIONED=1/0 overrides at engine construction.
-  bool partitioned_routing = false;
   /// Routing backend for the REAL routing stage (route/router_engine.hpp):
   /// kClassic (the default) is the serial router the default-mode goldens
-  /// pin byte for byte; kFast, kPartitioned, and kNegotiated are opt-in
-  /// trajectories with their own goldens (tests/test_stage_parallel.cpp).
-  /// OLP_ROUTER=classic|fast|partitioned|negotiated overrides at engine
-  /// construction; for backward compatibility, partitioned_routing=true
-  /// (or OLP_ROUTE_PARTITIONED=1) maps kClassic to kPartitioned. Combo
-  /// quick trials always route classic, like the other parallel stage
-  /// modes above.
+  /// pin byte for byte; kFast and kNegotiated are opt-in trajectories with
+  /// their own goldens (tests/test_stage_parallel.cpp).
+  /// OLP_ROUTER=classic|fast|negotiated overrides at engine construction.
+  /// Combo quick trials always route classic.
   route::RouterBackend router = route::RouterBackend::kClassic;
-  /// Max rip-up-and-reroute passes for the negotiated backend (after the
-  /// initial greedy pass; the loop exits early at zero overflow).
-  /// OLP_ROUTER_ITERS overrides at engine construction.
-  int router_negotiation_iterations = 16;
 };
 
 /// Everything the flow decided, for reporting and the paper's tables.
@@ -186,27 +161,6 @@ class FlowEngine {
   Realization run(FlowMode mode, const std::vector<InstanceSpec>& instances,
                   const std::vector<std::string>& routed_nets,
                   FlowReport* report = nullptr) const;
-
-  [[deprecated("use run(FlowMode::kOptimize, ...)")]]
-  Realization optimize(const std::vector<InstanceSpec>& instances,
-                       const std::vector<std::string>& routed_nets,
-                       FlowReport* report = nullptr) const {
-    return run(FlowMode::kOptimize, instances, routed_nets, report);
-  }
-
-  [[deprecated("use run(FlowMode::kConventional, ...)")]]
-  Realization conventional(const std::vector<InstanceSpec>& instances,
-                           const std::vector<std::string>& routed_nets,
-                           FlowReport* report = nullptr) const {
-    return run(FlowMode::kConventional, instances, routed_nets, report);
-  }
-
-  [[deprecated("use run(FlowMode::kManualOracle, ...)")]]
-  Realization manual_oracle(const std::vector<InstanceSpec>& instances,
-                            const std::vector<std::string>& routed_nets,
-                            FlowReport* report = nullptr) const {
-    return run(FlowMode::kManualOracle, instances, routed_nets, report);
-  }
 
   /// Builds a per-instance evaluator from its bias context.
   core::PrimitiveEvaluator make_evaluator(const InstanceSpec& inst) const;

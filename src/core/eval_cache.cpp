@@ -16,14 +16,8 @@ namespace olp::core {
 namespace {
 
 /// Contention attribution for the shard mutex (obs::timed_lock): only a
-/// failed try-lock reads the clock or records. Two sites, so the scaling
-/// benchmarks can separate the READ path (taken only in locked_reads
-/// baseline mode — the RCU path takes no lock at all, which is the claim
-/// "obs.contention.eval_cache.wait_us" certifies) from the writer path
-/// (inserts/restores, which hold the mutex across the snapshot republish
-/// in every mode).
-constexpr obs::LockSite kCacheLock{"obs.contention.eval_cache.contended",
-                                   "obs.contention.eval_cache.wait_us"};
+/// failed try-lock reads the clock or records. Only writers (inserts) take
+/// the mutex; the read path is lock-free.
 constexpr obs::LockSite kCacheWriteLock{
     "obs.contention.eval_cache_insert.contended",
     "obs.contention.eval_cache_insert.wait_us"};
@@ -68,8 +62,7 @@ EvalCache::EvalCache(std::size_t shards)
 
 EvalCache::EvalCache(const EvalCacheOptions& options)
     : shards_(options.shards == 0 ? 1 : options.shards),
-      max_entries_(options.max_entries),
-      locked_reads_(options.locked_reads) {
+      max_entries_(options.max_entries) {
   if (max_entries_ > 0) {
     // Ceiling split so the shard caps sum to >= max_entries (never starving
     // a shard to zero); total occupancy may exceed max_entries by at most
@@ -194,8 +187,18 @@ void EvalCache::republish(Shard& shard) {
                         std::memory_order_release);
 }
 
-bool EvalCache::record_found(const Entry* entry, MetricValues* values,
-                             int client) {
+bool EvalCache::lookup(const std::string& key, MetricValues* values,
+                       int client) {
+  // RCU read: load the published snapshot and search it. No mutex; the
+  // snapshot's shared_ptr keeps every entry it references alive even if a
+  // writer concurrently evicts and republishes.
+  const std::shared_ptr<const Index> index =
+      shard_for(key).published.load(std::memory_order_acquire);
+  const Entry* entry = nullptr;
+  if (index != nullptr) {
+    const auto it = index->find(std::string_view(key));
+    if (it != index->end()) entry = it->second.get();
+  }
   if (entry == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -211,30 +214,6 @@ bool EvalCache::record_found(const Entry* entry, MetricValues* values,
   }
   if (values != nullptr) *values = entry->values;
   return true;
-}
-
-bool EvalCache::lookup(const std::string& key, MetricValues* values,
-                       int client) {
-  Shard& shard = shard_for(key);
-  if (locked_reads_) {
-    // Baseline mode: the historical mutex-striped read (kept measurable for
-    // the scaling benchmarks). Same results, different synchronization.
-    const auto lock = obs::timed_lock(shard.mu, kCacheLock);
-    const auto it = shard.map.find(std::string_view(key));
-    return record_found(it == shard.map.end() ? nullptr : it->second.get(),
-                        values, client);
-  }
-  // RCU read: load the published snapshot and search it. No mutex; the
-  // snapshot's shared_ptr keeps every entry it references alive even if a
-  // writer concurrently evicts and republishes.
-  const std::shared_ptr<const Index> index =
-      shard.published.load(std::memory_order_acquire);
-  const Entry* entry = nullptr;
-  if (index != nullptr) {
-    const auto it = index->find(std::string_view(key));
-    if (it != index->end()) entry = it->second.get();
-  }
-  return record_found(entry, values, client);
 }
 
 bool EvalCache::insert_locked(Shard& shard, EntryPtr entry) {

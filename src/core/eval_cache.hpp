@@ -24,20 +24,14 @@
 // publishes an immutable snapshot index through an atomic shared_ptr.
 // lookup() loads the published snapshot and searches it — it NEVER takes
 // the shard mutex, so cache hits from concurrent TaskPool workers cost no
-// lock traffic at all. The "obs.contention.eval_cache.*" LockSite meters
-// the READ path exclusively (zero by construction in RCU mode; live in the
-// locked_reads baseline), while writer-side waits are attributed to
-// "obs.contention.eval_cache_insert.*" — bench_stage_scaling's contention
-// gate compares the read site across the two modes.
+// lock traffic at all. Writer-side waits on the shard mutex are attributed
+// to "obs.contention.eval_cache_insert.*".
 // Writers insert into the authoritative map under the mutex, then publish
 // a fresh snapshot; readers holding an older snapshot keep every entry in
 // it alive through the shared_ptr refcounts, which is the entire retire
 // protocol — an evicted entry is freed when the last snapshot referencing
 // it drops. Entries are immutable after publication except for an atomic
-// CLOCK reference bit. Set EvalCacheOptions::locked_reads to restore the
-// historical mutex-striped read path (kept as the measurable baseline for
-// the scaling benchmarks — bench_stage_scaling proves the contended-wait
-// delta).
+// CLOCK reference bit.
 //
 // Entries are only inserted for evaluations with no quarantined metric
 // (the evaluator enforces this), so diagnostics and quarantine accounting
@@ -93,11 +87,6 @@ struct EvalCacheOptions {
   /// resident service always sets a bound: an unbounded warm cache is a slow
   /// memory leak under sustained traffic.
   std::size_t max_entries = 0;
-  /// true = route lookups through the shard mutex like the pre-RCU cache.
-  /// Hit/miss results and values are identical either way; this exists so
-  /// the scaling benchmarks can measure the read-path contention the
-  /// snapshot index removed (see bench/bench_stage_scaling.cpp).
-  bool locked_reads = false;
 };
 
 class EvalCache {
@@ -125,8 +114,7 @@ class EvalCache {
 
   /// Copies the cached metrics into *values and returns true on a hit.
   /// Counts a hit/miss either way; a hit on another client's entry also
-  /// counts toward cross_client_hits when both ids are >= 0. Lock-free
-  /// unless the cache was built with locked_reads.
+  /// counts toward cross_client_hits when both ids are >= 0. Lock-free.
   bool lookup(const std::string& key, MetricValues* values, int client = -1);
 
   /// Inserts (first writer wins; a racing duplicate insert is a no-op —
@@ -193,13 +181,10 @@ class EvalCache {
   /// Rebuilds and publishes the read snapshot from the authoritative map.
   /// Requires shard.mu held.
   static void republish(Shard& shard);
-  /// Shared hit bookkeeping for both read paths.
-  bool record_found(const Entry* entry, MetricValues* values, int client);
 
   std::vector<Shard> shards_;
   std::size_t per_shard_cap_ = 0;  ///< 0 = unbounded
   std::size_t max_entries_ = 0;
-  bool locked_reads_ = false;
   std::atomic<long> hits_{0};
   std::atomic<long> misses_{0};
   std::atomic<long> cross_client_hits_{0};

@@ -6,7 +6,6 @@
 
 #include "util/budget.hpp"
 #include "util/error.hpp"
-#include "util/task_pool.hpp"
 
 namespace olp::place {
 
@@ -143,9 +142,7 @@ void snap_symmetry(const std::vector<Block>& blocks,
 }
 
 /// One candidate annealing move, fully described by values drawn from the
-/// shared RNG stream — drawing is separated from applying so the
-/// parallel-moves mode can draw K moves serially (thread-count independent)
-/// and evaluate them concurrently.
+/// RNG stream.
 struct Move {
   int kind = 0;  ///< 0 = swap pos, 1 = swap both, 2 = mirror flip
   int i = 0;
@@ -232,80 +229,32 @@ PlacementResult AnnealingPlacer::place(
 
   double temp = options_.initial_temp *
                 std::max(current.cost, 1e-18);
-  if (options_.parallel_moves >= 2) {
-    // Parallel-moves annealing: per temperature step, draw K independent
-    // candidate moves SERIALLY from the single RNG stream (so the move
-    // sequence is a pure function of the seed), evaluate them concurrently
-    // via the index-addressed slots, and pick the winner deterministically
-    // by (cost, move-index). Acceptance spends exactly one more uniform
-    // draw per step. Nothing here depends on completion order or thread
-    // count — only on (seed, K) — which is the property the
-    // test_stage_parallel golden pins down.
-    const int k_moves = options_.parallel_moves;
-    const int steps = (options_.iterations + k_moves - 1) / k_moves;
-    std::vector<Move> moves(static_cast<std::size_t>(k_moves));
-    std::vector<Candidate> cands(static_cast<std::size_t>(k_moves));
-    for (int step = 0; step < steps; ++step) {
-      // Budget probes stay on the submitting thread (once per step), so a
-      // budget-bounded parallel run truncates at a step boundary instead of
-      // a scheduling-dependent point.
-      if (options_.budget != nullptr && options_.budget->check()) break;
-      for (Move& m : moves) m = draw_move(rng, n);
-      run_indexed(options_.pool, static_cast<std::size_t>(k_moves),
-                  [&](std::size_t mi) {
-                    std::vector<int> new_pos = pos, new_neg = neg;
-                    std::vector<bool> new_mirror = mirrored;
-                    apply_move(moves[mi], new_pos, new_neg, new_mirror);
-                    cands[mi] = evaluate(blocks, nets, symmetry, new_pos,
-                                         new_neg, new_mirror, options_);
-                    return true;
-                  });
-      std::size_t winner = 0;
-      for (std::size_t mi = 1; mi < cands.size(); ++mi) {
-        if (cands[mi].cost < cands[winner].cost) winner = mi;
+  for (int it = 0; it < options_.iterations; ++it) {
+    // Budget-bounded annealing: stop early with the best placement so far
+    // (the initial packing was evaluated before the loop, so `best` is
+    // always a complete, packable candidate).
+    if (options_.budget != nullptr && options_.budget->check()) break;
+    std::vector<int> new_pos = pos, new_neg = neg;
+    std::vector<bool> new_mirror = mirrored;
+    const Move move = draw_move(rng, n);
+    apply_move(move, new_pos, new_neg, new_mirror);
+    const Candidate cand = evaluate(blocks, nets, symmetry, new_pos,
+                                    new_neg, new_mirror, options_);
+    const double delta = cand.cost - current.cost;
+    if (delta <= 0 ||
+        rng.uniform() < std::exp(-delta / std::max(temp, 1e-30))) {
+      pos = std::move(new_pos);
+      neg = std::move(new_neg);
+      mirrored = std::move(new_mirror);
+      current = cand;
+      if (current.cost < best.cost) {
+        best = current;
+        best_pos = pos;
+        best_neg = neg;
+        best_mirror = mirrored;
       }
-      const double delta = cands[winner].cost - current.cost;
-      if (delta <= 0 ||
-          rng.uniform() < std::exp(-delta / std::max(temp, 1e-30))) {
-        apply_move(moves[winner], pos, neg, mirrored);
-        current = cands[winner];
-        if (current.cost < best.cost) {
-          best = current;
-          best_pos = pos;
-          best_neg = neg;
-          best_mirror = mirrored;
-        }
-      }
-      temp *= options_.cooling;
     }
-  } else {
-    for (int it = 0; it < options_.iterations; ++it) {
-      // Budget-bounded annealing: stop early with the best placement so far
-      // (the initial packing was evaluated before the loop, so `best` is
-      // always a complete, packable candidate).
-      if (options_.budget != nullptr && options_.budget->check()) break;
-      std::vector<int> new_pos = pos, new_neg = neg;
-      std::vector<bool> new_mirror = mirrored;
-      const Move move = draw_move(rng, n);
-      apply_move(move, new_pos, new_neg, new_mirror);
-      const Candidate cand = evaluate(blocks, nets, symmetry, new_pos,
-                                      new_neg, new_mirror, options_);
-      const double delta = cand.cost - current.cost;
-      if (delta <= 0 ||
-          rng.uniform() < std::exp(-delta / std::max(temp, 1e-30))) {
-        pos = std::move(new_pos);
-        neg = std::move(new_neg);
-        mirrored = std::move(new_mirror);
-        current = cand;
-        if (current.cost < best.cost) {
-          best = current;
-          best_pos = pos;
-          best_neg = neg;
-          best_mirror = mirrored;
-        }
-      }
-      temp *= options_.cooling;
-    }
+    temp *= options_.cooling;
   }
 
   PlacementResult result;

@@ -18,7 +18,6 @@
 
 namespace olp {
 class Budget;
-class TaskPool;
 }
 
 namespace olp::place {
@@ -75,22 +74,6 @@ struct PlacerOptions {
   /// the annealing loop early; the best placement found so far (at least the
   /// initial packing, evaluated before the loop) is returned.
   Budget* budget = nullptr;
-  /// Parallel-moves annealing: <= 1 keeps the classic serial trajectory
-  /// (one candidate move per temperature step — the default-mode golden).
-  /// K >= 2 draws K independent moves per step from the single RNG stream,
-  /// evaluates them concurrently on `pool`, and accepts deterministically
-  /// by (cost, move-index) order. The trajectory is a pure function of
-  /// (seed, K): bit-identical at every thread count, including pool ==
-  /// null, but intentionally DIFFERENT from the serial trajectory — which
-  /// is why the parallel mode carries its own golden
-  /// (tests/test_stage_parallel.cpp). Total move evaluations stay ~=
-  /// `iterations` (ceil(iterations / K) steps of K moves); cooling applies
-  /// per step, so K also acts as a coarser cooling schedule.
-  int parallel_moves = 0;
-  /// Worker pool for parallel-moves candidate evaluation (not owned, may be
-  /// null = evaluate the K candidates inline). Unused when parallel_moves
-  /// <= 1.
-  TaskPool* pool = nullptr;
 };
 
 /// Sequence-pair placer.

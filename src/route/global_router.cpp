@@ -95,23 +95,6 @@ std::pair<int, int> GlobalRouter::snap(geom::Point p) const {
   return {gx, gy};
 }
 
-GridWindow GlobalRouter::window_for(const std::vector<geom::Point>& pins,
-                                    int margin_cells) const {
-  GridWindow w{nx_ - 1, ny_ - 1, 0, 0};
-  for (const geom::Point& p : pins) {
-    const auto [gx, gy] = snap(p);
-    w.x_lo = std::min(w.x_lo, gx);
-    w.y_lo = std::min(w.y_lo, gy);
-    w.x_hi = std::max(w.x_hi, gx);
-    w.y_hi = std::max(w.y_hi, gy);
-  }
-  w.x_lo = std::max(0, w.x_lo - margin_cells);
-  w.y_lo = std::max(0, w.y_lo - margin_cells);
-  w.x_hi = std::min(nx_ - 1, w.x_hi + margin_cells);
-  w.y_hi = std::min(ny_ - 1, w.y_hi + margin_cells);
-  return w;
-}
-
 NetRoute GlobalRouter::route(const std::string& net_name,
                              const std::vector<geom::Point>& pins,
                              const RouteRequest& request) {
@@ -170,10 +153,9 @@ NetRoute GlobalRouter::route(const std::string& net_name,
   }
   OLP_WARN << "router: net " << net_name
            << " unrouted; retrying with widened layer window";
-  // The retry runs on the fallback grid, so the caller's window and
-  // negotiation arrays (sized for THIS grid) do not transfer.
+  // The retry runs on the fallback grid, so the caller's negotiation arrays
+  // (sized for THIS grid) do not transfer.
   RouteRequest retry = primary_req;
-  retry.window.reset();
   retry.negotiation = nullptr;
   NetRoute widened = fallback_->route_core(net_name, pins, retry);
   if (!widened.routed) {
@@ -203,25 +185,15 @@ NetRoute GlobalRouter::route_core(const std::string& net_name,
     result.routed = false;
     return result;
   }
-  const GridWindow win = request.window ? *request.window : full_window();
-  if (request.fast) return route_fast(net_name, pins, win, request);
-  return route_classic(net_name, pins, win);
+  if (request.fast) return route_fast(net_name, pins, request);
+  return route_classic(net_name, pins);
 }
 
 NetRoute GlobalRouter::route_classic(const std::string& net_name,
-                                     const std::vector<geom::Point>& pins,
-                                     const GridWindow& win) {
+                                     const std::vector<geom::Point>& pins) {
   NetRoute result;
   result.net = net_name;
 
-  // Snap into the window: with the full window this is the plain grid snap
-  // (the clamps are no-ops), keeping the default path bit-identical.
-  auto snap_in = [&](geom::Point p) {
-    auto [gx, gy] = snap(p);
-    gx = std::clamp(gx, win.x_lo, win.x_hi);
-    gy = std::clamp(gy, win.y_lo, win.y_hi);
-    return std::pair<int, int>{gx, gy};
-  };
   auto unsnap = [&](int gx, int gy) {
     return geom::Point{
         region_.x_lo + geom::to_nm(gx * opt_.gcell_size),
@@ -235,7 +207,7 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
   // Seed the tree with the first pin on every allowed layer at its gcell
   // (pins are block ports reachable through a via stack).
   {
-    const auto [gx, gy] = snap_in(pins[0]);
+    const auto [gx, gy] = snap(pins[0]);
     for (int l = opt_.min_layer; l <= opt_.max_layer; ++l) {
       in_tree[static_cast<std::size_t>(index(gx, gy, l))] = 1;
     }
@@ -261,7 +233,7 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
       result.routed = false;
       return result;
     }
-    const auto [sx, sy] = snap_in(pins[p]);
+    const auto [sx, sy] = snap(pins[p]);
     // Dijkstra from the pin to any tree node.
     std::vector<double> dist(static_cast<std::size_t>(total_nodes),
                              std::numeric_limits<double>::infinity());
@@ -302,14 +274,14 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
       const double layer_bias = 0.02 * l;
       // Wire moves in the preferred direction of the layer.
       if (layer_horizontal(l)) {
-        if (x + 1 <= win.x_hi) {
+        if (x + 1 < nx_) {
           const int over = std::max(
               0, usage_x_[static_cast<std::size_t>(top.node)] + 1 -
                      opt_.edge_capacity);
           relax(index(x + 1, y, l),
                 1.0 + layer_bias + opt_.congestion_cost * over);
         }
-        if (x > win.x_lo) {
+        if (x > 0) {
           const int from = index(x - 1, y, l);
           const int over = std::max(
               0, usage_x_[static_cast<std::size_t>(from)] + 1 -
@@ -317,14 +289,14 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
           relax(from, 1.0 + layer_bias + opt_.congestion_cost * over);
         }
       } else {
-        if (y + 1 <= win.y_hi) {
+        if (y + 1 < ny_) {
           const int over = std::max(
               0, usage_y_[static_cast<std::size_t>(top.node)] + 1 -
                      opt_.edge_capacity);
           relax(index(x, y + 1, l),
                 1.0 + layer_bias + opt_.congestion_cost * over);
         }
-        if (y > win.y_lo) {
+        if (y > 0) {
           const int from = index(x, y - 1, l);
           const int over = std::max(
               0, usage_y_[static_cast<std::size_t>(from)] + 1 -

@@ -13,18 +13,14 @@
 // router").
 //
 // Entry point: ONE call, route(net, pins, RouteRequest). The request selects
-// the search confinement window, the widened-layer fallback retry, the
-// search core (classic Dijkstra vs. the pattern + A*/bidirectional fast
-// core), and optional negotiated-congestion cost shaping. The historic
-// route() / route_in_window() / route_with_fallback() signatures remain as
-// [[deprecated]] inline wrappers that forward verbatim (PR 5 convention);
-// in-repo call sites use the request form. Backend-level orchestration
-// (net order, rip-up-and-reroute, partitioned batches) lives one level up
-// in route/router_engine.hpp.
+// the widened-layer fallback retry, the search core (classic Dijkstra vs. the
+// pattern + A*/bidirectional fast core), and optional negotiated-congestion
+// cost shaping. Every search runs on the full grid. Backend-level
+// orchestration (net order, rip-up-and-reroute) lives one level up in
+// route/router_engine.hpp.
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,26 +70,6 @@ struct RouterOptions {
   int edge_capacity = 8;       ///< tracks per gcell edge per layer
 };
 
-/// An inclusive gcell rectangle restricting where a search may expand —
-/// the unit of independence for dependency-partitioned concurrent routing
-/// (route/parallel.hpp): two nets whose windows are disjoint read and
-/// write disjoint congestion edges, because every edge a windowed search
-/// touches has BOTH endpoints inside the window.
-struct GridWindow {
-  int x_lo = 0, y_lo = 0, x_hi = 0, y_hi = 0;
-
-  bool overlaps(const GridWindow& o) const {
-    return x_lo <= o.x_hi && o.x_lo <= x_hi && y_lo <= o.y_hi &&
-           o.y_lo <= y_hi;
-  }
-};
-
-/// The detour headroom, in gcells, that window-confined routing adds around
-/// the snapped pin bounding box. Shared by GlobalRouter::detour_window and
-/// the batch coloring in route/parallel.cpp so the two can never drift
-/// (historically both hard-coded 6).
-inline constexpr int kDetourMarginCells = 6;
-
 /// Per-edge negotiated-congestion state (PathFinder-style), owned by the
 /// negotiated router engine and consulted by the fast search core. Arrays
 /// are indexed exactly like the router's usage grids (one slot per node per
@@ -107,16 +83,10 @@ struct NegotiationCosts {
 };
 
 /// Everything one route(...) call needs beyond the net and its pins. The
-/// defaults reproduce the historic bare route(): full grid, classic search,
-/// no retry, no instrumentation envelope.
+/// defaults reproduce the historic bare route(): classic search, no retry,
+/// no instrumentation envelope.
 struct RouteRequest {
-  /// Confine the search to this gcell window (pins are clamped into it);
-  /// empty = the full grid. Confined calls on DISJOINT windows may run
-  /// concurrently: each search allocates its own scratch state and only
-  /// touches congestion edges inside its window. A net that cannot be
-  /// routed inside its window is returned with routed=false.
-  std::optional<GridWindow> window;
-  /// Full-service per-net entry (the historic route_with_fallback): wraps
+  /// Full-service per-net entry: wraps
   /// the attempt in the "router.net" span + router.* counters and, when the
   /// primary attempt fails and the layer window is not already maximal,
   /// retries once on a fallback grid widened to every routing layer. A net
@@ -144,61 +114,18 @@ struct RouteRequest {
 /// Grid-based global router for a fixed region.
 class GlobalRouter {
  public:
-  using GridWindow = route::GridWindow;
-
   /// `region` is the placement bounding box in nm (expanded internally by
   /// one gcell of halo).
   GlobalRouter(const tech::Technology& technology, geom::Rect region,
                RouterOptions options = {});
   ~GlobalRouter();
 
-  /// The whole grid as a window.
-  GridWindow full_window() const { return {0, 0, nx_ - 1, ny_ - 1}; }
-
-  /// Bounding window of the snapped pin gcells, expanded by `margin_cells`
-  /// on every side (clamped to the grid). The margin is detour headroom: a
-  /// windowed search can still step around congestion without leaving its
-  /// partition.
-  GridWindow window_for(const std::vector<geom::Point>& pins,
-                        int margin_cells) const;
-
-  /// window_for with the canonical detour margin (kDetourMarginCells) —
-  /// the one helper both window-confined routing and the partition coloring
-  /// use, so their notion of a net's neighborhood cannot drift.
-  GridWindow detour_window(const std::vector<geom::Point>& pins) const {
-    return window_for(pins, kDetourMarginCells);
-  }
-
   /// THE routing entry point. Routes a net over the given pin locations
   /// (nm) as described by `request`; updates congestion so later nets avoid
-  /// used edges. Pins are snapped to the nearest gcell (and clamped into
-  /// the request window when one is set).
+  /// used edges. Pins are snapped to the nearest gcell.
   NetRoute route(const std::string& net_name,
                  const std::vector<geom::Point>& pins,
                  const RouteRequest& request);
-
-  [[deprecated("use route(net, pins, RouteRequest{})")]]
-  NetRoute route(const std::string& net_name,
-                 const std::vector<geom::Point>& pins) {
-    return route(net_name, pins, RouteRequest{});
-  }
-
-  [[deprecated("use route(net, pins, RouteRequest{.window = ...})")]]
-  NetRoute route_in_window(const std::string& net_name,
-                           const std::vector<geom::Point>& pins,
-                           const GridWindow& window) {
-    RouteRequest request;
-    request.window = window;
-    return route(net_name, pins, request);
-  }
-
-  [[deprecated("use route(net, pins, RouteRequest{.with_fallback = true})")]]
-  NetRoute route_with_fallback(const std::string& net_name,
-                               const std::vector<geom::Point>& pins) {
-    RouteRequest request;
-    request.with_fallback = true;
-    return route(net_name, pins, request);
-  }
 
   /// Attaches a diagnostics sink (may be null to detach); the sink must
   /// outlive the router.
@@ -263,12 +190,11 @@ class GlobalRouter {
                       const RouteRequest& request);
   /// The classic per-net heap Dijkstra (byte-identical to the seed router).
   NetRoute route_classic(const std::string& net_name,
-                         const std::vector<geom::Point>& pins,
-                         const GridWindow& win);
+                         const std::vector<geom::Point>& pins);
   /// The fast core (search.cpp): patterns + A*/bidirectional on buckets.
   NetRoute route_fast(const std::string& net_name,
                       const std::vector<geom::Point>& pins,
-                      const GridWindow& win, const RouteRequest& request);
+                      const RouteRequest& request);
   /// Walks a route's segments applying `delta` to the traversed edges.
   void apply_usage(const NetRoute& route, int delta);
 
@@ -287,9 +213,7 @@ class GlobalRouter {
   Budget* budget_ = nullptr;
   /// Lazily created widened-layer-window router for the fallback retry.
   std::unique_ptr<GlobalRouter> fallback_;
-  /// Lazily created fast-core scratch (search.cpp); never shared between
-  /// concurrent windowed calls — the fast core is only used by the serial
-  /// backends, and windowed partitioned calls use the classic core.
+  /// Lazily created fast-core scratch (search.cpp).
   std::unique_ptr<FastScratch, FastScratchDeleter> fast_;
 };
 

@@ -16,8 +16,6 @@ const char* router_backend_name(RouterBackend backend) {
       return "classic";
     case RouterBackend::kFast:
       return "fast";
-    case RouterBackend::kPartitioned:
-      return "partitioned";
     case RouterBackend::kNegotiated:
       return "negotiated";
   }
@@ -27,12 +25,16 @@ const char* router_backend_name(RouterBackend backend) {
 std::optional<RouterBackend> parse_router_backend(std::string_view name) {
   if (name == "classic") return RouterBackend::kClassic;
   if (name == "fast") return RouterBackend::kFast;
-  if (name == "partitioned") return RouterBackend::kPartitioned;
   if (name == "negotiated") return RouterBackend::kNegotiated;
   return std::nullopt;
 }
 
 namespace {
+
+/// Negotiated backend: growth of the present-congestion factor per
+/// iteration, and its cap (the cap keeps quantized edge costs bounded).
+constexpr double kPresentGrowth = 1.6;
+constexpr double kPresentCap = 64.0;
 
 /// Serial net-order routing through the full-service per-net entry. With
 /// fast=false this is EXACTLY the historic flow loop (budget check before
@@ -73,26 +75,6 @@ class SerialEngine : public RouterEngine {
   bool fast_;
 };
 
-/// Dependency-partitioned concurrent batches (route/parallel.hpp).
-class PartitionedEngine : public RouterEngine {
- public:
-  PartitionedEngine(GlobalRouter& router, TaskPool* pool)
-      : router_(router), pool_(pool) {}
-
-  RouterBackend backend() const override {
-    return RouterBackend::kPartitioned;
-  }
-
-  std::vector<NetRoute> route_nets(
-      const std::vector<NetPins>& nets) override {
-    return route_partitioned(router_, nets, pool_);
-  }
-
- private:
-  GlobalRouter& router_;
-  TaskPool* pool_;
-};
-
 /// PathFinder-style negotiated congestion on the fast core.
 ///
 /// Iteration 0 routes every net greedily (fast core, no fallback — the
@@ -103,8 +85,7 @@ class PartitionedEngine : public RouterEngine {
 /// best-so-far solution (min overflow, then min wirelength) is snapshotted
 /// each pass and restored at the end, so a budget trip or the iteration
 /// cap still salvages the best state seen. Nets that remain unrouted after
-/// negotiation get the classic widened-layer fallback, exactly like the
-/// partitioned backend's cleanup pass.
+/// negotiation get the widened-layer fallback retry.
 class NegotiatedEngine : public RouterEngine {
  public:
   NegotiatedEngine(GlobalRouter& router, const RouterEngineOptions& options)
@@ -177,8 +158,7 @@ class NegotiatedEngine : public RouterEngine {
       // crossing a currently-full edge dearer this pass.
       router_.accumulate_history(costs, history_units);
       costs.present_factor =
-          std::min(opt_.present_cap,
-                   costs.present_factor * opt_.present_growth);
+          std::min(kPresentCap, costs.present_factor * kPresentGrowth);
 
       for (std::size_t i = 0; i < nets.size(); ++i) {
         if (routes[i].routed) router_.rip_up(routes[i]);
@@ -248,8 +228,6 @@ std::unique_ptr<RouterEngine> make_router_engine(
       return std::make_unique<SerialEngine>(router, /*fast=*/false);
     case RouterBackend::kFast:
       return std::make_unique<SerialEngine>(router, /*fast=*/true);
-    case RouterBackend::kPartitioned:
-      return std::make_unique<PartitionedEngine>(router, options.pool);
     case RouterBackend::kNegotiated:
       return std::make_unique<NegotiatedEngine>(router, options);
   }

@@ -2,10 +2,9 @@
 // Pluggable routing backends over one GlobalRouter.
 //
 // GlobalRouter::route(net, pins, RouteRequest) answers "route THIS net";
-// a RouterEngine answers "route ALL the nets" — net ordering, windowed
-// batching, and global congestion negotiation live here, selected the same
-// way FlowEngine::run(FlowMode) selects a flow (PR 5's consolidation
-// pattern). Four sibling backends:
+// a RouterEngine answers "route ALL the nets" — net ordering and global
+// congestion negotiation live here, selected the same way
+// FlowEngine::run(FlowMode) selects a flow. Three sibling backends:
 //
 //   kClassic      serial net order, classic heap Dijkstra, widened-layer
 //                 fallback per net. Byte-identical to the historic serial
@@ -14,10 +13,6 @@
 //                 core (pattern candidates, bucket-queue A*/bidirectional
 //                 search). Same greedy quality characteristics, much less
 //                 work per net; its own golden.
-//   kPartitioned  dependency-partitioned concurrent batches over disjoint
-//                 windows (route/parallel.hpp), classic core per window,
-//                 serial fallback cleanup. Bit-identical at every thread
-//                 count; its own golden.
 //   kNegotiated   PathFinder-style rip-up-and-reroute on the fast core:
 //                 every edge carries an accumulated history cost plus a
 //                 present-congestion factor that grows each iteration, so
@@ -29,9 +24,10 @@
 //                 OVERFLOW TO ZERO on workloads where greedy net-order
 //                 routing cannot.
 //
-// Selection: FlowOptions::router, or OLP_ROUTER=classic|fast|partitioned|
-// negotiated at FlowEngine construction (util/env precedence). Budget and
-// diagnostics flow through the GlobalRouter the engine wraps.
+// Every backend routes on the calling thread. Selection:
+// FlowOptions::router, or OLP_ROUTER=classic|fast|negotiated at FlowEngine
+// construction (util/env precedence). Budget and diagnostics flow through
+// the GlobalRouter the engine wraps.
 
 #include <memory>
 #include <optional>
@@ -40,22 +36,22 @@
 #include <vector>
 
 #include "route/global_router.hpp"
-#include "route/parallel.hpp"
-
-namespace olp {
-class TaskPool;
-}
 
 namespace olp::route {
+
+/// One net to route: name + pin locations (nm), in net order.
+struct NetPins {
+  std::string name;
+  std::vector<geom::Point> pins;
+};
 
 enum class RouterBackend {
   kClassic,
   kFast,
-  kPartitioned,
   kNegotiated,
 };
 
-/// Stable lowercase name ("classic", "fast", "partitioned", "negotiated") —
+/// Stable lowercase name ("classic", "fast", "negotiated") —
 /// the OLP_ROUTER vocabulary and the BENCH_route.json backend key.
 const char* router_backend_name(RouterBackend backend);
 
@@ -64,16 +60,9 @@ std::optional<RouterBackend> parse_router_backend(std::string_view name);
 
 struct RouterEngineOptions {
   RouterBackend backend = RouterBackend::kClassic;
-  /// Worker pool for the partitioned backend's batches (not owned, may be
-  /// null: batches then run inline — that IS the partitioned golden).
-  TaskPool* pool = nullptr;
   /// Negotiated backend: max rip-up-and-reroute passes after the initial
   /// greedy pass. The loop exits early the moment overflow reaches zero.
   int negotiation_iterations = 16;
-  /// Negotiated backend: growth of the present-congestion factor per
-  /// iteration, and its cap (the cap keeps quantized edge costs bounded).
-  double present_growth = 1.6;
-  double present_cap = 64.0;
 };
 
 /// One routing backend bound to a GlobalRouter. Engines are cheap to build
@@ -82,10 +71,9 @@ class RouterEngine {
  public:
   virtual ~RouterEngine() = default;
   virtual RouterBackend backend() const = 0;
-  /// Routes all nets (in net order where the backend is serial) and
-  /// returns one NetRoute per net, index-aligned with `nets`. Unroutable
-  /// or budget-skipped nets come back routed=false; the caller decides how
-  /// to degrade them.
+  /// Routes all nets in net order and returns one NetRoute per net,
+  /// index-aligned with `nets`. Unroutable or budget-skipped nets come back
+  /// routed=false; the caller decides how to degrade them.
   virtual std::vector<NetRoute> route_nets(
       const std::vector<NetPins>& nets) = 0;
 };

@@ -194,7 +194,6 @@ GlobalRouter::~GlobalRouter() = default;
 
 NetRoute GlobalRouter::route_fast(const std::string& net_name,
                                   const std::vector<geom::Point>& pins,
-                                  const GridWindow& win,
                                   const RouteRequest& request) {
   // Cheapest layer per direction in the allowed range (the layer bias grows
   // with the index, so the first hit is the cheapest). A range that lacks a
@@ -209,7 +208,7 @@ NetRoute GlobalRouter::route_fast(const std::string& net_name,
       if (best_v < 0) best_v = l;
     }
   }
-  if (best_h < 0 || best_v < 0) return route_classic(net_name, pins, win);
+  if (best_h < 0 || best_v < 0) return route_classic(net_name, pins);
 
   NetRoute result;
   result.net = net_name;
@@ -227,12 +226,6 @@ NetRoute GlobalRouter::route_fast(const std::string& net_name,
   const long long step_v = 100 + 2 * best_v;
   const NegotiationCosts* neg = request.negotiation;
 
-  auto snap_in = [&](geom::Point p) {
-    auto [gx, gy] = snap(p);
-    gx = std::clamp(gx, win.x_lo, win.x_hi);
-    gy = std::clamp(gy, win.y_lo, win.y_hi);
-    return std::pair<int, int>{gx, gy};
-  };
   auto unsnap = [&](int gx, int gy) {
     return geom::Point{region_.x_lo + geom::to_nm(gx * opt_.gcell_size),
                        region_.y_lo + geom::to_nm(gy * opt_.gcell_size)};
@@ -560,14 +553,14 @@ NetRoute GlobalRouter::route_fast(const std::string& net_name,
     int x, y, l;
     decode(node, x, y, l);
     if (layer_horizontal(l)) {
-      if (x + 1 <= win.x_hi) fn(index(x + 1, y, l), lat_cost(node, true, l));
-      if (x > win.x_lo) {
+      if (x + 1 < nx_) fn(index(x + 1, y, l), lat_cost(node, true, l));
+      if (x > 0) {
         const int from = index(x - 1, y, l);
         fn(from, lat_cost(from, true, l));
       }
     } else {
-      if (y + 1 <= win.y_hi) fn(index(x, y + 1, l), lat_cost(node, false, l));
-      if (y > win.y_lo) {
+      if (y + 1 < ny_) fn(index(x, y + 1, l), lat_cost(node, false, l));
+      if (y > 0) {
         const int from = index(x, y - 1, l);
         fn(from, lat_cost(from, false, l));
       }
@@ -715,7 +708,7 @@ NetRoute GlobalRouter::route_fast(const std::string& net_name,
 
   // ---- Incremental tree growth (same structure as the classic core) -----
 
-  const auto [gx0, gy0] = snap_in(pins[0]);
+  const auto [gx0, gy0] = snap(pins[0]);
   for (int l = opt_.min_layer; l <= opt_.max_layer; ++l) {
     const int nid = index(gx0, gy0, l);
     if (fs.tree_cells.empty()) {
@@ -738,7 +731,7 @@ NetRoute GlobalRouter::route_fast(const std::string& net_name,
       result.routed = false;
       return result;
     }
-    const auto [sx, sy] = snap_in(pins[p]);
+    const auto [sx, sy] = snap(pins[p]);
     const bool two_pin = p == 1;
     if (request.patterns) {
       const PatternTarget target = pattern_target(sx, sy);

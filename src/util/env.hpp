@@ -17,18 +17,10 @@
 //   OLP_THREADS           worker threads incl. caller; 0 or negative = one
 //                         per hardware core            (util/task_pool)
 //   OLP_EVAL_CACHE        "0"/empty = off, else on     (circuits/flow)
-//   OLP_PLACER_MOVES      parallel candidate moves per anneal step for the
-//                         final placement; <= 1 = classic serial trajectory
+//   OLP_ROUTER            routing backend: classic|fast|negotiated
+//                         (route/router_engine.hpp); unknown names warn
+//                         and keep the configured backend
 //                                                      (circuits/flow)
-//   OLP_ROUTE_PARTITIONED "0"/empty = off, else dependency-partitioned
-//                         concurrent net routing (compat alias for
-//                         OLP_ROUTER=partitioned)     (circuits/flow)
-//   OLP_ROUTER            routing backend: classic|fast|partitioned|
-//                         negotiated (route/router_engine.hpp); unknown
-//                         names warn and keep the configured backend
-//                                                      (circuits/flow)
-//   OLP_ROUTER_ITERS      negotiated backend: max rip-up-and-reroute
-//                         passes                       (circuits/flow)
 //   OLP_DEADLINE_MS       wall-clock deadline [ms]     (util/budget)
 //   OLP_TESTBENCH_BUDGET  max testbench evaluations    (util/budget)
 //   OLP_LOG_LEVEL         debug|info|warn|error|off    (util/logging)

@@ -169,6 +169,11 @@ bool unescape(const std::string& escaped, std::string* out,
 
 namespace {
 
+/// Containers well_formed() follows before giving up on a document.
+constexpr int kMaxDepth = 64;
+
+/// Cursor over one JSON text. The scanners are shared: parse_object() reads
+/// flat request lines with them, well_formed() checks whole documents.
 struct Parser {
   const std::string& s;
   std::size_t pos = 0;
@@ -194,26 +199,50 @@ struct Parser {
     return true;
   }
 
-  /// Parses a JSON string literal (cursor on the opening quote) and decodes
-  /// its escapes.
-  bool parse_string(std::string* out) {
+  /// Scans a JSON string literal (cursor on the opening quote) past its
+  /// closing quote: control characters must be escaped and every escape
+  /// must be one JSON defines. Returns the offset of the body's first byte
+  /// through *body_start.
+  bool scan_string(std::size_t* body_start) {
     if (!expect('"')) return false;
-    const std::size_t start = pos;
+    *body_start = pos;
     while (pos < s.size() && s[pos] != '"') {
-      if (s[pos] == '\\') {
-        ++pos;
-        if (pos >= s.size()) break;
-      }
       if (static_cast<unsigned char>(s[pos]) < 0x20) {
         return fail_here("unescaped control character in string");
+      }
+      if (s[pos] == '\\') {
+        if (++pos >= s.size()) break;
+        switch (s[pos]) {
+          case '"':
+          case '\\':
+          case '/':
+          case 'b':
+          case 'f':
+          case 'n':
+          case 'r':
+          case 't':
+            break;
+          case 'u':
+            if (hex4(s, pos + 1) < 0) return fail_here("invalid \\u escape");
+            pos += 4;
+            break;
+          default:
+            return fail_here("unknown escape");
+        }
       }
       ++pos;
     }
     if (pos >= s.size()) return fail_here("unterminated string");
-    const std::string body = s.substr(start, pos - start);
     ++pos;  // closing quote
+    return true;
+  }
+
+  /// scan_string, then decodes the body's escapes into *out.
+  bool parse_string(std::string* out) {
+    std::size_t start = 0;
+    if (!scan_string(&start)) return false;
     std::string err;
-    if (!unescape(body, out, &err)) {
+    if (!unescape(s.substr(start, pos - 1 - start), out, &err)) {
       fail(error, err + " in string starting at offset " +
                       std::to_string(start - 1));
       return false;
@@ -221,6 +250,7 @@ struct Parser {
     return true;
   }
 
+  /// One scalar: string, true/false/null, or number.
   bool parse_value(Value* out) {
     skip_ws();
     if (pos >= s.size()) return fail_here("expected value");
@@ -286,6 +316,82 @@ struct Parser {
     }
     return fail_here("unexpected character");
   }
+
+  /// Any JSON value, nested objects and arrays included (syntax only).
+  bool scan_value(int depth) {
+    skip_ws();
+    if (pos >= s.size()) return fail_here("expected value");
+    const char open = s[pos];
+    if (open == '"') {
+      std::size_t start = 0;
+      return scan_string(&start);
+    }
+    if (open != '{' && open != '[') {
+      Value scalar;
+      return parse_value(&scalar);
+    }
+    if (depth >= kMaxDepth) return fail_here("nesting too deep");
+    const char close = open == '{' ? '}' : ']';
+    ++pos;
+    skip_ws();
+    if (pos < s.size() && s[pos] == close) {
+      ++pos;
+      return true;
+    }
+    while (true) {
+      if (open == '{') {
+        skip_ws();
+        std::size_t start = 0;
+        if (!scan_string(&start)) return false;
+        skip_ws();
+        if (!expect(':')) return false;
+      }
+      if (!scan_value(depth + 1)) return false;
+      skip_ws();
+      if (pos < s.size() && s[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      return expect(close);
+    }
+  }
+
+  /// The members of a flat object into *out (cursor anywhere before '{').
+  bool parse_members(Object* out) {
+    skip_ws();
+    if (!expect('{')) return false;
+    skip_ws();
+    if (pos < s.size() && s[pos] == '}') {
+      ++pos;
+      return true;
+    }
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!parse_string(&key)) return false;
+      if (out->count(key) != 0) {
+        fail(error, "duplicate key \"" + key + "\"");
+        return false;
+      }
+      skip_ws();
+      if (!expect(':')) return false;
+      Value value;
+      if (!parse_value(&value)) return false;
+      (*out)[key] = std::move(value);
+      skip_ws();
+      if (pos < s.size() && s[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      return expect('}');
+    }
+  }
+
+  /// Only whitespace may follow the document.
+  bool at_end() {
+    skip_ws();
+    return pos == s.size() || fail_here("trailing characters after document");
+  }
 };
 
 }  // namespace
@@ -293,51 +399,14 @@ struct Parser {
 bool parse_object(const std::string& line, Object* out, std::string* error) {
   out->clear();
   Parser p{line, 0, error};
-  p.skip_ws();
-  if (!p.expect('{')) return false;
-  p.skip_ws();
-  if (p.pos < line.size() && line[p.pos] == '}') {
-    ++p.pos;
-  } else {
-    while (true) {
-      p.skip_ws();
-      std::string key;
-      if (!p.parse_string(&key)) return false;
-      if (out->count(key) != 0) {
-        fail(error, "duplicate key \"" + key + "\"");
-        out->clear();
-        return false;
-      }
-      p.skip_ws();
-      if (!p.expect(':')) {
-        out->clear();
-        return false;
-      }
-      Value value;
-      if (!p.parse_value(&value)) {
-        out->clear();
-        return false;
-      }
-      (*out)[key] = std::move(value);
-      p.skip_ws();
-      if (p.pos < line.size() && line[p.pos] == ',') {
-        ++p.pos;
-        continue;
-      }
-      if (!p.expect('}')) {
-        out->clear();
-        return false;
-      }
-      break;
-    }
-  }
-  p.skip_ws();
-  if (p.pos != line.size()) {
-    p.fail_here("trailing characters after object");
-    out->clear();
-    return false;
-  }
-  return true;
+  if (p.parse_members(out) && p.at_end()) return true;
+  out->clear();
+  return false;
+}
+
+bool well_formed(const std::string& text, std::string* error) {
+  Parser p{text, 0, error};
+  return p.scan_value(0) && p.at_end();
 }
 
 void LineFramer::feed(const char* data, std::size_t n) {

@@ -18,6 +18,12 @@
 //                   leading zeros, no bare trailing dot). Malformed input
 //                   yields false plus a position-bearing error message,
 //                   never an exception or a partial result.
+//   well_formed()   strict syntax check of any JSON document (nesting
+//                   allowed, up to 64 levels) for the documents the library
+//                   emits — traces, telemetry, bench reports. Shares the
+//                   whitespace, string and number scanning with
+//                   parse_object(), so every line parse_object() accepts is
+//                   well formed.
 //   LineFramer      byte-stream -> newline-delimited frames with a hard
 //                   per-frame size bound. Tolerates torn frames (a partial
 //                   line is held until its newline arrives or the stream
@@ -67,6 +73,11 @@ using Object = std::map<std::string, Value>;
 /// non-null) and leaves *out empty.
 bool parse_object(const std::string& line, Object* out,
                   std::string* error = nullptr);
+
+/// Strict JSON well-formedness check (syntax only; duplicate keys allowed).
+/// On failure returns false and, when `error` is non-null, a short
+/// description with the byte offset.
+bool well_formed(const std::string& text, std::string* error = nullptr);
 
 /// Incremental newline framing over an arbitrary byte stream (see file
 /// comment). Not thread-safe; one framer per connection.

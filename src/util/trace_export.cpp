@@ -1,6 +1,5 @@
 #include "util/trace_export.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -8,45 +7,12 @@
 #include <system_error>
 
 #include "util/error.hpp"
+#include "util/jsonl.hpp"
 #include "util/table.hpp"
 
 namespace olp::obs {
 
 namespace {
-
-/// JSON string escaping (quotes, backslash, control characters).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// JSON number: finite doubles only (NaN/inf have no JSON spelling; the
 /// registry never stores them, but belt-and-braces emit 0).
@@ -88,18 +54,20 @@ std::string to_chrome_trace_json(const Snapshot& snapshot) {
   // so the per-tid lanes below are readable in chrome://tracing / Perfetto.
   for (const auto& [tid, name] : snapshot.thread_names) {
     out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-           std::to_string(tid) + ",\"args\":{\"name\":\"" + escape(name) +
-           "\"}}";
+           std::to_string(tid) + ",\"args\":{\"name\":\"" +
+           jsonl::escape(name) + "\"}}";
   }
   for (const SpanRecord& s : snapshot.spans) {
-    out += ",{\"name\":\"" + escape(s.name) + "\",\"cat\":\"olp\"";
+    out += ",{\"name\":\"" + jsonl::escape(s.name) + "\",\"cat\":\"olp\"";
     out += ",\"ph\":\"X\",\"ts\":" + std::to_string(s.start_us);
     out += ",\"dur\":" + std::to_string(s.dur_us < 0 ? 0 : s.dur_us);
     out += ",\"pid\":1,\"tid\":" + std::to_string(s.tid) + ",\"args\":{";
     out += "\"id\":" + std::to_string(s.id);
     out += ",\"parent\":" + std::to_string(s.parent);
     out += ",\"depth\":" + std::to_string(s.depth);
-    if (!s.detail.empty()) out += ",\"detail\":\"" + escape(s.detail) + "\"";
+    if (!s.detail.empty()) {
+      out += ",\"detail\":\"" + jsonl::escape(s.detail) + "\"";
+    }
     if (s.open) out += ",\"open\":true";
     out += "}}";
   }
@@ -115,7 +83,7 @@ std::string to_chrome_trace_json(const Snapshot& snapshot) {
     for (const auto& [name, value] : snapshot.counters) {
       if (!first) out += ',';
       first = false;
-      out += "\"" + escape(name) + "\":" + std::to_string(value);
+      out += "\"" + jsonl::escape(name) + "\":" + std::to_string(value);
     }
     out += "}}";
   }
@@ -181,14 +149,14 @@ FlowTelemetry make_flow_telemetry(const Snapshot& snapshot) {
 std::string to_json(const FlowTelemetry& t) {
   std::string out = "{";
   out += "\"enabled\":" + std::string(t.enabled ? "true" : "false");
-  out += ",\"flow\":\"" + escape(t.flow) + "\"";
+  out += ",\"flow\":\"" + jsonl::escape(t.flow) + "\"";
   out += ",\"total_seconds\":" + num(t.total_seconds);
   out += ",\"simulations\":" + std::to_string(t.simulations);
   out += ",\"stages\":[";
   for (std::size_t i = 0; i < t.stages.size(); ++i) {
     const StageTiming& s = t.stages[i];
     if (i > 0) out += ',';
-    out += "{\"stage\":\"" + escape(s.stage) + "\"";
+    out += "{\"stage\":\"" + jsonl::escape(s.stage) + "\"";
     out += ",\"seconds\":" + num(s.seconds);
     out += ",\"spans\":" + std::to_string(s.spans) + "}";
   }
@@ -196,7 +164,7 @@ std::string to_json(const FlowTelemetry& t) {
   out += "\"limited\":" + std::string(t.budget.limited ? "true" : "false");
   out += ",\"exhausted\":" +
          std::string(t.budget.exhausted ? "true" : "false");
-  out += ",\"tripped\":\"" + escape(t.budget.tripped) + "\"";
+  out += ",\"tripped\":\"" + jsonl::escape(t.budget.tripped) + "\"";
   out += ",\"checks\":" + std::to_string(t.budget.checks);
   out += ",\"testbenches_consumed\":" +
          std::to_string(t.budget.testbenches_consumed);
@@ -211,14 +179,14 @@ std::string to_json(const FlowTelemetry& t) {
   for (const auto& [name, value] : t.snapshot.counters) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + escape(name) + "\":" + std::to_string(value);
+    out += "\"" + jsonl::escape(name) + "\":" + std::to_string(value);
   }
   out += "},\"distributions\":{";
   first = true;
   for (const auto& [name, d] : t.snapshot.distributions) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + escape(name) + "\":{";
+    out += "\"" + jsonl::escape(name) + "\":{";
     out += "\"count\":" + std::to_string(d.count);
     out += ",\"min\":" + num(d.min) + ",\"max\":" + num(d.max);
     out += ",\"mean\":" + num(d.mean);
@@ -229,7 +197,7 @@ std::string to_json(const FlowTelemetry& t) {
   for (const auto& [name, h] : t.snapshot.histograms) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + escape(name) + "\":" + histogram_json(h);
+    out += "\"" + jsonl::escape(name) + "\":" + histogram_json(h);
   }
   out += "},\"span_count\":" + std::to_string(t.snapshot.spans.size());
   out += "}";
@@ -305,220 +273,6 @@ std::string summary_table(const FlowTelemetry& t) {
     out += table.render();
   }
   return out;
-}
-
-namespace {
-
-/// Recursive-descent JSON syntax checker.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool check(std::string* error) {
-    skip_ws();
-    bool ok = value();
-    if (ok) {
-      skip_ws();
-      if (pos_ != text_.size()) {
-        err_ = "trailing content";
-        ok = false;
-      }
-    }
-    if (!ok && error != nullptr) {
-      *error = err_ + " at byte " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) != 0) {
-      err_ = std::string("expected '") + word + "'";
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  bool string() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      err_ = "expected string";
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (static_cast<unsigned char>(text_[pos_]) < 0x20) {
-        err_ = "unescaped control character in string";
-        return false;
-      }
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int k = 0; k < 4; ++k) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              err_ = "bad \\u escape";
-              return false;
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          err_ = "bad escape";
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      err_ = "unterminated string";
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    // RFC 8259 grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-    auto digit = [&] {
-      return pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]));
-    };
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (!digit()) {
-      err_ = "expected number";
-      return false;
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-      if (digit()) {
-        err_ = "leading zero in number";
-        return false;
-      }
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digit()) {
-        err_ = "expected digit after decimal point";
-        return false;
-      }
-      while (digit()) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (!digit()) {
-        err_ = "expected digit in exponent";
-        return false;
-      }
-      while (digit()) ++pos_;
-    }
-    return true;
-  }
-
-  bool value() {
-    if (depth_ > 64) {
-      err_ = "nesting too deep";
-      return false;
-    }
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      err_ = "unexpected end of input";
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    ++depth_;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        err_ = "expected ':'";
-        return false;
-      }
-      ++pos_;
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      err_ = "expected ',' or '}'";
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    ++depth_;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    while (true) {
-      if (!value()) return false;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      err_ = "expected ',' or ']'";
-      return false;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string err_;
-};
-
-}  // namespace
-
-bool json_well_formed(const std::string& text, std::string* error) {
-  return JsonChecker(text).check(error);
 }
 
 void write_text_file(const std::string& path, const std::string& content) {

@@ -11,9 +11,8 @@
 //   to_json()               - FlowTelemetry as JSON.
 //   summary_table()         - human-readable per-stage table (util/table).
 //
-// Plus a small self-contained JSON well-formedness checker so tests and the
-// trace-check script can validate the emitted documents without external
-// tooling.
+// String escaping goes through util/jsonl (jsonl::escape), and
+// jsonl::well_formed validates the emitted documents.
 
 #include <string>
 #include <vector>
@@ -83,10 +82,6 @@ std::string to_json(const FlowTelemetry& telemetry);
 
 /// Renders the per-stage summary table plus counter/distribution sections.
 std::string summary_table(const FlowTelemetry& telemetry);
-
-/// Strict JSON well-formedness check (syntax only). On failure returns false
-/// and, when `error` is non-null, a short description with the byte offset.
-bool json_well_formed(const std::string& text, std::string* error = nullptr);
 
 /// Writes `content` to `path`, throwing olp::Error on I/O failure.
 void write_text_file(const std::string& path, const std::string& content);

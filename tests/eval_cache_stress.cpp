@@ -124,7 +124,7 @@ long stress(const olp::core::EvalCacheOptions& options, bool expect_full) {
 }  // namespace
 
 int main() {
-  // Phase 1: unbounded, lock-free reads (the production configuration).
+  // Phase 1: unbounded (the deterministic default).
   olp::core::EvalCacheOptions rcu;
   stress(rcu, /*expect_full=*/true);
 
@@ -133,12 +133,6 @@ int main() {
   olp::core::EvalCacheOptions bounded;
   bounded.max_entries = 64;
   stress(bounded, /*expect_full=*/false);
-
-  // Phase 3: the legacy mutex-read baseline must reconcile identically
-  // (it shares the bookkeeping, not the read path).
-  olp::core::EvalCacheOptions locked;
-  locked.locked_reads = true;
-  stress(locked, /*expect_full=*/true);
 
   if (g_failures != 0) {
     std::fprintf(stderr, "eval_cache_stress: %d failure(s)\n", g_failures);

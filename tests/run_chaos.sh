@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Chaos smoke run: build the fault-injection tests under
-# AddressSanitizer + UBSan and execute them.
+# Chaos smoke run: build the fault-injection tests and the JSON/JSONL layer
+# tests (the parser that accepts service bytes) under AddressSanitizer +
+# UBSan and execute them.
 #
 # Usage: tests/run_chaos.sh [build-dir]
 # The build directory defaults to build-chaos-asan next to the source tree.
@@ -10,15 +11,34 @@ script_dir="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 src_dir="$(dirname "${script_dir}")"
 build_dir="${1:-${src_dir}/build-chaos-asan}"
 
+# A compiler may be unable to link the ASan/UBSan runtimes; probe first and
+# skip — exit 0 with a loud note — rather than fail the suite on a toolchain
+# limitation.
+probe="$(mktemp -d)"
+trap 'rm -rf "${probe}"' EXIT
+cat > "${probe}/probe.cpp" <<'CPP'
+int main() { return 0; }
+CPP
+if ! c++ -fsanitize=address,undefined "${probe}/probe.cpp" \
+    -o "${probe}/probe" 2> "${probe}/probe.err"; then
+  echo "chaos smoke: toolchain cannot build with" \
+    "-fsanitize=address,undefined; skipping"
+  cat "${probe}/probe.err"
+  exit 0
+fi
+
 cmake -B "${build_dir}" -S "${src_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DOLP_SANITIZE="address;undefined" \
   -DOLP_BUILD_BENCH=OFF \
-  -DOLP_BUILD_EXAMPLES=OFF
-cmake --build "${build_dir}" -j --target test_chaos test_failure_injection
+  -DOLP_BUILD_EXAMPLES=OFF > /dev/null
+cmake --build "${build_dir}" -j "$(nproc)" \
+  --target test_chaos test_failure_injection test_util > /dev/null
 
 echo "== chaos tests (ASan+UBSan) =="
 "${build_dir}/tests/test_chaos"
 echo "== failure-injection tests (ASan+UBSan) =="
 "${build_dir}/tests/test_failure_injection"
+echo "== util + JSON layer tests (ASan+UBSan) =="
+"${build_dir}/tests/test_util"
 echo "chaos smoke run passed"

@@ -86,30 +86,13 @@ if grep -q "ThreadSanitizer" "${out}"; then
   exit 1
 fi
 
-# The same flow with BOTH opt-in parallel intra-job stages enabled: the
-# parallel-moves placer fanning K=4 candidate evaluations per anneal step
-# onto the work-stealing pool, and the partitioned router backend running
-# disjoint-window searches concurrently over the shared congestion grid.
-stage_out="${tmp}/stage_stdout.txt"
-OLP_THREADS=8 OLP_EVAL_CACHE=1 OLP_TESTBENCH_BUDGET=600 \
-  OLP_PLACER_MOVES=4 OLP_ROUTER=partitioned \
-  OLP_TRACE_DIR="${tmp}" TSAN_OPTIONS="${tsan_opts}" \
-  "${build_dir}/examples/ota_layout_flow" > "${stage_out}" 2>&1
-echo "tsan smoke: sanitized flow exited 0 with parallel placer + routing"
-
-if grep -q "ThreadSanitizer" "${stage_out}"; then
-  echo "tsan smoke: ThreadSanitizer reported a race in parallel stages" >&2
-  cat "${stage_out}" >&2
-  exit 1
-fi
-
 # The negotiated router backend under the same pooled flow: rip-up-and-
 # reroute mutates the congestion grid and history arrays between passes
-# while pooled placer candidates run — the serial-router invariants the
+# while pooled evaluations run — the serial-router invariants the
 # negotiation relies on must hold when a worker pool exists.
 nego_out="${tmp}/nego_stdout.txt"
 OLP_THREADS=8 OLP_EVAL_CACHE=1 OLP_TESTBENCH_BUDGET=600 \
-  OLP_PLACER_MOVES=4 OLP_ROUTER=negotiated \
+  OLP_ROUTER=negotiated \
   OLP_TRACE_DIR="${tmp}" TSAN_OPTIONS="${tsan_opts}" \
   "${build_dir}/examples/ota_layout_flow" > "${nego_out}" 2>&1
 echo "tsan smoke: sanitized flow exited 0 with the negotiated router"

@@ -13,6 +13,7 @@
 #include "circuits/ota5t.hpp"
 #include "circuits/strongarm.hpp"
 #include "flow_golden.hpp"
+#include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
 namespace olp::circuits {
@@ -218,23 +219,22 @@ TEST_F(BatchFlow, ReportCarriesJobIdentityAndExports) {
   EXPECT_EQ(batch.workers, 2);
   EXPECT_GT(batch.wall_s, 0.0);
 
-  const std::string jsonl = batch.to_jsonl();
+  const std::string text = batch.to_jsonl();
   // One line per job plus the batch summary line, each well-formed JSON.
   std::size_t lines = 0;
   std::size_t start = 0;
-  while (start < jsonl.size()) {
-    const std::size_t end = jsonl.find('\n', start);
+  while (start < text.size()) {
+    const std::size_t end = text.find('\n', start);
     ASSERT_NE(end, std::string::npos);
     std::string err;
-    EXPECT_TRUE(
-        obs::json_well_formed(jsonl.substr(start, end - start), &err))
+    EXPECT_TRUE(jsonl::well_formed(text.substr(start, end - start), &err))
         << err;
     ++lines;
     start = end + 1;
   }
   EXPECT_EQ(lines, 3u);
-  EXPECT_NE(jsonl.find("\"job\":\"ota/opt/s1\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"batch\":"), std::string::npos);
+  EXPECT_NE(text.find("\"job\":\"ota/opt/s1\""), std::string::npos);
+  EXPECT_NE(text.find("\"batch\":"), std::string::npos);
   EXPECT_FALSE(batch.summary_table().empty());
 }
 
@@ -256,21 +256,6 @@ TEST_F(BatchFlow, FailingJobNeverStopsTheBatch) {
   EXPECT_EQ(batch.failed(), 1u);
   EXPECT_NE(batch.jobs[0].status, JobStatus::kFailed);
   EXPECT_NE(batch.jobs[2].status, JobStatus::kFailed);
-}
-
-// The deprecated per-mode entry points are exact aliases of run(FlowMode).
-TEST_F(BatchFlow, DeprecatedWrappersMatchRun) {
-  FlowOptions opts;
-  const FlowEngine engine(t(), opts);
-  FlowReport run_report, legacy_report;
-  const Realization run_real = engine.run(
-      FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(), &run_report);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const Realization legacy_real =
-      engine.optimize(ota_->instances(), ota_->routed_nets(), &legacy_report);
-#pragma GCC diagnostic pop
-  expect_same_flow_result(legacy_report, run_report, legacy_real, run_real);
 }
 
 }  // namespace

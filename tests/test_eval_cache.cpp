@@ -563,22 +563,5 @@ TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
   }
 }
 
-TEST(EvalCache, LockedReadsBaselineReconcilesIdentically) {
-  // The bench A/B switch shares all bookkeeping with the lock-free path;
-  // a quick two-sided check that it produces the same ledger.
-  EvalCacheOptions opt;
-  opt.locked_reads = true;
-  EvalCache cache(opt);
-  MetricValues v;
-  v[MetricKind::kGm] = 2.5;
-  cache.insert("a", v);
-  MetricValues out;
-  EXPECT_TRUE(cache.lookup("a", &out));
-  EXPECT_FALSE(cache.lookup("b", &out));
-  EXPECT_EQ(out.at(MetricKind::kGm), 2.5);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
-}
-
 }  // namespace
 }  // namespace olp::core

@@ -277,7 +277,7 @@ TEST(FailureInjection, AllCandidatesQuarantinedFallsBackToMinArea) {
 
 TEST(FailureInjection, RouterWidenedWindowRetryRecoversVerticalNet) {
   // A vertical two-pin net on a horizontal-only window fails the primary
-  // attempt; route_with_fallback must recover it on the widened window and
+  // attempt; the fallback retry must recover it on the widened window and
   // leave warning (not error) diagnostics behind.
   set_log_level(LogLevel::kOff);
   route::RouterOptions opt;

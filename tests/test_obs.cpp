@@ -21,6 +21,7 @@
 
 #include "circuits/flow.hpp"
 #include "circuits/ota5t.hpp"
+#include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "util/obs.hpp"
 #include "util/trace_export.hpp"
@@ -362,7 +363,7 @@ TEST(TraceExport, ThreadNameMetadataRecordsInChromeTrace) {
   ASSERT_GE(snap.thread_names.size(), 2u);
   const std::string json = to_chrome_trace_json(snap);
   std::string err;
-  ASSERT_TRUE(json_well_formed(json, &err)) << err;
+  ASSERT_TRUE(jsonl::well_formed(json, &err)) << err;
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"main-test-thread\""), std::string::npos);
   EXPECT_NE(json.find("\"helper-0\""), std::string::npos);
@@ -394,7 +395,7 @@ TEST(TraceExport, ChromeTraceJsonIsWellFormedAndComplete) {
   const std::string json = to_chrome_trace_json(snap);
 
   std::string err;
-  EXPECT_TRUE(json_well_formed(json, &err)) << err;
+  EXPECT_TRUE(jsonl::well_formed(json, &err)) << err;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"flow.optimize\""), std::string::npos);
   EXPECT_NE(json.find("\"selection\""), std::string::npos);
@@ -403,23 +404,8 @@ TEST(TraceExport, ChromeTraceJsonIsWellFormedAndComplete) {
   EXPECT_EQ(json.find('\n'), std::string::npos);
 
   // An empty snapshot still yields a valid document.
-  EXPECT_TRUE(json_well_formed(to_chrome_trace_json(Snapshot{}), &err)) << err;
-}
-
-TEST(TraceExport, JsonCheckerRejectsMalformedDocuments) {
-  for (const char* bad :
-       {"", "{", "[1,]", "{\"a\":}", "{} trailing", "\"unterminated",
-        "{\"a\" 1}", "[01]", "nul", "\"bad \\x escape\"", "[1 2]"}) {
-    std::string err;
-    EXPECT_FALSE(json_well_formed(bad, &err)) << bad;
-    EXPECT_FALSE(err.empty()) << bad;
-  }
-  for (const char* good :
-       {"{}", "[]", "null", "true", "-1.5e3", "\"a\\u00e9b\"",
-        "{\"a\": [1, 2, {\"b\": null}]}"}) {
-    std::string err;
-    EXPECT_TRUE(json_well_formed(good, &err)) << good << ": " << err;
-  }
+  EXPECT_TRUE(jsonl::well_formed(to_chrome_trace_json(Snapshot{}), &err))
+      << err;
 }
 
 TEST(TraceExport, TelemetryViewAggregatesStages) {
@@ -444,7 +430,7 @@ TEST(TraceExport, TelemetryViewAggregatesStages) {
   EXPECT_EQ(t.stages[2].stage, "routing");
 
   std::string err;
-  EXPECT_TRUE(json_well_formed(to_json(t), &err)) << err;
+  EXPECT_TRUE(jsonl::well_formed(to_json(t), &err)) << err;
   const std::string table = summary_table(t);
   EXPECT_NE(table.find("placement"), std::string::npos);
   EXPECT_NE(table.find("flow.optimize"), std::string::npos);
@@ -452,7 +438,7 @@ TEST(TraceExport, TelemetryViewAggregatesStages) {
   // Empty snapshot -> disabled telemetry, still exportable.
   const FlowTelemetry empty = make_flow_telemetry(Snapshot{});
   EXPECT_FALSE(empty.enabled);
-  EXPECT_TRUE(json_well_formed(to_json(empty), &err)) << err;
+  EXPECT_TRUE(jsonl::well_formed(to_json(empty), &err)) << err;
 }
 
 // --- Flow integration: enabled vs disabled on the 5T OTA. ---
@@ -570,11 +556,11 @@ TEST_F(ObsFlowOnOta, ChromeTraceExportOfRealFlowParses) {
   const std::string json =
       to_chrome_trace_json(traced_report_.telemetry.snapshot);
   std::string err;
-  ASSERT_TRUE(json_well_formed(json, &err)) << err;
+  ASSERT_TRUE(jsonl::well_formed(json, &err)) << err;
   EXPECT_NE(json.find("\"flow.optimize\""), std::string::npos);
   EXPECT_NE(json.find("\"router.net\""), std::string::npos);
 
-  EXPECT_TRUE(json_well_formed(to_json(traced_report_.telemetry), &err))
+  EXPECT_TRUE(jsonl::well_formed(to_json(traced_report_.telemetry), &err))
       << err;
 }
 

@@ -159,10 +159,6 @@ TEST_P(RouterRandom, RandomPinsRoute) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterRandom, ::testing::Range(1, 17));
 
-// ---------------------------------------------------------------------------
-// The redesigned request API: one entry point, deprecated wrappers that
-// forward verbatim, and the shared detour-margin helper.
-
 void expect_same_route(const NetRoute& a, const NetRoute& b) {
   ASSERT_EQ(a.routed, b.routed);
   ASSERT_EQ(a.segments.size(), b.segments.size());
@@ -174,78 +170,6 @@ void expect_same_route(const NetRoute& a, const NetRoute& b) {
     EXPECT_EQ(a.segments[i].b.x, b.segments[i].b.x);
     EXPECT_EQ(a.segments[i].b.y, b.segments[i].b.y);
   }
-}
-
-TEST(RouteRequest, DeprecatedWrappersForwardVerbatim) {
-  const std::vector<geom::Point> pins{
-      geom::Point{0, 0},
-      geom::Point{geom::to_nm(4e-6), geom::to_nm(3e-6)}};
-  // Fresh routers per call: routing mutates the congestion grid, so the
-  // wrapper and the request form must start from identical state.
-  GlobalRouter via_request(t(), region(10), {});
-  GlobalRouter via_wrapper(t(), region(10), {});
-  const NetRoute a = via_request.route("n", pins, RouteRequest{});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const NetRoute b = via_wrapper.route("n", pins);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(a.routed);
-  expect_same_route(a, b);
-
-  GlobalRouter via_request_w(t(), region(10), {});
-  GlobalRouter via_wrapper_w(t(), region(10), {});
-  RouteRequest windowed;
-  windowed.window = via_request_w.detour_window(pins);
-  const NetRoute c = via_request_w.route("n", pins, windowed);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const NetRoute d = via_wrapper_w.route_in_window(
-      "n", pins, via_wrapper_w.detour_window(pins));
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(c.routed);
-  expect_same_route(c, d);
-
-  GlobalRouter via_request_f(t(), region(10), {});
-  GlobalRouter via_wrapper_f(t(), region(10), {});
-  RouteRequest with_fallback;
-  with_fallback.with_fallback = true;
-  const NetRoute e = via_request_f.route("n", pins, with_fallback);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const NetRoute f = via_wrapper_f.route_with_fallback("n", pins);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(e.routed);
-  expect_same_route(e, f);
-}
-
-TEST(RouteRequest, DetourWindowPinsMarginSixBehavior) {
-  // The canonical margin is part of the partitioned-routing contract: the
-  // batch coloring and window-confined searches must agree on it.
-  EXPECT_EQ(kDetourMarginCells, 6);
-  GlobalRouter router(t(), region(20), {});
-  // One gcell of halo shifts the origin by one cell: a pin at 2 um on a
-  // 200 nm grid snaps to gcell 11, so the margin-6 window is [5, 17].
-  const std::vector<geom::Point> pins{
-      geom::Point{geom::to_nm(2e-6), geom::to_nm(2e-6)},
-      geom::Point{geom::to_nm(2e-6), geom::to_nm(2e-6)}};
-  const GridWindow w = router.detour_window(pins);
-  EXPECT_EQ(w.x_lo, 5);
-  EXPECT_EQ(w.y_lo, 5);
-  EXPECT_EQ(w.x_hi, 17);
-  EXPECT_EQ(w.y_hi, 17);
-  const GridWindow manual = router.window_for(pins, 6);
-  EXPECT_EQ(w.x_lo, manual.x_lo);
-  EXPECT_EQ(w.y_lo, manual.y_lo);
-  EXPECT_EQ(w.x_hi, manual.x_hi);
-  EXPECT_EQ(w.y_hi, manual.y_hi);
-  // And the partition plan uses the same helper by default.
-  const PartitionPlan plan =
-      partition_nets(router, {NetPins{"n", pins}});
-  ASSERT_EQ(plan.windows.size(), 1u);
-  EXPECT_EQ(plan.windows[0].x_lo, w.x_lo);
-  EXPECT_EQ(plan.windows[0].x_hi, w.x_hi);
-  EXPECT_EQ(plan.windows[0].y_lo, w.y_lo);
-  EXPECT_EQ(plan.windows[0].y_hi, w.y_hi);
 }
 
 TEST(Router, RipUpRestoresCongestionState) {
@@ -367,7 +291,7 @@ TEST(FastCore, FastCoreIsDeterministic) {
 TEST(RouterEngineApi, BackendNamesRoundTrip) {
   for (RouterBackend b :
        {RouterBackend::kClassic, RouterBackend::kFast,
-        RouterBackend::kPartitioned, RouterBackend::kNegotiated}) {
+        RouterBackend::kNegotiated}) {
     const auto parsed = parse_router_backend(router_backend_name(b));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, b);
@@ -376,6 +300,7 @@ TEST(RouterEngineApi, BackendNamesRoundTrip) {
         RouterEngineOptions{b});
   }
   EXPECT_FALSE(parse_router_backend("bogus").has_value());
+  EXPECT_FALSE(parse_router_backend("partitioned").has_value());
   EXPECT_FALSE(parse_router_backend("").has_value());
 }
 

@@ -23,8 +23,8 @@
 #include "service/queue.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
+#include "util/jsonl.hpp"
 #include "util/logging.hpp"
-#include "util/trace_export.hpp"
 
 namespace olp::service {
 namespace {
@@ -508,7 +508,7 @@ TEST(Serve, MetricsOpRoundTripsFullTelemetry) {
   }
   ASSERT_FALSE(metrics_line.empty()) << out.str();
   std::string err;
-  EXPECT_TRUE(obs::json_well_formed(metrics_line, &err)) << err;
+  EXPECT_TRUE(jsonl::well_formed(metrics_line, &err)) << err;
   for (const char* key :
        {"\"queue_depth\"", "\"completed\"", "\"latency_ms\"", "\"buckets\"",
         "\"p999\"", "\"shed\"", "\"queue_full\"", "\"client_quota\"",
@@ -556,7 +556,7 @@ TEST(Service, PeriodicMetricsFileIsAppendOnlyJsonl) {
   while (std::getline(file, line)) {
     ++lines;
     std::string err;
-    EXPECT_TRUE(obs::json_well_formed(line, &err)) << err << "\n" << line;
+    EXPECT_TRUE(jsonl::well_formed(line, &err)) << err << "\n" << line;
     EXPECT_NE(line.find("\"completed\""), std::string::npos);
     EXPECT_NE(line.find("\"latency_ms\""), std::string::npos);
   }

@@ -1,21 +1,17 @@
-// Goldens and adversarial tests for the OPT-IN parallel intra-job stages:
-// the parallel-moves placer (place::PlacerOptions::parallel_moves) and
-// dependency-partitioned routing (route/parallel.hpp), plus work-stealing
-// TaskPool behavior under concurrent and nested submission.
+// Thread-count invariance of the opt-in router backends at flow level, plus
+// work-stealing TaskPool behavior under concurrent and nested submission.
 //
-// These modes intentionally produce a DIFFERENT trajectory than the serial
-// defaults (which keep their goldens in tests/test_determinism.cpp); the
-// contract proven here is the same shape one level up: each mode is a pure
-// function of its options — bit-identical at every thread count, pool ==
-// null included — so "parallel" never means "nondeterministic".
+// The fast and negotiated backends intentionally produce a DIFFERENT
+// trajectory than the classic default (whose golden lives in
+// tests/test_determinism.cpp); the contract proven here is that each is a
+// pure function of its options — bit-identical at every thread count, pool
+// delays included — so "parallel" never means "nondeterministic".
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,9 +20,6 @@
 #include "circuits/flow.hpp"
 #include "circuits/ota5t.hpp"
 #include "flow_golden.hpp"
-#include "place/placer.hpp"
-#include "route/global_router.hpp"
-#include "route/parallel.hpp"
 #include "util/budget.hpp"
 #include "util/faults.hpp"
 #include "util/logging.hpp"
@@ -40,208 +33,16 @@ const tech::Technology& t() {
   return tech;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel-moves placer: one trajectory per (seed, K), any thread count.
-
-std::vector<place::Block> placer_blocks() {
-  std::vector<place::Block> blocks;
-  for (int i = 0; i < 8; ++i) {
-    place::Block b;
-    b.name = "b" + std::to_string(i);
-    b.width = (1.0 + 0.25 * i) * 1e-6;
-    b.height = (2.0 - 0.15 * i) * 1e-6;
-    blocks.push_back(b);
-  }
-  return blocks;
-}
-
-std::vector<place::PlacementNet> placer_nets() {
-  std::vector<place::PlacementNet> nets;
-  for (int n = 0; n < 4; ++n) {
-    place::PlacementNet pn;
-    pn.name = "n" + std::to_string(n);
-    pn.pins.push_back({2 * n, 0.2e-6, 0.3e-6});
-    pn.pins.push_back({2 * n + 1, 0.1e-6, 0.5e-6});
-    pn.pins.push_back({(2 * n + 3) % 8, 0.4e-6, 0.1e-6});
-    nets.push_back(pn);
-  }
-  return nets;
-}
-
-place::PlacementResult place_with(int parallel_moves, TaskPool* pool) {
-  place::PlacerOptions opt;
-  opt.iterations = 2000;
-  opt.seed = 7;
-  opt.parallel_moves = parallel_moves;
-  opt.pool = pool;
-  const place::AnnealingPlacer placer(opt);
-  return placer.place(placer_blocks(), placer_nets(), {{0, 1}});
-}
-
-void expect_same_placement(const place::PlacementResult& got,
-                           const place::PlacementResult& want) {
-  ASSERT_EQ(got.blocks.size(), want.blocks.size());
-  for (std::size_t i = 0; i < got.blocks.size(); ++i) {
-    expect_bits(got.blocks[i].x, want.blocks[i].x,
-                "block " + std::to_string(i) + " x");
-    expect_bits(got.blocks[i].y, want.blocks[i].y,
-                "block " + std::to_string(i) + " y");
-    EXPECT_EQ(got.blocks[i].mirrored, want.blocks[i].mirrored) << i;
-  }
-  expect_bits(got.width, want.width, "width");
-  expect_bits(got.height, want.height, "height");
-  expect_bits(got.hpwl, want.hpwl, "hpwl");
-  expect_bits(got.cost, want.cost, "cost");
-  EXPECT_EQ(got.legal, want.legal);
-}
-
-TEST(StageParallelPlacer, ParallelMovesBitIdenticalAcrossThreadCounts) {
-  // pool == null IS the golden for K = 4; worker pools must reproduce it.
-  const place::PlacementResult golden = place_with(4, nullptr);
-  TaskPool two(2);
-  expect_same_placement(place_with(4, &two), golden);
-  TaskPool eight(8);
-  expect_same_placement(place_with(4, &eight), golden);
-}
-
-TEST(StageParallelPlacer, ParallelMovesBitIdenticalUnderChaosDelays) {
-  const place::PlacementResult golden = place_with(4, nullptr);
-  FaultConfig config;
-  config.seed = 11;
-  config.pool_delay_rate = 1.0;  // scramble candidate completion order
-  ScopedFaultInjection chaos(config);
-  TaskPool eight(8);
-  expect_same_placement(place_with(4, &eight), golden);
-  EXPECT_GT(FaultInjector::global().fired(FaultSite::kPoolTaskDelay), 0);
-}
-
-TEST(StageParallelPlacer, KEqualsOneIsTheClassicSerialTrajectory) {
-  // parallel_moves <= 1 must not perturb the serial golden in any way —
-  // same RNG draw sequence, same acceptances, same result.
-  const place::PlacementResult serial = place_with(0, nullptr);
-  TaskPool eight(8);
-  expect_same_placement(place_with(1, &eight), serial);
-}
-
-TEST(StageParallelPlacer, DifferentKIsADifferentTrajectory) {
-  // Not an accident of a tiny fixture: K changes the anneal schedule, so
-  // the result is expected to differ from the serial one. (If these were
-  // equal the dedicated golden above would be meaningless.)
-  const place::PlacementResult serial = place_with(0, nullptr);
-  const place::PlacementResult k4 = place_with(4, nullptr);
-  const bool same_cost = double_bits_equal(serial.cost, k4.cost);
-  const bool same_hpwl = double_bits_equal(serial.hpwl, k4.hpwl);
-  EXPECT_FALSE(same_cost && same_hpwl);
-}
-
-// ---------------------------------------------------------------------------
-// Dependency-partitioned routing: batches are a pure function of the net
-// list; disjoint windows make same-batch searches independent.
-
-std::vector<route::NetPins> router_nets() {
-  // Four local clusters far apart (partitionable) plus one long net that
-  // overlaps everything (forces its own batch).
-  std::vector<route::NetPins> nets;
-  const double um = 1e-6;
-  auto cluster = [&](const std::string& name, double cx, double cy) {
-    route::NetPins np;
-    np.name = name;
-    np.pins = {geom::Point{geom::to_nm(cx), geom::to_nm(cy)},
-               geom::Point{geom::to_nm(cx + 2 * um), geom::to_nm(cy + um)},
-               geom::Point{geom::to_nm(cx + um), geom::to_nm(cy + 2 * um)}};
-    return np;
-  };
-  nets.push_back(cluster("nw", 2 * um, 24 * um));
-  nets.push_back(cluster("ne", 24 * um, 24 * um));
-  nets.push_back(cluster("sw", 2 * um, 2 * um));
-  nets.push_back(cluster("se", 24 * um, 2 * um));
-  route::NetPins diag;
-  diag.name = "diag";
-  diag.pins = {geom::Point{0, 0},
-               geom::Point{geom::to_nm(28 * um), geom::to_nm(28 * um)}};
-  nets.push_back(diag);
-  return nets;
-}
-
-geom::Rect router_region() {
-  return geom::Rect{0, 0, geom::to_nm(30e-6), geom::to_nm(30e-6)};
-}
-
-TEST(StageParallelRouter, PartitionBatchesAreDisjointAndCoverEveryNet) {
-  const route::GlobalRouter router(t(), router_region(), {});
-  const std::vector<route::NetPins> nets = router_nets();
-  const route::PartitionPlan plan =
-      route::partition_nets(router, nets, /*margin_cells=*/6);
-  ASSERT_EQ(plan.windows.size(), nets.size());
-  std::vector<int> seen(nets.size(), 0);
-  for (const std::vector<std::size_t>& batch : plan.batches) {
-    for (std::size_t a = 0; a < batch.size(); ++a) {
-      ++seen[batch[a]];
-      for (std::size_t b = a + 1; b < batch.size(); ++b) {
-        EXPECT_FALSE(
-            plan.windows[batch[a]].overlaps(plan.windows[batch[b]]))
-            << nets[batch[a]].name << " vs " << nets[batch[b]].name;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < nets.size(); ++i) EXPECT_EQ(seen[i], 1) << i;
-  // The four corner clusters are pairwise disjoint; the diagonal net
-  // overlaps all of them. Greedy coloring in net order must therefore pack
-  // the clusters together and isolate the diagonal.
-  EXPECT_EQ(plan.batches.size(), 2u);
-  EXPECT_EQ(plan.batches[0].size(), 4u);
-  EXPECT_EQ(plan.batches[1].size(), 1u);
-}
-
-void expect_same_routes(const std::vector<route::NetRoute>& got,
-                        const std::vector<route::NetRoute>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].net, want[i].net);
-    EXPECT_EQ(got[i].routed, want[i].routed) << got[i].net;
-    EXPECT_EQ(got[i].vias, want[i].vias) << got[i].net;
-    ASSERT_EQ(got[i].segments.size(), want[i].segments.size()) << got[i].net;
-    for (std::size_t s = 0; s < got[i].segments.size(); ++s) {
-      EXPECT_EQ(got[i].segments[s].layer, want[i].segments[s].layer);
-      EXPECT_EQ(got[i].segments[s].a, want[i].segments[s].a);
-      EXPECT_EQ(got[i].segments[s].b, want[i].segments[s].b);
-    }
-  }
-}
-
-std::vector<route::NetRoute> route_with(TaskPool* pool) {
-  // Fresh router per run: routing mutates the congestion grid.
-  route::GlobalRouter router(t(), router_region(), {});
-  return route::route_partitioned(router, router_nets(), pool);
-}
-
-TEST(StageParallelRouter, PartitionedRoutingBitIdenticalAcrossThreadCounts) {
-  const std::vector<route::NetRoute> golden = route_with(nullptr);
-  for (const route::NetRoute& nr : golden) {
-    EXPECT_TRUE(nr.routed) << nr.net;
-  }
-  TaskPool two(2);
-  expect_same_routes(route_with(&two), golden);
-  TaskPool eight(8);
-  expect_same_routes(route_with(&eight), golden);
-}
-
-TEST(StageParallelRouter, PartitionedRoutingBitIdenticalUnderChaosDelays) {
-  const std::vector<route::NetRoute> golden = route_with(nullptr);
-  FaultConfig config;
-  config.seed = 13;
-  config.pool_delay_rate = 1.0;
-  ScopedFaultInjection chaos(config);
-  TaskPool eight(8);
-  expect_same_routes(route_with(&eight), golden);
-}
-
-// ---------------------------------------------------------------------------
-// Flow-level golden: both modes on, OTA flow, any thread count.
-
 namespace flows = olp::circuits;
 
-class StageParallelFlow : public ::testing::Test {
+// ---------------------------------------------------------------------------
+// Router-backend flow goldens: each opt-in backend (fast, negotiated) is its
+// own deterministic trajectory — bit-identical at every thread count, chaos
+// pool delays included. The classic default's golden lives in
+// test_determinism.cpp and must stay byte-identical to the pre-backend
+// router; these pin the siblings the same way.
+
+class RouterBackendFlow : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     set_log_level(LogLevel::kError);
@@ -249,86 +50,12 @@ class StageParallelFlow : public ::testing::Test {
     unsetenv("OLP_EVAL_CACHE");
     unsetenv("OLP_DEADLINE_MS");
     unsetenv("OLP_TESTBENCH_BUDGET");
-    unsetenv("OLP_PLACER_MOVES");
-    unsetenv("OLP_ROUTE_PARTITIONED");
     unsetenv("OLP_ROUTER");
-    unsetenv("OLP_ROUTER_ITERS");
     ota_ = new flows::Ota5T(t());
     ASSERT_TRUE(ota_->prepare());
-    golden_real_ = new flows::Realization(run(1, &golden_report_));
   }
-  static void TearDownTestSuite() {
-    delete golden_real_;
-    delete ota_;
-  }
+  static void TearDownTestSuite() { delete ota_; }
 
-  /// One optimize-flow run with BOTH parallel stage modes enabled. The
-  /// golden is num_threads == 1 (no pool at all): the modes must produce
-  /// their trajectory from the options alone, not from the worker count.
-  static flows::Realization run(int num_threads, flows::FlowReport* report) {
-    flows::FlowOptions opts;
-    opts.num_threads = num_threads;
-    opts.placer_parallel_moves = 4;
-    opts.partitioned_routing = true;
-    flows::FlowEngine engine(t(), opts);
-    return engine.run(flows::FlowMode::kOptimize, ota_->instances(),
-                      ota_->routed_nets(), report);
-  }
-
-  static void expect_matches_golden(int num_threads) {
-    flows::FlowReport report;
-    const flows::Realization real = run(num_threads, &report);
-    expect_same_flow_result(report, golden_report_, real, *golden_real_);
-  }
-
-  static flows::Ota5T* ota_;
-  static flows::Realization* golden_real_;
-  static flows::FlowReport golden_report_;
-};
-
-flows::Ota5T* StageParallelFlow::ota_ = nullptr;
-flows::Realization* StageParallelFlow::golden_real_ = nullptr;
-flows::FlowReport StageParallelFlow::golden_report_;
-
-TEST_F(StageParallelFlow, SerialRunReproducesItself) {
-  expect_matches_golden(1);
-}
-
-TEST_F(StageParallelFlow, TwoThreadsMatchesGolden) {
-  expect_matches_golden(2);
-}
-
-TEST_F(StageParallelFlow, EightThreadsMatchesGolden) {
-  expect_matches_golden(8);
-}
-
-TEST_F(StageParallelFlow, EnvOverridesSelectTheSameTrajectory) {
-  // OLP_PLACER_MOVES / OLP_ROUTE_PARTITIONED applied at engine
-  // construction must reach the exact same golden as the programmatic
-  // options.
-  setenv("OLP_PLACER_MOVES", "4", 1);
-  setenv("OLP_ROUTE_PARTITIONED", "1", 1);
-  flows::FlowOptions opts;
-  opts.num_threads = 2;
-  flows::FlowEngine engine(t(), opts);
-  unsetenv("OLP_PLACER_MOVES");
-  unsetenv("OLP_ROUTE_PARTITIONED");
-  flows::FlowReport report;
-  const flows::Realization real = engine.run(
-      flows::FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(),
-      &report);
-  expect_same_flow_result(report, golden_report_, real, *golden_real_);
-}
-
-// ---------------------------------------------------------------------------
-// Router-backend flow goldens: each opt-in backend (fast, negotiated) is its
-// own deterministic trajectory — bit-identical at every thread count, chaos
-// pool delays included. The classic default's golden lives in
-// test_determinism.cpp and must stay byte-identical to the pre-backend
-// router; these pin the new siblings the same way.
-
-class RouterBackendFlow : public StageParallelFlow {
- protected:
   static flows::Realization run_backend(route::RouterBackend backend,
                                         int num_threads,
                                         flows::FlowReport* report) {
@@ -358,7 +85,11 @@ class RouterBackendFlow : public StageParallelFlow {
     const flows::Realization real = run_backend(backend, 8, &report);
     expect_same_flow_result(report, golden_report, real, golden);
   }
+
+  static flows::Ota5T* ota_;
 };
+
+flows::Ota5T* RouterBackendFlow::ota_ = nullptr;
 
 TEST_F(RouterBackendFlow, FastBackendBitIdenticalAcrossThreadCounts) {
   expect_backend_stable(route::RouterBackend::kFast);
@@ -366,10 +97,6 @@ TEST_F(RouterBackendFlow, FastBackendBitIdenticalAcrossThreadCounts) {
 
 TEST_F(RouterBackendFlow, NegotiatedBackendBitIdenticalAcrossThreadCounts) {
   expect_backend_stable(route::RouterBackend::kNegotiated);
-}
-
-TEST_F(RouterBackendFlow, PartitionedBackendBitIdenticalAcrossThreadCounts) {
-  expect_backend_stable(route::RouterBackend::kPartitioned);
 }
 
 TEST_F(RouterBackendFlow, EnvSelectedBackendMatchesProgrammaticOption) {

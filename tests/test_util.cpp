@@ -13,8 +13,10 @@
 #include "util/faults.hpp"
 #include "util/interval.hpp"
 #include "util/jsonl.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/trace_export.hpp"
 #include "util/units.hpp"
 
 namespace olp {
@@ -563,6 +565,124 @@ TEST(Jsonl, ParseObjectRoundTripsEscapedStrings) {
   jsonl::Object obj;
   ASSERT_TRUE(jsonl::parse_object(line, &obj, nullptr));
   EXPECT_EQ(obj.at("k").string, nasty);
+}
+
+// Documents well_formed() must reject / accept.
+const std::vector<std::string> kMalformedJson = {
+    "", "{", "[1,]", "{\"a\":}", "{} trailing", "\"unterminated",
+    "{\"a\" 1}", "[01]", "nul", "\"bad \\x escape\"", "[1 2]"};
+const std::vector<std::string> kWellFormedJson = {
+    "{}", "[]", "null", "true", "-1.5e3", "\"a\\u00e9b\"",
+    "{\"a\": [1, 2, {\"b\": null}]}"};
+
+TEST(Jsonl, WellFormedRejectsMalformedDocuments) {
+  for (const std::string& bad : kMalformedJson) {
+    std::string err;
+    EXPECT_FALSE(jsonl::well_formed(bad, &err)) << bad;
+    EXPECT_FALSE(err.empty()) << bad;
+  }
+  for (const std::string& good : kWellFormedJson) {
+    std::string err;
+    EXPECT_TRUE(jsonl::well_formed(good, &err)) << good << ": " << err;
+  }
+}
+
+/// Applies one random byte flip, insert, delete or truncation.
+void mutate(Rng& rng, std::string& s) {
+  const auto any_byte = [&] {
+    return static_cast<char>(rng.uniform_int(0, 255));
+  };
+  // Offset in [0, s.size() - 1 + past_end].
+  const auto any_pos = [&](int past_end) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(s.size()) - 1 + past_end));
+  };
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      if (!s.empty()) s[any_pos(0)] = any_byte();
+      break;
+    case 1:
+      s.insert(any_pos(1), 1, any_byte());
+      break;
+    case 2:
+      if (!s.empty()) s.erase(any_pos(0), 1);
+      break;
+    default:
+      s.resize(any_pos(1));
+      break;
+  }
+}
+
+TEST(Jsonl, MutatedDocumentsNeverBreakEitherParser) {
+  // Corpus: service request lines, a Chrome trace document, and the
+  // well-formedness lists above.
+  std::vector<std::string> corpus = {
+      "{\"op\":\"ping\"}",
+      "{\"op\":\"submit\",\"id\":\"s0\",\"client\":\"a\",\"circuit\":\"vco\","
+      "\"mode\":\"conventional\",\"seed\":1,\"key\":\"s0\"}",
+      "  {\"op\":\"stats\", \"verbose\": true, \"limit\": -2.5e-3, "
+      "\"x\": null} ",
+      "{\"id\":\"q\\\"uote\\\\ \\u00e9 \\ud83d\\ude00\\n\"}",
+  };
+  obs::Snapshot snap;
+  obs::SpanRecord root;
+  root.id = 1;
+  root.name = "flow.optimize";
+  root.dur_us = 42;
+  obs::SpanRecord child;
+  child.id = 2;
+  child.parent = 1;
+  child.depth = 1;
+  child.name = "routing";
+  child.detail = "net \"a\"\\b\n";
+  snap.spans = {root, child};
+  snap.counters["eval.testbench"] = 7;
+  snap.thread_names[1] = "main";
+  corpus.push_back(obs::to_chrome_trace_json(snap));
+  ASSERT_TRUE(jsonl::well_formed(corpus.back()));
+  corpus.insert(corpus.end(), kMalformedJson.begin(), kMalformedJson.end());
+  corpus.insert(corpus.end(), kWellFormedJson.begin(), kWellFormedJson.end());
+
+  Rng rng(2021);
+  long parsed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string doc = corpus[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(corpus.size()) - 1))];
+    for (int m = rng.uniform_int(1, 3); m > 0; --m) mutate(rng, doc);
+    jsonl::Object obj;
+    std::string parse_err;
+    const bool object_ok = jsonl::parse_object(doc, &obj, &parse_err);
+    std::string check_err;
+    const bool document_ok = jsonl::well_formed(doc, &check_err);
+    if (object_ok) {
+      ++parsed;
+      EXPECT_TRUE(document_ok) << doc << ": " << check_err;
+    } else {
+      EXPECT_TRUE(obj.empty()) << doc;
+      EXPECT_FALSE(parse_err.empty()) << doc;
+    }
+    if (!document_ok) {
+      EXPECT_FALSE(check_err.empty()) << doc;
+    }
+  }
+  // The mutations must leave enough request lines intact to exercise the
+  // accept path, not only the reject paths.
+  EXPECT_GT(parsed, 100);
+
+  // escape -> unescape round-trips random bytes, and the escaped body is a
+  // well-formed string that parse_object decodes back to the same bytes.
+  for (int i = 0; i < 2000; ++i) {
+    std::string raw(static_cast<std::size_t>(rng.uniform_int(0, 64)), '\0');
+    for (char& c : raw) c = static_cast<char>(rng.uniform_int(0, 255));
+    const std::string escaped = jsonl::escape(raw);
+    std::string back;
+    ASSERT_TRUE(jsonl::unescape(escaped, &back));
+    EXPECT_EQ(back, raw);
+    EXPECT_TRUE(jsonl::well_formed("\"" + escaped + "\""));
+    jsonl::Object obj;
+    ASSERT_TRUE(jsonl::parse_object("{\"k\":\"" + escaped + "\"}", &obj));
+    EXPECT_EQ(obj.at("k").string, raw);
+  }
 }
 
 TEST(Faults, EnableRejectsBadRates) {
