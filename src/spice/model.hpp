@@ -71,12 +71,47 @@ inline double ekv_df(double u) {
   return l * sig;
 }
 
-/// Evaluates the drain current and small-signal parameters.
-///
-/// `vgs`/`vds` are NMOS-convention voltages (for PMOS the caller passes the
-/// negated values and negates `id` back). `w`/`l` are effective channel
-/// dimensions [m]. `delta_vth` (additive, NMOS convention) and
+/// F(u) and dF/du at one u.
+struct EkvFdF {
+  double f = 0.0;
+  double df = 0.0;
+};
+
+/// F and dF/du from one exp and one log1p; bit-identical to ekv_f(u) and
+/// ekv_df(u), which stay as the reference.
+inline EkvFdF ekv_f_df(double u) {
+  const double half = 0.5 * u;
+  if (half > 30.0) return {half * half, half};
+  const double e = std::exp(half);
+  const double l = std::log1p(e);
+  return {l * l, l * (e / (1.0 + e))};
+}
+
+/// The bias-independent part of one device's evaluation: its model card,
+/// geometry and LDE annotations folded into the constants the per-bias
+/// mos_eval reads.
+struct MosDevice {
+  double sigma = 1.0;  ///< +1 NMOS, -1 PMOS: terminal to NMOS-convention sign
+  double vth = 0.0;    ///< vth0 + delta_vth [V]
+  double n = 1.0;      ///< subthreshold slope factor
+  double vt = 0.0;     ///< thermal voltage [V]
+  double nvt = 0.0;    ///< n * vt [V]
+  double ispec = 0.0;  ///< specific current 2 n kp mobility vt^2 (W / L) [A]
+  double lam = 0.0;    ///< channel-length modulation at this L [1/V]
+};
+
+/// Folds one device's constants. `w`/`l` are effective channel dimensions
+/// [m] and must be positive; `delta_vth` (additive, NMOS convention) and
 /// `mobility_mult` carry the layout-dependent effects.
+MosDevice mos_device(const MosModel& model, double w, double l,
+                     double delta_vth, double mobility_mult);
+
+/// Evaluates the drain current and small-signal parameters of a device at
+/// NMOS-convention `vgs`/`vds` (for PMOS the caller passes the negated values
+/// and negates `id` back).
+MosEval mos_eval(const MosDevice& dev, double vgs, double vds);
+
+/// One-shot form: mos_eval(mos_device(model, w, l, ...), vgs, vds).
 MosEval mos_eval(const MosModel& model, double vgs, double vds, double w,
                  double l, double delta_vth, double mobility_mult);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "util/budget.hpp"
 #include "util/diag.hpp"
@@ -63,11 +64,22 @@ Simulator::Simulator(const Circuit& circuit, DiagnosticsSink* diagnostics,
     slots_.vcvs.push_back(incidence(e.p - 1, e.n - 1, br));
     slots_.vcvs_control.push_back({at(br, e.cp - 1), at(br, e.cn - 1)});
   }
-  slots_.mosfets.reserve(circuit_.mosfets().size());
+  // The MOSFET table: what a Newton iteration needs of each device, checked
+  // and folded once here instead of per evaluation.
+  mos_.reserve(circuit_.mosfets().size());
   for (const Mosfet& m : circuit_.mosfets()) {
-    const int d = m.d - 1, g = m.g - 1, s = m.s - 1;
-    slots_.mosfets.push_back(
-        {at(d, g), at(d, d), at(d, s), at(s, g), at(s, d), at(s, s)});
+    for (const NodeId node : {m.d, m.g, m.s}) {
+      OLP_CHECK(node >= 0 && node < circuit_.node_count(),
+                "mosfet " + m.name + " node out of range");
+    }
+    MosEntry& e = mos_.emplace_back();
+    e.d = m.d - 1;
+    e.g = m.g - 1;
+    e.s = m.s - 1;
+    e.slots = {at(e.d, e.g), at(e.d, e.d), at(e.d, e.s),
+               at(e.s, e.g), at(e.s, e.d), at(e.s, e.s)};
+    e.dev = mos_device(circuit_.model(m.model), m.w, m.l, m.delta_vth,
+                       m.mobility_mult);
   }
   slots_.node_diag.reserve(static_cast<std::size_t>(nn));
   for (int k = 0; k < nn; ++k) slots_.node_diag.push_back(at(k, k));
@@ -90,7 +102,9 @@ Simulator::Simulator(const Circuit& circuit, DiagnosticsSink* diagnostics,
   resolve_all(slots_.vsources);
   resolve_all(slots_.vcvs);
   resolve_all(slots_.vcvs_control);
-  resolve_all(slots_.mosfets);
+  for (MosEntry& e : mos_) {
+    for (int& slot : e.slots) resolve(slot);
+  }
   for (int& slot : slots_.node_diag) resolve(slot);
 }
 
@@ -153,9 +167,9 @@ std::vector<Simulator::LinearCap> Simulator::gather_caps() const {
 
 /// One analysis call's solver state on the simulator's pattern: matrix
 /// values, rhs, solution and the sparse LU, plus the largest linearized KCL
-/// residual of its converged Newton solves. Local to the call, so concurrent analyses on
-/// one Simulator share nothing mutable. The destructor adds the call's
-/// totals to the obs registry, once per call on every exit path.
+/// residual of its converged Newton solves. Local to the call, so concurrent
+/// analyses on one Simulator share nothing mutable. The destructor adds the
+/// call's totals to the obs registry, once per call on every exit path.
 template <typename T>
 struct Simulator::System {
   explicit System(const linalg::SparsePattern& p)
@@ -164,11 +178,6 @@ struct Simulator::System {
         b(static_cast<std::size_t>(p.size())),
         x(static_cast<std::size_t>(p.size())),
         lu(p) {}
-
-  void clear() {
-    std::fill(a.begin(), a.end(), T{});
-    std::fill(b.begin(), b.end(), T{});
-  }
 
   /// Factors `a` and solves into `x`; false when singular.
   bool solve() {
@@ -259,15 +268,13 @@ void Simulator::stamp_sources(std::vector<double>& b, double t,
   }
 }
 
-MosOperatingPoint Simulator::eval_mosfet(const Mosfet& m,
-                                         const std::vector<double>& x) const {
-  const MosModel& model = circuit_.model(m.model);
-  auto v = [&](NodeId n) { return voltage(x, n); };
+MosOperatingPoint Simulator::eval_mosfet(const MosEntry& m,
+                                         const std::vector<double>& x) {
+  auto v = [&](int k) { return k >= 0 ? x[static_cast<std::size_t>(k)] : 0.0; };
   const double vgs = v(m.g) - v(m.s);
   const double vds = v(m.d) - v(m.s);
-  const double sigma = model.type == MosType::kNmos ? 1.0 : -1.0;
-  const MosEval e = mos_eval(model, sigma * vgs, sigma * vds, m.w, m.l,
-                             m.delta_vth, m.mobility_mult);
+  const double sigma = m.dev.sigma;
+  const MosEval e = mos_eval(m.dev, sigma * vgs, sigma * vds);
   MosOperatingPoint op;
   // Under the sign mapping the small-signal conductances are unchanged while
   // the physical current into the drain picks up the sign.
@@ -297,15 +304,14 @@ void add_mos(std::vector<T>& a, const std::array<int, 6>& slot, double gm,
 
 void Simulator::stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                               const std::vector<double>& x) const {
-  for (std::size_t k = 0; k < slots_.mosfets.size(); ++k) {
-    const Mosfet& m = circuit_.mosfets()[k];
+  for (const MosEntry& m : mos_) {
     const MosOperatingPoint op = eval_mosfet(m, x);
     // Linearized drain current into the drain node:
     //   Id(v) = Id0 + gm (vgs - vgs0) + gds (vds - vds0)
-    add_mos(a, slots_.mosfets[k], op.gm, op.gds);
+    add_mos(a, m.slots, op.gm, op.gds);
     const double ieq = op.id - op.gm * op.vgs - op.gds * op.vds;
-    add_rhs(b, m.d - 1, -ieq);
-    add_rhs(b, m.s - 1, ieq);
+    add_rhs(b, m.d, -ieq);
+    add_rhs(b, m.s, ieq);
   }
 }
 
@@ -319,17 +325,22 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
   if (x.empty()) x.assign(static_cast<std::size_t>(n), 0.0);
   OLP_CHECK(static_cast<int>(x.size()) == n, "bad initial guess size");
 
+  // The iterate-independent part, once per call: linear devices with gmin to
+  // ground on every node, and the scaled sources.
+  std::vector<double> a0(sys.a.size()), b0(sys.b.size());
+  stamp_linear(a0);
+  for (const int slot : slots_.node_diag) {
+    add(a0, slot, gmin + options.gmin_floor);
+  }
+  stamp_sources(b0, 0.0, source_scale);
+
   OpResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Budget-bounded Newton: unwind with the current (non-converged) state.
     if (budget_ != nullptr && budget_->check()) break;
-    sys.clear();
-    stamp_linear(sys.a);
-    stamp_sources(sys.b, 0.0, source_scale);
+    sys.a = a0;
+    sys.b = b0;
     stamp_mosfets(sys.a, sys.b, x);
-    for (const int slot : slots_.node_diag) {
-      add(sys.a, slot, gmin + options.gmin_floor);
-    }
 
     if (!sys.solve()) {
       result.converged = false;
@@ -434,11 +445,15 @@ std::vector<std::vector<double>> Simulator::dc_sweep(
     const std::string& vsource, const std::vector<double>& values,
     const OpOptions& options) const {
   const int vs_index = circuit_.find_vsource(vsource);
-  // The sweep mutates the source value; restore it afterwards so the
-  // circuit's owner sees no change.
+  // The sweep mutates the source value; restore it on every exit, op()
+  // throwing included, so the circuit's owner sees no change.
   VSource& src = const_cast<Circuit&>(circuit_)
                      .vsources()[static_cast<std::size_t>(vs_index)];
-  const Waveform saved = src.wave;
+  struct Restore {
+    VSource& src;
+    Waveform saved;
+    ~Restore() { src.wave = std::move(saved); }
+  } restore{src, src.wave};
 
   std::vector<std::vector<double>> solutions;
   solutions.reserve(values.size());
@@ -460,17 +475,16 @@ std::vector<std::vector<double>> Simulator::dc_sweep(
       opts.initial_guess.clear();
     }
   }
-  src.wave = saved;
   return solutions;
 }
 
 std::vector<MosOperatingPoint> Simulator::mos_operating_points(
     const std::vector<double>& x) const {
+  OLP_CHECK(static_cast<int>(x.size()) == n_unknowns(),
+            "solution vector size mismatch (non-converged sweep point?)");
   std::vector<MosOperatingPoint> ops;
-  ops.reserve(circuit_.mosfets().size());
-  for (const Mosfet& m : circuit_.mosfets()) {
-    ops.push_back(eval_mosfet(m, x));
-  }
+  ops.reserve(mos_.size());
+  for (const MosEntry& m : mos_) ops.push_back(eval_mosfet(m, x));
   return ops;
 }
 
@@ -493,33 +507,37 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   result.frequencies = options.frequencies;
   result.solutions.reserve(options.frequencies.size());
 
+  // The frequency-independent part, once per call: linear devices, the
+  // MOSFETs' gm/gds, a tiny conductance to ground that keeps isolated
+  // internal nodes solvable, and the AC sources (the solve leaves b intact).
   System<C> sys(pattern_);
+  std::vector<C> a0(sys.a.size());
+  stamp_linear(a0);
+  for (std::size_t k = 0; k < mos_ops.size(); ++k) {
+    add_mos(a0, mos_[k].slots, mos_ops[k].gm, mos_ops[k].gds);
+  }
+  for (const int slot : slots_.node_diag) add(a0, slot, C{1e-12, 0});
+  for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
+    const VSource& v = circuit_.vsources()[k];
+    if (v.ac_mag != 0.0) {
+      sys.b[static_cast<std::size_t>(nn) + k] =
+          std::polar(v.ac_mag, v.ac_phase);
+    }
+  }
+  for (const ISource& i : circuit_.isources()) {
+    if (i.ac_mag == 0.0) continue;
+    const C val = std::polar(i.ac_mag, i.ac_phase);
+    if (i.p > 0) sys.b[static_cast<std::size_t>(i.p - 1)] -= val;
+    if (i.n > 0) sys.b[static_cast<std::size_t>(i.n - 1)] += val;
+  }
+
   for (double freq : options.frequencies) {
     OLP_CHECK(freq > 0.0, "AC frequency must be positive");
     const double omega = 2.0 * M_PI * freq;
-    sys.clear();
-    stamp_linear(sys.a);
+    sys.a = a0;
     for (std::size_t k = 0; k < caps_.size(); ++k) {
       add_quad(sys.a, slots_.caps[k], C{0.0, omega * caps_[k].c});
     }
-    for (std::size_t k = 0; k < mos_ops.size(); ++k) {
-      add_mos(sys.a, slots_.mosfets[k], mos_ops[k].gm, mos_ops[k].gds);
-    }
-    for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
-      const VSource& v = circuit_.vsources()[k];
-      if (v.ac_mag != 0.0) {
-        sys.b[static_cast<std::size_t>(nn) + k] =
-            std::polar(v.ac_mag, v.ac_phase);
-      }
-    }
-    for (const ISource& i : circuit_.isources()) {
-      if (i.ac_mag == 0.0) continue;
-      const C val = std::polar(i.ac_mag, i.ac_phase);
-      if (i.p > 0) sys.b[static_cast<std::size_t>(i.p - 1)] -= val;
-      if (i.n > 0) sys.b[static_cast<std::size_t>(i.n - 1)] += val;
-    }
-    // Tiny conductance to ground keeps isolated internal nodes solvable.
-    for (const int slot : slots_.node_diag) add(sys.a, slot, C{1e-12, 0});
 
     if (sys.solve()) {
       result.solutions.push_back(sys.x);
@@ -576,8 +594,9 @@ TranResult Simulator::tran(const TranOptions& options) const {
 TranResult Simulator::tran_attempt(const TranOptions& options) const {
   obs::counter_add("sim.tran.attempts");
   SimStats::global().tran_count++;
-  OLP_CHECK(options.dt > 0 && options.tstop > options.dt,
-            "transient needs dt > 0 and tstop > dt");
+  OLP_CHECK(options.dt > 0 && options.tstop > options.dt &&
+                options.record_stride >= 1,
+            "transient needs dt > 0, tstop > dt and record_stride >= 1");
   if (FaultInjector::global().should_fail(FaultSite::kTranNonConvergence)) {
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "chaos",
@@ -634,34 +653,56 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
   const double h = options.dt;
   const long steps = static_cast<long>(std::ceil(options.tstop / h));
 
+  // Companion conductance of a capacitor for one step.
+  auto cap_geq = [](const LinearCap& c, double h_at, bool trapezoidal) {
+    return trapezoidal ? 2.0 * c.c / h_at : c.c / h_at;
+  };
+  // The iterate-independent matrix of one (step, method): linear devices,
+  // capacitor companion conductances and the 1e-12 diagonal. A transient
+  // meets at most three (h trapezoidal, h and a substep backward Euler);
+  // each is stamped on first use. Map entries stay put as others are added.
+  std::map<std::pair<double, bool>, std::vector<double>> companions;
+  auto companion_matrix = [&](double h_at,
+                              bool trapezoidal) -> const std::vector<double>& {
+    const auto [it, inserted] = companions.try_emplace({h_at, trapezoidal});
+    std::vector<double>& a0 = it->second;
+    if (!inserted) return a0;
+    a0.assign(sys.a.size(), 0.0);
+    stamp_linear(a0);
+    for (std::size_t k = 0; k < caps_.size(); ++k) {
+      if (caps_[k].c <= 0) continue;
+      add_quad(a0, slots_.caps[k], cap_geq(caps_[k], h_at, trapezoidal));
+    }
+    for (const int slot : slots_.node_diag) add(a0, slot, 1e-12);
+    return a0;
+  };
+  std::vector<double> b0(sys.b.size());
+
   // One Newton solve of the companion system at time `t_at` with step
   // `h_at`, integrating from `x_prev` (+ cap currents icap for trapezoidal).
   auto newton_solve = [&](double t_at, double h_at, bool trapezoidal,
                           const std::vector<double>& x_prev,
                           std::vector<double>& x_out) -> bool {
+    const std::vector<double>& a0 = companion_matrix(h_at, trapezoidal);
+    // The step's rhs: sources at t plus each capacitor's history current.
+    std::fill(b0.begin(), b0.end(), 0.0);
+    stamp_sources(b0, t_at, 1.0);
+    for (std::size_t k = 0; k < caps_.size(); ++k) {
+      const LinearCap& c = caps_[k];
+      if (c.c <= 0) continue;
+      const double geq = cap_geq(c, h_at, trapezoidal);
+      const double v_prev = cap_voltage(c, x_prev);
+      const double ieq_into_a =
+          trapezoidal ? geq * v_prev + icap[k] : geq * v_prev;
+      add_rhs(b0, c.a - 1, ieq_into_a);
+      add_rhs(b0, c.b - 1, -ieq_into_a);
+    }
+
     x_out = x_prev;  // warm start
     for (int iter = 0; iter < options.max_newton; ++iter) {
-      sys.clear();
-      stamp_linear(sys.a);
-      stamp_sources(sys.b, t_at, 1.0);
+      sys.a = a0;
+      sys.b = b0;
       stamp_mosfets(sys.a, sys.b, x_out);
-      for (std::size_t k = 0; k < caps_.size(); ++k) {
-        const LinearCap& c = caps_[k];
-        if (c.c <= 0) continue;
-        const double v_prev = cap_voltage(c, x_prev);
-        double geq, ieq_into_a;
-        if (trapezoidal) {
-          geq = 2.0 * c.c / h_at;
-          ieq_into_a = geq * v_prev + icap[k];
-        } else {
-          geq = c.c / h_at;
-          ieq_into_a = geq * v_prev;
-        }
-        add_quad(sys.a, slots_.caps[k], geq);
-        add_rhs(sys.b, c.a - 1, ieq_into_a);
-        add_rhs(sys.b, c.b - 1, -ieq_into_a);
-      }
-      for (const int slot : slots_.node_diag) add(sys.a, slot, 1e-12);
 
       if (!sys.solve()) return false;
 

@@ -9,7 +9,10 @@
 // Every analysis stamps into one structural pattern built by the constructor
 // (see DESIGN.md §6k): each device knows its matrix slots, and each analysis
 // call orders a sparse LU once and refactors it numerically per Newton
-// iteration, timestep or frequency.
+// iteration, timestep or frequency. The part of each system that does not
+// depend on the Newton iterate is stamped once per call, step or step size;
+// a Newton iteration copies it and adds only the MOSFETs, read from a device
+// table the constructor builds.
 
 #include <array>
 #include <atomic>
@@ -105,9 +108,17 @@ struct SimStats {
   static SimStats& global();
 };
 
-/// The analysis engine. Holds a reference to the circuit; the circuit must
-/// outlive the simulator and not change structurally between analyses
-/// (changing device *values* and re-running is allowed and cheap).
+/// The analysis engine. Holds a reference to the circuit, which must outlive
+/// the simulator.
+///
+/// What may change under a live simulator: only the independent sources'
+/// waveforms and AC magnitude/phase. Each analysis re-stamps them per call
+/// (op, ac) or per timestep (tran), so a changed source is seen by the next
+/// analysis; dc_sweep relies on this. Everything else must stay fixed while
+/// the simulator lives: the structure, the models and every device value.
+/// The constructor copies the capacitances (explicit and MOS-derived) and
+/// each MOSFET's terminals and folded model constants; to change a device,
+/// construct a new Simulator.
 class Simulator {
  public:
   /// `diagnostics` (optional, may be null) receives structured records for
@@ -175,9 +186,15 @@ class Simulator {
     std::vector<Quad> vsources;  ///< (p,br) (br,p) (n,br) (br,n)
     std::vector<Quad> vcvs;      ///< incidence as for vsources
     std::vector<std::array<int, 2>> vcvs_control;  ///< (br,cp) (br,cn)
-    /// (d,g) (d,d) (d,s) (s,g) (s,d) (s,s)
-    std::vector<std::array<int, 6>> mosfets;
     std::vector<int> node_diag;  ///< (k,k) for every node unknown k
+  };
+
+  /// One MOSFET as a Newton iteration reads it, in circuit order.
+  struct MosEntry {
+    int d = -1, g = -1, s = -1;  ///< unknown indices; -1 is ground
+    /// (d,g) (d,d) (d,s) (s,g) (s,d) (s,s)
+    std::array<int, 6> slots{};
+    MosDevice dev;
   };
 
   /// Per-analysis solver state (values, rhs, solution, LU); see the .cpp.
@@ -204,13 +221,14 @@ class Simulator {
   void stamp_linear(std::vector<T>& a) const;
   /// Stamps independent source values at time t (or DC) scaled by `scale`.
   void stamp_sources(std::vector<double>& b, double t, double scale) const;
-  /// Stamps linearized MOSFETs around the solution `x`.
+  /// Adds the MOSFETs linearized around `x`, an iterate of full length.
   void stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                      const std::vector<double>& x) const;
 
-  /// Effective MOS terminal small-signal quantities (shared by OP/AC paths).
-  MosOperatingPoint eval_mosfet(const Mosfet& m,
-                                const std::vector<double>& x) const;
+  /// One MOSFET's terminal quantities at `x`, an iterate of full length
+  /// (shared by the op, tran and AC paths).
+  static MosOperatingPoint eval_mosfet(const MosEntry& m,
+                                       const std::vector<double>& x);
 
   /// All linear capacitances: explicit capacitors plus MOS parasitic caps.
   std::vector<LinearCap> gather_caps() const;
@@ -219,6 +237,7 @@ class Simulator {
   std::vector<LinearCap> caps_;
   linalg::SparsePattern pattern_;
   Slots slots_;
+  std::vector<MosEntry> mos_;
   DiagnosticsSink* diag_ = nullptr;
   Budget* budget_ = nullptr;
 };

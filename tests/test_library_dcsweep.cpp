@@ -80,6 +80,12 @@ TEST(DcSweep, RestoresSourceValue) {
   const spice::Simulator sim(c);
   (void)sim.dc_sweep("vin", {0.5, 0.9});
   EXPECT_DOUBLE_EQ(c.vsources()[0].wave.dc_value(), 0.123);
+  // Also when a sweep point throws: a warm start of the wrong length.
+  spice::OpOptions bad;
+  bad.initial_guess = {0.0, 0.0, 0.0};
+  EXPECT_THROW((void)sim.dc_sweep("vin", {0.5, 0.9}, bad),
+               InvalidArgumentError);
+  EXPECT_DOUBLE_EQ(c.vsources()[0].wave.dc_value(), 0.123);
 }
 
 TEST(DcSweep, InverterTransferCurveIsMonotoneFalling) {

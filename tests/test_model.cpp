@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "spice/model.hpp"
 #include "util/error.hpp"
@@ -110,6 +113,100 @@ TEST(MosEval, InvalidGeometryThrows) {
                InvalidArgumentError);
   EXPECT_THROW(mos_eval(test_model(), 0.5, 0.5, kW, -1e-9, 0, 1),
                InvalidArgumentError);
+}
+
+// --- the fast device path against the reference formulas --------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The device equations evaluated as one expression per quantity with the
+/// reference ekv_f/ekv_df, in the order the model header states them.
+MosEval reference_eval(const MosModel& model, double vgs, double vds,
+                       double w, double l, double delta_vth,
+                       double mobility_mult) {
+  const double vt = model.vt_thermal;
+  const double n = model.nslope;
+  const double vth = model.vth0 + delta_vth;
+  const double ispec = 2.0 * n * model.kp * mobility_mult * vt * vt * (w / l);
+  const double uf = (vgs - vth) / (n * vt);
+  const double ur = (vgs - vth - n * vds) / (n * vt);
+  const double ff = ekv_f(uf);
+  const double fr = ekv_f(ur);
+  const double dff = ekv_df(uf);
+  const double dfr = ekv_df(ur);
+  constexpr double kEps = 1e-3;  // the model's |vds| smoothing
+  const double lam = model.lambda * (model.lref / l);
+  const double clm = 1.0 + lam * (std::sqrt(vds * vds + kEps * kEps) - kEps);
+  const double dclm = lam * (vds / std::sqrt(vds * vds + kEps * kEps));
+  MosEval e;
+  e.id = ispec * (ff - fr) * clm;
+  e.gm = ispec * (dff - dfr) / (n * vt) * clm;
+  e.gds = ispec * (dfr / vt * clm + (ff - fr) * dclm);
+  return e;
+}
+
+TEST(FastPath, EkvFDfHasTheReferenceBits) {
+  // Both branches of the overflow guard (u/2 > 30 takes the asymptote) and
+  // its edge, plus seeded random inputs far into both tails.
+  std::vector<double> us = {0.0, -0.0, 60.0, std::nextafter(60.0, 0.0),
+                            std::nextafter(60.0, 100.0), -1500.0, 1500.0};
+  std::mt19937_64 rng(14);
+  std::uniform_real_distribution<double> dist(-200.0, 200.0);
+  for (int k = 0; k < 200000; ++k) us.push_back(dist(rng));
+  int mismatches = 0;
+  for (const double u : us) {
+    const EkvFdF fd = ekv_f_df(u);
+    if (!same_bits(fd.f, ekv_f(u)) || !same_bits(fd.df, ekv_df(u))) {
+      if (mismatches++ == 0) ADD_FAILURE() << "first mismatch at u=" << u;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(FastPath, TwoStepMosEvalHasTheReferenceBits) {
+  MosModel nmos = test_model();
+  MosModel pmos = test_model();
+  pmos.type = MosType::kPmos;
+  pmos.vth0 = 0.32;
+  pmos.nslope = 1.3;
+  pmos.kp = 180e-6;
+  std::mt19937_64 rng(14);
+  // vgs up to 3 V drives u/2 past the asymptote switch at 30.
+  std::uniform_real_distribution<double> vgs_dist(-1.0, 3.0);
+  std::uniform_real_distribution<double> vds_dist(-1.0, 1.0);
+  std::uniform_real_distribution<double> log_w(std::log(20e-9),
+                                               std::log(50e-6));
+  std::uniform_real_distribution<double> log_l(std::log(10e-9), std::log(1e-6));
+  std::uniform_real_distribution<double> dvth_dist(-0.05, 0.05);
+  std::uniform_real_distribution<double> mob_dist(0.7, 1.3);
+  int mismatches = 0, asymptotic = 0;
+  for (int k = 0; k < 100000; ++k) {
+    const MosModel& model = k % 2 == 0 ? nmos : pmos;
+    const double vgs = vgs_dist(rng);
+    const double vds = k % 7 == 0 ? 0.0 : vds_dist(rng);
+    const double w = std::exp(log_w(rng));
+    const double l = std::exp(log_l(rng));
+    const double dvth = dvth_dist(rng);
+    const double mob = mob_dist(rng);
+    const MosEval fast =
+        mos_eval(mos_device(model, w, l, dvth, mob), vgs, vds);
+    const MosEval ref = reference_eval(model, vgs, vds, w, l, dvth, mob);
+    if (!same_bits(fast.id, ref.id) || !same_bits(fast.gm, ref.gm) ||
+        !same_bits(fast.gds, ref.gds)) {
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "first mismatch at vgs=" << vgs << " vds=" << vds
+                      << " w=" << w << " l=" << l;
+      }
+    }
+    if (0.5 * (vgs - model.vth0 - dvth) /
+            (model.nslope * model.vt_thermal) > 30.0) {
+      ++asymptotic;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(asymptotic, 1000);  // the u/2 > 30 branch is exercised
 }
 
 // Property sweep: analytic gm/gds match finite differences over a bias grid.

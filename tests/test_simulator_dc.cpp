@@ -256,6 +256,26 @@ R2 mid 0 1k
   EXPECT_NEAR(sim.voltage(op.x, c.find_node("mid")), 1.0, 1e-9);
 }
 
+TEST(DcOp, MosfetTableIsCheckedAtConstruction) {
+  Circuit c;
+  const int nm = c.add_model(circuits::default_nmos());
+  const NodeId d = c.node("d");
+  c.add_isource("ib", kGround, d, Waveform::dc(100e-6));
+  Mosfet m;
+  m.name = "m1";
+  m.d = d;
+  m.g = d;
+  m.model = nm;
+  c.add_mosfet(m);
+  c.mosfets()[0].l = 0.0;
+  EXPECT_THROW(Simulator{c}, InvalidArgumentError);
+  c.mosfets()[0].l = 14e-9;
+  c.mosfets()[0].g = -2;
+  EXPECT_THROW(Simulator{c}, InvalidArgumentError);
+  c.mosfets()[0].g = d;
+  EXPECT_TRUE(Simulator(c).op().converged);
+}
+
 TEST(SimStats, CountsOpRuns) {
   SimStats::global().reset();
   Circuit c;

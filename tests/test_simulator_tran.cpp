@@ -187,6 +187,38 @@ TEST(Tran, RejectsBadOptions) {
   tr.tstop = 1e-9;
   tr.dt = 0.0;
   EXPECT_THROW(sim.tran(tr), InvalidArgumentError);
+  tr.dt = 1e-12;
+  tr.record_stride = 0;
+  EXPECT_THROW(sim.tran(tr), InvalidArgumentError);
+}
+
+// The live-simulator contract: a source waveform changed between two
+// analyses on one Simulator is seen by the next op() and tran().
+TEST(Tran, SeesSourceChangedBetweenAnalyses) {
+  Circuit c;
+  const NodeId in = c.node("in");
+  const NodeId out = c.node("out");
+  c.add_vsource("vin", in, kGround, Waveform::dc(0.4));
+  c.add_resistor("r", in, out, 1e3);
+  c.add_capacitor("c", out, kGround, 1e-12);
+  const Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 5e-9;
+  tr.dt = 10e-12;
+  tr.start_from_op = false;  // charge from 0 V: five time constants
+
+  EXPECT_NEAR(sim.voltage(sim.op().x, out), 0.4, 1e-9);
+  TranResult res = sim.tran(tr);
+  ASSERT_TRUE(res.ok);
+  EXPECT_NEAR(sim.voltage(res.samples.back(), out), 0.4 * (1 - std::exp(-5.0)),
+              1e-3);
+
+  c.vsources()[0].wave = Waveform::dc(0.7);
+  EXPECT_NEAR(sim.voltage(sim.op().x, out), 0.7, 1e-9);
+  res = sim.tran(tr);
+  ASSERT_TRUE(res.ok);
+  EXPECT_NEAR(sim.voltage(res.samples.back(), out), 0.7 * (1 - std::exp(-5.0)),
+              1e-3);
 }
 
 // --- time-domain measurement helpers ----------------------------------------
