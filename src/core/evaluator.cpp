@@ -61,6 +61,9 @@ void bias_remaining_ports(BenchT& b, const BiasT& bias,
 constexpr double kGmFreq = 1e7;    // transconductance measurement [Hz]
 constexpr double kCapFreq = 2e9;   // capacitance measurement [Hz]
 constexpr double kRoutFreq = 1e5;  // output resistance measurement [Hz]
+// The inverter delay bench's transient window [s]: the longest delay it can
+// measure, and the delay reported for an inverter that never switches in it.
+constexpr double kDelayWindow = 1.2e-9;
 constexpr double kTwoPi = 2.0 * M_PI;
 }  // namespace
 
@@ -624,17 +627,25 @@ MetricValues PrimitiveEvaluator::eval_starved_inverter(
         spice::Waveform::pulse(0.0, bias_.vdd, 50e-12, 10e-12, 10e-12,
                                2e-9, 4e-9));
     spice::Simulator sim(b.ckt, diag_, budget_);
+    const spice::NodeId in = b.ext.at("in");
+    const spice::NodeId outn = b.ext.at("out");
+    const double mid = 0.5 * bias_.vdd;
     spice::TranOptions tr;
-    tr.tstop = 1.2e-9;
+    tr.tstop = kDelayWindow;
     tr.dt = 1e-12;
+    // End at the sample that decides the delay: no later sample changes what
+    // delay_between reads below.
+    tr.stop_when = [&sim, in, outn,
+                    tracker = spice::DelayTracker(mid, true, mid, false)](
+                       double t, const std::vector<double>& x) mutable {
+      return tracker.add(t, sim.voltage(x, in), sim.voltage(x, outn));
+    };
     const spice::TranResult res = sim.tran(tr);
-    const std::vector<double> win =
-        spice::tran_waveform(sim, res, b.ext.at("in"));
-    const std::vector<double> wout =
-        spice::tran_waveform(sim, res, b.ext.at("out"));
-    const auto delay = spice::delay_between(
-        res.times, win, 0.5 * bias_.vdd, true, wout, 0.5 * bias_.vdd, false);
-    out[MetricKind::kDelay] = delay.value_or(1e-9);
+    const std::vector<double> win = spice::tran_waveform(sim, res, in);
+    const std::vector<double> wout = spice::tran_waveform(sim, res, outn);
+    const auto delay =
+        spice::delay_between(res.times, win, mid, true, wout, mid, false);
+    out[MetricKind::kDelay] = delay.value_or(kDelayWindow);
     count_testbench();
   }
   return out;

@@ -133,21 +133,78 @@ std::vector<double> tran_source_current(const Simulator& sim,
   return wave;
 }
 
+namespace {
+
+/// The crossing of `level` between samples (t0, w0) and (t1, w1) in the
+/// given direction, linearly interpolated; nullopt when there is none.
+std::optional<double> crossing(double t0, double w0, double t1, double w1,
+                               double level, bool rising) {
+  const bool crossed =
+      rising ? (w0 < level && w1 >= level) : (w0 > level && w1 <= level);
+  if (!crossed) return std::nullopt;
+  const double dv = w1 - w0;
+  const double frac = dv == 0.0 ? 0.0 : (level - w0) / dv;
+  return t0 + frac * (t1 - t0);
+}
+
+}  // namespace
+
 std::vector<double> crossing_times(const std::vector<double>& times,
                                    const std::vector<double>& wave,
                                    double level, bool rising) {
   OLP_CHECK(times.size() == wave.size(), "time/wave size mismatch");
   std::vector<double> crossings;
   for (std::size_t i = 1; i < wave.size(); ++i) {
-    const bool crossed = rising
-                             ? (wave[i - 1] < level && wave[i] >= level)
-                             : (wave[i - 1] > level && wave[i] <= level);
-    if (!crossed) continue;
-    const double dv = wave[i] - wave[i - 1];
-    const double frac = dv == 0.0 ? 0.0 : (level - wave[i - 1]) / dv;
-    crossings.push_back(times[i - 1] + frac * (times[i] - times[i - 1]));
+    if (const auto t = crossing(times[i - 1], wave[i - 1], times[i], wave[i],
+                                level, rising)) {
+      crossings.push_back(*t);
+    }
   }
   return crossings;
+}
+
+DelayTracker::DelayTracker(double ref_level, bool ref_rising,
+                           double sig_level, bool sig_rising, int ref_skip)
+    : ref_level_(ref_level),
+      sig_level_(sig_level),
+      ref_rising_(ref_rising),
+      sig_rising_(sig_rising),
+      ref_skip_(ref_skip) {
+  OLP_CHECK(ref_skip >= 0, "ref_skip must be >= 0");
+}
+
+bool DelayTracker::add(double t, double ref, double sig) {
+  if (done()) return true;
+  if (started_) {
+    if (!t_ref_) {
+      const auto tr =
+          crossing(t_prev_, ref_prev_, t, ref, ref_level_, ref_rising_);
+      if (tr && ref_crossings_++ == ref_skip_) {
+        t_ref_ = tr;
+        // The first crossing of sig at or after t_ref, in sample order.
+        for (double ts : sig_before_ref_) {
+          if (ts >= *t_ref_) {
+            delay_ = ts - *t_ref_;
+            break;
+          }
+        }
+      }
+    }
+    const auto ts =
+        crossing(t_prev_, sig_prev_, t, sig, sig_level_, sig_rising_);
+    if (ts && !delay_) {
+      if (!t_ref_) {
+        sig_before_ref_.push_back(*ts);
+      } else if (*ts >= *t_ref_) {
+        delay_ = *ts - *t_ref_;
+      }
+    }
+  }
+  started_ = true;
+  t_prev_ = t;
+  ref_prev_ = ref;
+  sig_prev_ = sig;
+  return done();
 }
 
 std::optional<double> delay_between(const std::vector<double>& times,
@@ -156,14 +213,14 @@ std::optional<double> delay_between(const std::vector<double>& times,
                                     const std::vector<double>& sig,
                                     double sig_level, bool sig_rising,
                                     int ref_skip) {
-  const std::vector<double> ref_x =
-      crossing_times(times, ref, ref_level, ref_rising);
-  if (static_cast<int>(ref_x.size()) <= ref_skip) return std::nullopt;
-  const double t_ref = ref_x[static_cast<std::size_t>(ref_skip)];
-  for (double t : crossing_times(times, sig, sig_level, sig_rising)) {
-    if (t >= t_ref) return t - t_ref;
+  OLP_CHECK(times.size() == ref.size() && times.size() == sig.size(),
+            "time/wave size mismatch");
+  DelayTracker tracker(ref_level, ref_rising, sig_level, sig_rising,
+                       ref_skip);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (tracker.add(times[i], ref[i], sig[i])) break;
   }
-  return std::nullopt;
+  return tracker.delay();
 }
 
 std::optional<double> oscillation_frequency(const std::vector<double>& times,

@@ -60,8 +60,39 @@ std::vector<double> crossing_times(const std::vector<double>& times,
                                    const std::vector<double>& wave,
                                    double level, bool rising);
 
+/// Delay from the k-th crossing of `ref` to the first crossing of `sig` at or
+/// after it, decided one sample at a time. add() returns true from the first
+/// sample at which that delay is known; later samples cannot change it, and
+/// it ignores them. delay_between runs on this tracker, so a transient that
+/// ends at the deciding sample (TranOptions::stop_when) measures the same
+/// bits as one that runs its full window.
+class DelayTracker {
+ public:
+  DelayTracker(double ref_level, bool ref_rising, double sig_level,
+               bool sig_rising, int ref_skip = 0);
+
+  /// Feeds the next sample (times non-decreasing); returns done().
+  bool add(double t, double ref, double sig);
+  bool done() const { return delay_.has_value(); }
+  /// The delay once done(), nullopt before.
+  std::optional<double> delay() const { return delay_; }
+
+ private:
+  double ref_level_, sig_level_;
+  bool ref_rising_, sig_rising_;
+  int ref_skip_;
+  bool started_ = false;  ///< a previous sample is held
+  double t_prev_ = 0.0, ref_prev_ = 0.0, sig_prev_ = 0.0;
+  int ref_crossings_ = 0;
+  std::optional<double> t_ref_;
+  /// Crossings of `sig` seen while t_ref_ was still unknown.
+  std::vector<double> sig_before_ref_;
+  std::optional<double> delay_;
+};
+
 /// Delay from the k-th crossing of `ref` to the first subsequent crossing of
-/// `sig`; nullopt when either crossing does not occur.
+/// `sig` (DelayTracker over every sample); nullopt when either crossing does
+/// not occur.
 std::optional<double> delay_between(const std::vector<double>& times,
                                     const std::vector<double>& ref,
                                     double ref_level, bool ref_rising,

@@ -566,15 +566,20 @@ TranResult Simulator::tran(const TranOptions& options) const {
   // each attempt. Engages only when an attempt reports ok=false, so flows
   // whose transients converge first try are unaffected.
   TranOptions retry = options;
-  for (int attempt = 1; attempt <= options.max_retries && !r.ok &&
-                        !(budget_ != nullptr && budget_->check());
-       ++attempt) {
+  int retries = 0;
+  bool budget_ended = false;
+  while (!r.ok && retries < options.max_retries) {
+    if (budget_ != nullptr && budget_->check()) {
+      budget_ended = true;
+      break;
+    }
+    ++retries;
     retry.backward_euler = true;
     retry.dt *= 0.5;
     obs::counter_add("sim.tran.retries");
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "simulator", "tran",
-                    "transient attempt " + std::to_string(attempt) +
+                    "transient attempt " + std::to_string(retries) +
                         " failed; retrying with backward Euler, dt=" +
                         std::to_string(retry.dt));
     }
@@ -584,8 +589,9 @@ TranResult Simulator::tran(const TranOptions& options) const {
     obs::counter_add("sim.tran.failed");
     if (diag_) {
       diag_->report(DiagSeverity::kError, "simulator", "tran",
-                    "transient failed after " +
-                        std::to_string(options.max_retries) + " retries");
+                    "transient failed after " + std::to_string(retries) +
+                        " retries" +
+                        (budget_ended ? "; the budget ended the ladder" : ""));
     }
   }
   return r;
@@ -639,6 +645,18 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
   TranResult result;
   result.times.push_back(0.0);
   result.samples.push_back(x);
+  // This attempt's own copy: the caller's predicate is never called, so
+  // every attempt starts from the state the caller gave it.
+  auto stop_when = options.stop_when;
+  auto stopped = [&] {
+    if (!stop_when || !stop_when(result.times.back(), result.samples.back())) {
+      return false;
+    }
+    obs::counter_add("sim.tran.stopped");
+    result.ok = true;
+    return true;
+  };
+  if (stopped()) return result;
 
   // Per-capacitor branch current state (for trapezoidal integration).
   std::vector<double> icap(caps_.size(), 0.0);
@@ -792,6 +810,7 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     if (recorded % options.record_stride == 0 || step == steps) {
       result.times.push_back(t);
       result.samples.push_back(x);
+      if (stopped()) return result;
     }
   }
   result.ok = true;

@@ -84,6 +84,14 @@ struct TranOptions {
   /// On ok=false, retry this many times with backward Euler and halved dt
   /// before giving up (0 disables the ladder).
   int max_retries = 2;
+  /// Optional. Called with each recorded sample in time order, the t = 0
+  /// sample first; when it returns true, the attempt ends at that sample
+  /// with ok = true. Each attempt (every retry, every tran() call) calls its
+  /// own copy, so state the predicate holds by value starts over with the
+  /// attempt; state it reaches by reference does not. Set it only when no
+  /// later sample can change what the caller measures (a DelayTracker that
+  /// is done); a caller reading the whole window must leave it empty.
+  std::function<bool(double t, const std::vector<double>& x)> stop_when;
 };
 
 struct TranResult {
@@ -161,7 +169,8 @@ class Simulator {
   /// Transient analysis. On non-convergence, retries up to
   /// `options.max_retries` times with backward Euler and a halved timestep
   /// (each retry is reported to the diagnostics sink) before returning
-  /// ok=false.
+  /// ok=false. An exhausted budget ends the ladder early. An attempt that
+  /// `options.stop_when` ends is a success and is not retried.
   TranResult tran(const TranOptions& options) const;
 
   const Circuit& circuit() const { return circuit_; }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Chaos smoke run: build the fault-injection tests and the JSON/JSONL layer
-# tests (the parser that accepts service bytes) under AddressSanitizer +
-# UBSan and execute them.
+# Chaos smoke run: build the fault-injection tests, the JSON/JSONL layer
+# tests (the parser that accepts service bytes), and the transient and
+# evaluator tests (TranOptions::stop_when is a callback holding references
+# into the caller's frame, copied into every attempt) under
+# AddressSanitizer + UBSan and execute them.
 #
 # Usage: tests/run_chaos.sh [build-dir]
 # The build directory defaults to build-chaos-asan next to the source tree.
@@ -33,7 +35,8 @@ cmake -B "${build_dir}" -S "${src_dir}" \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
-  --target test_chaos test_failure_injection test_util > /dev/null
+  --target test_chaos test_failure_injection test_util \
+  test_simulator_tran test_evaluator > /dev/null
 
 echo "== chaos tests (ASan+UBSan) =="
 "${build_dir}/tests/test_chaos"
@@ -41,4 +44,7 @@ echo "== failure-injection tests (ASan+UBSan) =="
 "${build_dir}/tests/test_failure_injection"
 echo "== util + JSON layer tests (ASan+UBSan) =="
 "${build_dir}/tests/test_util"
+echo "== transient + evaluator tests (ASan+UBSan) =="
+"${build_dir}/tests/test_simulator_tran"
+"${build_dir}/tests/test_evaluator"
 echo "chaos smoke run passed"

@@ -223,10 +223,10 @@ TEST(Evaluator, StarvedInverterDelayGrowsWithLoad) {
   const pcell::PrimitiveGenerator gen(t());
   const pcell::PrimitiveLayout lay =
       gen.generate(pcell::make_current_starved_inverter(), cfg(8, 4, 1));
-  auto delay_with_load = [&](double cl) {
+  auto delay_with_load = [&](double cl, double vctrl = 0.4) {
     BiasContext b;
     b.vdd = t().vdd;
-    b.port_voltage = {{"vbn", 0.4}, {"vbp", t().vdd - 0.4}};
+    b.port_voltage = {{"vbn", vctrl}, {"vbp", t().vdd - vctrl}};
     b.port_load_cap = {{"out", cl}};
     const PrimitiveEvaluator eval = make_eval(b);
     EvalCondition ideal;
@@ -234,6 +234,12 @@ TEST(Evaluator, StarvedInverterDelayGrowsWithLoad) {
     return eval.evaluate(lay, ideal).at(MetricKind::kDelay);
   };
   EXPECT_GT(delay_with_load(20e-15), delay_with_load(2e-15));
+  // Near the end of the 1.2 ns window: 480 fF switches at ~1.1 ns, 500 fF
+  // never does. The one that never switches must not rank faster.
+  const double switches_late = delay_with_load(480e-15, 0.1);
+  const double never_switches = delay_with_load(500e-15, 0.1);
+  EXPECT_GT(switches_late, 1.0e-9);
+  EXPECT_GT(never_switches, switches_late);
 }
 
 TEST(Evaluator, StarvedInverterDelayFallsWithControl) {
