@@ -1,4 +1,4 @@
-// Batch flow service benchmark: a design-space-exploration batch — the 5T
+// Batch flow runner benchmark: a design-space-exploration batch — the 5T
 // OTA and the StrongARM comparator, each swept over 8 placer seeds plus one
 // manual-oracle reference job (18 jobs) — run through circuits::BatchRunner
 // at 1/2/4/8 workers with cross-job cache sharing, against the legacy

@@ -1,4 +1,4 @@
-// Batch flow service demo: a mixed set of jobs — the 5T OTA, the StrongARM
+// Batch flow runner demo: a mixed set of jobs — the 5T OTA, the StrongARM
 // comparator and the ring VCO, across flow modes and placer seeds — executed
 // concurrently on one shared worker pool with one cross-job evaluation
 // cache. Prints the per-job status table and the pooled cache statistics,

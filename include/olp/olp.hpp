@@ -3,19 +3,10 @@
 // include. Pulls in everything a flow driver needs —
 //
 //   circuits/flow.hpp     FlowEngine::run(FlowMode), FlowOptions, FlowReport
-//   circuits/batch.hpp    BatchRunner, FlowJob, BatchReport (multi-job
-//                         service over one pool + shared eval cache)
+//   circuits/batch.hpp    BatchRunner, FlowJob, BatchReport (many flow
+//                         jobs over one pool + shared eval cache)
 //   circuits/*            the paper's example circuits (5T OTA, StrongARM
 //                         comparator, ring VCO) and common instance types
-//   service/service.hpp   LayoutService: the resident JSONL daemon core
-//                         (admission control, fair-share queue, warm-start
-//                         cache snapshots, durable request journal with
-//                         idempotency-key replay, hot reload, graceful
-//                         drain)
-//   service/transport.hpp TransportSupervisor: poll-based multi-client
-//                         unix/TCP stream transport with slow-loris and
-//                         oversized-frame shedding
-//   service/journal.hpp   RequestJournal: crash-safe accepted-work ledger
 //   core/optimizer.hpp    Algorithm 1 (PrimitiveOptimizer) and its
 //                         evaluator, for primitive-level use
 //   core/eval_cache.hpp   cross-run evaluation memoization
@@ -24,6 +15,7 @@
 //   util/obs.hpp          observability registry, spans, counters
 //   util/trace_export.hpp telemetry JSON/Chrome-trace export
 //   util/env.hpp          OLP_* environment override catalog
+//   util/jsonl.hpp        JSON escaping and well-formedness checks
 //   tech/technology.hpp   the FinFET technology description
 //
 // Subsystem headers remain individually includable; this header is the
@@ -39,10 +31,6 @@
 #include "core/optimizer.hpp"
 #include "pcell/generator.hpp"
 #include "pcell/primitive.hpp"
-#include "service/journal.hpp"
-#include "service/request.hpp"
-#include "service/service.hpp"
-#include "service/transport.hpp"
 #include "tech/technology.hpp"
 #include "util/budget.hpp"
 #include "util/env.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "util/budget.hpp"
@@ -117,74 +116,14 @@ void BatchReport::write_jsonl(const std::string& path) const {
   obs::write_text_file(path, to_jsonl());
 }
 
-CachePool::CachePool(std::size_t max_entries_per_cache)
-    : max_entries_(max_entries_per_cache) {}
+namespace {
 
-core::EvalCache* CachePool::cache_for_scope(const std::string& scope) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = caches_[scope];
-  if (slot == nullptr) {
-    core::EvalCacheOptions copt;
-    copt.max_entries = max_entries_;
-    slot = std::make_unique<core::EvalCache>(copt);
-  }
-  return slot.get();
-}
-
-core::EvalCache* CachePool::cache_for(const tech::Technology& technology) {
-  return cache_for_scope(
-      core::EvalCache::scope_key(technology, default_nmos(), default_pmos()));
-}
-
-std::size_t CachePool::scopes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return caches_.size();
-}
-
-core::EvalCacheStats CachePool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  core::EvalCacheStats total;
-  total.capacity = static_cast<long>(max_entries_);
-  for (const auto& [scope, cache] : caches_) {
-    const core::EvalCacheStats s = cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.entries += s.entries;
-    total.cross_client_hits += s.cross_client_hits;
-    total.evictions += s.evictions;
-    total.restored_hits += s.restored_hits;
-  }
-  return total;
-}
-
-void CachePool::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [scope, cache] : caches_) cache->clear();
-}
-
-bool CachePool::save_snapshot(const std::string& path,
-                              std::string* error) const {
-  std::map<std::string, const core::EvalCache*> view;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [scope, cache] : caches_) view[scope] = cache.get();
-  }
-  return core::save_cache_snapshot(path, view, error);
-}
-
-bool CachePool::load_snapshot(const std::string& path, std::string* error) {
-  std::map<std::string, std::string> payloads;
-  if (!core::load_cache_snapshot(path, &payloads, error)) return false;
-  for (const auto& [scope, payload] : payloads) {
-    if (!cache_for_scope(scope)->restore_entries(payload, error)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-JobResult run_flow_job(const FlowJob& job, const tech::Technology& technology,
-                       TaskPool* pool, core::EvalCache* cache, int client) {
+/// Executes ONE FlowJob with the batch plumbing overrides (shared pool,
+/// pooled telemetry, optional shared scope cache with client id `client`)
+/// and per-job isolation: a throwing job is recorded as JobStatus::kFailed
+/// with its message, never rethrown. Fills everything but queued_s.
+JobResult run_job(const FlowJob& job, const tech::Technology& technology,
+                  TaskPool* pool, core::EvalCache* cache, int client) {
   JobResult result;
   result.name = job.name.empty() ? "job" + std::to_string(client) : job.name;
   result.mode = job.mode;
@@ -224,14 +163,13 @@ JobResult run_flow_job(const FlowJob& job, const tech::Technology& technology,
   return result;
 }
 
+}  // namespace
+
 BatchRunner::BatchRunner(const tech::Technology& technology,
                          BatchOptions options)
     : tech_(technology), options_(options) {
   options_.workers = threads_from_env(options_.workers);
   options_.clamp_workers = env::flag("OLP_BATCH_CLAMP", options_.clamp_workers);
-  const long cap = env::integer("OLP_CACHE_MAX_ENTRIES",
-                                static_cast<long>(options_.cache_max_entries));
-  options_.cache_max_entries = cap > 0 ? static_cast<std::size_t>(cap) : 0;
 }
 
 BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
@@ -242,21 +180,19 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
   obs::Registry::global().rebase();
   obs::Span root("batch.run");
 
-  BatchReport report;
-  report.workers = options_.workers;
-  report.jobs.resize(jobs.size());
-
   // One shared cache per evaluation scope (technology + model cards). Jobs
   // in different scopes must not share entries — the evaluation key does not
   // cover the technology — so each scope gets its own cache. Resolved up
-  // front, serially, so the pool is read-only while jobs run.
-  CachePool caches(options_.cache_max_entries);
+  // front, serially, so the map is read-only while jobs run.
+  std::map<std::string, core::EvalCache> caches;
   std::vector<core::EvalCache*> cache_of(jobs.size(), nullptr);
   if (options_.share_cache) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const tech::Technology& jt =
           jobs[i].technology != nullptr ? *jobs[i].technology : tech_;
-      cache_of[i] = caches.cache_for(jt);
+      const std::string scope =
+          core::EvalCache::scope_key(jt, default_nmos(), default_pmos());
+      cache_of[i] = &caches.try_emplace(scope).first->second;
     }
   }
 
@@ -266,11 +202,14 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
       options_.clamp_workers
           ? std::min(options_.workers, resolve_num_threads(0))
           : options_.workers;
+  BatchReport report;
+  report.workers = pool_workers;
+  report.jobs.resize(jobs.size());
   TaskPool pool(pool_workers);
   pool.parallel_for(jobs.size(), [&](std::size_t i) {
     const double queued_s = watch.seconds();
-    report.jobs[i] = run_flow_job(jobs[i], tech_, &pool, cache_of[i],
-                                  static_cast<int>(i));
+    report.jobs[i] =
+        run_job(jobs[i], tech_, &pool, cache_of[i], static_cast<int>(i));
     report.jobs[i].queued_s = queued_s;
     return true;  // one job's failure never stops the batch
   });
@@ -278,12 +217,14 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
   for (const JobResult& j : report.jobs) {
     report.total_testbenches += j.report.testbenches;
   }
-  report.cache_scopes = caches.scopes();
-  const core::EvalCacheStats s = caches.stats();
-  report.cache_hits = s.hits;
-  report.cache_misses = s.misses;
-  report.cache_entries = s.entries;
-  report.cross_job_hits = s.cross_client_hits;
+  report.cache_scopes = caches.size();
+  for (const auto& [scope, cache] : caches) {
+    const core::EvalCacheStats s = cache.stats();
+    report.cache_hits += s.hits;
+    report.cache_misses += s.misses;
+    report.cache_entries += s.entries;
+    report.cross_job_hits += s.cross_client_hits;
+  }
   if (obs::enabled()) {
     obs::counter_add("batch.cross_job_hits", report.cross_job_hits);
   }

@@ -1,5 +1,5 @@
 #pragma once
-// Batch flow service: many flow jobs over ONE worker pool and ONE shared
+// Batch flow runner: many flow jobs over ONE worker pool and ONE shared
 // evaluation cache.
 //
 // A FlowJob names a circuit (instances + nets), a FlowMode and per-job
@@ -33,9 +33,6 @@
 // snapshot — counters and spans of the whole batch — to the BatchReport.
 
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -97,70 +94,12 @@ struct BatchOptions {
   /// Share one evaluation cache among same-scope jobs (see file comment).
   /// Off = every job runs with exactly its own FlowOptions cache settings.
   bool share_cache = true;
-  /// Capacity bound per scope cache (0 = unbounded, the deterministic
-  /// default). OLP_CACHE_MAX_ENTRIES overrides at runner construction.
-  std::size_t cache_max_entries = 0;
 };
-
-/// The set of shared evaluation caches behind a batch or the resident
-/// service: one core::EvalCache per evaluation scope
-/// (core::EvalCache::scope_key), created on first use. BatchRunner builds a
-/// pool per run; the layout service owns ONE for its whole lifetime, so
-/// caches stay warm across requests and can be checkpointed to disk
-/// (core::save_cache_snapshot format) and restored after a restart.
-class CachePool {
- public:
-  /// Every cache created by this pool is bounded to `max_entries_per_cache`
-  /// entries (0 = unbounded).
-  explicit CachePool(std::size_t max_entries_per_cache = 0);
-
-  CachePool(const CachePool&) = delete;
-  CachePool& operator=(const CachePool&) = delete;
-
-  /// The cache serving `scope`, created (empty) on first use. Thread-safe;
-  /// the returned cache lives as long as the pool.
-  core::EvalCache* cache_for_scope(const std::string& scope);
-
-  /// Convenience: scope computed from the job's technology + model cards.
-  core::EvalCache* cache_for(const tech::Technology& technology);
-
-  std::size_t scopes() const;
-  /// Pooled statistics summed over every scope cache.
-  core::EvalCacheStats stats() const;
-  /// Drops every entry (scope caches remain allocated).
-  void clear();
-
-  /// Checkpoints every scope cache to `path` (atomic write-then-rename; see
-  /// core::save_cache_snapshot). Returns false on I/O failure — the
-  /// previous snapshot, if any, is left intact.
-  bool save_snapshot(const std::string& path,
-                     std::string* error = nullptr) const;
-  /// Warm-starts the pool from a snapshot written by save_snapshot().
-  /// Missing, truncated, or corrupt snapshots return false and leave the
-  /// pool untouched (cold start) — never throw, never partially restore.
-  bool load_snapshot(const std::string& path, std::string* error = nullptr);
-
- private:
-  const std::size_t max_entries_;
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<core::EvalCache>> caches_;
-};
-
-/// Executes ONE FlowJob with the standard batch plumbing overrides (shared
-/// pool, pooled telemetry, optional shared scope cache with client id
-/// `client`) and per-job isolation: a throwing job is recorded as
-/// JobStatus::kFailed with its message, never rethrown. `pool` and `cache`
-/// may be null (serial / uncached). Fills name (from `job.name` or
-/// "job<client>"), status, error, report, realization and run_s; queued_s is
-/// the caller's to set. This is the execution core shared by BatchRunner and
-/// the resident layout service.
-JobResult run_flow_job(const FlowJob& job, const tech::Technology& technology,
-                       TaskPool* pool, core::EvalCache* cache, int client);
 
 struct BatchReport {
   std::vector<JobResult> jobs;
   double wall_s = 0.0;
-  int workers = 1;
+  int workers = 1;  ///< threads the batch pool ran (after the clamp)
   long total_testbenches = 0;  ///< across all jobs (simulations actually run)
   /// Pooled shared-cache statistics (zero when sharing is off).
   long cache_hits = 0;

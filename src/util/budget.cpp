@@ -31,7 +31,13 @@ BudgetOptions budget_options_from_env(BudgetOptions base) {
   const double deadline_ms = env::number("OLP_DEADLINE_MS", -1.0);
   if (deadline_ms >= 0.0) base.deadline_s = deadline_ms / 1000.0;
   const double benches = env::number("OLP_TESTBENCH_BUDGET", -1.0);
-  if (benches >= 0.0) base.max_testbenches = static_cast<long>(benches);
+  // A count that does not fit in long (inf, 1e30) is malformed like NaN:
+  // converting it would be undefined behavior. long's max rounds up to
+  // 2^63 as a double, so `<` admits exactly the representable counts.
+  if (benches >= 0.0 &&
+      benches < static_cast<double>(std::numeric_limits<long>::max())) {
+    base.max_testbenches = static_cast<long>(benches);
+  }
   return base;
 }
 

@@ -77,7 +77,8 @@ struct BudgetOptions {
 };
 
 /// Applies OLP_DEADLINE_MS / OLP_TESTBENCH_BUDGET environment overrides on
-/// top of `base`. Unset or non-numeric variables leave `base` untouched.
+/// top of `base`. Unset, non-numeric or out-of-range variables (a testbench
+/// count that is not finite or does not fit in long) leave `base` untouched.
 BudgetOptions budget_options_from_env(BudgetOptions base = {});
 
 /// Point-in-time consumption snapshot, reported on FlowReport::budget.

@@ -28,28 +28,6 @@
 //   OLP_BATCH_CLAMP       "0" disables the batch oversubscription guard
 //                         (pool clamped to hardware cores)
 //                                                      (circuits/batch)
-//   OLP_CACHE_MAX_ENTRIES eval-cache capacity bound; 0 or negative =
-//                         unbounded                    (service, daemon)
-//   OLP_SERVICE_WORKERS   service worker threads       (service daemon)
-//   OLP_SERVICE_QUEUE_DEPTH    admission queue bound   (service daemon)
-//   OLP_SERVICE_CLIENT_QUEUE   per-client queued cap   (service daemon)
-//   OLP_SERVICE_RETRIES   max retries per request      (service daemon)
-//   OLP_SERVICE_SNAPSHOT  cache snapshot path          (service daemon)
-//   OLP_SERVICE_SNAPSHOT_EVERY snapshot every N jobs   (service daemon)
-//   OLP_SERVICE_SOCKET    optional unix socket path    (olp_serviced)
-//   OLP_SERVICE_TCP       loopback TCP port; 0 = ephemeral, unset = off
-//                                                      (olp_serviced)
-//   OLP_SERVICE_JOURNAL   durable request journal path (service daemon)
-//   OLP_SERVICE_RATE      per-identity token-bucket refill [req/s];
-//                         0 or negative = unlimited    (service daemon)
-//   OLP_SERVICE_RATE_BURST    token-bucket burst size  (service daemon)
-//   OLP_SERVICE_READ_TIMEOUT_MS  per-connection read deadline for a
-//                         PARTIAL frame; 0 = none      (olp_serviced)
-//   OLP_SERVICE_MAX_LINE  per-connection frame bound [bytes]
-//                                                      (olp_serviced)
-//   OLP_SERVICE_MAX_CONNS concurrent connection cap    (olp_serviced)
-//   OLP_SERVICE_CONFIG    KEY=VALUE file re-read on SIGHUP / the reload
-//                         verb (same OLP_* names)      (olp_serviced)
 //
 // Numeric parses are strict AND range-checked: a value that overflows the
 // target type (e.g. "99999999999999999999") is treated as malformed and

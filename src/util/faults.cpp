@@ -37,18 +37,6 @@ const char* fault_site_name(FaultSite site) {
       return "budget";
     case FaultSite::kPoolTaskDelay:
       return "pool_delay";
-    case FaultSite::kSnapshotIo:
-      return "snapshot_io";
-    case FaultSite::kRequestParse:
-      return "request_parse";
-    case FaultSite::kJobTransient:
-      return "job_transient";
-    case FaultSite::kTransportPartialWrite:
-      return "partial_write";
-    case FaultSite::kTransportDisconnect:
-      return "disconnect";
-    case FaultSite::kJournalIo:
-      return "journal_io";
   }
   return "unknown";
 }
@@ -67,18 +55,6 @@ double FaultConfig::rate(FaultSite site) const {
       return budget_rate;
     case FaultSite::kPoolTaskDelay:
       return pool_delay_rate;
-    case FaultSite::kSnapshotIo:
-      return snapshot_io_rate;
-    case FaultSite::kRequestParse:
-      return request_parse_rate;
-    case FaultSite::kJobTransient:
-      return job_transient_rate;
-    case FaultSite::kTransportPartialWrite:
-      return partial_write_rate;
-    case FaultSite::kTransportDisconnect:
-      return disconnect_rate;
-    case FaultSite::kJournalIo:
-      return journal_io_rate;
   }
   return 0.0;
 }

@@ -25,19 +25,12 @@ enum class FaultSite : int {
   kNanMetric = 3,          ///< PrimitiveEvaluator emits a NaN metric
   kBudgetExhaustion = 4,   ///< Budget::check() trips (BudgetKind::kInjected)
   kPoolTaskDelay = 5,      ///< TaskPool sleeps before a task (reorder chaos)
-  kSnapshotIo = 6,         ///< EvalCache snapshot save/load I/O fails
-  kRequestParse = 7,       ///< service request parse rejects a valid line
-  kJobTransient = 8,       ///< service job attempt fails transiently
-  kTransportPartialWrite = 9,  ///< transport flush writes only a prefix
-  kTransportDisconnect = 10,   ///< connection drops mid-frame on read
-  kJournalIo = 11,             ///< request-journal append/open/compact fails
 };
 
-inline constexpr int kNumFaultSites = 12;
+inline constexpr int kNumFaultSites = 6;
 
 /// Short site name: "op", "tran", "route", "nan_metric", "budget",
-/// "pool_delay", "snapshot_io", "request_parse", "job_transient",
-/// "partial_write", "disconnect", "journal_io".
+/// "pool_delay".
 const char* fault_site_name(FaultSite site);
 
 /// Per-site fault probabilities plus determinism controls.
@@ -53,27 +46,6 @@ struct FaultConfig {
   /// ordered reduction is completion-order independent. Never corrupts
   /// results; only perturbs timing.
   double pool_delay_rate = 0.0;
-  /// Probability that an EvalCache snapshot save/load aborts with an
-  /// injected I/O failure — save reports failure (and leaves no partial
-  /// file), load falls back to a cold start.
-  double snapshot_io_rate = 0.0;
-  /// Probability that the layout service rejects an otherwise well-formed
-  /// request line as a (simulated) parse failure.
-  double request_parse_rate = 0.0;
-  /// Probability that one service job attempt fails with an injected
-  /// transient fault — the retry-with-backoff path's chaos hook.
-  double job_transient_rate = 0.0;
-  /// Probability that one transport flush writes only a prefix of the
-  /// pending bytes — exercises the partial-write resumption path. Never
-  /// corrupts the stream; the remainder goes out on a later flush.
-  double partial_write_rate = 0.0;
-  /// Probability that a connection read is treated as a mid-frame
-  /// disconnect — the torn-frame discard path's chaos hook.
-  double disconnect_rate = 0.0;
-  /// Probability that a request-journal operation (open/append/compact)
-  /// fails with an injected I/O error — durability degrades with a counted
-  /// reason, the service itself must keep running.
-  double journal_io_rate = 0.0;
   /// Stop firing after this many total faults (-1 = unlimited).
   long max_total_fires = -1;
   /// The first N draws at each site never fire — lets a test skip reference

@@ -1,7 +1,6 @@
 #include "util/jsonl.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace olp::jsonl {
 
@@ -172,8 +171,7 @@ namespace {
 /// Containers well_formed() follows before giving up on a document.
 constexpr int kMaxDepth = 64;
 
-/// Cursor over one JSON text. The scanners are shared: parse_object() reads
-/// flat request lines with them, well_formed() checks whole documents.
+/// Syntax-checking cursor over one JSON text (well_formed()).
 struct Parser {
   const std::string& s;
   std::size_t pos = 0;
@@ -201,11 +199,9 @@ struct Parser {
 
   /// Scans a JSON string literal (cursor on the opening quote) past its
   /// closing quote: control characters must be escaped and every escape
-  /// must be one JSON defines. Returns the offset of the body's first byte
-  /// through *body_start.
-  bool scan_string(std::size_t* body_start) {
+  /// must be one JSON defines.
+  bool scan_string() {
     if (!expect('"')) return false;
-    *body_start = pos;
     while (pos < s.size() && s[pos] != '"') {
       if (static_cast<unsigned char>(s[pos]) < 0x20) {
         return fail_here("unescaped control character in string");
@@ -237,84 +233,48 @@ struct Parser {
     return true;
   }
 
-  /// scan_string, then decodes the body's escapes into *out.
-  bool parse_string(std::string* out) {
-    std::size_t start = 0;
-    if (!scan_string(&start)) return false;
-    std::string err;
-    if (!unescape(s.substr(start, pos - 1 - start), out, &err)) {
-      fail(error, err + " in string starting at offset " +
-                      std::to_string(start - 1));
-      return false;
-    }
-    return true;
-  }
-
-  /// One scalar: string, true/false/null, or number.
-  bool parse_value(Value* out) {
-    skip_ws();
-    if (pos >= s.size()) return fail_here("expected value");
-    const char c = s[pos];
-    if (c == '"') {
-      out->kind = Value::Kind::kString;
-      return parse_string(&out->string);
-    }
-    if (c == '{' || c == '[') {
-      return fail_here("nested objects/arrays are not allowed");
-    }
-    if (s.compare(pos, 4, "true") == 0) {
-      out->kind = Value::Kind::kBool;
-      out->boolean = true;
+  /// One scalar: true/false/null or a number following the strict JSON
+  /// grammar (no inf/nan/hex, no leading zeros, no bare trailing dot).
+  bool scan_scalar() {
+    if (s.compare(pos, 4, "true") == 0 || s.compare(pos, 4, "null") == 0) {
       pos += 4;
       return true;
     }
     if (s.compare(pos, 5, "false") == 0) {
-      out->kind = Value::Kind::kBool;
-      out->boolean = false;
       pos += 5;
       return true;
     }
-    if (s.compare(pos, 4, "null") == 0) {
-      out->kind = Value::Kind::kNull;
-      pos += 4;
-      return true;
+    const char c = s[pos];
+    if (c != '-' && (c < '0' || c > '9')) {
+      return fail_here("unexpected character");
     }
-    // Number: validate against the strict JSON grammar first, THEN convert
-    // with strtod over exactly the validated span. strtod alone would also
-    // accept inf/nan/hex and leading zeros, which JSON forbids.
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      std::size_t p = pos;
-      if (s[p] == '-') ++p;
+    std::size_t p = pos;
+    if (s[p] == '-') ++p;
+    if (p >= s.size() || s[p] < '0' || s[p] > '9') {
+      return fail_here("malformed number");
+    }
+    if (s[p] == '0') {
+      ++p;  // a leading zero must stand alone
+    } else {
+      while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
+    }
+    if (p < s.size() && s[p] == '.') {
+      ++p;
       if (p >= s.size() || s[p] < '0' || s[p] > '9') {
-        return fail_here("malformed number");
+        return fail_here("malformed number (digits required after '.')");
       }
-      if (s[p] == '0') {
-        ++p;  // a leading zero must stand alone
-      } else {
-        while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
-      }
-      if (p < s.size() && s[p] == '.') {
-        ++p;
-        if (p >= s.size() || s[p] < '0' || s[p] > '9') {
-          return fail_here("malformed number (digits required after '.')");
-        }
-        while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
-      }
-      if (p < s.size() && (s[p] == 'e' || s[p] == 'E')) {
-        ++p;
-        if (p < s.size() && (s[p] == '+' || s[p] == '-')) ++p;
-        if (p >= s.size() || s[p] < '0' || s[p] > '9') {
-          return fail_here("malformed number (digits required in exponent)");
-        }
-        while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
-      }
-      const std::string token = s.substr(pos, p - pos);
-      out->kind = Value::Kind::kNumber;
-      out->number = std::strtod(token.c_str(), nullptr);
-      pos = p;
-      return true;
+      while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
     }
-    return fail_here("unexpected character");
+    if (p < s.size() && (s[p] == 'e' || s[p] == 'E')) {
+      ++p;
+      if (p < s.size() && (s[p] == '+' || s[p] == '-')) ++p;
+      if (p >= s.size() || s[p] < '0' || s[p] > '9') {
+        return fail_here("malformed number (digits required in exponent)");
+      }
+      while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
+    }
+    pos = p;
+    return true;
   }
 
   /// Any JSON value, nested objects and arrays included (syntax only).
@@ -322,14 +282,8 @@ struct Parser {
     skip_ws();
     if (pos >= s.size()) return fail_here("expected value");
     const char open = s[pos];
-    if (open == '"') {
-      std::size_t start = 0;
-      return scan_string(&start);
-    }
-    if (open != '{' && open != '[') {
-      Value scalar;
-      return parse_value(&scalar);
-    }
+    if (open == '"') return scan_string();
+    if (open != '{' && open != '[') return scan_scalar();
     if (depth >= kMaxDepth) return fail_here("nesting too deep");
     const char close = open == '{' ? '}' : ']';
     ++pos;
@@ -341,8 +295,7 @@ struct Parser {
     while (true) {
       if (open == '{') {
         skip_ws();
-        std::size_t start = 0;
-        if (!scan_string(&start)) return false;
+        if (!scan_string()) return false;
         skip_ws();
         if (!expect(':')) return false;
       }
@@ -356,37 +309,6 @@ struct Parser {
     }
   }
 
-  /// The members of a flat object into *out (cursor anywhere before '{').
-  bool parse_members(Object* out) {
-    skip_ws();
-    if (!expect('{')) return false;
-    skip_ws();
-    if (pos < s.size() && s[pos] == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      if (out->count(key) != 0) {
-        fail(error, "duplicate key \"" + key + "\"");
-        return false;
-      }
-      skip_ws();
-      if (!expect(':')) return false;
-      Value value;
-      if (!parse_value(&value)) return false;
-      (*out)[key] = std::move(value);
-      skip_ws();
-      if (pos < s.size() && s[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      return expect('}');
-    }
-  }
-
   /// Only whitespace may follow the document.
   bool at_end() {
     skip_ws();
@@ -396,55 +318,9 @@ struct Parser {
 
 }  // namespace
 
-bool parse_object(const std::string& line, Object* out, std::string* error) {
-  out->clear();
-  Parser p{line, 0, error};
-  if (p.parse_members(out) && p.at_end()) return true;
-  out->clear();
-  return false;
-}
-
 bool well_formed(const std::string& text, std::string* error) {
   Parser p{text, 0, error};
   return p.scan_value(0) && p.at_end();
-}
-
-void LineFramer::feed(const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const char c = data[i];
-    if (c == '\n') {
-      if (skipping_oversized_) {
-        // The offending frame ends here; surface ONE marker and resync.
-        skipping_oversized_ = false;
-        ready_.push_back(Frame{std::string(), true});
-      } else {
-        if (!partial_.empty() && partial_.back() == '\r') partial_.pop_back();
-        ready_.push_back(Frame{std::move(partial_), false});
-      }
-      partial_.clear();
-      continue;
-    }
-    if (skipping_oversized_) continue;
-    partial_ += c;
-    if (max_line_bytes_ > 0 && partial_.size() > max_line_bytes_) {
-      // Stop buffering an attacker-controlled frame; drop what we held and
-      // discard the rest of the line as it arrives.
-      partial_.clear();
-      skipping_oversized_ = true;
-    }
-  }
-}
-
-bool LineFramer::next(Frame* out) {
-  if (ready_.empty()) return false;
-  *out = std::move(ready_.front());
-  ready_.pop_front();
-  return true;
-}
-
-void LineFramer::discard_partial() {
-  partial_.clear();
-  skipping_oversized_ = false;
 }
 
 }  // namespace olp::jsonl

@@ -103,15 +103,15 @@ struct HistogramStats {
 /// bucket 0 holds values <= 1e-3 (including zero and negatives), buckets
 /// 1..62 are base-2 geometric — bucket i covers (1e-3 * 2^(i-1),
 /// 1e-3 * 2^i] — and bucket 63 is the overflow. The layout spans ~1e-3 to
-/// ~4.6e15 in whatever unit the caller records (the service records
-/// milliseconds, contention sites record microseconds), so quantile
+/// ~4.6e15 in whatever unit the caller records (contention sites record
+/// microseconds, the pool its queue depth), so quantile
 /// estimates carry at most one-bucket (2x) relative error, refined by
 /// linear interpolation within the bucket and clamped to the exact
 /// observed [min, max]. Merging is bucket-wise addition, so shard merges
 /// commute and the merged histogram is independent of merge order.
 ///
 /// Not internally synchronized: callers hold their own lock (the registry
-/// keeps one per shard; ServiceStats aggregates under the service mutex).
+/// keeps one per shard).
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 64;
@@ -276,8 +276,8 @@ inline void counter_add(const char* name, long delta = 1) {
 }
 
 /// Records one sample of a named value distribution (exact percentiles,
-/// memory grows with the sample count — prefer histogram() for per-event
-/// latencies on long-lived processes).
+/// memory grows with the sample count — prefer histogram() for
+/// high-volume per-event samples such as lock waits).
 inline void record(const char* name, double value) {
   if (enabled()) Registry::global().record(name, value);
 }

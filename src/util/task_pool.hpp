@@ -21,7 +21,7 @@
 // then steal from a random victim slot, claiming one index at a time.
 // There is no global pool mutex on the claim path: each slot has its own
 // small mutex guarding only the batches advertised there, so claim traffic
-// from independent submitters (the batch service's concurrent jobs) never
+// from independent submitters (the batch runner's concurrent jobs) never
 // serializes on shared state. Within one batch claims are still handed out
 // strictly in index order — work stealing decides WHO runs an index, never
 // WHICH index runs next — which preserves both the ordered-reduction

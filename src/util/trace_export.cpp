@@ -23,8 +23,9 @@ std::string num(double v) {
   return buf;
 }
 
-}  // namespace
-
+/// One HistogramStats as a JSON object: count/sum/min/max, interpolated
+/// p50/p95/p99/p999, and the nonzero buckets as [index,count] pairs (see
+/// LatencyHistogram for the bucket layout).
 std::string histogram_json(const HistogramStats& h) {
   std::string out = "{";
   out += "\"count\":" + std::to_string(h.count);
@@ -45,12 +46,14 @@ std::string histogram_json(const HistogramStats& h) {
   return out;
 }
 
+}  // namespace
+
 std::string to_chrome_trace_json(const Snapshot& snapshot) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   out +=
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
       "\"args\":{\"name\":\"olp flow\"}}";
-  // Name every thread that registered one (pool/worker-N, service threads)
+  // Name every thread that registered one (pool/worker-N)
   // so the per-tid lanes below are readable in chrome://tracing / Perfetto.
   for (const auto& [tid, name] : snapshot.thread_names) {
     out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +

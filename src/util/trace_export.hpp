@@ -27,12 +27,6 @@ namespace olp::obs {
 /// valid JSON document, even for an empty snapshot.
 std::string to_chrome_trace_json(const Snapshot& snapshot);
 
-/// One HistogramStats as a JSON object: count/sum/min/max, interpolated
-/// p50/p95/p99/p999, and the nonzero buckets as [index,count] pairs (see
-/// LatencyHistogram for the bucket layout). Shared by FlowTelemetry JSON
-/// and the service's metrics op.
-std::string histogram_json(const HistogramStats& h);
-
 /// Aggregated wall-clock time of one flow stage (spans merged by name).
 struct StageTiming {
   std::string stage;      ///< span name, e.g. "selection"

@@ -5,7 +5,8 @@
 #   - the process still exits 0 (exhaustion degrades, never fails);
 #   - the run reports itself degraded ("Flow degraded: true");
 #   - the telemetry JSON is written, well-formed enough to grep, and marks
-#     the budget as exhausted.
+#     the budget as exhausted;
+#   - the Chrome trace is written and non-empty.
 #
 # Usage: OLP_FLOW_BIN=<path-to-ota_layout_flow> tests/run_budget_smoke.sh
 # (ctest sets OLP_FLOW_BIN; a default build-tree location is the fallback.)
@@ -50,6 +51,12 @@ grep -q '"exhausted":true' "${telemetry}" || {
 }
 grep -q '"tripped":"deadline"' "${telemetry}" || {
   echo "budget smoke: telemetry does not attribute the trip to the deadline" >&2
+  exit 1
+}
+
+trace="${tmp}/ota_flow.trace.json"
+[[ -s "${trace}" ]] || {
+  echo "budget smoke: Chrome trace missing or empty at ${trace}" >&2
   exit 1
 }
 

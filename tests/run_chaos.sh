@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Chaos smoke run: build the fault-injection tests, the JSON/JSONL layer
-# tests (the parser that accepts service bytes), and the transient and
+# Chaos smoke run: build the fault-injection tests, the netlist parser
+# tests (parse_netlist is the one parser of outside bytes; its suite fuzzes
+# it with mutated decks), the JSON layer tests, and the transient and
 # evaluator tests (TranOptions::stop_when is a callback holding references
 # into the caller's frame, copied into every attempt) under
 # AddressSanitizer + UBSan and execute them.
@@ -35,13 +36,15 @@ cmake -B "${build_dir}" -S "${src_dir}" \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
-  --target test_chaos test_failure_injection test_util \
+  --target test_chaos test_failure_injection test_parser test_util \
   test_simulator_tran test_evaluator > /dev/null
 
 echo "== chaos tests (ASan+UBSan) =="
 "${build_dir}/tests/test_chaos"
 echo "== failure-injection tests (ASan+UBSan) =="
 "${build_dir}/tests/test_failure_injection"
+echo "== netlist parser tests + mutation fuzz (ASan+UBSan) =="
+"${build_dir}/tests/test_parser"
 echo "== util + JSON layer tests (ASan+UBSan) =="
 "${build_dir}/tests/test_util"
 echo "== transient + evaluator tests (ASan+UBSan) =="

@@ -39,7 +39,7 @@ cmake -S "${src_dir}" -B "${build_dir}" \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build "${build_dir}" --target ota_layout_flow batch_flows \
-  olp_serviced eval_cache_stress -j "$(nproc)" > /dev/null
+  eval_cache_stress -j "$(nproc)" > /dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "${probe}" "${tmp}"' EXIT
@@ -59,9 +59,8 @@ SUPP
 tsan_opts="halt_on_error=1 suppressions=${supp}"
 
 # The eval-cache stress: 8 lock-free readers against 2 snapshot-publishing
-# writers, plus the bounded-capacity phase where CLOCK eviction retires
-# entries while readers still hold older snapshots. Built gtest-free
-# precisely so it can run here (this tree has no GTest).
+# writers. Built gtest-free precisely so it can run here (this tree has no
+# GTest).
 stress_out="${tmp}/stress_stdout.txt"
 TSAN_OPTIONS="${tsan_opts}" \
   "${build_dir}/eval_cache_stress" > "${stress_out}" 2>&1
@@ -103,7 +102,7 @@ if grep -q "ThreadSanitizer" "${nego_out}"; then
   exit 1
 fi
 
-# The batch service: 7 jobs racing across 8 workers through the shared
+# The batch runner: 7 jobs racing across 8 workers through the shared
 # pool, the scope-sharded cross-job cache, and per-job budget handles.
 # OLP_BATCH_CLAMP=0 defeats the oversubscription guard so even a small
 # machine runs 8 real threads — the interleavings are the point here.
@@ -116,98 +115,6 @@ echo "tsan smoke: sanitized batch exited 0 at 8 workers with cache sharing"
 if grep -q "ThreadSanitizer" "${batch_out}"; then
   echo "tsan smoke: ThreadSanitizer reported a race in the batch" >&2
   cat "${batch_out}" >&2
-  exit 1
-fi
-
-# The resident service: a JSONL session with 4 workers racing over the
-# admission queue, the shared pool, the cache pool, a snapshot save under
-# load, and the graceful EOF drain (which joins every worker). Closing
-# stdin after the burst is the drain trigger.
-service_out="${tmp}/service_stdout.txt"
-OLP_SERVICE_WORKERS=4 OLP_SERVICE_SNAPSHOT="${tmp}/tsan_cache.snap" \
-  OLP_SERVICE_SNAPSHOT_EVERY=0 TSAN_OPTIONS="${tsan_opts}" \
-  "${build_dir}/examples/olp_serviced" > "${service_out}" 2>&1 <<'EOF'
-{"op":"ping"}
-{"op":"submit","id":"s0","client":"a","circuit":"vco","mode":"conventional","seed":1}
-{"op":"submit","id":"s1","client":"b","circuit":"vco","mode":"conventional","seed":2}
-{"op":"submit","id":"s2","client":"c","circuit":"vco","mode":"conventional","seed":3}
-{"op":"submit","id":"s3","client":"a","circuit":"ota5t","mode":"conventional","seed":4}
-{"op":"submit","id":"s4","client":"b","circuit":"strongarm","mode":"conventional","seed":5}
-{"op":"submit","id":"s5","client":"c","circuit":"vco","mode":"conventional","seed":6}
-{"op":"submit","id":"s6","client":"a","circuit":"vco","mode":"conventional","seed":7}
-{"op":"submit","id":"s7","client":"b","circuit":"ota5t","mode":"conventional","seed":8}
-{"op":"snapshot"}
-{"op":"submit","id":"s8","client":"c","circuit":"vco","mode":"conventional","seed":9}
-{"op":"submit","id":"s9","client":"a","circuit":"strongarm","mode":"conventional","seed":10}
-{"op":"stats"}
-EOF
-echo "tsan smoke: sanitized service drained 10 jobs across 4 workers"
-
-if grep -q "ThreadSanitizer" "${service_out}"; then
-  echo "tsan smoke: ThreadSanitizer reported a race in the service" >&2
-  cat "${service_out}" >&2
-  exit 1
-fi
-
-# The network transport: three concurrent TCP clients race keyed submits
-# through the poll supervisor while stdin stays open — connection emits vs.
-# worker threads, journal appends under the accept path, a SIGHUP reload
-# against live traffic, and the cross-thread drain at the end.
-tcp_out="${tmp}/tcp_stdout.txt"
-mkfifo "${tmp}/tcp_in"
-OLP_SERVICE_WORKERS=4 OLP_SERVICE_TCP=0 \
-  OLP_SERVICE_JOURNAL="${tmp}/tsan_requests.journal" \
-  OLP_SERVICE_SNAPSHOT_EVERY=0 TSAN_OPTIONS="${tsan_opts}" \
-  "${build_dir}/examples/olp_serviced" < "${tmp}/tcp_in" > "${tcp_out}" 2>&1 &
-service_pid=$!
-exec 3> "${tmp}/tcp_in"
-
-deadline=$((SECONDS + 120))
-port=""
-while [[ -z "${port}" ]]; do
-  if ((SECONDS >= deadline)); then
-    echo "tsan smoke: sanitized service never announced a TCP port" >&2
-    cat "${tcp_out}" >&2
-    exit 1
-  fi
-  port="$(sed -n 's/.*"transport":"tcp","port":\([0-9][0-9]*\).*/\1/p' \
-    "${tcp_out}" 2>/dev/null | head -n1)"
-  [[ -n "${port}" ]] || sleep 0.2
-done
-
-tcp_client() {
-  local name=$1 seed=$2 i got=0 line
-  exec 9<>"/dev/tcp/127.0.0.1/${port}"
-  for i in 0 1 2; do
-    printf '{"op":"submit","id":"%s-%s","client":"%s","circuit":"vco","mode":"conventional","seed":%s,"key":"%s-%s"}\n' \
-      "${name}" "${i}" "${name}" "$((seed + i))" "${name}" "${i}" >&9
-  done
-  while ((got < 3)) && read -r -t 300 -u 9 line; do
-    case "${line}" in
-      *'"event":"done"'* | *'"event":"duplicate"'*) got=$((got + 1)) ;;
-    esac
-  done
-  exec 9>&-
-}
-tcp_client ta 100 & c1=$!
-tcp_client tb 200 & c2=$!
-tcp_client tc 300 & c3=$!
-kill -HUP "${service_pid}"  # reload races the in-flight traffic
-wait "${c1}" "${c2}" "${c3}"
-echo '{"op":"drain"}' >&3
-exec 3>&-
-rc=0
-wait "${service_pid}" || rc=$?
-if [[ "${rc}" -ne 0 ]]; then
-  echo "tsan smoke: sanitized service exited ${rc} after the TCP session" >&2
-  cat "${tcp_out}" >&2
-  exit 1
-fi
-echo "tsan smoke: sanitized transport served 3 concurrent clients cleanly"
-
-if grep -q "ThreadSanitizer" "${tcp_out}"; then
-  echo "tsan smoke: ThreadSanitizer reported a race in the transport" >&2
-  cat "${tcp_out}" >&2
   exit 1
 fi
 

@@ -1,4 +1,4 @@
-// Batch flow service tests: the multi-job scheduler must be a pure
+// Batch flow runner tests: the multi-job scheduler must be a pure
 // throughput optimization — every job's report byte-identical to running
 // that job alone on the serial uncached path (tests/flow_golden.hpp does the
 // comparison), with per-job budget/cancel isolation and observable cross-job
@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "flow_golden.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
+#include "util/task_pool.hpp"
 
 namespace olp::circuits {
 namespace {
@@ -33,6 +35,7 @@ class BatchFlow : public ::testing::Test {
     // Batch plumbing and goldens are both configured explicitly here; a
     // stray value from the calling shell must not redefine either.
     unsetenv("OLP_THREADS");
+    unsetenv("OLP_BATCH_CLAMP");
     unsetenv("OLP_EVAL_CACHE");
     unsetenv("OLP_DEADLINE_MS");
     unsetenv("OLP_TESTBENCH_BUDGET");
@@ -216,7 +219,7 @@ TEST_F(BatchFlow, ReportCarriesJobIdentityAndExports) {
   EXPECT_EQ(batch.jobs[1].name, "job1");
   EXPECT_EQ(batch.find("ota/opt/s1"), &batch.jobs[0]);
   EXPECT_EQ(batch.find("nope"), nullptr);
-  EXPECT_EQ(batch.workers, 2);
+  EXPECT_EQ(batch.workers, std::min(2, resolve_num_threads(0)));
   EXPECT_GT(batch.wall_s, 0.0);
 
   const std::string text = batch.to_jsonl();
@@ -236,6 +239,25 @@ TEST_F(BatchFlow, ReportCarriesJobIdentityAndExports) {
   EXPECT_NE(text.find("\"job\":\"ota/opt/s1\""), std::string::npos);
   EXPECT_NE(text.find("\"batch\":"), std::string::npos);
   EXPECT_FALSE(batch.summary_table().empty());
+}
+
+// The report names the threads the pool actually ran: with the
+// oversubscription clamp on, a request above the core count reports the
+// core count.
+TEST_F(BatchFlow, ClampedReportNamesThePoolSize) {
+  BatchOptions bopt;
+  bopt.workers = resolve_num_threads(0) + 4;
+  const BatchReport batch = BatchRunner(t(), bopt).run({});
+  EXPECT_EQ(batch.workers, resolve_num_threads(0));
+}
+
+// With the clamp off the pool runs every requested thread.
+TEST_F(BatchFlow, UnclampedReportKeepsRequestedWorkers) {
+  BatchOptions bopt;
+  bopt.workers = resolve_num_threads(0) + 4;
+  bopt.clamp_workers = false;
+  const BatchReport batch = BatchRunner(t(), bopt).run({});
+  EXPECT_EQ(batch.workers, resolve_num_threads(0) + 4);
 }
 
 // A throwing job is recorded as failed with its message; siblings complete.

@@ -150,6 +150,12 @@ TEST(Budget, EnvOverridesParseStrictly) {
   opt = budget_options_from_env(base);
   EXPECT_DOUBLE_EQ(opt.deadline_s, 1.5);
   EXPECT_EQ(opt.max_testbenches, 3);
+  // Counts that are not finite or do not fit in long are malformed too.
+  for (const char* out_of_range : {"1e30", "inf", "nan"}) {
+    setenv("OLP_TESTBENCH_BUDGET", out_of_range, 1);
+    EXPECT_EQ(budget_options_from_env(base).max_testbenches, 3)
+        << out_of_range;
+  }
   clear_budget_env();
   opt = budget_options_from_env();
   EXPECT_FALSE(opt.limited());

@@ -8,11 +8,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
-#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -223,9 +219,41 @@ TEST(EvalCache, FullKeyEqualityMakesShardCollisionsBenign) {
   }
   MetricValues v;
   EXPECT_FALSE(cache.lookup("key200", &v));
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.stats().hits, 0);
+}
+
+TEST(EvalCacheBounded, UnboundedDefaultNeverEvicts) {
+  // The cache has no capacity bound: every insert stays resident with its
+  // own value.
+  EvalCache cache(4);
+  for (int i = 0; i < 1000; ++i) {
+    MetricValues v;
+    v[MetricKind::kGain] = static_cast<double>(i);
+    cache.insert("key" + std::to_string(i), v);
+  }
+  EXPECT_EQ(cache.stats().entries, 1000);
+  for (int i = 0; i < 1000; ++i) {
+    MetricValues v;
+    ASSERT_TRUE(cache.lookup("key" + std::to_string(i), &v)) << i;
+    EXPECT_EQ(v.at(MetricKind::kGain), static_cast<double>(i)) << i;
+  }
+  EXPECT_EQ(cache.stats().hits, 1000);
+  EXPECT_EQ(cache.stats().misses, 0);
+}
+
+TEST(EvalCacheSnapshot, LiveEntriesWinOverRestore) {
+  // A later write of a key already in the cache neither replaces the live
+  // value nor takes over its owner.
+  EvalCache cache(2);
+  MetricValues live, late;
+  live[MetricKind::kGain] = 2.0;
+  late[MetricKind::kGain] = 1.0;
+  cache.insert("shared", live, /*client=*/7);
+  cache.insert("shared", late, /*client=*/3);
+  EXPECT_EQ(cache.stats().entries, 1);
+  MetricValues got;
+  ASSERT_TRUE(cache.lookup("shared", &got, /*client=*/3));
+  EXPECT_EQ(got.at(MetricKind::kGain), 2.0);  // first writer (live) wins
+  EXPECT_EQ(cache.stats().cross_client_hits, 1);  // owner is still 7
 }
 
 TEST(EvalCache, SharedAcrossPoolWorkers) {
@@ -260,236 +288,6 @@ TEST(EvalCache, SharedAcrossPoolWorkers) {
           << i << "/" << metric_name(a->first);
     }
   }
-}
-
-
-// --- capacity bound + eviction ----------------------------------------------
-
-MetricValues one_metric(double v) {
-  MetricValues m;
-  m[MetricKind::kGain] = v;
-  return m;
-}
-
-TEST(EvalCacheBounded, CapacityEnforcedWithClockEviction) {
-  EvalCacheOptions opt;
-  opt.shards = 1;  // one shard makes the capacity math exact
-  opt.max_entries = 4;
-  EvalCache cache(opt);
-  for (int i = 0; i < 10; ++i) {
-    cache.insert("key" + std::to_string(i), one_metric(i));
-  }
-  const EvalCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 4);
-  EXPECT_EQ(s.evictions, 6);
-  EXPECT_EQ(s.capacity, 4);
-}
-
-TEST(EvalCacheBounded, SecondChanceKeepsRecentlyHitEntries) {
-  EvalCacheOptions opt;
-  opt.shards = 1;
-  opt.max_entries = 4;
-  EvalCache cache(opt);
-  for (int i = 0; i < 4; ++i) {
-    cache.insert("key" + std::to_string(i), one_metric(i));
-  }
-  // Touch key2: its referenced bit grants one extra lap over the cold keys.
-  EXPECT_TRUE(cache.lookup("key2", nullptr));
-  for (int i = 4; i < 7; ++i) {
-    cache.insert("key" + std::to_string(i), one_metric(i));
-  }
-  EXPECT_TRUE(cache.lookup("key2", nullptr));
-  EXPECT_EQ(cache.stats().entries, 4);
-}
-
-TEST(EvalCacheBounded, UnboundedDefaultNeverEvicts) {
-  EvalCache cache(4);  // 4 shards, no bound
-  for (int i = 0; i < 1000; ++i) {
-    cache.insert("key" + std::to_string(i), one_metric(i));
-  }
-  const EvalCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 1000);
-  EXPECT_EQ(s.evictions, 0);
-  EXPECT_EQ(s.capacity, 0);
-}
-
-// --- serialize / restore ----------------------------------------------------
-
-TEST(EvalCacheSnapshot, SerializeRestoreIsBitIdentical) {
-  EvalCache cache(4);
-  // Values chosen to stress bit-exactness: denormal, negative zero, huge.
-  const double values[] = {1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308};
-  for (int i = 0; i < 4; ++i) {
-    cache.insert("key" + std::to_string(i), one_metric(values[i]), i);
-  }
-  const std::string payload = cache.serialize_entries();
-
-  EvalCache restored(8);  // different shard count must not matter
-  ASSERT_TRUE(restored.restore_entries(payload));
-  EXPECT_EQ(restored.stats().entries, 4);
-  for (int i = 0; i < 4; ++i) {
-    MetricValues got;
-    ASSERT_TRUE(restored.lookup("key" + std::to_string(i), &got));
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(std::memcmp(&got[MetricKind::kGain], &values[i],
-                          sizeof(double)),
-              0)
-        << i;
-  }
-  // Hits on restored entries are attributed as such (warm-start evidence),
-  // and never as cross-client (restored owner is -1).
-  const EvalCacheStats s = restored.stats();
-  EXPECT_EQ(s.restored_hits, 4);
-  EXPECT_EQ(s.cross_client_hits, 0);
-}
-
-TEST(EvalCacheSnapshot, RestoreRejectsTruncatedPayloadAtomically) {
-  EvalCache cache(2);
-  for (int i = 0; i < 8; ++i) {
-    cache.insert("key" + std::to_string(i), one_metric(i));
-  }
-  const std::string payload = cache.serialize_entries();
-  for (const std::size_t cut :
-       {payload.size() / 2, payload.size() - 1, std::size_t{3}}) {
-    EvalCache fresh(2);
-    std::string error;
-    EXPECT_FALSE(fresh.restore_entries(payload.substr(0, cut), &error));
-    EXPECT_FALSE(error.empty());
-    // All-or-nothing: a bad payload restores NO entries.
-    EXPECT_EQ(fresh.stats().entries, 0);
-  }
-}
-
-TEST(EvalCacheSnapshot, LiveEntriesWinOverRestore) {
-  EvalCache donor(2);
-  donor.insert("shared", one_metric(1.0));
-  const std::string payload = donor.serialize_entries();
-
-  EvalCache cache(2);
-  cache.insert("shared", one_metric(2.0), 7);
-  ASSERT_TRUE(cache.restore_entries(payload));
-  MetricValues got;
-  ASSERT_TRUE(cache.lookup("shared", &got));
-  EXPECT_EQ(got[MetricKind::kGain], 2.0);  // first writer (live) wins
-  EXPECT_EQ(cache.stats().restored_hits, 0);
-}
-
-TEST(EvalCacheSnapshot, FileRoundTripAcrossScopes) {
-  const std::string path =
-      testing::TempDir() + "olp_eval_cache_snapshot_test.bin";
-  std::remove(path.c_str());
-
-  EvalCache a(2), b(2);
-  a.insert("ka", one_metric(1.5));
-  b.insert("kb1", one_metric(2.5));
-  b.insert("kb2", one_metric(3.5));
-  std::map<std::string, const EvalCache*> caches;
-  caches["scopeA"] = &a;
-  caches["scopeB"] = &b;
-  std::string error;
-  ASSERT_TRUE(save_cache_snapshot(path, caches, &error)) << error;
-
-  std::map<std::string, std::string> payloads;
-  ASSERT_TRUE(load_cache_snapshot(path, &payloads, &error)) << error;
-  ASSERT_EQ(payloads.size(), 2u);
-  EvalCache ra(2), rb(2);
-  ASSERT_TRUE(ra.restore_entries(payloads.at("scopeA")));
-  ASSERT_TRUE(rb.restore_entries(payloads.at("scopeB")));
-  EXPECT_EQ(ra.stats().entries, 1);
-  EXPECT_EQ(rb.stats().entries, 2);
-  EXPECT_TRUE(ra.lookup("ka", nullptr));
-  EXPECT_TRUE(rb.lookup("kb2", nullptr));
-  std::remove(path.c_str());
-}
-
-TEST(EvalCacheSnapshot, CorruptOrMissingFileFailsCleanly) {
-  const std::string path =
-      testing::TempDir() + "olp_eval_cache_corrupt_test.bin";
-  std::remove(path.c_str());
-  std::map<std::string, std::string> payloads;
-  std::string error;
-
-  // Missing file.
-  EXPECT_FALSE(load_cache_snapshot(path, &payloads, &error));
-  EXPECT_FALSE(error.empty());
-
-  // Valid snapshot, then flip one body byte: checksum must catch it.
-  EvalCache cache(2);
-  cache.insert("key", one_metric(42.0));
-  std::map<std::string, const EvalCache*> caches;
-  caches["scope"] = &cache;
-  ASSERT_TRUE(save_cache_snapshot(path, caches, &error)) << error;
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(12);
-    char byte = 0;
-    f.seekg(12);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(12);
-    f.write(&byte, 1);
-  }
-  EXPECT_FALSE(load_cache_snapshot(path, &payloads, &error));
-  EXPECT_TRUE(payloads.empty());
-
-  // Truncated file.
-  ASSERT_TRUE(save_cache_snapshot(path, caches, &error)) << error;
-  std::string full;
-  {
-    std::ifstream in(path, std::ios::binary);
-    full.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(full.data(), static_cast<std::streamsize>(full.size() / 2));
-  }
-  EXPECT_FALSE(load_cache_snapshot(path, &payloads, &error));
-  EXPECT_TRUE(payloads.empty());
-
-  // Bad magic.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "definitely not a snapshot";
-  }
-  EXPECT_FALSE(load_cache_snapshot(path, &payloads, &error));
-  EXPECT_TRUE(payloads.empty());
-  std::remove(path.c_str());
-}
-
-TEST(EvalCacheSnapshot, InjectedIoFaultFailsSaveAndLoad) {
-  const std::string path = testing::TempDir() + "olp_eval_cache_fault.bin";
-  std::remove(path.c_str());
-  EvalCache cache(2);
-  cache.insert("key", one_metric(1.0));
-  std::map<std::string, const EvalCache*> caches;
-  caches["scope"] = &cache;
-
-  FaultConfig config;
-  config.snapshot_io_rate = 1.0;
-  {
-    ScopedFaultInjection chaos(config);
-    std::string error;
-    EXPECT_FALSE(save_cache_snapshot(path, caches, &error));
-    EXPECT_NE(error.find("injected"), std::string::npos);
-    EXPECT_EQ(FaultInjector::global().fired(FaultSite::kSnapshotIo), 1);
-  }
-  // The injected save failure left no file behind.
-  std::ifstream probe(path);
-  EXPECT_FALSE(probe.good());
-
-  std::string error;
-  ASSERT_TRUE(save_cache_snapshot(path, caches, &error)) << error;
-  {
-    ScopedFaultInjection chaos(config);
-    std::map<std::string, std::string> payloads;
-    EXPECT_FALSE(load_cache_snapshot(path, &payloads, &error));
-    EXPECT_NE(error.find("injected"), std::string::npos);
-  }
-  // Injection off: the file itself is intact.
-  std::map<std::string, std::string> payloads;
-  EXPECT_TRUE(load_cache_snapshot(path, &payloads, &error)) << error;
-  std::remove(path.c_str());
 }
 
 TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {

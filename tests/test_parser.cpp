@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "spice/parser.hpp"
+#include "spice/writer.hpp"
+#include "util/rng.hpp"
 
 namespace olp::spice {
 namespace {
@@ -180,6 +185,111 @@ TEST(Parser, DotEndStopsParsing) {
 
 TEST(Parser, NegativeResistanceRejected) {
   EXPECT_THROW(parse_netlist("R1 a 0 -5\n"), InvalidArgumentError);
+}
+
+/// The decks the cases above parse or reject: the fuzz corpus.
+const std::vector<std::string> kDecks = {
+    "\n* simple divider\nV1 in 0 DC 1.0\nR1 in mid 1k\nR2 mid 0 1k\n.end\n",
+    "C1 a 0 10f ic=0.5\n",
+    "Vclk clk 0 PULSE(0 0.8 1n 0.02n 0.02n 0.5n 1n)\n",
+    "vs a 0 SIN(0.4 0.1 1g 2n)\n",
+    "V1 in 0 DC 0.5 AC 1.0 90\n",
+    "I1 a 0 PWL(0 0 1n 1u 2n 0)\n",
+    "V1 a 0 0.8\n",
+    "\nE1 out 0 inp inn 10\nG1 out 0 inp inn 2m\n",
+    ".model nfet nmos vth0=0.3 kp=400u\n"
+    "M1 d g s 0 nfet w=2u l=14n as=0.1p ad=0.1p dvth=5m mob=0.98\n",
+    ".model pfet pmos vth0=0.25\nM1 d g s b pfet w=1u l=14n\n",
+    "Vclk clk 0 PULSE(0 0.8\n+ 1n 0.02n 0.02n\n+ 0.5n 1n)\n",
+    "\n* header comment\nR1 a b 1k ; trailing comment\n\n"
+    "* another\nR2 b 0 2k\n",
+    ".ic v(osc)=0.8\nR1 osc 0 1k\n",
+    "R1 a gnd 1k\nR2 a 0 1k\n",
+    "R1 a 0 1k\n.end\nR2 b 0 2k\n",
+    "M1 d g s 0 nosuch w=1u l=14n\n",
+    "X1 a b c\n",
+    ".tran 1n 10n\n",
+    "R1 a b 1k\nR2 a\n",
+    "R1 a 0 -5\n",
+};
+
+/// Applies one random byte flip, insert, delete or splice. New bytes come
+/// from the corpus half the time (the dialect's own alphabet), otherwise
+/// from the whole byte range; a splice joins this deck's head to the tail
+/// of a random corpus deck.
+void mutate(Rng& rng, std::string& s) {
+  const auto pick = [&](const std::string& from, int past_end) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(from.size()) - 1 + past_end));
+  };
+  const auto any_deck = [&]() -> const std::string& {
+    return kDecks[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(kDecks.size()) - 1))];
+  };
+  const auto any_byte = [&] {
+    if (rng.chance(0.5)) return static_cast<char>(rng.uniform_int(0, 255));
+    const std::string& deck = any_deck();
+    return deck[pick(deck, 0)];
+  };
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      if (!s.empty()) s[pick(s, 0)] = any_byte();
+      break;
+    case 1:
+      s.insert(pick(s, 1), 1, any_byte());
+      break;
+    case 2:
+      if (!s.empty()) s.erase(pick(s, 0), 1);
+      break;
+    default: {
+      const std::string& other = any_deck();
+      s = s.substr(0, pick(s, 1)) + other.substr(pick(other, 1));
+      break;
+    }
+  }
+}
+
+/// Models, element counts per kind and initial conditions of a circuit.
+std::vector<std::size_t> shape(const Circuit& c) {
+  return {c.models().size(),   c.resistors().size(),
+          c.capacitors().size(), c.vsources().size(),
+          c.isources().size(), c.vcvs().size(),
+          c.vccs().size(),     c.mosfets().size(),
+          c.initial_conditions().size()};
+}
+
+TEST(Parser, MutatedDecksParseOrThrowAndRoundTrip) {
+  // Every mutant either parses or is rejected with an olp::Error — never a
+  // crash, a foreign exception or (under the sanitizer build) UB — and
+  // every accepted deck survives write_netlist -> parse_netlist with the
+  // same elements. Only counts are compared: .ic lines follow node
+  // creation order, which re-parsing changes, so the text may differ.
+  Rng rng(2021);
+  long accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string deck = kDecks[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(kDecks.size()) - 1))];
+    for (int m = rng.uniform_int(1, 4); m > 0; --m) mutate(rng, deck);
+    Circuit c;
+    try {
+      c = parse_netlist(deck);
+    } catch (const Error&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-olp exception " << e.what() << " for:\n" << deck;
+      continue;
+    }
+    ++accepted;
+    const std::string written = write_netlist(c);
+    try {
+      EXPECT_EQ(shape(parse_netlist(written)), shape(c)) << written;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "written deck does not parse again: " << e.what()
+                    << "\nmutant:\n" << deck << "\nwritten:\n" << written;
+    }
+  }
+  // Enough mutants must survive to exercise the accept path too.
+  EXPECT_GT(accepted, 1000);
 }
 
 }  // namespace
