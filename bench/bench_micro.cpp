@@ -219,8 +219,7 @@ void BM_GlobalRoute(benchmark::State& state) {
         pins.push_back(geom::Point{geom::to_nm(rng.uniform(0, 20e-6)),
                                    geom::to_nm(rng.uniform(0, 20e-6))});
       }
-      const route::NetRoute nr =
-          router.route("n" + std::to_string(n), pins, {});
+      const route::NetRoute nr = router.route("n" + std::to_string(n), pins);
       benchmark::DoNotOptimize(nr.segments.size());
     }
   }

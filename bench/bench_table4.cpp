@@ -16,108 +16,25 @@
 #include "util/logging.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace olp;
-
-/// Builds the paper's reference route: 2 um on metal 3 plus a 2-cut stack.
-route::NetRoute reference_route() {
-  route::NetRoute nr;
-  nr.net = "ref";
-  nr.routed = true;
-  nr.vias = 2;
-  route::RouteSegment seg;
-  seg.layer = tech::Layer::kM3;
-  seg.a = geom::Point{0, 0};
-  seg.b = geom::Point{geom::to_nm(2e-6), 0};
-  nr.segments.push_back(seg);
-  return nr;
-}
-
-}  // namespace
 
 int main() {
   set_log_level(log_level_from_env("OLP_LOG_LEVEL", LogLevel::kError));
   const tech::Technology t = tech::make_default_finfet_tech();
-  const pcell::PrimitiveGenerator generator(t);
-  constexpr int kSweep = 7;
-
   TextTable table(
       "Table IV: DP and passive CM cost during primitive port optimization\n"
       "(2 um metal-3 routes at the ports; paper: DP interval [3,5], CM\n"
       " monotone with unbounded upper limit)");
   table.set_header({"# wires", "DP dGm", "DP dGm/Ctot", "DP cost", "CM dRatio",
                     "CM dCout", "CM cost"});
-
-  // --- Differential pair with the drain routes swept.
-  const pcell::PrimitiveNetlist dp = pcell::make_diff_pair();
-  core::BiasContext dp_bias;
-  dp_bias.vdd = t.vdd;
-  dp_bias.bias_current = 706e-6;
-  dp_bias.port_voltage = {
-      {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
-  dp_bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
-  const core::PrimitiveEvaluator dp_eval(t, circuits::default_nmos(),
-                                         circuits::default_pmos(), dp_bias);
-  const core::PrimitiveOptimizer dp_opt(generator, dp_eval);
-  core::OptimizerOptions oopt;
-  oopt.bins = 3;
-  const std::vector<core::LayoutCandidate> dp_cands =
-      dp_opt.optimize(dp, 960, oopt);
-  const core::LayoutCandidate& dp_best = dp_cands.front();
-  const core::MetricValues dp_ref = dp_opt.schematic_reference(dp, 960);
-
-  // --- Passive current mirror with the output route swept.
-  const pcell::PrimitiveNetlist cm = pcell::make_current_mirror(1);
-  core::BiasContext cm_bias;
-  cm_bias.vdd = t.vdd;
-  cm_bias.bias_current = 706e-6;
-  cm_bias.port_voltage = {{"out", 0.4}, {"s", 0.0}};
-  cm_bias.port_load_cap = {{"out", 20e-15}};
-  const core::PrimitiveEvaluator cm_eval(t, circuits::default_nmos(),
-                                         circuits::default_pmos(), cm_bias);
-  const core::PrimitiveOptimizer cm_opt(generator, cm_eval);
-  const std::vector<core::LayoutCandidate> cm_cands =
-      cm_opt.optimize(cm, 512, oopt);
-  const core::LayoutCandidate& cm_best = cm_cands.front();
-  const core::MetricValues cm_ref = cm_opt.schematic_reference(cm, 512);
-
-  const route::NetRoute route = reference_route();
   std::vector<double> dp_curve, cm_curve;
-  for (int w = 1; w <= kSweep; ++w) {
-    const extract::WireRc rc = core::route_wire_rc(t, route, w);
-
-    core::EvalCondition dc;
-    dc.tuning = dp_best.tuning;
-    dc.port_wires["da"] = rc;  // mirrored to db (symmetric routes)
-    const core::MetricValues dv = dp_eval.evaluate(dp_best.layout, dc);
-    const core::CostBreakdown dcb = core::compute_cost(
-        core::metric_library(dp.type).metrics, dp_ref, dv,
-        0.1 * dp_eval.random_offset_sigma(dp_best.layout));
-
-    core::EvalCondition cc;
-    cc.tuning = cm_best.tuning;
-    cc.port_wires["out"] = rc;
-    const core::MetricValues cv = cm_eval.evaluate(cm_best.layout, cc);
-    const core::CostBreakdown ccb = core::compute_cost(
-        core::metric_library(cm.type).metrics, cm_ref, cv,
-        0.1 * cm_eval.random_offset_sigma(cm_best.layout));
-
-    auto term = [](const core::CostBreakdown& cb, core::MetricKind kind) {
-      for (const core::MetricDeviation& t2 : cb.terms) {
-        if (t2.spec.kind == kind) return t2.deviation;
-      }
-      return 0.0;
-    };
-    table.add_row({std::to_string(w),
-                   pct(term(dcb, core::MetricKind::kGm)),
-                   pct(term(dcb, core::MetricKind::kGmOverCtotal)),
-                   fixed(dcb.total, 2),
-                   pct(term(ccb, core::MetricKind::kCurrentRatio)),
-                   pct(term(ccb, core::MetricKind::kCout)),
-                   fixed(ccb.total, 2)});
-    dp_curve.push_back(dcb.total);
-    cm_curve.push_back(ccb.total);
+  for (const circuits::PortSweepRow& row : circuits::run_port_sweep(t)) {
+    table.add_row({std::to_string(row.wires), pct(row.dp_gm),
+                   pct(row.dp_gm_over_ctotal), fixed(row.dp_cost, 2),
+                   pct(row.cm_current_ratio), pct(row.cm_cout),
+                   fixed(row.cm_cost, 2)});
+    dp_curve.push_back(row.dp_cost);
+    cm_curve.push_back(row.cm_cost);
   }
   std::cout << table;
   std::cout << "\nDP interval "

@@ -1,6 +1,8 @@
 #include "circuits/experiments.hpp"
 
+#include "core/cost.hpp"
 #include "core/port_optimizer.hpp"
+#include "pcell/generator.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -165,6 +167,86 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
   primitive_metrics(options.max_port_wires, "wide");
   primitive_metrics(0, "optimized");
   return ex;
+}
+
+std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
+  constexpr int kMaxWires = 7;
+  const pcell::PrimitiveGenerator generator(t);
+  core::OptimizerOptions oopt;
+  oopt.bins = 3;
+
+  // Differential pair with the drain routes swept.
+  const pcell::PrimitiveNetlist dp = pcell::make_diff_pair();
+  core::BiasContext dp_bias;
+  dp_bias.vdd = t.vdd;
+  dp_bias.bias_current = 706e-6;
+  dp_bias.port_voltage = {
+      {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
+  dp_bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
+  const core::PrimitiveEvaluator dp_eval(t, default_nmos(), default_pmos(),
+                                         dp_bias);
+  const core::PrimitiveOptimizer dp_opt(generator, dp_eval);
+  const core::LayoutCandidate dp_best = dp_opt.optimize(dp, 960, oopt).front();
+  const core::MetricValues dp_ref = dp_opt.schematic_reference(dp, 960);
+
+  // Passive current mirror with the output route swept.
+  const pcell::PrimitiveNetlist cm = pcell::make_current_mirror(1);
+  core::BiasContext cm_bias;
+  cm_bias.vdd = t.vdd;
+  cm_bias.bias_current = 706e-6;
+  cm_bias.port_voltage = {{"out", 0.4}, {"s", 0.0}};
+  cm_bias.port_load_cap = {{"out", 20e-15}};
+  const core::PrimitiveEvaluator cm_eval(t, default_nmos(), default_pmos(),
+                                         cm_bias);
+  const core::PrimitiveOptimizer cm_opt(generator, cm_eval);
+  const core::LayoutCandidate cm_best = cm_opt.optimize(cm, 512, oopt).front();
+  const core::MetricValues cm_ref = cm_opt.schematic_reference(cm, 512);
+
+  // The paper's reference route: 2 um on metal 3 plus a 2-cut stack.
+  route::NetRoute route;
+  route.net = "ref";
+  route.routed = true;
+  route.vias = 2;
+  route.segments.push_back(route::RouteSegment{
+      tech::Layer::kM3, geom::Point{0, 0}, geom::Point{geom::to_nm(2e-6), 0}});
+
+  const auto term = [](const core::CostBreakdown& cb, core::MetricKind kind) {
+    for (const core::MetricDeviation& d : cb.terms) {
+      if (d.spec.kind == kind) return d.deviation;
+    }
+    return 0.0;
+  };
+  std::vector<PortSweepRow> rows;
+  for (int w = 1; w <= kMaxWires; ++w) {
+    const extract::WireRc rc = core::route_wire_rc(t, route, w);
+
+    core::EvalCondition dc;
+    dc.tuning = dp_best.tuning;
+    dc.port_wires["da"] = rc;  // mirrored to db (symmetric routes)
+    const core::CostBreakdown dcb = core::compute_cost(
+        core::metric_library(dp.type).metrics, dp_ref,
+        dp_eval.evaluate(dp_best.layout, dc),
+        0.1 * dp_eval.random_offset_sigma(dp_best.layout));
+
+    core::EvalCondition cc;
+    cc.tuning = cm_best.tuning;
+    cc.port_wires["out"] = rc;
+    const core::CostBreakdown ccb = core::compute_cost(
+        core::metric_library(cm.type).metrics, cm_ref,
+        cm_eval.evaluate(cm_best.layout, cc),
+        0.1 * cm_eval.random_offset_sigma(cm_best.layout));
+
+    PortSweepRow row;
+    row.wires = w;
+    row.dp_gm = term(dcb, core::MetricKind::kGm);
+    row.dp_gm_over_ctotal = term(dcb, core::MetricKind::kGmOverCtotal);
+    row.dp_cost = dcb.total;
+    row.cm_current_ratio = term(ccb, core::MetricKind::kCurrentRatio);
+    row.cm_cout = term(ccb, core::MetricKind::kCout);
+    row.cm_cost = ccb.total;
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 }  // namespace olp::circuits

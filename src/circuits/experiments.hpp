@@ -3,6 +3,7 @@
 // harnesses and examples can regenerate each table/figure.
 //
 //   Table I / Fig. 2  -> run_cs_amp()        (wire width sweep on Vout)
+//   Table IV          -> run_port_sweep()    (parallel routes at DP/CM ports)
 //   Table VI          -> run_ota(), run_strongarm()
 //   Table VII         -> run_vco()
 //   Table VIII        -> the FlowReport::runtime_s of each run
@@ -43,6 +44,26 @@ CircuitExperiment run_vco(const tech::Technology& t,
                           const FlowOptions& options = {},
                           const std::vector<double>& vctrls =
                               RoVco::default_sweep());
+
+/// One row of Table IV: the differential pair's and the passive current
+/// mirror's cost with `wires` parallel routes at the swept ports. The
+/// metric columns are relative deviations from the schematic reference.
+struct PortSweepRow {
+  int wires = 0;
+  double dp_gm = 0.0;
+  double dp_gm_over_ctotal = 0.0;
+  double dp_cost = 0.0;
+  double cm_current_ratio = 0.0;
+  double cm_cout = 0.0;
+  double cm_cost = 0.0;
+};
+
+/// Table IV: the best DP and passive CM layouts with 1..7 parallel routes
+/// at their ports (DP drains, CM output), each route 2 um on metal 3 plus a
+/// 2-cut via stack; one row per wire count. The paper's DP curve is
+/// U-shaped (interval [3, 5]); the CM curve keeps improving (no upper
+/// limit).
+std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t);
 
 /// Fig. 2 / Table I: CS amplifier with narrow (1), wide (8), and optimized
 /// drain-wire widths. Results keyed "schematic", "narrow", "wide",

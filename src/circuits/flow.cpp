@@ -234,16 +234,6 @@ FlowEngine::FlowEngine(const tech::Technology& technology, FlowOptions options)
   options_.num_threads = threads_from_env(options_.num_threads);
   options_.eval_cache = env::flag("OLP_EVAL_CACHE", options_.eval_cache);
   options_.budget_limits = budget_options_from_env(options_.budget_limits);
-  if (env::has("OLP_ROUTER")) {
-    const std::string name = env::str("OLP_ROUTER");
-    if (const auto backend = route::parse_router_backend(name)) {
-      options_.router = *backend;
-    } else if (!name.empty()) {
-      OLP_WARN << "OLP_ROUTER=" << name
-               << " is not a router backend (classic|fast|negotiated); keeping "
-               << route::router_backend_name(options_.router);
-    }
-  }
 }
 
 TaskPool* FlowEngine::pool() const {
@@ -378,48 +368,34 @@ void FlowEngine::place_and_route(
   const geom::Rect region{
       0, 0, geom::to_nm(report.placement.width),
       geom::to_nm(report.placement.height)};
-  route::RouterOptions ropt;
-  route::GlobalRouter router(tech_, region, ropt);
+  route::GlobalRouter router(tech_, region);
   router.set_diagnostics(diag);
   router.set_budget(budget);
-  const auto pins_for = [&](const place::PlacementNet& pn) {
-    std::vector<geom::Point> pins;
-    pins.reserve(pn.pins.size());
-    for (const place::PlacementNet::PinRef& ref : pn.pins) {
-      const place::PlacedBlock& pb =
-          report.placement.blocks[static_cast<std::size_t>(ref.block)];
-      const place::Block& blk = blocks[static_cast<std::size_t>(ref.block)];
-      const double dx = pb.mirrored ? blk.width - ref.dx : ref.dx;
-      pins.push_back(geom::Point{geom::to_nm(pb.x + dx),
-                                 geom::to_nm(pb.y + ref.dy)});
-    }
-    return pins;
-  };
-  std::vector<route::NetPins> nets;
-  nets.reserve(pnets.size());
+  // Nets route one at a time in placement-net order. The budget is checked
+  // before each net: once it trips, the remaining nets come back
+  // routed=false with only their name set and degrade downstream, while the
+  // nets routed before the trip are kept.
   for (const place::PlacementNet& pn : pnets) {
-    nets.push_back(route::NetPins{pn.name, pins_for(pn)});
-  }
-  // Backend selection (route/router_engine.hpp). The classic engine
-  // reproduces the historic serial loop exactly — budget check before each
-  // net, skipped nets routed=false, widened-layer fallback per net — so
-  // the default stays byte-identical to the pre-engine router. Combo quick
-  // trials (recognizable by budget_obs == nullptr, see the header) always
-  // route classic: their metric feeds a best-combination comparison, and the
-  // env override re-applied by the quick engine's constructor must not flip
-  // a trial into a different trajectory than the one the trial loop was
-  // tuned against.
-  route::RouterEngineOptions eopt;
-  eopt.backend = budget_obs == nullptr ? route::RouterBackend::kClassic
-                                       : options_.router;
-  const std::unique_ptr<route::RouterEngine> engine =
-      route::make_router_engine(router, eopt);
-  std::vector<route::NetRoute> routes = engine->route_nets(nets);
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    if (!routes[i].routed) {
-      OLP_WARN << "global routing failed for net " << nets[i].name;
+    route::NetRoute nr;
+    if (budget != nullptr && budget->check()) {
+      nr.net = pn.name;
+    } else {
+      std::vector<geom::Point> pins;
+      pins.reserve(pn.pins.size());
+      for (const place::PlacementNet::PinRef& ref : pn.pins) {
+        const place::PlacedBlock& pb =
+            report.placement.blocks[static_cast<std::size_t>(ref.block)];
+        const place::Block& blk = blocks[static_cast<std::size_t>(ref.block)];
+        const double dx = pb.mirrored ? blk.width - ref.dx : ref.dx;
+        pins.push_back(geom::Point{geom::to_nm(pb.x + dx),
+                                   geom::to_nm(pb.y + ref.dy)});
+      }
+      nr = router.route(pn.name, pins);
     }
-    report.routes[nets[i].name] = std::move(routes[i]);
+    if (!nr.routed) {
+      OLP_WARN << "global routing failed for net " << pn.name;
+    }
+    report.routes[pn.name] = std::move(nr);
   }
   routing_span.close();
   if (budget != nullptr && budget_obs != nullptr && diag != nullptr) {

@@ -17,9 +17,8 @@
 // Environment overrides (see util/env.hpp for the full catalog) are applied
 // ONCE, at FlowEngine construction: OLP_THREADS onto num_threads,
 // OLP_EVAL_CACHE onto eval_cache, OLP_DEADLINE_MS / OLP_TESTBENCH_BUDGET
-// onto budget_limits, OLP_ROUTER onto router. run() uses the constructed
-// options verbatim, so two runs of one engine can never see different
-// environments.
+// onto budget_limits. run() uses the constructed options verbatim, so two
+// runs of one engine can never see different environments.
 
 #include <cstdint>
 #include <map>
@@ -32,7 +31,6 @@
 #include "core/port_optimizer.hpp"
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
-#include "route/router_engine.hpp"
 #include "util/budget.hpp"
 #include "util/diag.hpp"
 #include "util/task_pool.hpp"
@@ -110,13 +108,6 @@ struct FlowOptions {
   /// Concurrent runs (batch jobs) must set this false — the batch runner
   /// rebases once and attaches one pooled snapshot to the whole batch.
   bool own_telemetry = true;
-  /// Routing backend for the REAL routing stage (route/router_engine.hpp):
-  /// kClassic (the default) is the serial router the default-mode goldens
-  /// pin byte for byte; kFast and kNegotiated are opt-in trajectories with
-  /// their own goldens (tests/test_stage_parallel.cpp).
-  /// OLP_ROUTER=classic|fast|negotiated overrides at engine construction.
-  /// Combo quick trials always route classic.
-  route::RouterBackend router = route::RouterBackend::kClassic;
 };
 
 /// Everything the flow decided, for reporting and the paper's tables.

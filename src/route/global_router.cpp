@@ -62,17 +62,8 @@ GlobalRouter::GlobalRouter(const tech::Technology& technology,
   usage_y_.assign(static_cast<std::size_t>(nx_ * ny_ * nl_), 0);
 }
 
-
 bool GlobalRouter::layer_horizontal(int l) const {
   return tech_.metals[static_cast<std::size_t>(l)].horizontal;
-}
-
-int GlobalRouter::layer_index(tech::Layer layer) const {
-  for (int l = 0; l < nl_; ++l) {
-    if (tech::metal_layer(l) == layer) return l;
-  }
-  OLP_CHECK(false, "segment on a non-routing layer");
-  return 0;
 }
 
 void GlobalRouter::set_diagnostics(DiagnosticsSink* sink) {
@@ -96,16 +87,10 @@ std::pair<int, int> GlobalRouter::snap(geom::Point p) const {
 }
 
 NetRoute GlobalRouter::route(const std::string& net_name,
-                             const std::vector<geom::Point>& pins,
-                             const RouteRequest& request) {
-  if (!request.with_fallback) return route_core(net_name, pins, request);
-
-  // Full-service entry: instrumentation envelope + widened-layer retry.
+                             const std::vector<geom::Point>& pins) {
   obs::Span span("router.net", [&] { return net_name; });
   obs::counter_add("router.nets");
-  RouteRequest primary_req = request;
-  primary_req.with_fallback = false;
-  NetRoute primary = route_core(net_name, pins, primary_req);
+  NetRoute primary = attempt(net_name, pins);
   if (primary.routed) {
     obs::record("router.net_length_um", primary.total_length() * 1e6);
     return primary;
@@ -143,6 +128,7 @@ NetRoute GlobalRouter::route(const std::string& net_name,
     // area (the ctor re-applies the halo).
     fallback_ = std::make_unique<GlobalRouter>(tech_, input_region_, widened);
     fallback_->set_diagnostics(diag_);
+    fallback_->set_budget(budget_);
   }
   if (diag_) {
     diag_->report(DiagSeverity::kWarning, "router", net_name,
@@ -153,11 +139,7 @@ NetRoute GlobalRouter::route(const std::string& net_name,
   }
   OLP_WARN << "router: net " << net_name
            << " unrouted; retrying with widened layer window";
-  // The retry runs on the fallback grid, so the caller's negotiation arrays
-  // (sized for THIS grid) do not transfer.
-  RouteRequest retry = primary_req;
-  retry.negotiation = nullptr;
-  NetRoute widened = fallback_->route_core(net_name, pins, retry);
+  NetRoute widened = fallback_->attempt(net_name, pins);
   if (!widened.routed) {
     obs::counter_add("router.unrouted");
     if (diag_) {
@@ -170,9 +152,8 @@ NetRoute GlobalRouter::route(const std::string& net_name,
   return widened;
 }
 
-NetRoute GlobalRouter::route_core(const std::string& net_name,
-                                  const std::vector<geom::Point>& pins,
-                                  const RouteRequest& request) {
+NetRoute GlobalRouter::attempt(const std::string& net_name,
+                               const std::vector<geom::Point>& pins) {
   NetRoute result;
   result.net = net_name;
   OLP_CHECK(pins.size() >= 2, "routing needs at least two pins");
@@ -182,17 +163,8 @@ NetRoute GlobalRouter::route_core(const std::string& net_name,
                     fault_site_name(FaultSite::kRouteFailure),
                     "injected route failure on net " + net_name);
     }
-    result.routed = false;
     return result;
   }
-  if (request.fast) return route_fast(net_name, pins, request);
-  return route_classic(net_name, pins);
-}
-
-NetRoute GlobalRouter::route_classic(const std::string& net_name,
-                                     const std::vector<geom::Point>& pins) {
-  NetRoute result;
-  result.net = net_name;
 
   auto unsnap = [&](int gx, int gy) {
     return geom::Point{
@@ -359,52 +331,6 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
   result.vias += static_cast<int>(pins.size());
   result.routed = true;
   return result;
-}
-
-void GlobalRouter::apply_usage(const NetRoute& route, int delta) {
-  for (const RouteSegment& s : route.segments) {
-    const int l = layer_index(s.layer);
-    const auto [x1, y1] = snap(s.a);
-    const auto [x2, y2] = snap(s.b);
-    if (y1 == y2 && x1 != x2) {
-      // Segment endpoints sit on gcell centers (unsnap points), so walking
-      // the gcells between them recovers the exact edges the search marked,
-      // whether the segment is one step (classic) or a whole leg (pattern).
-      for (int x = std::min(x1, x2); x < std::max(x1, x2); ++x) {
-        usage_x_[static_cast<std::size_t>(index(x, y1, l))] += delta;
-      }
-    } else if (x1 == x2 && y1 != y2) {
-      for (int y = std::min(y1, y2); y < std::max(y1, y2); ++y) {
-        usage_y_[static_cast<std::size_t>(index(x1, y, l))] += delta;
-      }
-    }
-  }
-}
-
-void GlobalRouter::rip_up(const NetRoute& route) { apply_usage(route, -1); }
-
-void GlobalRouter::commit(const NetRoute& route) { apply_usage(route, +1); }
-
-void GlobalRouter::accumulate_history(NegotiationCosts& costs,
-                                      long long units) const {
-  OLP_CHECK(costs.history_x.size() == usage_x_.size() &&
-                costs.history_y.size() == usage_y_.size(),
-            "negotiation arrays do not match this router's grid");
-  for (std::size_t i = 0; i < usage_x_.size(); ++i) {
-    const int over = usage_x_[i] - opt_.edge_capacity;
-    if (over > 0) costs.history_x[i] += units * over;
-  }
-  for (std::size_t i = 0; i < usage_y_.size(); ++i) {
-    const int over = usage_y_[i] - opt_.edge_capacity;
-    if (over > 0) costs.history_y[i] += units * over;
-  }
-}
-
-long GlobalRouter::total_overflow() const {
-  long over = 0;
-  for (int v : usage_x_) over += std::max(0, v - opt_.edge_capacity);
-  for (int v : usage_y_) over += std::max(0, v - opt_.edge_capacity);
-  return over;
 }
 
 double GlobalRouter::congestion_ratio() const {

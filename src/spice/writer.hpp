@@ -12,7 +12,9 @@ namespace olp::spice {
 
 /// Serializes the circuit (models, devices, initial conditions) as netlist
 /// text. Waveforms are emitted in source syntax (DC/PULSE/SIN); PWL sources
-/// are emitted as their sample list.
+/// are emitted as their sample list. Every element line starts with its
+/// element letter: a name that does not (a flattened "X1.R1") is written
+/// with the letter prefixed ("RX1.R1"); other names are written unchanged.
 std::string write_netlist(const Circuit& circuit,
                           const std::string& title = "olp netlist");
 

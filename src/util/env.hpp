@@ -17,10 +17,6 @@
 //   OLP_THREADS           worker threads incl. caller; 0 or negative = one
 //                         per hardware core            (util/task_pool)
 //   OLP_EVAL_CACHE        "0"/empty = off, else on     (circuits/flow)
-//   OLP_ROUTER            routing backend: classic|fast|negotiated
-//                         (route/router_engine.hpp); unknown names warn
-//                         and keep the configured backend
-//                                                      (circuits/flow)
 //   OLP_DEADLINE_MS       wall-clock deadline [ms]     (util/budget)
 //   OLP_TESTBENCH_BUDGET  max testbench evaluations    (util/budget)
 //   OLP_LOG_LEVEL         debug|info|warn|error|off    (util/logging)

@@ -85,23 +85,6 @@ if grep -q "ThreadSanitizer" "${out}"; then
   exit 1
 fi
 
-# The negotiated router backend under the same pooled flow: rip-up-and-
-# reroute mutates the congestion grid and history arrays between passes
-# while pooled evaluations run — the serial-router invariants the
-# negotiation relies on must hold when a worker pool exists.
-nego_out="${tmp}/nego_stdout.txt"
-OLP_THREADS=8 OLP_EVAL_CACHE=1 OLP_TESTBENCH_BUDGET=600 \
-  OLP_ROUTER=negotiated \
-  OLP_TRACE_DIR="${tmp}" TSAN_OPTIONS="${tsan_opts}" \
-  "${build_dir}/examples/ota_layout_flow" > "${nego_out}" 2>&1
-echo "tsan smoke: sanitized flow exited 0 with the negotiated router"
-
-if grep -q "ThreadSanitizer" "${nego_out}"; then
-  echo "tsan smoke: ThreadSanitizer reported a race in negotiated routing" >&2
-  cat "${nego_out}" >&2
-  exit 1
-fi
-
 # The batch runner: 7 jobs racing across 8 workers through the shared
 # pool, the scope-sharded cross-job cache, and per-job budget handles.
 # OLP_BATCH_CLAMP=0 defeats the oversubscription guard so even a small

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/experiments.hpp"
+#include "core/port_optimizer.hpp"
 #include "util/logging.hpp"
 
 namespace olp::circuits {
@@ -73,6 +74,26 @@ TEST_F(CsAmpExperiment, TableIGmDipsForNarrow) {
             rows.at("tableI_optimized").at("gm_m1"));
   EXPECT_LT(rows.at("tableI_optimized").at("gm_m1"),
             rows.at("tableI_schematic").at("gm_m1"));
+}
+
+TEST(PortSweepExperiment, TableIVIntervalShapes) {
+  // Table IV on our own cost curves, with the plateau slack bench_table4
+  // uses: the DP curve is U-shaped with the interval [3, 5]; the passive
+  // CM keeps improving to the end of the sweep, so no upper limit.
+  set_log_level(LogLevel::kError);
+  const std::vector<PortSweepRow> rows = run_port_sweep(t());
+  ASSERT_EQ(rows.size(), 7u);
+  std::vector<double> dp, cm;
+  for (const PortSweepRow& row : rows) {
+    EXPECT_EQ(row.wires, static_cast<int>(dp.size()) + 1);
+    dp.push_back(row.dp_cost);
+    cm.push_back(row.cm_cost);
+  }
+  const WireInterval dp_iv = core::interval_from_curve(dp, 0.04);
+  EXPECT_EQ(dp_iv.lo, 3);
+  ASSERT_TRUE(dp_iv.hi.has_value());
+  EXPECT_EQ(*dp_iv.hi, 5);
+  EXPECT_FALSE(core::interval_from_curve(cm, 0.04).hi.has_value());
 }
 
 TEST(OtaExperiment, TableVIOrdering) {

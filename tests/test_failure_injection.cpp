@@ -15,6 +15,7 @@
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
 #include "spice/simulator.hpp"
+#include "util/budget.hpp"
 #include "util/curvature.hpp"
 #include "util/diag.hpp"
 #include "util/faults.hpp"
@@ -108,22 +109,6 @@ TEST(FailureInjection, EvaluatorWithAbsurdBiasReturnsFiniteMetrics) {
   for (const auto& [kind, value] : v) {
     EXPECT_TRUE(std::isfinite(value)) << core::metric_name(kind);
   }
-}
-
-TEST(FailureInjection, RouterWithUnreachableLayerRangeStillRoutes) {
-  // Restricting to one layer forces vialess detours in one direction only;
-  // a two-pin connection in the non-preferred direction must still resolve
-  // or cleanly report failure.
-  route::RouterOptions opt;
-  opt.min_layer = 2;
-  opt.max_layer = 2;  // M3 only (horizontal)
-  route::GlobalRouter router(
-      t(), geom::Rect{0, 0, geom::to_nm(5e-6), geom::to_nm(5e-6)}, opt);
-  const route::NetRoute nr = router.route(
-      "n", {geom::Point{0, 0}, geom::Point{0, geom::to_nm(4e-6)}},
-      route::RouteRequest{});
-  // A vertical connection on a horizontal-only layer cannot route.
-  EXPECT_FALSE(nr.routed);
 }
 
 TEST(FailureInjection, PlacerRejectsDegenerateBlocks) {
@@ -275,10 +260,23 @@ TEST(FailureInjection, AllCandidatesQuarantinedFallsBackToMinArea) {
   EXPECT_GE(sink.count("optimizer", dp.name), 1u);
 }
 
-TEST(FailureInjection, RouterWidenedWindowRetryRecoversVerticalNet) {
-  // A vertical two-pin net on a horizontal-only window fails the primary
-  // attempt; the fallback retry must recover it on the widened window and
-  // leave warning (not error) diagnostics behind.
+bool has_message(const DiagnosticsSink& sink, DiagSeverity severity,
+                 const std::string& fragment) {
+  for (const Diagnostic& d : sink.diagnostics()) {
+    if (d.severity == severity &&
+        d.message.find(fragment) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(FailureInjection, RouterWithUnreachableLayerRangeStillRoutes) {
+  // Restricting to one layer forces vialess detours in one direction only;
+  // a two-pin connection in the non-preferred direction must still resolve
+  // or cleanly report failure. Fuel for one check covers the primary
+  // attempt and nothing more, so the widened-layer retry is skipped and
+  // that attempt's own outcome comes back.
   set_log_level(LogLevel::kOff);
   route::RouterOptions opt;
   opt.min_layer = 2;
@@ -287,15 +285,70 @@ TEST(FailureInjection, RouterWidenedWindowRetryRecoversVerticalNet) {
       t(), geom::Rect{0, 0, geom::to_nm(5e-6), geom::to_nm(5e-6)}, opt);
   DiagnosticsSink sink;
   router.set_diagnostics(&sink);
-  route::RouteRequest request;
-  request.with_fallback = true;
+  BudgetOptions bopt;
+  bopt.max_checks = 1;
+  Budget budget(bopt);
+  router.set_budget(&budget);
   const route::NetRoute nr = router.route(
-      "n", {geom::Point{0, 0}, geom::Point{0, geom::to_nm(4e-6)}}, request);
+      "n", {geom::Point{0, 0}, geom::Point{0, geom::to_nm(4e-6)}});
+  set_log_level(LogLevel::kWarn);
+  // A vertical connection on a horizontal-only layer cannot route.
+  EXPECT_FALSE(nr.routed);
+  EXPECT_TRUE(nr.segments.empty());
+  EXPECT_TRUE(has_message(sink, DiagSeverity::kWarning,
+                          "no path to pin 1 within layers [2, 2]"));
+  EXPECT_TRUE(has_message(sink, DiagSeverity::kWarning,
+                          "skipping widened-layer retry"));
+  EXPECT_FALSE(sink.has_at_least(DiagSeverity::kError));
+}
+
+TEST(FailureInjection, RouterWidenedWindowRetryRecoversVerticalNet) {
+  // A vertical two-pin net on a horizontal-only window cannot route there,
+  // so the primary attempt fails; the fallback retry must recover it on the
+  // widened window and leave warning (not error) diagnostics behind.
+  set_log_level(LogLevel::kOff);
+  route::RouterOptions opt;
+  opt.min_layer = 2;
+  opt.max_layer = 2;  // M3 only (horizontal)
+  route::GlobalRouter router(
+      t(), geom::Rect{0, 0, geom::to_nm(5e-6), geom::to_nm(5e-6)}, opt);
+  DiagnosticsSink sink;
+  router.set_diagnostics(&sink);
+  const route::NetRoute nr = router.route(
+      "n", {geom::Point{0, 0}, geom::Point{0, geom::to_nm(4e-6)}});
   set_log_level(LogLevel::kWarn);
   EXPECT_TRUE(nr.routed);
   // Primary failure notice plus the widened-window retry notice.
   EXPECT_GE(sink.count("router", "n"), 2u);
+  EXPECT_TRUE(has_message(sink, DiagSeverity::kWarning,
+                          "no path to pin 1 within layers [2, 2]"));
   EXPECT_FALSE(sink.has_at_least(DiagSeverity::kError));
+}
+
+TEST(FailureInjection, RouterWidenedWindowRetryHonorsTheBudget) {
+  // The same horizontal-only window with a 3-pin vertical net and fuel for
+  // two checks: the primary attempt fails at pin 1 after one check, the
+  // retry gate takes the second, and the retry's own per-pin check must
+  // trip the budget and abandon the net instead of routing past it.
+  set_log_level(LogLevel::kOff);
+  route::RouterOptions opt;
+  opt.min_layer = 2;
+  opt.max_layer = 2;  // M3 only (horizontal)
+  route::GlobalRouter router(
+      t(), geom::Rect{0, 0, geom::to_nm(5e-6), geom::to_nm(5e-6)}, opt);
+  DiagnosticsSink sink;
+  router.set_diagnostics(&sink);
+  BudgetOptions bopt;
+  bopt.max_checks = 2;
+  Budget budget(bopt);
+  router.set_budget(&budget);
+  const route::NetRoute nr = router.route(
+      "n", {geom::Point{0, 0}, geom::Point{0, geom::to_nm(2e-6)},
+            geom::Point{0, geom::to_nm(4e-6)}});
+  set_log_level(LogLevel::kWarn);
+  EXPECT_FALSE(nr.routed);
+  EXPECT_TRUE(budget.exhausted());
+  EXPECT_TRUE(has_message(sink, DiagSeverity::kWarning, "net abandoned"));
 }
 
 TEST(FailureInjection, InjectedRouteFailureRecoversViaFallback) {
@@ -312,11 +365,8 @@ TEST(FailureInjection, InjectedRouteFailureRecoversViaFallback) {
   route::NetRoute nr;
   {
     ScopedFaultInjection chaos(config);
-    route::RouteRequest request;
-    request.with_fallback = true;
     nr = router.route(
-        "net", {geom::Point{0, 0}, geom::Point{geom::to_nm(4e-6), 0}},
-        request);
+        "net", {geom::Point{0, 0}, geom::Point{geom::to_nm(4e-6), 0}});
   }
   set_log_level(LogLevel::kWarn);
   EXPECT_TRUE(nr.routed);

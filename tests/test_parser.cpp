@@ -7,6 +7,7 @@
 
 #include "spice/parser.hpp"
 #include "spice/writer.hpp"
+#include "subckt_decks.hpp"
 #include "util/rng.hpp"
 
 namespace olp::spice {
@@ -187,8 +188,8 @@ TEST(Parser, NegativeResistanceRejected) {
   EXPECT_THROW(parse_netlist("R1 a 0 -5\n"), InvalidArgumentError);
 }
 
-/// The decks the cases above parse or reject: the fuzz corpus.
-const std::vector<std::string> kDecks = {
+/// The decks the cases above parse or reject.
+const std::vector<std::string> kParserDecks = {
     "\n* simple divider\nV1 in 0 DC 1.0\nR1 in mid 1k\nR2 mid 0 1k\n.end\n",
     "C1 a 0 10f ic=0.5\n",
     "Vclk clk 0 PULSE(0 0.8 1n 0.02n 0.02n 0.5n 1n)\n",
@@ -212,6 +213,17 @@ const std::vector<std::string> kDecks = {
     "R1 a b 1k\nR2 a\n",
     "R1 a 0 -5\n",
 };
+
+/// The fuzz corpus: those decks plus the hierarchical decks of
+/// test_subckt.cpp.
+const std::vector<std::string> kDecks = [] {
+  std::vector<std::string> decks = kParserDecks;
+  decks.insert(decks.end(), subckt_decks::kAccepted.begin(),
+               subckt_decks::kAccepted.end());
+  decks.insert(decks.end(), subckt_decks::kRejected.begin(),
+               subckt_decks::kRejected.end());
+  return decks;
+}();
 
 /// Applies one random byte flip, insert, delete or splice. New bytes come
 /// from the corpus half the time (the dialect's own alphabet), otherwise

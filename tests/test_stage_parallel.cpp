@@ -1,151 +1,24 @@
-// Thread-count invariance of the opt-in router backends at flow level, plus
-// work-stealing TaskPool behavior under concurrent and nested submission.
-//
-// The fast and negotiated backends intentionally produce a DIFFERENT
-// trajectory than the classic default (whose golden lives in
-// tests/test_determinism.cpp); the contract proven here is that each is a
-// pure function of its options — bit-identical at every thread count, pool
-// delays included — so "parallel" never means "nondeterministic".
-
-#include <gtest/gtest.h>
-
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "circuits/flow.hpp"
-#include "circuits/ota5t.hpp"
-#include "flow_golden.hpp"
-#include "util/budget.hpp"
-#include "util/faults.hpp"
-#include "util/logging.hpp"
-#include "util/task_pool.hpp"
-
-namespace olp {
-namespace {
-
-const tech::Technology& t() {
-  static const tech::Technology tech = tech::make_default_finfet_tech();
-  return tech;
-}
-
-namespace flows = olp::circuits;
-
-// ---------------------------------------------------------------------------
-// Router-backend flow goldens: each opt-in backend (fast, negotiated) is its
-// own deterministic trajectory — bit-identical at every thread count, chaos
-// pool delays included. The classic default's golden lives in
-// test_determinism.cpp and must stay byte-identical to the pre-backend
-// router; these pin the siblings the same way.
-
-class RouterBackendFlow : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    set_log_level(LogLevel::kError);
-    unsetenv("OLP_THREADS");
-    unsetenv("OLP_EVAL_CACHE");
-    unsetenv("OLP_DEADLINE_MS");
-    unsetenv("OLP_TESTBENCH_BUDGET");
-    unsetenv("OLP_ROUTER");
-    ota_ = new flows::Ota5T(t());
-    ASSERT_TRUE(ota_->prepare());
-  }
-  static void TearDownTestSuite() { delete ota_; }
-
-  static flows::Realization run_backend(route::RouterBackend backend,
-                                        int num_threads,
-                                        flows::FlowReport* report) {
-    flows::FlowOptions opts;
-    opts.num_threads = num_threads;
-    opts.router = backend;
-    flows::FlowEngine engine(t(), opts);
-    return engine.run(flows::FlowMode::kOptimize, ota_->instances(),
-                      ota_->routed_nets(), report);
-  }
-
-  static void expect_backend_stable(route::RouterBackend backend) {
-    flows::FlowReport golden_report;
-    const flows::Realization golden =
-        run_backend(backend, 1, &golden_report);
-    for (const int threads : {2, 8}) {
-      flows::FlowReport report;
-      const flows::Realization real =
-          run_backend(backend, threads, &report);
-      expect_same_flow_result(report, golden_report, real, golden);
-    }
-    FaultConfig config;
-    config.seed = 19;
-    config.pool_delay_rate = 1.0;
-    ScopedFaultInjection chaos(config);
-    flows::FlowReport report;
-    const flows::Realization real = run_backend(backend, 8, &report);
-    expect_same_flow_result(report, golden_report, real, golden);
-  }
-
-  static flows::Ota5T* ota_;
-};
-
-flows::Ota5T* RouterBackendFlow::ota_ = nullptr;
-
-TEST_F(RouterBackendFlow, FastBackendBitIdenticalAcrossThreadCounts) {
-  expect_backend_stable(route::RouterBackend::kFast);
-}
-
-TEST_F(RouterBackendFlow, NegotiatedBackendBitIdenticalAcrossThreadCounts) {
-  expect_backend_stable(route::RouterBackend::kNegotiated);
-}
-
-TEST_F(RouterBackendFlow, EnvSelectedBackendMatchesProgrammaticOption) {
-  flows::FlowReport want_report;
-  const flows::Realization want =
-      run_backend(route::RouterBackend::kFast, 2, &want_report);
-
-  setenv("OLP_ROUTER", "fast", 1);
-  flows::FlowOptions opts;
-  opts.num_threads = 2;
-  flows::FlowEngine engine(t(), opts);
-  unsetenv("OLP_ROUTER");
-  flows::FlowReport report;
-  const flows::Realization real = engine.run(
-      flows::FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(),
-      &report);
-  expect_same_flow_result(report, want_report, real, want);
-}
-
-TEST_F(RouterBackendFlow, UnknownEnvBackendKeepsConfiguredDefault) {
-  setenv("OLP_ROUTER", "bogus", 1);
-  flows::FlowOptions opts;
-  opts.num_threads = 1;
-  set_log_level(LogLevel::kOff);  // silence the expected warning
-  flows::FlowEngine engine(t(), opts);
-  set_log_level(LogLevel::kError);
-  unsetenv("OLP_ROUTER");
-  flows::FlowReport report;
-  const flows::Realization real = engine.run(
-      flows::FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(),
-      &report);
-  // "bogus" must fall back to the configured classic default: the run is
-  // the classic serial trajectory, not an error.
-  flows::FlowOptions classic;
-  classic.num_threads = 1;
-  flows::FlowEngine classic_engine(t(), classic);
-  flows::FlowReport classic_report;
-  const flows::Realization classic_real = classic_engine.run(
-      flows::FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(),
-      &classic_report);
-  expect_same_flow_result(report, classic_report, real, classic_real);
-}
-
-// ---------------------------------------------------------------------------
 // Work stealing under adversarial submission patterns. test_task_pool.cpp
 // covers single-submitter behavior; these exercise the multi-slot cases the
 // stealing scheduler introduced: several external submitters at once,
 // submissions from worker threads (nested batches), and cancellation /
 // exception semantics while thieves are active.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "util/budget.hpp"
+#include "util/faults.hpp"
+#include "util/task_pool.hpp"
+
+namespace olp {
+namespace {
 
 TEST(StageParallelStealing, ConcurrentSubmittersUnderChaosDelays) {
   FaultConfig config;

@@ -2,21 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "spice/parser.hpp"
 #include "spice/simulator.hpp"
+#include "spice/writer.hpp"
+#include "subckt_decks.hpp"
 
 namespace olp::spice {
 namespace {
 
 TEST(Subckt, FlattensSingleInstance) {
-  const Circuit c = parse_netlist(R"(
-.subckt divider top bot mid
-R1 top mid 1k
-R2 mid bot 1k
-.ends
-V1 in 0 DC 2.0
-X1 in 0 tap divider
-)");
+  const Circuit c = parse_netlist(subckt_decks::kDivider);
   EXPECT_EQ(c.resistors().size(), 2u);
   EXPECT_TRUE(c.has_node("tap"));
   Simulator sim(c);
@@ -26,43 +24,20 @@ X1 in 0 tap divider
 }
 
 TEST(Subckt, InternalNodesArePrefixed) {
-  const Circuit c = parse_netlist(R"(
-.subckt chain a b
-R1 a x 1k
-R2 x b 1k
-.ends
-X1 p 0 chain
-X2 p 0 chain
-R0 p 0 1k
-)");
+  const Circuit c = parse_netlist(subckt_decks::kChain);
   EXPECT_TRUE(c.has_node("X1.x"));
   EXPECT_TRUE(c.has_node("X2.x"));
   EXPECT_EQ(c.resistors().size(), 5u);
 }
 
 TEST(Subckt, ElementNamesArePrefixed) {
-  const Circuit c = parse_netlist(R"(
-.subckt cell a
-R1 a 0 1k
-.ends
-Xu top cell
-)");
+  const Circuit c = parse_netlist(subckt_decks::kCell);
   ASSERT_EQ(c.resistors().size(), 1u);
   EXPECT_EQ(c.resistors()[0].name, "Xu.R1");
 }
 
 TEST(Subckt, NestedInstancesFlatten) {
-  const Circuit c = parse_netlist(R"(
-.subckt leaf a b
-R1 a b 2k
-.ends
-.subckt pair p q
-X1 p m leaf
-X2 m q leaf
-.ends
-V1 in 0 DC 1.0
-Xtop in 0 pair
-)");
+  const Circuit c = parse_netlist(subckt_decks::kNested);
   EXPECT_EQ(c.resistors().size(), 2u);
   EXPECT_TRUE(c.has_node("Xtop.m"));
   Simulator sim(c);
@@ -72,28 +47,13 @@ Xtop in 0 pair
 }
 
 TEST(Subckt, GroundPassesThroughUnprefixed) {
-  const Circuit c = parse_netlist(R"(
-.subckt grounded a
-R1 a 0 1k
-C1 a gnd 1f
-.ends
-X1 n grounded
-)");
+  const Circuit c = parse_netlist(subckt_decks::kGrounded);
   EXPECT_EQ(c.resistors()[0].b, kGround);
   EXPECT_EQ(c.capacitors()[0].b, kGround);
 }
 
 TEST(Subckt, SubcktWithMosfetAndSources) {
-  const Circuit c = parse_netlist(R"(
-.model nfet nmos vth0=0.3 kp=400u
-.subckt stage in out vdd
-M1 out in 0 0 nfet w=1u l=14n
-R1 vdd out 5k
-.ends
-Vdd vdd 0 DC 0.8
-Vin in 0 DC 0.45
-X1 in out vdd stage
-)");
+  const Circuit c = parse_netlist(subckt_decks::kStage);
   ASSERT_EQ(c.mosfets().size(), 1u);
   EXPECT_EQ(c.mosfets()[0].name, "X1.M1");
   Simulator sim(c);
@@ -105,24 +65,31 @@ X1 in out vdd stage
 }
 
 TEST(Subckt, Errors) {
-  EXPECT_THROW(parse_netlist("X1 a b nosuch\n"), ParseError);
-  EXPECT_THROW(parse_netlist(".subckt s a\nR1 a 0 1k\n"), ParseError);
-  EXPECT_THROW(parse_netlist(".ends\n"), ParseError);
-  EXPECT_THROW(parse_netlist(R"(
-.subckt s a b
-R1 a b 1k
-.ends
-X1 onlyone s
-)"),
-               ParseError);
-  // Self-recursive subcircuit hits the depth guard.
-  EXPECT_THROW(parse_netlist(R"(
-.subckt rec a
-X1 a rec
-.ends
-X0 n rec
-)"),
-               ParseError);
+  for (const std::string& deck : subckt_decks::kRejected) {
+    EXPECT_THROW(parse_netlist(deck), ParseError) << deck;
+  }
+}
+
+std::set<std::string> node_names(const Circuit& c) {
+  std::set<std::string> names;
+  for (int n = 0; n < c.node_count(); ++n) names.insert(c.node_name(n));
+  return names;
+}
+
+TEST(Subckt, FlattenedCircuitRoundTripsThroughWriter) {
+  // A flattened element is named after its instance ("X1.R1"); the written
+  // deck must still read back as that element, not as an X instance line.
+  for (const std::string& deck : subckt_decks::kAccepted) {
+    const Circuit c = parse_netlist(deck);
+    const std::string written = write_netlist(c);
+    Circuit back;
+    ASSERT_NO_THROW(back = parse_netlist(written)) << written;
+    EXPECT_EQ(back.resistors().size(), c.resistors().size()) << written;
+    EXPECT_EQ(back.capacitors().size(), c.capacitors().size()) << written;
+    EXPECT_EQ(back.vsources().size(), c.vsources().size()) << written;
+    EXPECT_EQ(back.mosfets().size(), c.mosfets().size()) << written;
+    EXPECT_EQ(node_names(back), node_names(c)) << written;
+  }
 }
 
 }  // namespace
