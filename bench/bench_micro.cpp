@@ -207,6 +207,27 @@ void BM_Placer(benchmark::State& state) {
 }
 BENCHMARK(BM_Placer)->Arg(4)->Arg(8)->Arg(16);
 
+// The eval-cache key every evaluate() call builds, hit or miss.
+void BM_EvalCacheKey(benchmark::State& state) {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  const pcell::PrimitiveGenerator gen(t);
+  pcell::LayoutConfig cfg;
+  cfg.nfin = 8;
+  cfg.nf = 20;
+  cfg.m = 6;
+  const pcell::PrimitiveLayout lay =
+      gen.generate(pcell::make_diff_pair(), cfg);
+  const core::PrimitiveEvaluator eval(t, circuits::default_nmos(),
+                                      circuits::default_pmos(), {});
+  core::EvalCondition cond;
+  cond.port_wires["da"] = extract::WireRc{12.5, 3e-15};
+  for (auto _ : state) {
+    const std::string key = eval.cache_key(lay, cond);
+    benchmark::DoNotOptimize(key.data());
+  }
+}
+BENCHMARK(BM_EvalCacheKey);
+
 void BM_GlobalRoute(benchmark::State& state) {
   const tech::Technology t = tech::make_default_finfet_tech();
   const geom::Rect region{0, 0, geom::to_nm(20e-6), geom::to_nm(20e-6)};

@@ -1,6 +1,6 @@
 #include "core/eval_cache.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <functional>
 #include <utility>
 
@@ -18,15 +18,16 @@ constexpr obs::LockSite kCacheWriteLock{
     "obs.contention.eval_cache_insert.contended",
     "obs.contention.eval_cache_insert.wait_us"};
 
+/// Shortest round-trip form: distinct doubles never share a string.
 void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
   out += ';';
 }
 
 void append_long(std::string& out, long value) {
-  out += std::to_string(value);
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
   out += ';';
 }
 
@@ -55,13 +56,32 @@ void append_model(std::string& out, const spice::MosModel& m) {
 
 EvalCache::EvalCache(std::size_t shards) : shards_(shards == 0 ? 1 : shards) {}
 
+std::string EvalCache::context_key(const BiasContext& bias,
+                                   const spice::MosModel& nmos,
+                                   const spice::MosModel& pmos) {
+  std::string key = "b:";
+  append_double(key, bias.vdd);
+  append_double(key, bias.bias_current);
+  for (const auto& [port, v] : bias.port_voltage) {
+    append_str(key, port);
+    append_double(key, v);
+  }
+  key += "l:";
+  for (const auto& [port, c] : bias.port_load_cap) {
+    append_str(key, port);
+    append_double(key, c);
+  }
+  key += "m:";
+  append_model(key, nmos);
+  append_model(key, pmos);
+  return key;
+}
+
 std::string EvalCache::make_key(const pcell::PrimitiveLayout& layout,
                                 const EvalCondition& condition,
-                                const BiasContext& bias,
-                                const spice::MosModel& nmos,
-                                const spice::MosModel& pmos) {
+                                std::string_view context) {
   std::string key;
-  key.reserve(256);
+  key.reserve(160 + context.size());
 
   // Netlist identity. Layout generation is deterministic in (netlist,
   // config), so these two sections pin down the realized geometry, the
@@ -110,25 +130,16 @@ std::string EvalCache::make_key(const pcell::PrimitiveLayout& layout,
     append_double(key, dvth);
   }
 
-  // Bias context.
-  key += "b:";
-  append_double(key, bias.vdd);
-  append_double(key, bias.bias_current);
-  for (const auto& [port, v] : bias.port_voltage) {
-    append_str(key, port);
-    append_double(key, v);
-  }
-  key += "l:";
-  for (const auto& [port, c] : bias.port_load_cap) {
-    append_str(key, port);
-    append_double(key, c);
-  }
-
-  // Model cards.
-  key += "m:";
-  append_model(key, nmos);
-  append_model(key, pmos);
+  key += context;
   return key;
+}
+
+std::string EvalCache::make_key(const pcell::PrimitiveLayout& layout,
+                                const EvalCondition& condition,
+                                const BiasContext& bias,
+                                const spice::MosModel& nmos,
+                                const spice::MosModel& pmos) {
+  return make_key(layout, condition, context_key(bias, nmos, pmos));
 }
 
 std::string EvalCache::scope_key(const tech::Technology& technology,
@@ -151,8 +162,23 @@ std::string EvalCache::scope_key(const tech::Technology& technology,
   append_double(key, technology.diff_sheet_res);
   append_double(key, technology.poly_res_sheet);
   append_double(key, technology.poly_res_cap);
+  for (const tech::MetalLayerInfo& m : technology.metals) {
+    append_double(key, m.min_width);
+    append_double(key, m.min_spacing);
+    append_double(key, m.pitch);
+    append_double(key, m.sheet_res);
+    append_double(key, m.cap_per_length);
+    append_long(key, m.horizontal ? 1 : 0);
+  }
   append_double(key, technology.via_res);
   append_double(key, technology.via_cap);
+  const tech::LdeCoefficients& lde = technology.lde;
+  append_double(key, lde.k_lod_vth);
+  append_double(key, lde.sa_ref);
+  append_double(key, lde.k_lod_mob);
+  append_double(key, lde.k_wpe_vth);
+  append_double(key, lde.sc_offset);
+  append_double(key, lde.grad_vth);
   append_double(key, technology.vdd);
   key += "m:";
   append_model(key, nmos);

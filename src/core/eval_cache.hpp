@@ -5,19 +5,23 @@
 // near-identical conditions constantly — most expensively, the schematic
 // reference of a primitive is recomputed for every tuning sweep and every
 // port-sweep point. The cache memoizes MetricValues keyed by a canonical
-// text serialization of everything an evaluation depends on:
+// text serialization of everything an evaluation depends on, in two parts:
 //
-//   netlist identity (type, name, per-device connectivity/ratio/vth_offset)
-//   + layout configuration (nfin/nf/m/pattern/dummies)
-//   + EvalCondition (ideal flag, tuning map, port wire RCs, extra dvth)
-//   + BiasContext (vdd, port voltages, port loads, bias current)
-//   + model cards (every MosModel parameter of both flavors)
+//   per call (make_key):
+//     netlist identity (type, name, per-device connectivity/ratio/vth_offset)
+//     + layout configuration (nfin/nf/m/pattern/dummies)
+//     + EvalCondition (ideal flag, tuning map, port wire RCs, extra dvth)
+//   per evaluator (context_key), appended verbatim:
+//     BiasContext (vdd, port voltages, port loads, bias current)
+//     + model cards (every MosModel parameter of both flavors)
 //
-// Doubles are serialized with %.17g (round-trip exact), so two keys are
-// equal iff the evaluations are bit-identical — which is what makes cached
-// flows provably deterministic (see tests/test_determinism.cpp). The full
-// key string is the map key; the hash only selects a shard, so hash
-// collisions are benign by construction.
+// The context is constant for the life of a PrimitiveEvaluator, which
+// serializes it once at construction; a key then costs only the per-call
+// part. Doubles are serialized with std::to_chars in shortest round-trip
+// form, so two keys are equal iff the evaluations are bit-identical — which
+// is what makes cached flows provably deterministic (see
+// tests/test_determinism.cpp). The full key string is the map key; the hash
+// only selects a shard, so hash collisions are benign by construction.
 //
 // Concurrency: sharded, with an RCU-style lock-free read path. Each shard
 // keeps an authoritative map guarded by its mutex (writers only) and
@@ -77,17 +81,30 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
-  /// Canonical key of one evaluation (see file comment for the fields).
+  /// The evaluator-constant section of every key: the bias context and
+  /// both model cards (see file comment).
+  static std::string context_key(const BiasContext& bias,
+                                 const spice::MosModel& nmos,
+                                 const spice::MosModel& pmos);
+
+  /// Canonical key of one evaluation: the per-call fields of `layout` and
+  /// `condition`, followed by `context` (a context_key() result).
+  static std::string make_key(const pcell::PrimitiveLayout& layout,
+                              const EvalCondition& condition,
+                              std::string_view context);
+
+  /// The same key, serializing the context on the spot.
   static std::string make_key(const pcell::PrimitiveLayout& layout,
                               const EvalCondition& condition,
                               const BiasContext& bias,
                               const spice::MosModel& nmos,
                               const spice::MosModel& pmos);
 
-  /// Fingerprint of everything an evaluation depends on that make_key does
-  /// NOT cover: the technology (name + the physical parameters that shape
-  /// layouts and parasitics) and the model cards. Two flow runs may share
-  /// one cache iff their scope keys are equal.
+  /// Fingerprint of what an evaluation depends on beyond make_key: the
+  /// technology (name + every parameter that shapes layouts, parasitics and
+  /// LDE shifts: front-end geometry, diffusion and via parasitics, the metal
+  /// stack, the LDE coefficients, vdd), plus the model cards. Two flow runs
+  /// may share one cache iff their scope keys are equal.
   static std::string scope_key(const tech::Technology& technology,
                                const spice::MosModel& nmos,
                                const spice::MosModel& pmos);

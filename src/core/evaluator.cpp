@@ -82,7 +82,8 @@ PrimitiveEvaluator::PrimitiveEvaluator(const tech::Technology& technology,
     : tech_(technology),
       nmos_(std::move(nmos)),
       pmos_(std::move(pmos)),
-      bias_(std::move(bias)) {}
+      bias_(std::move(bias)),
+      cache_context_(EvalCache::context_key(bias_, nmos_, pmos_)) {}
 
 namespace {
 
@@ -110,13 +111,18 @@ void PrimitiveEvaluator::count_testbench() const {
   if (budget_ != nullptr) budget_->consume_testbench();
 }
 
+std::string PrimitiveEvaluator::cache_key(const pcell::PrimitiveLayout& layout,
+                                          const EvalCondition& condition) const {
+  return EvalCache::make_key(layout, condition, cache_context_);
+}
+
 MetricValues PrimitiveEvaluator::evaluate(const pcell::PrimitiveLayout& layout,
                                           const EvalCondition& c,
                                           EvalOutcome* outcome) const {
   if (outcome != nullptr) *outcome = EvalOutcome{};
   std::string key;
   if (cache_ != nullptr) {
-    key = EvalCache::make_key(layout, c, bias_, nmos_, pmos_);
+    key = cache_key(layout, c);
     MetricValues cached;
     if (cache_->lookup(key, &cached, cache_client_)) {
       obs::counter_add("eval.cache_hit");
@@ -407,10 +413,12 @@ MetricValues PrimitiveEvaluator::eval_diff_pair(
 
     const int ia = b.ckt.find_vsource("vga");
     const double vcm = port_v(bias_, "ga");
+    // One simulator for every secant point: only vga's waveform changes,
+    // which a live simulator allows, and each op() orders and solves anew.
+    const spice::Simulator sim(b.ckt, diag_, budget_);
     auto imbalance = [&](double dv) {
       b.ckt.vsources()[static_cast<std::size_t>(ia)].wave =
           spice::Waveform::dc(vcm + dv);
-      spice::Simulator sim(b.ckt, diag_, budget_);
       const spice::OpResult op = sim.op();
       return sim.vsource_current(op.x, "vda") -
              sim.vsource_current(op.x, "vdb");

@@ -119,9 +119,9 @@ class PrimitiveEvaluator {
   /// cache must outlive the evaluator. Cache hits skip simulation entirely —
   /// and therefore also skip testbench-budget consumption and chaos fault
   /// draws — which is why the flow leaves the cache off by default.
-  /// Attaches a memoizing cache (null detaches). `client` identifies this
-  /// evaluator's flow run when several runs share one cache (circuits/batch);
-  /// hits on entries another client inserted are counted as cross-client.
+  /// `client` identifies this evaluator's flow run when several runs share
+  /// one cache (circuits/batch); hits on entries another client inserted are
+  /// counted as cross-client.
   void set_cache(EvalCache* cache, int client = -1) {
     cache_ = cache;
     cache_client_ = client;
@@ -143,6 +143,12 @@ class PrimitiveEvaluator {
   MonteCarloOffset monte_carlo_offset(const pcell::PrimitiveLayout& layout,
                                       const EvalCondition& condition,
                                       int samples, std::uint64_t seed) const;
+
+  /// The eval-cache key of one evaluation: EvalCache::make_key over the
+  /// per-call fields plus this evaluator's context, serialized once at
+  /// construction (the bias context and model cards never change).
+  std::string cache_key(const pcell::PrimitiveLayout& layout,
+                        const EvalCondition& condition) const;
 
   const BiasContext& bias() const { return bias_; }
   EvalStats& stats() const { return stats_; }
@@ -173,6 +179,7 @@ class PrimitiveEvaluator {
   spice::MosModel nmos_;
   spice::MosModel pmos_;
   BiasContext bias_;
+  std::string cache_context_;  ///< EvalCache::context_key(bias_, nmos_, pmos_)
   mutable EvalStats stats_;
   DiagnosticsSink* diag_ = nullptr;
   Budget* budget_ = nullptr;

@@ -9,24 +9,32 @@
 
 namespace olp::place {
 
-std::vector<PlacedBlock> pack_sequence_pair(const std::vector<Block>& blocks,
-                                            const std::vector<int>& pos,
-                                            const std::vector<int>& neg) {
+namespace {
+
+/// Each block's index in each sequence; pack_into's per-run work buffers.
+struct SequenceIndex {
+  std::vector<std::size_t> in_pos;
+  std::vector<std::size_t> in_neg;
+  explicit SequenceIndex(std::size_t n) : in_pos(n), in_neg(n) {}
+};
+
+/// Packs a sequence pair into the x and y of every entry of `placed` (sized
+/// like `blocks`; `mirrored` is left alone) without allocating.
+void pack_into(const std::vector<Block>& blocks, const std::vector<int>& pos,
+               const std::vector<int>& neg, SequenceIndex& index,
+               std::vector<PlacedBlock>& placed) {
   const std::size_t n = blocks.size();
-  OLP_CHECK(pos.size() == n && neg.size() == n,
-            "sequence pair size mismatch");
+  std::vector<std::size_t>& in_pos = index.in_pos;
+  std::vector<std::size_t>& in_neg = index.in_neg;
   // match[b] = index of block b in each sequence.
-  std::vector<std::size_t> in_pos(n), in_neg(n);
   for (std::size_t i = 0; i < n; ++i) {
     in_pos[static_cast<std::size_t>(pos[i])] = i;
     in_neg[static_cast<std::size_t>(neg[i])] = i;
   }
   // Block a is left of b iff a precedes b in both sequences;
   // a is below b iff a follows b in pos and precedes it in neg.
-  std::vector<PlacedBlock> placed(n);
   // Longest-path x coordinates in pos order restricted to the left-of
   // relation; O(n^2) is fine for block counts in the tens.
-  for (std::size_t i = 0; i < n; ++i) placed[i] = PlacedBlock{};
   // Process blocks in an order compatible with "left of": pos order works
   // for x (all left-neighbors precede in pos).
   for (std::size_t pi = 0; pi < n; ++pi) {
@@ -53,10 +61,7 @@ std::vector<PlacedBlock> pack_sequence_pair(const std::vector<Block>& blocks,
     }
     placed[b].y = y;
   }
-  return placed;
 }
-
-namespace {
 
 struct Candidate {
   std::vector<PlacedBlock> placed;
@@ -90,20 +95,23 @@ double compute_hpwl(const std::vector<Block>& blocks,
   return total;
 }
 
-Candidate evaluate(const std::vector<Block>& blocks,
-                   const std::vector<PlacementNet>& nets,
-                   const std::vector<SymmetryPair>& symmetry,
-                   const std::vector<int>& pos, const std::vector<int>& neg,
-                   const std::vector<bool>& mirrored,
-                   const PlacerOptions& opt) {
-  Candidate c;
-  c.placed = pack_sequence_pair(blocks, pos, neg);
+/// Packs and scores (pos, neg, mirrored) into `c`, reusing its storage.
+void evaluate(const std::vector<Block>& blocks,
+              const std::vector<PlacementNet>& nets,
+              const std::vector<SymmetryPair>& symmetry,
+              const std::vector<int>& pos, const std::vector<int>& neg,
+              const std::vector<bool>& mirrored, const PlacerOptions& opt,
+              SequenceIndex& index, Candidate& c) {
+  pack_into(blocks, pos, neg, index, c.placed);
+  c.width = 0.0;
+  c.height = 0.0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     c.placed[b].mirrored = mirrored[b];
     c.width = std::max(c.width, c.placed[b].x + blocks[b].width);
     c.height = std::max(c.height, c.placed[b].y + blocks[b].height);
   }
   c.hpwl = compute_hpwl(blocks, nets, c.placed);
+  c.sym_penalty = 0.0;
   for (const SymmetryPair& sp : symmetry) {
     const std::size_t a = static_cast<std::size_t>(sp.a);
     const std::size_t b = static_cast<std::size_t>(sp.b);
@@ -117,7 +125,6 @@ Candidate evaluate(const std::vector<Block>& blocks,
   c.cost = opt.area_weight * c.width * c.height +
            opt.hpwl_weight * c.hpwl * norm +
            opt.symmetry_weight * c.sym_penalty * norm;
-  return c;
 }
 
 /// Snaps symmetry pairs exactly: equal y, mirrored pin orientation, and
@@ -142,7 +149,8 @@ void snap_symmetry(const std::vector<Block>& blocks,
 }
 
 /// One candidate annealing move, fully described by values drawn from the
-/// RNG stream.
+/// RNG stream. Every move is its own inverse: applying it twice restores
+/// the sequence pair and the mirror flags.
 struct Move {
   int kind = 0;  ///< 0 = swap pos, 1 = swap both, 2 = mirror flip
   int i = 0;
@@ -196,6 +204,18 @@ bool overlaps(const std::vector<Block>& blocks,
 
 }  // namespace
 
+std::vector<PlacedBlock> pack_sequence_pair(const std::vector<Block>& blocks,
+                                            const std::vector<int>& pos,
+                                            const std::vector<int>& neg) {
+  const std::size_t n = blocks.size();
+  OLP_CHECK(pos.size() == n && neg.size() == n,
+            "sequence pair size mismatch");
+  SequenceIndex index(n);
+  std::vector<PlacedBlock> placed(n);
+  pack_into(blocks, pos, neg, index, placed);
+  return placed;
+}
+
 PlacementResult AnnealingPlacer::place(
     const std::vector<Block>& blocks, const std::vector<PlacementNet>& nets,
     const std::vector<SymmetryPair>& symmetry) const {
@@ -221,11 +241,15 @@ PlacementResult AnnealingPlacer::place(
   std::iota(neg.begin(), neg.end(), 0);
   std::vector<bool> mirrored(n, false);
 
-  Candidate current =
-      evaluate(blocks, nets, symmetry, pos, neg, mirrored, options_);
+  // Every move is applied in place and, when rejected, applied again to
+  // undo it; candidates are scored into `cand`, whose storage is reused.
+  SequenceIndex index(n);
+  Candidate current;
+  current.placed.resize(n);
+  evaluate(blocks, nets, symmetry, pos, neg, mirrored, options_, index,
+           current);
   Candidate best = current;
-  std::vector<int> best_pos = pos, best_neg = neg;
-  std::vector<bool> best_mirror = mirrored;
+  Candidate cand = current;
 
   double temp = options_.initial_temp *
                 std::max(current.cost, 1e-18);
@@ -234,25 +258,17 @@ PlacementResult AnnealingPlacer::place(
     // (the initial packing was evaluated before the loop, so `best` is
     // always a complete, packable candidate).
     if (options_.budget != nullptr && options_.budget->check()) break;
-    std::vector<int> new_pos = pos, new_neg = neg;
-    std::vector<bool> new_mirror = mirrored;
     const Move move = draw_move(rng, n);
-    apply_move(move, new_pos, new_neg, new_mirror);
-    const Candidate cand = evaluate(blocks, nets, symmetry, new_pos,
-                                    new_neg, new_mirror, options_);
+    apply_move(move, pos, neg, mirrored);
+    evaluate(blocks, nets, symmetry, pos, neg, mirrored, options_, index,
+             cand);
     const double delta = cand.cost - current.cost;
     if (delta <= 0 ||
         rng.uniform() < std::exp(-delta / std::max(temp, 1e-30))) {
-      pos = std::move(new_pos);
-      neg = std::move(new_neg);
-      mirrored = std::move(new_mirror);
-      current = cand;
-      if (current.cost < best.cost) {
-        best = current;
-        best_pos = pos;
-        best_neg = neg;
-        best_mirror = mirrored;
-      }
+      std::swap(current, cand);
+      if (current.cost < best.cost) best = current;
+    } else {
+      apply_move(move, pos, neg, mirrored);
     }
     temp *= options_.cooling;
   }

@@ -65,7 +65,7 @@ struct PlacementResult {
 struct PlacerOptions {
   int iterations = 20000;
   double initial_temp = 1.0;
-  double cooling = 0.995;    ///< geometric cooling per accepted batch
+  double cooling = 0.995;    ///< geometric cooling factor, every iteration
   double area_weight = 1.0;
   double hpwl_weight = 0.5;
   double symmetry_weight = 4.0;

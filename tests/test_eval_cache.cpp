@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -96,7 +97,7 @@ TEST(EvalCacheKey, DistinguishesEveryInput) {
       EvalCache::make_key(lay, wired, bias, nmos, pmos);
   EXPECT_TRUE(keys.insert(wired_key).second);
   wired.port_wires["da"].resistance =
-      std::nextafter(12.5, 13.0);  // %.17g is round-trip exact
+      std::nextafter(12.5, 13.0);  // shortest to_chars is round-trip exact
   EXPECT_TRUE(
       keys.insert(EvalCache::make_key(lay, wired, bias, nmos, pmos)).second);
 
@@ -121,6 +122,72 @@ TEST(EvalCacheKey, DistinguishesEveryInput) {
   nmos2.vth0 += 1e-3;
   EXPECT_TRUE(
       keys.insert(EvalCache::make_key(lay, cond, bias, nmos2, pmos)).second);
+
+  // The evaluator serializes its context once; its key must be the full key
+  // for every condition.
+  const PrimitiveEvaluator eval(t(), nmos, pmos, bias);
+  for (const EvalCondition* c : {&cond, &ideal, &tuned, &wired, &mc}) {
+    EXPECT_EQ(eval.cache_key(lay, *c),
+              EvalCache::make_key(lay, *c, bias, nmos, pmos));
+  }
+
+  // A one-ulp change in any model-card field or bias value changes the
+  // key, through make_key and through an evaluator built on the change.
+  auto ulp = [](double& v) {
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+  };
+  auto expect_new_key = [&](const BiasContext& b, const spice::MosModel& n,
+                            const spice::MosModel& p, const std::string& what) {
+    const std::string key = EvalCache::make_key(lay, cond, b, n, p);
+    EXPECT_TRUE(keys.insert(key).second) << what;
+    EXPECT_EQ(PrimitiveEvaluator(t(), n, p, b).cache_key(lay, cond), key)
+        << what;
+  };
+  for (const bool pmos_side : {false, true}) {
+    int field_index = 0;
+    for (double spice::MosModel::*field :
+         {&spice::MosModel::vth0, &spice::MosModel::nslope,
+          &spice::MosModel::kp, &spice::MosModel::lambda,
+          &spice::MosModel::lref, &spice::MosModel::vt_thermal,
+          &spice::MosModel::cox, &spice::MosModel::cov, &spice::MosModel::cj,
+          &spice::MosModel::cjsw, &spice::MosModel::avt}) {
+      spice::MosModel n = nmos;
+      spice::MosModel p = pmos;
+      ulp((pmos_side ? p : n).*field);
+      expect_new_key(bias, n, p,
+                     std::string(pmos_side ? "pmos" : "nmos") + " field " +
+                         std::to_string(field_index++));
+    }
+  }
+  BiasContext b = bias;
+  ulp(b.vdd);
+  expect_new_key(b, nmos, pmos, "vdd");
+  b = bias;
+  ulp(b.bias_current);
+  expect_new_key(b, nmos, pmos, "bias_current");
+  b = bias;
+  ulp(b.port_voltage["ga"]);
+  expect_new_key(b, nmos, pmos, "port_voltage");
+  b = bias;
+  ulp(b.port_load_cap["da"]);
+  expect_new_key(b, nmos, pmos, "port_load_cap");
+}
+
+// Technologies that differ only in the metal stack or the LDE coefficients
+// generate and annotate different layouts, so they must not share a cache.
+TEST(EvalCacheScope, LayoutShapingTechnologyChangesScope) {
+  const spice::MosModel nmos = circuits::default_nmos();
+  const spice::MosModel pmos = circuits::default_pmos();
+  const std::string base = EvalCache::scope_key(t(), nmos, pmos);
+  EXPECT_EQ(EvalCache::scope_key(t(), nmos, pmos), base);
+
+  tech::Technology lde = t();
+  lde.lde.k_lod_vth *= 1.5;
+  EXPECT_NE(EvalCache::scope_key(lde, nmos, pmos), base);
+
+  tech::Technology metal = t();
+  metal.metals[0].sheet_res *= 1.5;
+  EXPECT_NE(EvalCache::scope_key(metal, nmos, pmos), base);
 }
 
 TEST(EvalCache, HitReturnsIdenticalValuesWithoutNewTestbenches) {
