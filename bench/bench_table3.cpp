@@ -2,16 +2,17 @@
 // options. The DP (W/L = 46 um / 14 nm, 960 fins per device) is generated in
 // the paper's four (nfin, nf, m) configurations under the ABBA / ABAB / AABB
 // placement patterns; each option's metric deviations and weighted cost are
-// measured by simulation, and options are binned by aspect ratio.
+// measured by simulation, and options are binned by aspect ratio. The sweep
+// is circuits::run_dp_options(); tests/test_experiments.cpp checks its shape.
 //
 // Expected shape: deviations of a few percent for Gm, tens of percent for
 // Gm/Ctotal, zero offset for the common-centroid patterns, and an offset
 // blow-up (cost >> 100) for the non-common-centroid AABB arrangement.
 
+#include <cstdio>
 #include <iostream>
 
-#include "circuits/common.hpp"
-#include "core/optimizer.hpp"
+#include "circuits/experiments.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 
@@ -19,87 +20,21 @@ int main() {
   using namespace olp;
   set_log_level(log_level_from_env("OLP_LOG_LEVEL", LogLevel::kError));
   const tech::Technology t = tech::make_default_finfet_tech();
-  const pcell::PrimitiveGenerator generator(t);
-  const pcell::PrimitiveNetlist dp = pcell::make_diff_pair();
-  constexpr int kFins = 960;  // W/L = 46 um / 14 nm at 48 nm per fin
-
-  core::BiasContext bias;
-  bias.vdd = t.vdd;
-  bias.bias_current = 706e-6;
-  bias.port_voltage = {
-      {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
-  bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
-  const core::PrimitiveEvaluator evaluator(
-      t, circuits::default_nmos(), circuits::default_pmos(), bias);
-  const core::PrimitiveOptimizer optimizer(generator, evaluator);
-
-  // The paper's Table III configurations.
-  struct Entry {
-    int nfin, nf, m;
-    pcell::PlacementPattern pattern;
-  };
-  const Entry kEntries[] = {
-      {8, 20, 6, pcell::PlacementPattern::kABBA},
-      {8, 20, 6, pcell::PlacementPattern::kABAB},
-      {8, 20, 6, pcell::PlacementPattern::kAABB},
-      {16, 12, 5, pcell::PlacementPattern::kABBA},
-      {16, 12, 5, pcell::PlacementPattern::kABAB},
-      {24, 20, 2, pcell::PlacementPattern::kABBA},
-      {24, 20, 2, pcell::PlacementPattern::kABAB},
-      {24, 20, 2, pcell::PlacementPattern::kAABB},
-      {12, 20, 4, pcell::PlacementPattern::kABBA},
-      {12, 20, 4, pcell::PlacementPattern::kABAB},
-      {12, 20, 4, pcell::PlacementPattern::kAABB},
-  };
-
-  core::OptimizerOptions opts;
-  opts.bins = 3;
-  for (const Entry& e : kEntries) {
-    pcell::LayoutConfig config;
-    config.nfin = e.nfin;
-    config.nf = e.nf;
-    config.m = e.m;
-    config.pattern = e.pattern;
-    opts.configs.push_back(config);
-  }
-
-  const std::vector<core::LayoutCandidate> candidates =
-      optimizer.evaluate_all(dp, kFins, opts);
 
   TextTable table(
       "Table III: Cost components for DP layout options (W/L=46um/14nm)\n"
       "(paper bin-best costs: 3.6 / 3.9 / 3.0; AABB offset blow-up 101.7)");
   table.set_header({"configuration", "pattern", "bin", "dGm", "dGm/Ctot",
                     "dOffset", "Cost"});
-
-  // Track the cheapest option per bin for the bold-face marker.
-  std::vector<double> best_cost(3, 1e300);
-  std::vector<std::size_t> best_idx(3, 0);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const int b = candidates[i].bin;
-    if (candidates[i].cost.total < best_cost[static_cast<std::size_t>(b)]) {
-      best_cost[static_cast<std::size_t>(b)] = candidates[i].cost.total;
-      best_idx[static_cast<std::size_t>(b)] = i;
-    }
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const core::LayoutCandidate& cand = candidates[i];
-    double d_gm = 0, d_gmc = 0, d_off = 0;
-    for (const core::MetricDeviation& term : cand.cost.terms) {
-      if (term.spec.kind == core::MetricKind::kGm) d_gm = term.deviation;
-      if (term.spec.kind == core::MetricKind::kGmOverCtotal)
-        d_gmc = term.deviation;
-      if (term.spec.kind == core::MetricKind::kInputOffset)
-        d_off = term.deviation;
-    }
-    const bool best = best_idx[static_cast<std::size_t>(cand.bin)] == i;
+  for (const circuits::DpOptionRow& row : circuits::run_dp_options(t)) {
     char cfg[64];
-    std::snprintf(cfg, sizeof cfg, "nfin=%d; nf=%d; m=%d%s",
-                  cand.layout.config.nfin, cand.layout.config.nf,
-                  cand.layout.config.m, best ? "  <== bin best" : "");
-    table.add_row({cfg, pcell::pattern_name(cand.layout.config.pattern),
-                   std::to_string(cand.bin + 1), pct(d_gm), pct(d_gmc),
-                   pct(d_off, 0), fixed(cand.cost.total, 1)});
+    std::snprintf(cfg, sizeof cfg, "nfin=%d; nf=%d; m=%d%s", row.config.nfin,
+                  row.config.nf, row.config.m,
+                  row.bin_best ? "  <== bin best" : "");
+    table.add_row({cfg, pcell::pattern_name(row.config.pattern),
+                   std::to_string(row.bin + 1), pct(row.d_gm),
+                   pct(row.d_gm_over_ctotal), pct(row.d_offset, 0),
+                   fixed(row.cost, 1)});
   }
   std::cout << table;
   std::cout << "\nOne option per aspect-ratio bin is handed to the placer "

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/budget.hpp"
-#include "util/env.hpp"
 #include "util/jsonl.hpp"
 #include "util/obs.hpp"
 #include "util/table.hpp"
@@ -169,7 +168,6 @@ BatchRunner::BatchRunner(const tech::Technology& technology,
                          BatchOptions options)
     : tech_(technology), options_(options) {
   options_.workers = threads_from_env(options_.workers);
-  options_.clamp_workers = env::flag("OLP_BATCH_CLAMP", options_.clamp_workers);
 }
 
 BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
@@ -198,10 +196,7 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
 
   // Oversubscription guard: resolve_num_threads(0) is one thread per
   // hardware core — the most workers that can ever help on this machine.
-  const int pool_workers =
-      options_.clamp_workers
-          ? std::min(options_.workers, resolve_num_threads(0))
-          : options_.workers;
+  const int pool_workers = std::min(options_.workers, resolve_num_threads(0));
   BatchReport report;
   report.workers = pool_workers;
   report.jobs.resize(jobs.size());

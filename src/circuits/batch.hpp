@@ -22,10 +22,15 @@
 // Budget::cancel() of one job never touches a sibling), its own
 // DiagnosticsSink, and its own FlowReport. A job that throws is recorded as
 // failed (with the error text) and the rest of the batch proceeds. Cached
-// values are bit-identical to freshly computed ones by construction, and
-// per-batch ordered reduction keeps every job's decisions independent of
-// scheduling — so each job's report is bit-identical to running that job
-// alone (tests/test_batch.cpp proves it against the serial uncached run).
+// values are bit-identical to freshly computed ones by construction, an
+// evaluation cut short by its job's budget is never cached, and per-batch
+// ordered reduction keeps every job's decisions independent of scheduling —
+// so a job whose budget never trips reports exactly what it reports alone
+// (tests/test_batch.cpp proves it against the serial uncached run), whatever
+// its siblings' budgets do. A job whose own budget trips may stop at a
+// different point than its solo run: a cache hit charges no testbench and
+// runs none of the simulator's Budget::check() probes. A limit of 0 still
+// matches the solo run, because it trips before any evaluation.
 //
 // Telemetry: concurrent jobs cannot each own the process-wide obs registry
 // (a per-job rebase would clobber the siblings), so every job runs with
@@ -81,16 +86,10 @@ struct BatchOptions {
   /// Worker threads (including the caller) for the whole batch: jobs AND
   /// their inner parallel stages. 1 = strictly serial (the determinism
   /// reference), 0 = one per hardware core. OLP_THREADS overrides at
-  /// runner construction.
+  /// runner construction. The pool never runs more threads than hardware
+  /// cores: more workers add context switches and lock handoffs, not
+  /// throughput. Results are bit-identical at any worker count.
   int workers = 1;
-  /// Oversubscription guard (default on): the batch pool never spawns more
-  /// threads than hardware cores — worker counts beyond that cannot add
-  /// throughput, only context-switch and lock-handoff overhead (measured
-  /// -15% jobs/min at 8 requested workers on one core). Results are
-  /// bit-identical either way. OLP_BATCH_CLAMP=0/1 overrides at runner
-  /// construction; the TSan harness disables it so small machines still
-  /// exercise real cross-thread interleavings.
-  bool clamp_workers = true;
   /// Share one evaluation cache among same-scope jobs (see file comment).
   /// Off = every job runs with exactly its own FlowOptions cache settings.
   bool share_cache = true;
@@ -99,7 +98,7 @@ struct BatchOptions {
 struct BatchReport {
   std::vector<JobResult> jobs;
   double wall_s = 0.0;
-  int workers = 1;  ///< threads the batch pool ran (after the clamp)
+  int workers = 1;  ///< threads the batch pool ran (capped at the cores)
   long total_testbenches = 0;  ///< across all jobs (simulations actually run)
   /// Pooled shared-cache statistics (zero when sharing is off).
   long cache_hits = 0;

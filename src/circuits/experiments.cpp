@@ -8,6 +8,30 @@
 
 namespace olp::circuits {
 
+namespace {
+
+/// The relative deviation of `kind` in a cost breakdown; 0 when absent.
+double deviation_of(const core::CostBreakdown& cost, core::MetricKind kind) {
+  for (const core::MetricDeviation& term : cost.terms) {
+    if (term.spec.kind == kind) return term.deviation;
+  }
+  return 0.0;
+}
+
+/// The Table III / IV differential pair's bias: 706 uA tail, 25 fF drain
+/// loads.
+core::BiasContext dp_bias(const tech::Technology& t) {
+  core::BiasContext bias;
+  bias.vdd = t.vdd;
+  bias.bias_current = 706e-6;
+  bias.port_voltage = {
+      {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
+  bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
+  return bias;
+}
+
+}  // namespace
+
 CircuitExperiment run_ota(const tech::Technology& t,
                           const FlowOptions& options, bool with_manual) {
   Ota5T ota(t);
@@ -169,6 +193,56 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
   return ex;
 }
 
+std::vector<DpOptionRow> run_dp_options(const tech::Technology& t) {
+  constexpr int kFins = 960;  // W/L = 46 um / 14 nm at 48 nm per fin
+  constexpr int kBins = 3;
+  const pcell::PrimitiveGenerator generator(t);
+  const core::PrimitiveEvaluator evaluator(t, default_nmos(), default_pmos(),
+                                           dp_bias(t));
+  const core::PrimitiveOptimizer optimizer(generator, evaluator);
+
+  using P = pcell::PlacementPattern;
+  core::OptimizerOptions opts;
+  opts.bins = kBins;
+  opts.configs = {
+      {.nfin = 8, .nf = 20, .m = 6, .pattern = P::kABBA},
+      {.nfin = 8, .nf = 20, .m = 6, .pattern = P::kABAB},
+      {.nfin = 8, .nf = 20, .m = 6, .pattern = P::kAABB},
+      {.nfin = 16, .nf = 12, .m = 5, .pattern = P::kABBA},
+      {.nfin = 16, .nf = 12, .m = 5, .pattern = P::kABAB},
+      {.nfin = 24, .nf = 20, .m = 2, .pattern = P::kABBA},
+      {.nfin = 24, .nf = 20, .m = 2, .pattern = P::kABAB},
+      {.nfin = 24, .nf = 20, .m = 2, .pattern = P::kAABB},
+      {.nfin = 12, .nf = 20, .m = 4, .pattern = P::kABBA},
+      {.nfin = 12, .nf = 20, .m = 4, .pattern = P::kABAB},
+      {.nfin = 12, .nf = 20, .m = 4, .pattern = P::kAABB},
+  };
+
+  std::vector<DpOptionRow> rows;
+  for (const core::LayoutCandidate& cand :
+       optimizer.evaluate_all(pcell::make_diff_pair(), kFins, opts)) {
+    DpOptionRow row;
+    row.config = cand.layout.config;
+    row.bin = cand.bin;
+    row.d_gm = deviation_of(cand.cost, core::MetricKind::kGm);
+    row.d_gm_over_ctotal =
+        deviation_of(cand.cost, core::MetricKind::kGmOverCtotal);
+    row.d_offset = deviation_of(cand.cost, core::MetricKind::kInputOffset);
+    row.cost = cand.cost.total;
+    rows.push_back(row);
+  }
+  for (int bin = 0; bin < kBins; ++bin) {
+    DpOptionRow* best = nullptr;
+    for (DpOptionRow& row : rows) {
+      if (row.bin == bin && (best == nullptr || row.cost < best->cost)) {
+        best = &row;
+      }
+    }
+    if (best != nullptr) best->bin_best = true;
+  }
+  return rows;
+}
+
 std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
   constexpr int kMaxWires = 7;
   const pcell::PrimitiveGenerator generator(t);
@@ -177,14 +251,8 @@ std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
 
   // Differential pair with the drain routes swept.
   const pcell::PrimitiveNetlist dp = pcell::make_diff_pair();
-  core::BiasContext dp_bias;
-  dp_bias.vdd = t.vdd;
-  dp_bias.bias_current = 706e-6;
-  dp_bias.port_voltage = {
-      {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
-  dp_bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
   const core::PrimitiveEvaluator dp_eval(t, default_nmos(), default_pmos(),
-                                         dp_bias);
+                                         dp_bias(t));
   const core::PrimitiveOptimizer dp_opt(generator, dp_eval);
   const core::LayoutCandidate dp_best = dp_opt.optimize(dp, 960, oopt).front();
   const core::MetricValues dp_ref = dp_opt.schematic_reference(dp, 960);
@@ -210,12 +278,6 @@ std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
   route.segments.push_back(route::RouteSegment{
       tech::Layer::kM3, geom::Point{0, 0}, geom::Point{geom::to_nm(2e-6), 0}});
 
-  const auto term = [](const core::CostBreakdown& cb, core::MetricKind kind) {
-    for (const core::MetricDeviation& d : cb.terms) {
-      if (d.spec.kind == kind) return d.deviation;
-    }
-    return 0.0;
-  };
   std::vector<PortSweepRow> rows;
   for (int w = 1; w <= kMaxWires; ++w) {
     const extract::WireRc rc = core::route_wire_rc(t, route, w);
@@ -238,11 +300,13 @@ std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
 
     PortSweepRow row;
     row.wires = w;
-    row.dp_gm = term(dcb, core::MetricKind::kGm);
-    row.dp_gm_over_ctotal = term(dcb, core::MetricKind::kGmOverCtotal);
+    row.dp_gm = deviation_of(dcb, core::MetricKind::kGm);
+    row.dp_gm_over_ctotal =
+        deviation_of(dcb, core::MetricKind::kGmOverCtotal);
     row.dp_cost = dcb.total;
-    row.cm_current_ratio = term(ccb, core::MetricKind::kCurrentRatio);
-    row.cm_cout = term(ccb, core::MetricKind::kCout);
+    row.cm_current_ratio =
+        deviation_of(ccb, core::MetricKind::kCurrentRatio);
+    row.cm_cout = deviation_of(ccb, core::MetricKind::kCout);
     row.cm_cost = ccb.total;
     rows.push_back(row);
   }

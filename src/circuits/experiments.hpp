@@ -3,6 +3,7 @@
 // harnesses and examples can regenerate each table/figure.
 //
 //   Table I / Fig. 2  -> run_cs_amp()        (wire width sweep on Vout)
+//   Table III         -> run_dp_options()    (DP layout options per bin)
 //   Table IV          -> run_port_sweep()    (parallel routes at DP/CM ports)
 //   Table VI          -> run_ota(), run_strongarm()
 //   Table VII         -> run_vco()
@@ -44,6 +45,27 @@ CircuitExperiment run_vco(const tech::Technology& t,
                           const FlowOptions& options = {},
                           const std::vector<double>& vctrls =
                               RoVco::default_sweep());
+
+/// One row of Table III: a differential-pair layout option, its aspect-ratio
+/// bin (0-based) and its cost. The metric columns are relative deviations
+/// from the schematic reference.
+struct DpOptionRow {
+  pcell::LayoutConfig config;
+  int bin = 0;
+  double d_gm = 0.0;
+  double d_gm_over_ctotal = 0.0;
+  double d_offset = 0.0;
+  double cost = 0.0;
+  bool bin_best = false;  ///< cheapest option of its bin (first on a tie)
+};
+
+/// Table III: the DP (W/L = 46 um / 14 nm, 960 fins per device) in the
+/// paper's four (nfin, nf, m) configurations under the ABBA / ABAB / AABB
+/// patterns, evaluated by Algorithm 1's optimizer and split into 3
+/// aspect-ratio bins; one row per option, in the paper's order. The paper's
+/// shape: common-centroid options win every bin, and the AABB offset blows
+/// up.
+std::vector<DpOptionRow> run_dp_options(const tech::Technology& t);
 
 /// One row of Table IV: the differential pair's and the passive current
 /// mirror's cost with `wires` parallel routes at the swept ports. The

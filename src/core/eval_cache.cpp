@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <functional>
-#include <utility>
 
 #include "tech/technology.hpp"
 #include "util/obs.hpp"
@@ -12,9 +11,12 @@ namespace olp::core {
 namespace {
 
 /// Contention attribution for the shard mutex (obs::timed_lock): only a
-/// failed try-lock reads the clock or records. Only writers (inserts) take
-/// the mutex; the read path is lock-free.
-constexpr obs::LockSite kCacheWriteLock{
+/// failed try-lock reads the clock or records. Reads and writes get separate
+/// sites so read waits stay visible next to insert waits.
+constexpr obs::LockSite kCacheLookupLock{
+    "obs.contention.eval_cache_lookup.contended",
+    "obs.contention.eval_cache_lookup.wait_us"};
+constexpr obs::LockSite kCacheInsertLock{
     "obs.contention.eval_cache_insert.contended",
     "obs.contention.eval_cache_insert.wait_us"};
 
@@ -191,46 +193,30 @@ EvalCache::Shard& EvalCache::shard_for(const std::string& key) {
   return shards_[h % shards_.size()];
 }
 
-void EvalCache::republish(Shard& shard) {
-  shard.published.store(std::make_shared<const Index>(shard.map),
-                        std::memory_order_release);
-}
-
 bool EvalCache::lookup(const std::string& key, MetricValues* values,
                        int client) {
-  // RCU read: load the published snapshot and search it. No mutex; the
-  // snapshot's shared_ptr keeps it alive even if a writer concurrently
-  // republishes.
-  const std::shared_ptr<const Index> index =
-      shard_for(key).published.load(std::memory_order_acquire);
-  const Entry* entry = nullptr;
-  if (index != nullptr) {
-    const auto it = index->find(std::string_view(key));
-    if (it != index->end()) entry = it->second.get();
-  }
-  if (entry == nullptr) {
+  Shard& shard = shard_for(key);
+  const auto lock = obs::timed_lock(shard.mu, kCacheLookupLock);
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  if (client >= 0 && entry->owner >= 0 && entry->owner != client) {
+  const Entry& entry = it->second;
+  if (client >= 0 && entry.owner >= 0 && entry.owner != client) {
     cross_client_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (values != nullptr) *values = entry->values;
+  if (values != nullptr) *values = entry.values;
   return true;
 }
 
 void EvalCache::insert(const std::string& key, const MetricValues& values,
                        int client) {
-  auto entry = std::make_shared<Entry>();
-  entry->key = key;
-  entry->values = values;
-  entry->owner = client;
-  const std::string_view view(entry->key);
   Shard& shard = shard_for(key);
-  const auto lock = obs::timed_lock(shard.mu, kCacheWriteLock);
-  // First writer wins; try_emplace leaves `entry` untouched on a duplicate.
-  if (shard.map.try_emplace(view, std::move(entry)).second) republish(shard);
+  const auto lock = obs::timed_lock(shard.mu, kCacheInsertLock);
+  // First writer wins: try_emplace leaves an existing entry untouched.
+  shard.map.try_emplace(key, Entry{values, client});
 }
 
 EvalCacheStats EvalCache::stats() const {

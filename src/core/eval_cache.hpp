@@ -23,22 +23,16 @@
 // tests/test_determinism.cpp). The full key string is the map key; the hash
 // only selects a shard, so hash collisions are benign by construction.
 //
-// Concurrency: sharded, with an RCU-style lock-free read path. Each shard
-// keeps an authoritative map guarded by its mutex (writers only) and
-// publishes an immutable snapshot index through an atomic shared_ptr.
-// lookup() loads the published snapshot and searches it — it NEVER takes
-// the shard mutex, so cache hits from concurrent TaskPool workers cost no
-// lock traffic at all. Writer-side waits on the shard mutex are attributed
-// to "obs.contention.eval_cache_insert.*".
-// Writers insert into the authoritative map under the mutex, then publish
-// a fresh snapshot; a reader holding an older snapshot keeps it alive
-// through its shared_ptr, which is the entire retire protocol — a replaced
-// snapshot is freed when its last reader drops it. Entries are immutable
-// after publication and live as long as the cache: nothing is evicted.
+// Concurrency: 16 shards by default, each a plain map behind its own mutex.
+// lookup() and insert() both take the shard mutex; their waits are
+// attributed to "obs.contention.eval_cache_lookup.*" and
+// "obs.contention.eval_cache_insert.*". Entries are stored by value, never
+// change once inserted and live as long as the cache: nothing is evicted.
 //
-// Entries are only inserted for evaluations with no quarantined metric
-// (the evaluator enforces this), so diagnostics and quarantine accounting
-// stay identical with the cache on or off.
+// Entries are only inserted for evaluations with no quarantined metric and
+// no exhausted budget (the evaluator enforces both), so diagnostics and
+// quarantine accounting stay identical with the cache on or off, and a
+// budget-cut evaluation never reaches a job that shares the cache.
 //
 // Cross-job sharing (circuits/batch): one cache may serve many concurrent
 // flow runs. The key does NOT cover the Technology (layer stack, parasitic
@@ -54,7 +48,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -111,7 +104,7 @@ class EvalCache {
 
   /// Copies the cached metrics into *values and returns true on a hit.
   /// Counts a hit/miss either way; a hit on another client's entry also
-  /// counts toward cross_client_hits when both ids are >= 0. Lock-free.
+  /// counts toward cross_client_hits when both ids are >= 0.
   bool lookup(const std::string& key, MetricValues* values, int client = -1);
 
   /// Inserts (first writer wins; a racing duplicate insert is a no-op —
@@ -123,33 +116,17 @@ class EvalCache {
   EvalCacheStats stats() const;
 
  private:
-  /// One cached evaluation. Heap-allocated and immutable once published,
-  /// so readers can use it without synchronization.
+  /// One cached evaluation.
   struct Entry {
-    std::string key;  ///< owns the bytes every index string_view points at
     MetricValues values;
     int owner = -1;  ///< client id of the inserting run
   };
-  using EntryPtr = std::shared_ptr<const Entry>;
-  /// Snapshot index: keys view into their entry's own key string.
-  using Index = std::unordered_map<std::string_view, EntryPtr>;
 
   struct Shard {
-    mutable std::mutex mu;  ///< writers and stats
-    Index map;              ///< authoritative state (guarded by mu)
-    /// Immutable copy of `map` for lock-free readers; replaced wholesale
-    /// after every insert. Null until the first publish (== empty).
-    /// NOTE: libstdc++'s std::atomic<shared_ptr> (_Sp_atomic) trips a
-    /// ThreadSanitizer false positive — its reader side unlocks the
-    /// embedded spinlock bit with a relaxed RMW, which is correct on
-    /// hardware but invisible to happens-before analysis (GCC PR 104602).
-    /// tests/run_tsan.sh suppresses `race:_Sp_atomic` for exactly this.
-    std::atomic<std::shared_ptr<const Index>> published;
+    mutable std::mutex mu;  ///< guards map
+    std::unordered_map<std::string, Entry> map;
   };
   Shard& shard_for(const std::string& key);
-  /// Rebuilds and publishes the read snapshot from the authoritative map.
-  /// Requires shard.mu held.
-  static void republish(Shard& shard);
 
   std::vector<Shard> shards_;
   std::atomic<long> hits_{0};

@@ -160,8 +160,12 @@ MetricValues PrimitiveEvaluator::evaluate(const pcell::PrimitiveLayout& layout,
   if (outcome != nullptr) outcome->quarantined = quarantined_here;
   // Only clean evaluations are memoized: a cached quarantined result would
   // swallow the quarantine diagnostic on replay, making cached and uncached
-  // flows observably different.
-  if (cache_ != nullptr && quarantined_here == 0) {
+  // flows observably different. A budget that tripped during (or before)
+  // this evaluation cut its simulator loops short, so its finite metrics
+  // may still be wrong; caching them would hand them to every job sharing
+  // the cache.
+  const bool budget_cut = budget_ != nullptr && budget_->exhausted();
+  if (cache_ != nullptr && quarantined_here == 0 && !budget_cut) {
     cache_->insert(key, out, cache_client_);
   }
   return out;

@@ -118,7 +118,8 @@ class PrimitiveEvaluator {
   /// Attaches a memoizing evaluation cache (may be null to detach); the
   /// cache must outlive the evaluator. Cache hits skip simulation entirely —
   /// and therefore also skip testbench-budget consumption and chaos fault
-  /// draws — which is why the flow leaves the cache off by default.
+  /// draws — which is why the flow leaves the cache off by default. An
+  /// evaluation that ends with the attached budget exhausted is not cached.
   /// `client` identifies this evaluator's flow run when several runs share
   /// one cache (circuits/batch); hits on entries another client inserted are
   /// counted as cross-client.

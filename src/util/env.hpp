@@ -21,9 +21,6 @@
 //   OLP_TESTBENCH_BUDGET  max testbench evaluations    (util/budget)
 //   OLP_LOG_LEVEL         debug|info|warn|error|off    (util/logging)
 //   OLP_TRACE_DIR         trace/artifact output dir    (examples, batch)
-//   OLP_BATCH_CLAMP       "0" disables the batch oversubscription guard
-//                         (pool clamped to hardware cores)
-//                                                      (circuits/batch)
 //
 // Numeric parses are strict AND range-checked: a value that overflows the
 // target type (e.g. "99999999999999999999") is treated as malformed and

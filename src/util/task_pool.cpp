@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "util/env.hpp"
@@ -21,8 +23,7 @@ void chaos_delay(std::size_t index) {
   std::this_thread::sleep_for(std::chrono::microseconds(100 + 100 * h));
 }
 
-/// The slot mutexes' contention attribution (obs::timed_lock). One site for
-/// all slots: the meter answers "how often do claims collide at all".
+/// The queue mutex's contention attribution (obs::timed_lock).
 constexpr obs::LockSite kPoolLock{"obs.contention.pool.contended",
                                   "obs.contention.pool.wait_us"};
 
@@ -31,15 +32,6 @@ std::int64_t now_us() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Which run-queue slot the current thread submits through on a given pool:
-/// workers publish their identity here at startup; every other thread (and
-/// any thread on a different pool) falls back to the shared slot 0.
-struct ThreadSlot {
-  const void* pool = nullptr;
-  std::size_t slot = 0;
-};
-thread_local ThreadSlot tl_slot;
 
 }  // namespace
 
@@ -50,38 +42,39 @@ int resolve_num_threads(int requested) {
 }
 
 int threads_from_env(int base) {
-  return resolve_num_threads(
-      static_cast<int>(env::integer("OLP_THREADS", base)));
+  const long value = env::integer("OLP_THREADS", base);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return resolve_num_threads(base);
+  }
+  return resolve_num_threads(static_cast<int>(value));
 }
 
 TaskPool::TaskPool(int threads) {
   const int total = threads < 1 ? 1 : threads;
-  slots_.reserve(static_cast<std::size_t>(total));
-  for (int i = 0; i < total; ++i) slots_.push_back(std::make_unique<Slot>());
   workers_.reserve(static_cast<std::size_t>(total - 1));
   for (int i = 1; i < total; ++i) {
     workers_.emplace_back([this, i] {
       obs::set_thread_name("pool/worker-" + std::to_string(i - 1));
-      tl_slot.pool = this;
-      tl_slot.slot = static_cast<std::size_t>(i);
-      worker_loop(static_cast<std::size_t>(i));
+      worker_loop();
     });
   }
 }
 
 TaskPool::~TaskPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    ++work_version_;
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void TaskPool::unlist(Slot& slot, Batch* batch) {
-  const auto it = std::find(slot.batches.begin(), slot.batches.end(), batch);
-  if (it != slot.batches.end()) slot.batches.erase(it);
+TaskPool::Batch* TaskPool::front_claimable() {
+  for (Batch* batch : queue_) {
+    if (batch->claimable()) return batch;
+  }
+  return nullptr;
 }
 
 void TaskPool::parallel_for(std::size_t n,
@@ -109,34 +102,21 @@ void TaskPool::parallel_for(std::size_t n,
   batch.task = &task;
   batch.n = n;
   batch.context = obs::capture_thread_context();
-  Slot& home =
-      *slots_[tl_slot.pool == this ? tl_slot.slot : std::size_t{0}];
-  batch.home = &home;
 
-  std::unique_lock<std::mutex> lock = obs::timed_lock(home.mu, kPoolLock);
-  home.batches.push_back(&batch);
+  std::unique_lock<std::mutex> lock = obs::timed_lock(mu_, kPoolLock);
+  queue_.push_back(&batch);
   obs::histogram("obs.pool.queue_depth",
-                 static_cast<double>(home.batches.size()));
+                 static_cast<double>(queue_.size()));
   lock.unlock();
-  {
-    std::lock_guard<std::mutex> wake(wake_mu_);
-    ++work_version_;
-  }
   work_cv_.notify_all();
+  obs::timed_relock(lock, kPoolLock);
 
   // The submitter works its own batch first (so progress never depends on a
   // free worker — nested submission cannot deadlock), then waits for
-  // stragglers claimed by thieves.
-  obs::timed_relock(lock, kPoolLock);
-  while (batch.claimable()) {
-    const std::size_t index = batch.next++;
-    ++batch.in_flight;
-    if (!batch.claimable()) unlist(home, &batch);
-    lock.unlock();
-    run_claimed(&batch, index, /*is_worker=*/false);
-    obs::timed_relock(lock, kPoolLock);
-  }
-  home.done_cv.wait(lock, [&batch] { return batch.done(); });
+  // stragglers claimed by workers.
+  while (batch.claimable()) run_one(lock, batch, /*is_worker=*/false);
+  done_cv_.wait(lock, [&batch] { return batch.done(); });
+  queue_.erase(std::find(queue_.begin(), queue_.end(), &batch));
   const bool stopped = batch.stop;
   std::exception_ptr error = batch.error;
   lock.unlock();
@@ -144,67 +124,30 @@ void TaskPool::parallel_for(std::size_t n,
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void TaskPool::worker_loop(std::size_t slot_index) {
-  // Per-thief LCG for victim selection: cheap, and seeded by slot so
-  // thieves start their sweeps on different victims.
-  std::uint64_t rng = 0x9e3779b97f4a7c15ULL * (slot_index + 1);
+void TaskPool::worker_loop() {
+  std::unique_lock<std::mutex> lock = obs::timed_lock(mu_, kPoolLock);
   for (;;) {
-    if (find_and_run_once(slot_index, rng)) continue;
-    std::unique_lock<std::mutex> wake(wake_mu_);
-    if (shutdown_) return;
-    const std::uint64_t seen = work_version_;
-    wake.unlock();
-    // Re-sweep after recording the version: any batch published before the
-    // read is visible to this sweep, any published after bumps the version
-    // and defeats the wait below — no lost wakeups.
-    if (find_and_run_once(slot_index, rng)) continue;
-    wake.lock();
     // Idle time = waiting for claimable work; the clock is only read while
     // the registry is enabled, so disabled runs pay nothing here.
     const std::int64_t idle_t0 = obs::enabled() ? now_us() : 0;
-    work_cv_.wait(wake,
-                  [this, seen] { return shutdown_ || work_version_ != seen; });
+    work_cv_.wait(lock,
+                  [this] { return shutdown_ || front_claimable() != nullptr; });
     if (idle_t0 != 0) {
       obs::counter_add("obs.pool.idle_us", now_us() - idle_t0);
     }
     if (shutdown_) return;
+    run_one(lock, *front_claimable(), /*is_worker=*/true);
   }
 }
 
-bool TaskPool::find_and_run_once(std::size_t self_slot,
-                                 std::uint64_t& rng_state) {
-  const std::size_t count = slots_.size();
-  rng_state = rng_state * 6364136223846793005ULL + 1442695040888963407ULL;
-  const std::size_t start = (rng_state >> 33) % count;
-  // Own slot first (nested batches, locality), then a full sweep of the
-  // other slots from a random starting victim — randomized so concurrent
-  // thieves fan out, exhaustive so queued work is never overlooked.
-  for (std::size_t k = 0; k <= count; ++k) {
-    const std::size_t victim = k == 0 ? self_slot : (start + k - 1) % count;
-    if (k != 0 && victim == self_slot) continue;
-    Slot& slot = *slots_[victim];
-    Batch* claimed = nullptr;
-    std::size_t index = 0;
-    {
-      std::unique_lock<std::mutex> lock = obs::timed_lock(slot.mu, kPoolLock);
-      for (Batch* batch : slot.batches) {  // oldest first: FIFO fairness
-        if (!batch->claimable()) continue;
-        claimed = batch;
-        index = batch->next++;
-        ++batch->in_flight;
-        if (!batch->claimable()) unlist(slot, batch);
-        break;  // the list was mutated above; do not keep iterating
-      }
-    }
-    if (claimed != nullptr) {
-      run_claimed(claimed, index, /*is_worker=*/true);
-      return true;
-    }
-  }
-  return false;
-}
+void TaskPool::run_one(std::unique_lock<std::mutex>& lock, Batch& batch,
+                       bool is_worker) {
+  const std::size_t index = batch.next++;
+  ++batch.in_flight;
+  const std::function<bool(std::size_t)>* const task = batch.task;
+  const obs::ThreadContext context = batch.context;
+  lock.unlock();
 
-void TaskPool::run_claimed(Batch* batch, std::size_t index, bool is_worker) {
   bool keep_going = false;
   std::exception_ptr thrown;
   const std::int64_t busy_t0 = obs::enabled() ? now_us() : 0;
@@ -214,12 +157,10 @@ void TaskPool::run_claimed(Batch* batch, std::size_t index, bool is_worker) {
     // The submitter already is that position. Applied per task because a
     // worker may interleave claims from different batches.
     std::unique_ptr<obs::ThreadContextScope> scope;
-    if (is_worker) {
-      scope = std::make_unique<obs::ThreadContextScope>(batch->context);
-    }
+    if (is_worker) scope = std::make_unique<obs::ThreadContextScope>(context);
     chaos_delay(index);
     try {
-      keep_going = (*batch->task)(index);
+      keep_going = (*task)(index);
     } catch (...) {
       thrown = std::current_exception();
     }
@@ -229,21 +170,18 @@ void TaskPool::run_claimed(Batch* batch, std::size_t index, bool is_worker) {
     obs::counter_add("obs.pool.busy_us", now_us() - busy_t0);
   }
 
-  Slot& home = *batch->home;
-  std::unique_lock<std::mutex> lock = obs::timed_lock(home.mu, kPoolLock);
-  --batch->in_flight;
+  obs::timed_relock(lock, kPoolLock);
+  --batch.in_flight;
   if (thrown != nullptr) {
-    if (batch->error == nullptr || index < batch->error_index) {
-      batch->error = thrown;
-      batch->error_index = index;
+    if (batch.error == nullptr || index < batch.error_index) {
+      batch.error = thrown;
+      batch.error_index = index;
     }
-    batch->stop = true;
-    unlist(home, batch);
+    batch.stop = true;
   } else if (!keep_going) {
-    batch->stop = true;
-    unlist(home, batch);
+    batch.stop = true;
   }
-  if (batch->done()) home.done_cv.notify_all();
+  if (batch.done()) done_cv_.notify_all();
 }
 
 void run_indexed(TaskPool* pool, std::size_t n,

@@ -1,6 +1,6 @@
 #pragma once
-// Fixed-size thread pool with per-thread run queues, random-victim work
-// stealing, and a deterministic ordered-reduction contract.
+// Fixed-size thread pool with one FIFO batch queue and a deterministic
+// ordered-reduction contract.
 //
 // parallel_for(n, task) runs task(0..n-1) with the calling thread
 // participating alongside the workers. Determinism comes from the calling
@@ -14,30 +14,20 @@
 // semantics — bit-identical to the pre-pool serial code, including the
 // per-index Budget::check() sequence.
 //
-// Scheduling (the worker-scaling substrate): every submitting thread owns a
-// run-queue slot — slot 0 is shared by external (non-worker) submitters,
-// slot i+1 belongs to worker i — and each parallel_for publishes its batch
-// on the submitter's own slot. Idle workers first serve their own slot,
-// then steal from a random victim slot, claiming one index at a time.
-// There is no global pool mutex on the claim path: each slot has its own
-// small mutex guarding only the batches advertised there, so claim traffic
-// from independent submitters (the batch runner's concurrent jobs) never
-// serializes on shared state. Within one batch claims are still handed out
-// strictly in index order — work stealing decides WHO runs an index, never
-// WHICH index runs next — which preserves both the ordered-reduction
-// contract and the early-exit guarantee that every index below the stopping
-// index was executed.
+// Scheduling: one mutex guards one queue of submitted batches and the claim
+// state of every queued batch. Workers always claim one index from the
+// earliest batch that still has unclaimed indices, so batches are served in
+// submission order and none starves. Within a batch, indices are claimed
+// strictly in order, which keeps both the ordered-reduction contract and
+// the early-exit guarantee that every index below the stopping index ran.
 //
-// External submission: parallel_for may be called from ANY number of
-// threads concurrently. Per-slot batch lists are served oldest-first by
-// thieves (FIFO fairness, no batch starves), while every submitting thread
-// drains its own batch first and then waits for stragglers. Nested
-// submission is supported: a task may call parallel_for on the same pool
-// (the inner batch lands on the worker's own slot; its submitter drains it
-// itself, so progress never depends on a free worker and nesting cannot
-// deadlock). Per-batch determinism is unchanged — each batch's indices are
-// claimed in order and merged by its own caller — so concurrent batches
-// stay bit-identical to running each alone.
+// Concurrent and nested submission: parallel_for may be called from any
+// number of threads at once (the batch runner's jobs each submit their own
+// sweeps), and from inside a running task on the same pool. Every submitter
+// drains its own batch first and then waits for stragglers, so progress
+// never depends on a free worker and nesting cannot deadlock. Each batch is
+// claimed in order and merged by its own caller, so concurrent batches stay
+// bit-identical to running each alone.
 //
 // Budget interaction: the pool knows nothing about budgets. Tasks probe
 // Budget::check() themselves and return false once it trips; because
@@ -50,23 +40,20 @@
 // scramble completion order adversarially without touching results.
 //
 // Telemetry (via util/obs): "pool.batches", "pool.tasks",
-// "pool.stopped_batches" count work; the contention families measure how
-// the pool scales — "obs.pool.queue_depth" (histogram of the submitting
-// slot's batch-list depth at each submission), "obs.pool.busy_us"/
+// "pool.stopped_batches" count work; "obs.pool.queue_depth" (histogram of
+// the queue's depth at each submission), "obs.pool.busy_us"/
 // "obs.pool.idle_us" (cumulative worker task-execution vs. wait time), and
-// "obs.contention.pool.{contended,wait_us}" (slot-mutex lock waits, via
-// obs::timed_lock — with per-slot mutexes these now meter real cross-thread
-// claim collisions, not global serialization). Workers run under the
+// "obs.contention.pool.{contended,wait_us}" (queue-mutex lock waits, via
+// obs::timed_lock) show how the pool scales. Workers run under the
 // submitting thread's obs ThreadContext, so their spans nest inside the
 // submitting span, and each worker names itself "pool/worker-N" for
 // Chrome-trace thread lanes.
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -80,8 +67,9 @@ namespace olp {
 int resolve_num_threads(int requested);
 
 /// `base` with the OLP_THREADS environment override applied (same
-/// convention: positive = exact count, 0 = hardware concurrency; unset or
-/// non-numeric leaves `base`), then resolved via resolve_num_threads.
+/// convention: positive = exact count, 0 = hardware concurrency; unset,
+/// non-numeric or outside int leaves `base`), then resolved via
+/// resolve_num_threads.
 int threads_from_env(int base);
 
 class TaskPool {
@@ -106,59 +94,37 @@ class TaskPool {
                     const std::function<bool(std::size_t)>& task);
 
  private:
-  struct Slot;
-
   /// One submitted batch; lives on the submitting thread's stack for the
-  /// duration of its parallel_for call. The batch is advertised on its home
-  /// slot only while it has unclaimed indices, and the caller only returns
-  /// once in_flight == 0, so stolen pointers never dangle: every claim
-  /// happens under the home slot's mutex, and the batch is unlisted (under
-  /// that same mutex) before it can be destroyed.
+  /// duration of its parallel_for call (the caller only returns once
+  /// in_flight == 0, so queued pointers never dangle).
   struct Batch {
     const std::function<bool(std::size_t)>* task = nullptr;
     std::size_t n = 0;
-    std::size_t next = 0;        ///< next unclaimed index (home->mu)
-    std::size_t in_flight = 0;   ///< claimed but not yet finished (home->mu)
+    std::size_t next = 0;        ///< next unclaimed index
+    std::size_t in_flight = 0;   ///< claimed but not yet finished
     bool stop = false;           ///< early exit requested (or a task threw)
     std::exception_ptr error;
     std::size_t error_index = 0;
     obs::ThreadContext context;  ///< submitting thread's span position
-    Slot* home = nullptr;        ///< the slot this batch was published on
 
     bool claimable() const { return !stop && next < n; }
     bool done() const { return in_flight == 0 && !claimable(); }
   };
 
-  /// One per-thread run queue. Slot 0 belongs to external submitters
-  /// collectively; slot i+1 to worker i. Its mutex guards the batch list
-  /// AND every listed batch's claim state (next/in_flight/stop/error).
-  struct Slot {
-    std::mutex mu;
-    std::vector<Batch*> batches;      ///< live claimable batches, oldest first
-    std::condition_variable done_cv;  ///< submitters wait for their batch
-  };
+  void worker_loop();
+  /// Claims and runs one task of `batch`. `lock` is held on entry and exit.
+  void run_one(std::unique_lock<std::mutex>& lock, Batch& batch,
+               bool is_worker);
+  /// The earliest queued batch with unclaimed work; null when none.
+  /// Requires mu_ held.
+  Batch* front_claimable();
 
-  void worker_loop(std::size_t slot_index);
-  /// One steal attempt: serve the worker's own slot, then sweep every other
-  /// slot starting from a random victim; claims and runs at most one index.
-  bool find_and_run_once(std::size_t self_slot, std::uint64_t& rng_state);
-  /// Runs a claimed index (chaos delay, task, telemetry) and performs the
-  /// completion bookkeeping on the batch's home slot.
-  void run_claimed(Batch* batch, std::size_t index, bool is_worker);
-  /// Removes `batch` from `slot`'s advertised list if present. Requires
-  /// slot.mu held.
-  static void unlist(Slot& slot, Batch* batch);
-
-  std::vector<std::unique_ptr<Slot>> slots_;  ///< [0]=external, [i+1]=worker i
   std::vector<std::thread> workers_;
 
-  /// Sleep/wake protocol only — never touched on the claim path. Workers
-  /// that find nothing to steal wait here; each submission bumps the
-  /// version so a publish between a worker's last sweep and its wait is
-  /// never missed.
-  std::mutex wake_mu_;
-  std::condition_variable work_cv_;
-  std::uint64_t work_version_ = 0;
+  std::mutex mu_;  ///< guards the queue and every queued Batch's state
+  std::condition_variable work_cv_;  ///< workers wait for claimable batches
+  std::condition_variable done_cv_;  ///< submitters wait for their batch
+  std::deque<Batch*> queue_;         ///< batches in submission order
   bool shutdown_ = false;
 };
 

@@ -1,8 +1,8 @@
 // Standalone EvalCache concurrency stress (no gtest): 8 reader threads
-// hammer the lock-free lookup path while 2 writer threads populate the
-// cache, then every per-thread hit/miss tally is reconciled EXACTLY against
-// the cache's own stats — every lookup must count once, as a hit or a miss,
-// never both, never zero, under any interleaving.
+// hammer lookup while 2 writer threads populate the cache through the same
+// shard mutexes, then every per-thread hit/miss tally is reconciled EXACTLY
+// against the cache's own stats — every lookup must count once, as a hit or
+// a miss, never both, never zero, under any interleaving.
 //
 // Built unconditionally (outside OLP_BUILD_TESTS) so tests/run_tsan.sh can
 // run it inside the sanitizer tree, where gtest is not configured. Exits

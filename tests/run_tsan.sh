@@ -45,21 +45,10 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "${probe}" "${tmp}"' EXIT
 out="${tmp}/stdout.txt"
 
-# One targeted suppression: libstdc++'s std::atomic<std::shared_ptr>
-# (_Sp_atomic, the eval cache's published-index pointer) guards its plain
-# _M_ptr accesses with a spinlock bit inside the refcount word but unlocks
-# the READER side with a relaxed RMW — correct on hardware (RMW coherence
-# on the lock word gives mutual exclusion), invisible to TSan's
-# happens-before analysis (GCC PR 104602). Suppressing the primitive, not
-# our code: races in the cache logic itself still fire.
-supp="${tmp}/tsan.supp"
-cat > "${supp}" <<'SUPP'
-race:_Sp_atomic
-SUPP
-tsan_opts="halt_on_error=1 suppressions=${supp}"
+tsan_opts="halt_on_error=1"
 
-# The eval-cache stress: 8 lock-free readers against 2 snapshot-publishing
-# writers. Built gtest-free precisely so it can run here (this tree has no
+# The eval-cache stress: 8 readers against 2 writers on the same shard
+# mutexes. Built gtest-free precisely so it can run here (this tree has no
 # GTest).
 stress_out="${tmp}/stress_stdout.txt"
 TSAN_OPTIONS="${tsan_opts}" \
@@ -85,15 +74,15 @@ if grep -q "ThreadSanitizer" "${out}"; then
   exit 1
 fi
 
-# The batch runner: 7 jobs racing across 8 workers through the shared
-# pool, the scope-sharded cross-job cache, and per-job budget handles.
-# OLP_BATCH_CLAMP=0 defeats the oversubscription guard so even a small
-# machine runs 8 real threads — the interleavings are the point here.
+# The batch runner: 7 jobs racing through the shared pool, the
+# scope-sharded cross-job cache, and per-job budget handles. The batch
+# pool runs min(8, cores) workers; the flow run above keeps 8 real threads
+# on any machine, because a FlowEngine's own pool is not capped.
 batch_out="${tmp}/batch_stdout.txt"
-OLP_THREADS=8 OLP_TESTBENCH_BUDGET=2000 OLP_BATCH_CLAMP=0 \
+OLP_THREADS=8 OLP_TESTBENCH_BUDGET=2000 \
   TSAN_OPTIONS="${tsan_opts}" \
   "${build_dir}/examples/batch_flows" > "${batch_out}" 2>&1
-echo "tsan smoke: sanitized batch exited 0 at 8 workers with cache sharing"
+echo "tsan smoke: sanitized batch exited 0 with cache sharing"
 
 if grep -q "ThreadSanitizer" "${batch_out}"; then
   echo "tsan smoke: ThreadSanitizer reported a race in the batch" >&2

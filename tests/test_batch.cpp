@@ -1,14 +1,16 @@
 // Batch flow runner tests: the multi-job scheduler must be a pure
-// throughput optimization — every job's report byte-identical to running
-// that job alone on the serial uncached path (tests/flow_golden.hpp does the
-// comparison), with per-job budget/cancel isolation and observable cross-job
-// cache sharing.
+// throughput optimization — every job whose budget never trips reports
+// byte-identically to running that job alone on the serial uncached path
+// (tests/flow_golden.hpp does the comparison), with per-job budget/cancel
+// isolation and observable cross-job cache sharing.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "circuits/batch.hpp"
 #include "circuits/ota5t.hpp"
@@ -35,7 +37,6 @@ class BatchFlow : public ::testing::Test {
     // Batch plumbing and goldens are both configured explicitly here; a
     // stray value from the calling shell must not redefine either.
     unsetenv("OLP_THREADS");
-    unsetenv("OLP_BATCH_CLAMP");
     unsetenv("OLP_EVAL_CACHE");
     unsetenv("OLP_DEADLINE_MS");
     unsetenv("OLP_TESTBENCH_BUDGET");
@@ -171,12 +172,53 @@ TEST_F(BatchFlow, PerJobBudgetExhaustionIsIsolated) {
     EXPECT_FALSE(batch.jobs[i].report.budget.exhausted);
     EXPECT_NE(batch.jobs[i].status, JobStatus::kFailed);
   }
-  // And the starved job still matches ITS solo run — budget trips are part
-  // of the deterministic contract, not an escape from it.
+  // A limit of 0 trips before the first evaluation, so the starved job also
+  // matches ITS solo run. A larger limit need not: cache hits charge no
+  // testbench, so a job fed by its siblings trips later than it would alone.
   FlowReport want_report;
   const Realization want_real = solo(jobs[0], &want_report);
   expect_same_flow_result(batch.jobs[0].report, want_report,
                           batch.jobs[0].realization, want_real);
+}
+
+// A job whose budget trips partway through an evaluation must not leave the
+// truncated metrics in the shared cache for its siblings. Serial batch, so
+// the starved job 0 fills the cache before job 1 runs; each limit trips
+// job 0 inside an evaluation whose key job 1 later looks up.
+TEST_F(BatchFlow, StarvedJobNeverPoisonsItsSiblings) {
+  struct Circuit {
+    const char* name;
+    std::vector<InstanceSpec> instances;
+    std::vector<std::string> nets;
+    std::vector<long> limits;
+  };
+  const Circuit cases[] = {
+      {"ota", ota_->instances(), ota_->routed_nets(), {141, 144}},
+      {"sa", comparator_->instances(), comparator_->routed_nets(), {39, 42}},
+  };
+  BatchOptions bopt;
+  bopt.workers = 1;
+  const BatchRunner runner(t(), bopt);
+  for (const Circuit& circuit : cases) {
+    std::vector<FlowJob> jobs(2);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].mode = FlowMode::kOptimize;
+      jobs[i].instances = circuit.instances;
+      jobs[i].routed_nets = circuit.nets;
+      jobs[i].options.seed = i + 1;
+    }
+    FlowReport want_report;
+    const Realization want_real = solo(jobs[1], &want_report);
+    for (const long limit : circuit.limits) {
+      SCOPED_TRACE(std::string(circuit.name) + " limit " +
+                   std::to_string(limit));
+      jobs[0].options.budget_limits.max_testbenches = limit;
+      const BatchReport batch = runner.run(jobs);
+      EXPECT_TRUE(batch.jobs[0].report.budget.exhausted);
+      expect_same_flow_result(batch.jobs[1].report, want_report,
+                              batch.jobs[1].realization, want_real);
+    }
+  }
 }
 
 // A caller-owned Budget handle cancels exactly its job. Cancelling before
@@ -241,23 +283,14 @@ TEST_F(BatchFlow, ReportCarriesJobIdentityAndExports) {
   EXPECT_FALSE(batch.summary_table().empty());
 }
 
-// The report names the threads the pool actually ran: with the
-// oversubscription clamp on, a request above the core count reports the
+// The report names the threads the pool actually ran: the pool never runs
+// more threads than cores, so a request above the core count reports the
 // core count.
 TEST_F(BatchFlow, ClampedReportNamesThePoolSize) {
   BatchOptions bopt;
   bopt.workers = resolve_num_threads(0) + 4;
   const BatchReport batch = BatchRunner(t(), bopt).run({});
   EXPECT_EQ(batch.workers, resolve_num_threads(0));
-}
-
-// With the clamp off the pool runs every requested thread.
-TEST_F(BatchFlow, UnclampedReportKeepsRequestedWorkers) {
-  BatchOptions bopt;
-  bopt.workers = resolve_num_threads(0) + 4;
-  bopt.clamp_workers = false;
-  const BatchReport batch = BatchRunner(t(), bopt).run({});
-  EXPECT_EQ(batch.workers, resolve_num_threads(0) + 4);
 }
 
 // A throwing job is recorded as failed with its message; siblings complete.

@@ -1,8 +1,8 @@
 // Eval-cache tests: the canonical key must distinguish every input an
 // evaluation depends on, hits must return bit-identical metrics without new
-// simulation, quarantined evaluations must never be memoized (so their
-// diagnostics re-fire), and the cache must be safe to share across TaskPool
-// workers.
+// simulation, quarantined and budget-cut evaluations must never be memoized
+// (so diagnostics re-fire and no job reads another's truncated metrics), and
+// the cache must be safe to share across TaskPool workers.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "core/eval_cache.hpp"
 #include "core/evaluator.hpp"
 #include "pcell/generator.hpp"
+#include "util/budget.hpp"
 #include "util/diag.hpp"
 #include "util/faults.hpp"
 #include "util/logging.hpp"
@@ -269,6 +270,40 @@ TEST(EvalCache, QuarantinedEvaluationsAreNeverCached) {
   EXPECT_EQ(sink.count("evaluator"), 2u);
 }
 
+TEST(EvalCache, BudgetCutEvaluationsAreNeverCached) {
+  // A one-testbench budget trips at the simulator's first check inside the
+  // second testbench; every later testbench of the evaluation runs its
+  // Newton loops against an exhausted budget. The finite metrics that come
+  // back are wrong, so they must not reach the cache, where any job sharing
+  // it would read them.
+  const pcell::PrimitiveGenerator gen(t());
+  const pcell::PrimitiveLayout lay =
+      gen.generate(pcell::make_diff_pair(), cfg(8, 20, 6));
+  const EvalCondition cond;
+
+  PrimitiveEvaluator full_eval(t(), circuits::default_nmos(),
+                               circuits::default_pmos(), dp_bias());
+  EvalCache full_cache;
+  full_eval.set_cache(&full_cache);
+  const MetricValues full = full_eval.evaluate(lay, cond);
+  EXPECT_EQ(full_cache.stats().entries, 1);
+
+  BudgetOptions limits;
+  limits.max_testbenches = 1;
+  Budget budget(limits);
+  PrimitiveEvaluator cut_eval(t(), circuits::default_nmos(),
+                              circuits::default_pmos(), dp_bias());
+  EvalCache cut_cache;
+  cut_eval.set_cache(&cut_cache);
+  cut_eval.set_budget(&budget);
+  const MetricValues cut = cut_eval.evaluate(lay, cond);
+
+  EXPECT_TRUE(budget.exhausted());
+  EXPECT_GT(cut_eval.stats().testbenches, 1);  // the trip came partway
+  EXPECT_NE(cut, full);                        // and truncated the metrics
+  EXPECT_EQ(cut_cache.stats().entries, 0);
+}
+
 TEST(EvalCache, FullKeyEqualityMakesShardCollisionsBenign) {
   // One shard forces every key through the same map: distinct keys must
   // still resolve to their own entries (the hash only picks the shard).
@@ -359,8 +394,8 @@ TEST(EvalCache, SharedAcrossPoolWorkers) {
 
 TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
   // The gtest twin of tests/eval_cache_stress.cpp (which run_tsan.sh runs
-  // standalone inside the sanitizer tree): 8 readers on the lock-free path,
-  // 2 writers publishing snapshots, and every per-thread hit/miss tally
+  // standalone inside the sanitizer tree): 8 readers and 2 writers racing
+  // on the same shard mutexes, and every per-thread hit/miss tally
   // reconciled EXACTLY against the cache's own stats afterwards — a lookup
   // counts once, as a hit or a miss, under any interleaving.
   constexpr int kKeys = 300;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+
 #include "circuits/experiments.hpp"
 #include "core/port_optimizer.hpp"
 #include "util/logging.hpp"
@@ -74,6 +78,34 @@ TEST_F(CsAmpExperiment, TableIGmDipsForNarrow) {
             rows.at("tableI_optimized").at("gm_m1"));
   EXPECT_LT(rows.at("tableI_optimized").at("gm_m1"),
             rows.at("tableI_schematic").at("gm_m1"));
+}
+
+TEST(DpOptionsExperiment, TableIIIShape) {
+  // Table III on our own costs: 11 options in 3 aspect-ratio bins, a
+  // common-centroid option wins every bin, and the non-common-centroid
+  // AABB arrangement's offset deviation blows up past 100%.
+  set_log_level(LogLevel::kError);
+  const std::vector<DpOptionRow> rows = run_dp_options(t());
+  ASSERT_EQ(rows.size(), 11u);
+  const auto bin_min = [&rows](int bin) {
+    double lowest = std::numeric_limits<double>::infinity();
+    for (const DpOptionRow& row : rows) {
+      if (row.bin == bin) lowest = std::min(lowest, row.cost);
+    }
+    return lowest;
+  };
+  std::set<int> bins;
+  int bin_bests = 0;
+  for (const DpOptionRow& row : rows) {
+    bins.insert(row.bin);
+    bin_bests += row.bin_best ? 1 : 0;
+    if (row.config.pattern != pcell::PlacementPattern::kAABB) continue;
+    SCOPED_TRACE(row.config.to_string());
+    EXPECT_GT(row.cost, bin_min(row.bin));
+    EXPECT_GT(row.d_offset, 1.0);
+  }
+  EXPECT_EQ(bins.size(), 3u);
+  EXPECT_EQ(bin_bests, 3);
 }
 
 TEST(PortSweepExperiment, TableIVIntervalShapes) {
