@@ -8,31 +8,12 @@
 // disabled all three reduce to a relaxed atomic load, so the measured
 // overhead must be well under 1%; the harness exits nonzero (and says so in
 // BENCH_obs.json) when it is not.
-//
-// A second section measures the ENABLED path under contention: 8 threads
-// hammering shared counter/sample families through the sharded thread-local
-// registry, against an in-bench reimplementation of the pre-sharding design
-// (one global mutex over std::string-keyed maps — what util/obs was before
-// thread-local shards). Per-op overhead is wall time PLUS time spent
-// blocked on the registry mutex: on a multi-core host blocking shows up in
-// wall time directly; on a single-core host the kernel overlaps it with
-// other threads' progress, but it is still latency imposed on the blocked
-// op (a preempted lock holder convoys every other thread for whole
-// scheduling quanta). The sharded path takes no cross-thread lock on this
-// path, so its wait term is zero by construction; it must come out >= 5x
-// cheaper overall.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <iostream>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "util/logging.hpp"
 #include "util/obs.hpp"
@@ -95,62 +76,6 @@ double measure_ns_per_unit(F&& fn, int iterations, int repeats) {
   return best;
 }
 
-/// The pre-sharding registry design, reimplemented here as the contention
-/// baseline: every add/record takes ONE process-wide mutex and indexes
-/// std::string-keyed maps. Same data model the real registry had before
-/// thread-local shards, plus a wait meter: time a caller sits blocked on
-/// the mutex (clock read only on the contended path, same discipline as
-/// obs::timed_lock).
-struct MutexedRegistry {
-  std::mutex mu;
-  std::map<std::string, long> counters;
-  std::map<std::string, std::vector<double>> samples;
-  std::atomic<long> wait_ns{0};
-
-  void acquire() {
-    if (mu.try_lock()) return;
-    const auto w0 = std::chrono::steady_clock::now();
-    mu.lock();
-    wait_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - w0)
-                          .count(),
-                      std::memory_order_relaxed);
-  }
-  void add(const char* name, long delta) {
-    acquire();
-    counters[name] += delta;
-    mu.unlock();
-  }
-  void record(const char* name, double value) {
-    acquire();
-    samples[name].push_back(value);
-    mu.unlock();
-  }
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mu);
-    counters.clear();
-    samples.clear();
-  }
-};
-
-/// `threads` workers each run `iterations` calls of `op(i)`; returns
-/// wall-clock ns per call across all threads.
-template <typename Op>
-double run_contended(int threads, int iterations, Op op) {
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([iterations, op] {
-      for (int i = 0; i < iterations; ++i) op(i);
-    });
-  }
-  for (auto& th : pool) th.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         (static_cast<double>(threads) * static_cast<double>(iterations));
-}
-
 }  // namespace
 
 int main() {
@@ -187,56 +112,9 @@ int main() {
       kIterations, kRepeats);
   obs::Registry::global().disable();
 
-  // Contended enabled path: 8 threads, one counter_add + one record per
-  // site, all threads on the SAME two families. Sharded registry vs the old
-  // single-mutex design. Wall is min over repeats (noise floor); lock-wait
-  // is the total across every repeat divided by total sites (it is an
-  // expectation over rare, expensive convoy events, so it needs the full
-  // sample). Rebase between sharded repeats keeps sample buffers bounded.
-  constexpr int kMtThreads = 8;
-  constexpr int kMtIterations = 50000;
-  constexpr int kMtRepeats = 5;
-  const double mt_sites = static_cast<double>(kMtThreads) *
-                          static_cast<double>(kMtIterations) * kMtRepeats;
-
-  obs::Registry::global().enable();
-  double sharded_mt_ns = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < kMtRepeats; ++r) {
-    obs::Registry::global().rebase();
-    const double ns = run_contended(kMtThreads, kMtIterations, [](int i) {
-      obs::counter_add("bench.mt.units");
-      obs::record("bench.mt.value", 1e-3 * i);
-    });
-    if (ns < sharded_mt_ns) sharded_mt_ns = ns;
-  }
-  obs::Registry::global().disable();
-
-  MutexedRegistry mutexed;
-  double mutexed_mt_ns = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < kMtRepeats; ++r) {
-    mutexed.clear();
-    const double ns =
-        run_contended(kMtThreads, kMtIterations, [&mutexed](int i) {
-          mutexed.add("bench.mt.units", 1);
-          mutexed.record("bench.mt.value", 1e-3 * i);
-        });
-    if (ns < mutexed_mt_ns) mutexed_mt_ns = ns;
-  }
-
-  // Overhead per site = wall + blocked-on-registry-lock time. The sharded
-  // hot path never touches a cross-thread mutex (counters and samples land
-  // in the caller's own shard; no span close, so no flush), so its wait
-  // term is zero by construction.
-  const double mutexed_wait_ns =
-      static_cast<double>(mutexed.wait_ns.load()) / mt_sites;
-  const double sharded_overhead_ns = sharded_mt_ns;
-  const double mutexed_overhead_ns = mutexed_mt_ns + mutexed_wait_ns;
-  const double mt_speedup = mutexed_overhead_ns / sharded_overhead_ns;
-
   const double overhead_pct =
       100.0 * (disabled_ns - baseline_ns) / baseline_ns;
   const bool pass = overhead_pct < 1.0;
-  const bool mt_pass = mt_speedup >= 5.0;
 
   TextTable table("Observability overhead per ~1 us work unit");
   table.set_header({"variant", "ns/unit", "overhead"});
@@ -250,32 +128,11 @@ int main() {
   std::cout << "\nDisabled-mode requirement: < 1% -> "
             << (pass ? "PASS" : "FAIL") << "\n";
 
-  TextTable mt_table("Enabled-mode cost under contention (8 threads)");
-  mt_table.set_header({"registry", "wall ns/site", "lock-wait ns/site",
-                       "overhead ns/site"});
-  mt_table.add_row({"sharded thread-local (this PR)", fixed(sharded_mt_ns, 1),
-                    "0.0", fixed(sharded_overhead_ns, 1)});
-  mt_table.add_row({"single global mutex (pre-shard)", fixed(mutexed_mt_ns, 1),
-                    fixed(mutexed_wait_ns, 1), fixed(mutexed_overhead_ns, 1)});
-  std::cout << "\n" << mt_table;
-  std::cout << "\nSharded speedup at " << kMtThreads
-            << " threads: " << fixed(mt_speedup, 2) << "x (requirement: >= 5x) -> "
-            << (mt_pass ? "PASS" : "FAIL") << "\n";
-
   std::string json = "{\n";
   json += "  \"baseline_ns\": " + fixed(baseline_ns, 3) + ",\n";
   json += "  \"disabled_ns\": " + fixed(disabled_ns, 3) + ",\n";
   json += "  \"enabled_ns\": " + fixed(enabled_ns, 3) + ",\n";
   json += "  \"overhead_pct\": " + fixed(overhead_pct, 4) + ",\n";
-  json += "  \"mt_threads\": " + std::to_string(kMtThreads) + ",\n";
-  json += "  \"mt_sharded_wall_ns\": " + fixed(sharded_mt_ns, 3) + ",\n";
-  json += "  \"mt_sharded_lock_wait_ns\": 0.0,\n";
-  json += "  \"mt_sharded_overhead_ns\": " + fixed(sharded_overhead_ns, 3) + ",\n";
-  json += "  \"mt_mutexed_wall_ns\": " + fixed(mutexed_mt_ns, 3) + ",\n";
-  json += "  \"mt_mutexed_lock_wait_ns\": " + fixed(mutexed_wait_ns, 3) + ",\n";
-  json += "  \"mt_mutexed_overhead_ns\": " + fixed(mutexed_overhead_ns, 3) + ",\n";
-  json += "  \"mt_speedup\": " + fixed(mt_speedup, 3) + ",\n";
-  json += std::string("  \"mt_pass\": ") + (mt_pass ? "true" : "false") + ",\n";
   json += std::string("  \"pass\": ") + (pass ? "true" : "false") + "\n";
   json += "}\n";
   std::string err;
@@ -285,5 +142,5 @@ int main() {
   }
   obs::write_text_file("BENCH_obs.json", json);
   std::cout << "Wrote BENCH_obs.json\n";
-  return (pass && mt_pass) ? 0 : 1;
+  return pass ? 0 : 1;
 }

@@ -7,158 +7,48 @@
 // (113 total, 30 s wall clock with parallel dispatch of 10 s SPICE jobs).
 // Our simulator runs in-process in milliseconds, so the wall-clock row shows
 // the actual measured time; the count structure is the comparable part.
+// The counting lives in circuits::run_step_counts, which
+// StepCountsExperiment.TableVCounts pins.
 
-#include <chrono>
 #include <iostream>
 
-#include "circuits/common.hpp"
-#include "core/optimizer.hpp"
-#include "core/port_optimizer.hpp"
+#include "circuits/experiments.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace olp;
-
-struct StepCounts {
-  long selection = 0;
-  long tuning = 0;
-  long port = 0;
-  double seconds = 0.0;
-  int configs = 0;
-  long total() const { return selection + tuning + port; }
-};
-
-route::NetRoute reference_route() {
-  route::NetRoute nr;
-  nr.net = "ref";
-  nr.routed = true;
-  nr.vias = 2;
-  route::RouteSegment seg;
-  seg.layer = tech::Layer::kM3;
-  seg.a = geom::Point{0, 0};
-  seg.b = geom::Point{geom::to_nm(2e-6), 0};
-  nr.segments.push_back(seg);
-  return nr;
-}
-
-StepCounts run_primitive(const tech::Technology& t,
-                         const pcell::PrimitiveNetlist& netlist, int fins,
-                         const core::BiasContext& bias,
-                         const std::vector<std::string>& port_nets) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const pcell::PrimitiveGenerator generator(t);
-  const core::PrimitiveEvaluator evaluator(t, circuits::default_nmos(),
-                                           circuits::default_pmos(), bias);
-  const core::PrimitiveOptimizer optimizer(generator, evaluator);
-
-  StepCounts counts;
-  core::OptimizerOptions oopt;
-  oopt.bins = 3;
-
-  // Step 1: primitive selection.
-  evaluator.stats().reset();
-  std::vector<core::LayoutCandidate> all =
-      optimizer.evaluate_all(netlist, fins, oopt);
-  counts.selection = evaluator.stats().testbenches;
-  counts.configs = static_cast<int>(all.size());
-
-  // Keep the per-bin best, as Algorithm 1 does.
-  std::vector<int> best(3, -1);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    int& b = best[static_cast<std::size_t>(all[i].bin)];
-    if (b < 0 || all[i].cost.total <
-                     all[static_cast<std::size_t>(b)].cost.total) {
-      b = static_cast<int>(i);
-    }
-  }
-
-  // Step 2: primitive tuning of the selected layouts.
-  evaluator.stats().reset();
-  std::vector<core::LayoutCandidate> selected;
-  for (int idx : best) {
-    if (idx < 0) continue;
-    core::LayoutCandidate cand = all[static_cast<std::size_t>(idx)];
-    optimizer.tune(cand);
-    selected.push_back(std::move(cand));
-  }
-  counts.tuning = evaluator.stats().testbenches;
-
-  // Step 3: net routing constraints on the best layout.
-  evaluator.stats().reset();
-  core::PortOptimizer port_opt(t);
-  core::PortOptPrimitive pop;
-  pop.instance = netlist.name;
-  pop.evaluator = &evaluator;
-  pop.layout = &selected.front().layout;
-  pop.tuning = selected.front().tuning;
-  for (const std::string& port : port_nets) {
-    core::PortRoute pr;
-    pr.port = port;
-    pr.circuit_net = "net_" + port;
-    pr.route = reference_route();
-    pop.routes.push_back(std::move(pr));
-  }
-  (void)port_opt.generate_constraints(pop);
-  counts.port = evaluator.stats().testbenches;
-
-  counts.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return counts;
-}
-
-}  // namespace
-
 int main() {
+  using namespace olp;
   set_log_level(log_level_from_env("OLP_LOG_LEVEL", LogLevel::kError));
   const tech::Technology t = tech::make_default_finfet_tech();
-
-  core::BiasContext dp_bias;
-  dp_bias.vdd = t.vdd;
-  dp_bias.bias_current = 706e-6;
-  dp_bias.port_voltage = {
-      {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
-  dp_bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
-  const StepCounts dp =
-      run_primitive(t, pcell::make_diff_pair(), 960, dp_bias, {"da", "s"});
-
-  core::BiasContext cm_bias;
-  cm_bias.vdd = t.vdd;
-  cm_bias.bias_current = 400e-6;
-  cm_bias.port_voltage = {{"out", 0.4}, {"s", 0.0}};
-  const StepCounts cm = run_primitive(t, pcell::make_current_mirror(1), 512,
-                                      cm_bias, {"out"});
-
-  core::BiasContext inv_bias;
-  inv_bias.vdd = t.vdd;
-  inv_bias.bias_current = 150e-6;
-  inv_bias.port_voltage = {{"vbn", 0.4}, {"vbp", t.vdd - 0.4}};
-  inv_bias.port_load_cap = {{"out", 4e-15}};
-  const StepCounts inv = run_primitive(
-      t, pcell::make_current_starved_inverter(), 96, inv_bias, {"out"});
+  const std::vector<circuits::StepCountsRow> rows =
+      circuits::run_step_counts(t);
 
   TextTable table(
       "Table V: Number of testbench simulations per optimization step\n"
       "(paper: DP 113, CM 74, current-starved inverter 157; wall time 30 s\n"
       " each with 10 s parallel SPICE jobs -- our in-process testbenches run\n"
       " in milliseconds, so the measured wall time replaces the estimate)");
-  table.set_header(
-      {"step", "diff pair", "current mirror", "curr-starved inv"});
-  table.add_row({"configurations evaluated", std::to_string(dp.configs),
-                 std::to_string(cm.configs), std::to_string(inv.configs)});
-  table.add_row({"1. primitive selection", std::to_string(dp.selection),
-                 std::to_string(cm.selection), std::to_string(inv.selection)});
-  table.add_row({"2. primitive tuning", std::to_string(dp.tuning),
-                 std::to_string(cm.tuning), std::to_string(inv.tuning)});
-  table.add_row({"3. net routing constraints", std::to_string(dp.port),
-                 std::to_string(cm.port), std::to_string(inv.port)});
+  using Row = circuits::StepCountsRow;
+  // One table row: `label`, then `cell(r)` for every primitive's column.
+  const auto line = [&rows](std::string label, auto cell) {
+    std::vector<std::string> out = {std::move(label)};
+    for (const Row& r : rows) out.push_back(cell(r));
+    return out;
+  };
+  const auto count = [](long Row::*field) {
+    return [field](const Row& r) { return std::to_string(r.*field); };
+  };
+  table.set_header(line("step", [](const Row& r) { return r.primitive; }));
+  table.add_row(line("configurations evaluated",
+                     [](const Row& r) { return std::to_string(r.configs); }));
+  table.add_row(line("1. primitive selection", count(&Row::selection)));
+  table.add_row(line("2. primitive tuning", count(&Row::tuning)));
+  table.add_row(line("3. net routing constraints", count(&Row::port)));
   table.add_rule();
-  table.add_row({"total simulations", std::to_string(dp.total()),
-                 std::to_string(cm.total()), std::to_string(inv.total())});
-  table.add_row({"total time (s)", fixed(dp.seconds, 2), fixed(cm.seconds, 2),
-                 fixed(inv.seconds, 2)});
+  table.add_row(line("total simulations",
+                     [](const Row& r) { return std::to_string(r.total()); }));
+  table.add_row(line("total time (s)",
+                     [](const Row& r) { return fixed(r.seconds, 2); }));
   std::cout << table;
   std::cout << "\nAll simulations within a step are independent, so the"
                " paper's parallel-dispatch argument (wall time ~ one"

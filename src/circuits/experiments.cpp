@@ -1,5 +1,7 @@
 #include "circuits/experiments.hpp"
 
+#include <chrono>
+
 #include "core/cost.hpp"
 #include "core/port_optimizer.hpp"
 #include "pcell/generator.hpp"
@@ -28,6 +30,84 @@ core::BiasContext dp_bias(const tech::Technology& t) {
       {"ga", 0.5}, {"gb", 0.5}, {"da", 0.5}, {"db", 0.5}, {"s", 0.2}};
   bias.port_load_cap = {{"da", 25e-15}, {"db", 25e-15}};
   return bias;
+}
+
+/// The paper's reference port route: 2 um on metal 3 plus a 2-cut stack.
+route::NetRoute reference_route() {
+  route::NetRoute route;
+  route.net = "ref";
+  route.routed = true;
+  route.vias = 2;
+  route.segments.push_back(route::RouteSegment{
+      tech::Layer::kM3, geom::Point{0, 0}, geom::Point{geom::to_nm(2e-6), 0}});
+  return route;
+}
+
+/// One Table V column: Algorithm 1's selection and tuning, then Algorithm
+/// 2's port constraints, counting each step's testbenches.
+StepCountsRow count_steps(const tech::Technology& t, std::string primitive,
+                          const pcell::PrimitiveNetlist& netlist, int fins,
+                          const core::BiasContext& bias,
+                          const std::vector<std::string>& port_nets) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const pcell::PrimitiveGenerator generator(t);
+  const core::PrimitiveEvaluator evaluator(t, default_nmos(), default_pmos(),
+                                           bias);
+  const core::PrimitiveOptimizer optimizer(generator, evaluator);
+  StepCountsRow row;
+  row.primitive = std::move(primitive);
+  core::OptimizerOptions oopt;
+  oopt.bins = 3;
+
+  // Step 1: primitive selection.
+  evaluator.stats().reset();
+  const std::vector<core::LayoutCandidate> all =
+      optimizer.evaluate_all(netlist, fins, oopt);
+  row.selection = evaluator.stats().testbenches;
+  row.configs = static_cast<int>(all.size());
+
+  // Keep the per-bin best, as Algorithm 1 does.
+  std::vector<int> best(3, -1);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    int& b = best[static_cast<std::size_t>(all[i].bin)];
+    if (b < 0 || all[i].cost.total <
+                     all[static_cast<std::size_t>(b)].cost.total) {
+      b = static_cast<int>(i);
+    }
+  }
+
+  // Step 2: primitive tuning of the selected layouts.
+  evaluator.stats().reset();
+  std::vector<core::LayoutCandidate> selected;
+  for (const int idx : best) {
+    if (idx < 0) continue;
+    core::LayoutCandidate cand = all[static_cast<std::size_t>(idx)];
+    optimizer.tune(cand);
+    selected.push_back(std::move(cand));
+  }
+  row.tuning = evaluator.stats().testbenches;
+
+  // Step 3: net routing constraints on the first tuned layout.
+  evaluator.stats().reset();
+  core::PortOptPrimitive pop;
+  pop.instance = netlist.name;
+  pop.evaluator = &evaluator;
+  pop.layout = &selected.front().layout;
+  pop.tuning = selected.front().tuning;
+  for (const std::string& port : port_nets) {
+    core::PortRoute pr;
+    pr.port = port;
+    pr.circuit_net = "net_" + port;
+    pr.route = reference_route();
+    pop.routes.push_back(std::move(pr));
+  }
+  (void)core::PortOptimizer(t).generate_constraints(pop);
+  row.port = evaluator.stats().testbenches;
+
+  row.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return row;
 }
 
 }  // namespace
@@ -270,14 +350,7 @@ std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
   const core::LayoutCandidate cm_best = cm_opt.optimize(cm, 512, oopt).front();
   const core::MetricValues cm_ref = cm_opt.schematic_reference(cm, 512);
 
-  // The paper's reference route: 2 um on metal 3 plus a 2-cut stack.
-  route::NetRoute route;
-  route.net = "ref";
-  route.routed = true;
-  route.vias = 2;
-  route.segments.push_back(route::RouteSegment{
-      tech::Layer::kM3, geom::Point{0, 0}, geom::Point{geom::to_nm(2e-6), 0}});
-
+  const route::NetRoute route = reference_route();
   std::vector<PortSweepRow> rows;
   for (int w = 1; w <= kMaxWires; ++w) {
     const extract::WireRc rc = core::route_wire_rc(t, route, w);
@@ -310,6 +383,30 @@ std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
     row.cm_cost = ccb.total;
     rows.push_back(row);
   }
+  return rows;
+}
+
+std::vector<StepCountsRow> run_step_counts(const tech::Technology& t) {
+  core::BiasContext cm_bias;
+  cm_bias.vdd = t.vdd;
+  cm_bias.bias_current = 400e-6;
+  cm_bias.port_voltage = {{"out", 0.4}, {"s", 0.0}};
+
+  core::BiasContext inv_bias;
+  inv_bias.vdd = t.vdd;
+  inv_bias.bias_current = 150e-6;
+  inv_bias.port_voltage = {{"vbn", 0.4}, {"vbp", t.vdd - 0.4}};
+  inv_bias.port_load_cap = {{"out", 4e-15}};
+
+  std::vector<StepCountsRow> rows;
+  rows.push_back(count_steps(t, "diff pair", pcell::make_diff_pair(), 960,
+                             dp_bias(t), {"da", "s"}));
+  rows.push_back(count_steps(t, "current mirror",
+                             pcell::make_current_mirror(1), 512, cm_bias,
+                             {"out"}));
+  rows.push_back(count_steps(t, "curr-starved inv",
+                             pcell::make_current_starved_inverter(), 96,
+                             inv_bias, {"out"}));
   return rows;
 }
 

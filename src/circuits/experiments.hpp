@@ -5,6 +5,7 @@
 //   Table I / Fig. 2  -> run_cs_amp()        (wire width sweep on Vout)
 //   Table III         -> run_dp_options()    (DP layout options per bin)
 //   Table IV          -> run_port_sweep()    (parallel routes at DP/CM ports)
+//   Table V           -> run_step_counts()   (testbenches per step)
 //   Table VI          -> run_ota(), run_strongarm()
 //   Table VII         -> run_vco()
 //   Table VIII        -> the FlowReport::runtime_s of each run
@@ -86,6 +87,25 @@ struct PortSweepRow {
 /// U-shaped (interval [3, 5]); the CM curve keeps improving (no upper
 /// limit).
 std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t);
+
+/// One column of Table V: the testbenches one primitive runs in each of
+/// the three optimization steps, and the wall time of all three.
+struct StepCountsRow {
+  std::string primitive;  ///< column title, e.g. "diff pair"
+  int configs = 0;        ///< configurations evaluated by selection
+  long selection = 0;     ///< step 1: primitive selection
+  long tuning = 0;        ///< step 2: tuning of each bin's best layout
+  long port = 0;          ///< step 3: net routing constraints
+  double seconds = 0.0;   ///< wall time of the three steps
+  long total() const { return selection + tuning + port; }
+};
+
+/// Table V: the DP (960 fins), the passive CM (512 fins) and the
+/// current-starved inverter (96 fins), each through selection into 3
+/// bins, tuning of every bin's best layout, and port constraints on the
+/// first tuned layout with the reference route (2 um of metal 3 plus a
+/// 2-cut via stack) at its swept ports; one row per primitive.
+std::vector<StepCountsRow> run_step_counts(const tech::Technology& t);
 
 /// Fig. 2 / Table I: CS amplifier with narrow (1), wide (8), and optimized
 /// drain-wire widths. Results keyed "schematic", "narrow", "wide",

@@ -88,8 +88,13 @@ void finish_budget(const Budget& budget, FlowReport& report) {
   obs::record("budget.elapsed_ms", s.elapsed_s * 1000.0);
   if (s.limited) obs::counter_add("budget.limited");
   if (s.deadline_s > 0.0) {
+    // A deadline set through FlowOptions may exceed long in milliseconds;
+    // converting that would be undefined behavior, so it saturates.
+    constexpr long kMaxMs = std::numeric_limits<long>::max();
+    const double ms = s.deadline_s * 1000.0;
     obs::counter_add("budget.deadline_ms",
-                     static_cast<long>(s.deadline_s * 1000.0));
+                     ms < static_cast<double>(kMaxMs) ? static_cast<long>(ms)
+                                                      : kMaxMs);
   }
   if (s.testbench_limit >= 0) {
     obs::counter_add("budget.testbench_limit", s.testbench_limit);
@@ -100,8 +105,8 @@ void finish_budget(const Budget& budget, FlowReport& report) {
   if (s.exhausted) {
     obs::counter_add("budget.exhausted");
     // The registry keys counter families by the name pointer and assumes it
-    // outlives the shard, so the kind must map to a string literal rather
-    // than a composed temporary.
+    // outlives the registry's maps, so the kind must map to a string literal
+    // rather than a composed temporary.
     switch (s.tripped) {
       case BudgetKind::kDeadline:
         obs::counter_add("budget.tripped.deadline");

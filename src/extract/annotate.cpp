@@ -94,9 +94,9 @@ std::map<std::string, spice::NodeId> annotate_primitive(
     m.w = phys.w;
     m.l = phys.l;
     double extra = 0.0;
-    if (auto it = options.extra_dvth.find(ld.name);
-        it != options.extra_dvth.end()) {
-      extra = it->second;
+    if (const auto dvth = options.extra_dvth.find(ld.name);
+        dvth != options.extra_dvth.end()) {
+      extra = dvth->second;
     }
     if (options.ideal) {
       nominal_junctions(t, phys.w, phys.l, m.as, m.ad, m.ps, m.pd);

@@ -445,7 +445,7 @@ Circuit parse_netlist(const std::string& text) {
       if (body[0] == '*') continue;
       if (body[0] == '+') {
         if (lines.empty()) throw ParseError("continuation without a line", line_no);
-        lines.back().second += " " + body.substr(1);
+        lines.back().second.append(" ").append(body, 1);
       } else {
         lines.emplace_back(line_no, body);
       }

@@ -20,8 +20,12 @@ std::string source_suffix(const Waveform& wave, double ac_mag,
                           double ac_phase) {
   std::string s = wave.to_spice();
   if (ac_mag != 0.0) {
-    s += " AC " + num(ac_mag);
-    if (ac_phase != 0.0) s += " " + num(ac_phase * 180.0 / M_PI);
+    s += " AC ";
+    s += num(ac_mag);
+    if (ac_phase != 0.0) {
+      s += ' ';
+      s += num(ac_phase * 180.0 / M_PI);
+    }
   }
   return s;
 }

@@ -27,15 +27,26 @@ const char* budget_kind_name(BudgetKind kind) {
   return "unknown";
 }
 
+namespace {
+
+/// True for a value in [0, LONG_MAX]. A value that does not fit in long
+/// (inf, 1e30) is malformed like NaN: converting it would be undefined
+/// behavior. long's max rounds up to 2^63 as a double, so `<` admits
+/// exactly the representable values.
+bool fits_in_long(double value) {
+  return value >= 0.0 &&
+         value < static_cast<double>(std::numeric_limits<long>::max());
+}
+
+}  // namespace
+
 BudgetOptions budget_options_from_env(BudgetOptions base) {
+  // The deadline is reported in whole milliseconds (flow telemetry's
+  // budget.deadline_ms counter), so it obeys the same rule as the count.
   const double deadline_ms = env::number("OLP_DEADLINE_MS", -1.0);
-  if (deadline_ms >= 0.0) base.deadline_s = deadline_ms / 1000.0;
+  if (fits_in_long(deadline_ms)) base.deadline_s = deadline_ms / 1000.0;
   const double benches = env::number("OLP_TESTBENCH_BUDGET", -1.0);
-  // A count that does not fit in long (inf, 1e30) is malformed like NaN:
-  // converting it would be undefined behavior. long's max rounds up to
-  // 2^63 as a double, so `<` admits exactly the representable counts.
-  if (benches >= 0.0 &&
-      benches < static_cast<double>(std::numeric_limits<long>::max())) {
+  if (fits_in_long(benches)) {
     base.max_testbenches = static_cast<long>(benches);
   }
   return base;

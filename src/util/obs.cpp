@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "util/budget.hpp"
 
@@ -30,11 +32,14 @@ double percentile(const std::vector<double>& sorted, double q) {
 /// everything at or below it).
 constexpr double kHistMin = 1e-3;
 
-/// Closed spans a shard may buffer before a span exit forces a central
-/// merge (and the lower bound applied when the open stack empties, so
-/// one-span worker tasks do not pay a central lock per task).
-constexpr std::size_t kFlushClosedBatch = 128;
-constexpr std::size_t kFlushIdleMin = 32;
+/// a + b clamped to long's range. Counters saturate instead of overflowing:
+/// every job of a batch may add a LONG_MAX budget.deadline_ms.
+long saturating_add(long a, long b) {
+  long sum = 0;
+  if (!__builtin_add_overflow(a, b, &sum)) return sum;
+  return b > 0 ? std::numeric_limits<long>::max()
+               : std::numeric_limits<long>::min();
+}
 
 }  // namespace
 
@@ -119,26 +124,13 @@ HistogramStats LatencyHistogram::stats() const {
 // ---------------------------------------------------------------------------
 // Registry
 
-/// One thread's private collection buffer. The owner takes `mu` on every
-/// write — uncontended in steady state, since the only other parties are
-/// enable()/snapshot()/flush walking the shard list. All central<->shard
-/// interplay locks Registry::mu_ *before* Shard::mu, never the reverse.
-struct Registry::Shard {
-  Registry* owner = nullptr;
-  mutable std::mutex mu;
-  std::uint64_t epoch = 0;  ///< registry epoch this shard's data belongs to
-  int tid = 0;              ///< stable per-thread id (1-based, registration order)
-  std::vector<SpanRecord> spans;    ///< open + not-yet-flushed closed spans
-  std::vector<std::size_t> stack;   ///< indices into `spans`; the open stack
-  std::size_t closed = 0;           ///< closed spans buffered in `spans`
-  std::unordered_map<const char*, long> counters;
-  std::unordered_map<const char*, std::vector<double>> samples;
-  std::unordered_map<const char*, LatencyHistogram> hists;
-  ThreadContext ambient;  ///< epoch-guarded separately; survives resets
-
-  ~Shard() {
-    if (owner != nullptr) owner->unregister_shard(this);
-  }
+/// What one thread keeps to itself. Only its owner touches it; `stack`
+/// indexes Registry::spans_ and is read and written under Registry::mu_.
+struct Registry::ThreadState {
+  int tid = 0;              ///< 1-based, in first-use order; 0 = unassigned
+  std::uint64_t epoch = 0;  ///< the epoch `stack` belongs to
+  std::vector<std::size_t> stack;  ///< open spans, outermost first
+  ThreadContext ambient;  ///< carries its own epoch; ignored when stale
 };
 
 Registry& Registry::global() {
@@ -146,72 +138,22 @@ Registry& Registry::global() {
   return registry;
 }
 
-Registry::Shard& Registry::shard() {
-  static thread_local Shard s;
-  if (s.owner == nullptr) global().register_shard(&s);
-  return s;
-}
-
-void Registry::register_shard(Shard* s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  s->owner = this;
-  s->tid = next_tid_.fetch_add(1, std::memory_order_relaxed) + 1;
-  shards_.push_back(s);
-}
-
-void Registry::unregister_shard(Shard* s) {
-  // Thread exit: fold whatever the dying thread buffered into the central
-  // state (its records must survive the shard), then drop it from the merge
-  // order. Its tid — and any name registered for it — stays valid in
-  // already-collected span records.
-  std::lock_guard<std::mutex> reg(mu_);
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->epoch == epoch_.load(std::memory_order_relaxed)) {
-    merge_shard_locked(*s);
-    // Spans still open at thread exit can never be closed; flush them as-is
-    // so the snapshot keeps showing them (open=true), matching the
-    // behaviour they had while the thread lived.
-    for (SpanRecord& rec : s->spans) spans_.push_back(std::move(rec));
+Registry::ThreadState& Registry::thread_state() {
+  static thread_local ThreadState state;
+  if (state.tid == 0) {
+    state.tid = global().next_tid_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  shards_.erase(std::remove(shards_.begin(), shards_.end(), s),
-                shards_.end());
-  s->owner = nullptr;
-}
-
-void Registry::reset_shard_locked(Shard& s, std::uint64_t epoch) {
-  s.spans.clear();
-  s.stack.clear();
-  s.closed = 0;
-  s.counters.clear();
-  s.samples.clear();
-  s.hists.clear();
-  s.epoch = epoch;
-  // s.ambient is deliberately kept: ThreadContext carries its own epoch tag
-  // and is ignored when stale.
-}
-
-void Registry::ensure_current_locked(Shard& s) const {
-  const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-  if (s.epoch != e) reset_shard_locked(s, e);
+  return state;
 }
 
 void Registry::enable() {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t e =
-      epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  t0_us_.store(steady_now_us(), std::memory_order_relaxed);
-  next_span_id_.store(0, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_relaxed);
+  t0_us_ = steady_now_us();
   spans_.clear();
   counters_.clear();
   samples_.clear();
   hists_.clear();
-  // Eagerly reset live shards so a snapshot taken right after enable() is
-  // empty even if some thread never touches the registry again; threads
-  // that do write re-validate lazily via the epoch stamp anyway.
-  for (Shard* s : shards_) {
-    std::lock_guard<std::mutex> shard_lock(s->mu);
-    reset_shard_locked(*s, e);
-  }
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -222,218 +164,129 @@ void Registry::rebase() {
 
 std::int64_t Registry::open_span(const char* name, std::string detail) {
   if (!enabled()) return -1;
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  ensure_current_locked(s);
+  ThreadState& ts = thread_state();
   SpanRecord rec;
-  rec.id = next_span_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  rec.tid = s.tid;
-  if (!s.stack.empty()) {
-    const SpanRecord& parent = s.spans[s.stack.back()];
-    rec.parent = parent.id;
-    rec.depth = parent.depth + 1;
-  } else if (s.ambient.epoch == s.epoch) {
-    // Worker-thread root: parent under the submitting thread's span.
-    rec.parent = s.ambient.parent_id;
-    rec.depth = s.ambient.depth;
-  }
+  rec.tid = ts.tid;
   rec.name = name;
   rec.detail = std::move(detail);
-  rec.start_us = steady_now_us() - t0_us_.load(std::memory_order_relaxed);
   rec.open = true;
-  const std::int64_t token = static_cast<std::int64_t>(rec.id);
-  s.stack.push_back(s.spans.size());
-  s.spans.push_back(std::move(rec));
-  return token;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
+  if (ts.epoch != epoch) {
+    // The stack's spans belong to an earlier epoch: they are orphaned.
+    ts.stack.clear();
+    ts.epoch = epoch;
+  }
+  rec.id = spans_.size() + 1;
+  if (!ts.stack.empty()) {
+    const SpanRecord& parent = spans_[ts.stack.back()];
+    rec.parent = parent.id;
+    rec.depth = parent.depth + 1;
+  } else if (ts.ambient.epoch == epoch) {
+    // Worker-thread root: parent under the submitting thread's span.
+    rec.parent = ts.ambient.parent_id;
+    rec.depth = ts.ambient.depth;
+  }
+  rec.start_us = steady_now_us() - t0_us_;
+  ts.stack.push_back(spans_.size());
+  spans_.push_back(std::move(rec));
+  return static_cast<std::int64_t>(spans_.back().id);
 }
 
 void Registry::close_span(std::int64_t token, std::uint64_t epoch) {
-  // The epoch guard orphans spans that straddle an enable()/rebase(): the
-  // shard buffer they lived in has been reset, so closing must be a no-op.
   if (token < 0) return;
-  if (epoch != epoch_.load(std::memory_order_relaxed)) return;
-  Shard& s = shard();
-  bool flush = false;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.epoch != epoch) return;
-    // RAII spans close LIFO, so the match is at (or near) the top of the
-    // open stack; fall back to a backward scan of the buffer for spans
-    // closed out of order.
-    const std::uint64_t id = static_cast<std::uint64_t>(token);
-    SpanRecord* rec = nullptr;
-    for (auto it = s.stack.rbegin(); it != s.stack.rend(); ++it) {
-      if (s.spans[*it].id == id) {
-        rec = &s.spans[*it];
-        break;
-      }
-    }
-    if (rec == nullptr) {
-      for (auto it = s.spans.rbegin(); it != s.spans.rend(); ++it) {
-        if (it->id == id) {
-          rec = &*it;
-          break;
-        }
-      }
-    }
-    if (rec == nullptr || !rec->open) return;
-    rec->dur_us = steady_now_us() -
-                  t0_us_.load(std::memory_order_relaxed) - rec->start_us;
-    rec->open = false;
-    ++s.closed;
-    while (!s.stack.empty() && !s.spans[s.stack.back()].open) {
-      s.stack.pop_back();
-    }
-    flush = s.closed >= kFlushClosedBatch ||
-            (s.stack.empty() && s.closed >= kFlushIdleMin);
+  ThreadState& ts = thread_state();
+  std::lock_guard<std::mutex> lock(mu_);
+  // The epoch guard orphans spans that straddle an enable()/rebase(): their
+  // records are gone, so closing must be a no-op.
+  if (epoch != epoch_.load(std::memory_order_relaxed) || ts.epoch != epoch) {
+    return;
   }
-  if (flush) flush_shard(s);
+  // Every open span of this thread is on its stack, usually on top; a span
+  // that is not (opened on another thread, or already closed) is left alone.
+  const std::size_t idx = static_cast<std::size_t>(token) - 1;
+  const auto it = std::find(ts.stack.rbegin(), ts.stack.rend(), idx);
+  if (it == ts.stack.rend()) return;
+  SpanRecord& rec = spans_[idx];
+  rec.dur_us = steady_now_us() - t0_us_ - rec.start_us;
+  rec.open = false;
+  ts.stack.erase(std::next(it).base());
 }
 
 void Registry::add(const char* name, long delta) {
   if (!enabled()) return;
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  ensure_current_locked(s);
-  s.counters[name] += delta;
+  std::lock_guard<std::mutex> lock(mu_);
+  long& total = counters_[name];
+  total = saturating_add(total, delta);
 }
 
 void Registry::record(const char* name, double value) {
   if (!enabled()) return;
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  ensure_current_locked(s);
-  s.samples[name].push_back(value);
+  std::lock_guard<std::mutex> lock(mu_);
+  samples_[name].push_back(value);
 }
 
 void Registry::record_hist(const char* name, double value) {
   if (!enabled()) return;
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  ensure_current_locked(s);
-  s.hists[name].record(value);
-}
-
-void Registry::merge_shard_locked(Shard& s) {
-  for (const auto& [name, value] : s.counters) counters_[name] += value;
-  s.counters.clear();
-  for (auto& [name, values] : s.samples) {
-    auto& central = samples_[name];
-    central.insert(central.end(), values.begin(), values.end());
-  }
-  s.samples.clear();
-  for (const auto& [name, hist] : s.hists) hists_[name].merge(hist);
-  s.hists.clear();
-  if (s.closed == 0) return;
-  // Move closed spans out; keep open spans (and any closed span still
-  // referenced by the stack — possible after an out-of-order close) local,
-  // remapping the stack's indices into the compacted buffer.
-  std::vector<char> in_stack(s.spans.size(), 0);
-  for (const std::size_t idx : s.stack) in_stack[idx] = 1;
-  std::vector<SpanRecord> kept;
-  std::vector<std::size_t> remap(s.spans.size(), 0);
-  std::size_t kept_closed = 0;
-  for (std::size_t i = 0; i < s.spans.size(); ++i) {
-    if (s.spans[i].open || in_stack[i] != 0) {
-      if (!s.spans[i].open) ++kept_closed;
-      remap[i] = kept.size();
-      kept.push_back(std::move(s.spans[i]));
-    } else {
-      spans_.push_back(std::move(s.spans[i]));
-    }
-  }
-  for (std::size_t& idx : s.stack) idx = remap[idx];
-  s.spans = std::move(kept);
-  s.closed = kept_closed;
-}
-
-void Registry::flush_shard(Shard& s) {
-  std::lock_guard<std::mutex> reg(mu_);
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.epoch != epoch_.load(std::memory_order_relaxed)) return;
-  merge_shard_locked(s);
+  std::lock_guard<std::mutex> lock(mu_);
+  hists_[name].record(value);
 }
 
 long Registry::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> reg(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   long total = 0;
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) total = it->second;
-  const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-  for (Shard* s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->epoch != e) continue;
-    for (const auto& [key, value] : s->counters) {
-      if (name == key) total += value;
-    }
+  for (const auto& [key, value] : counters_) {
+    if (name == key) total = saturating_add(total, value);
   }
   return total;
 }
 
-std::string Registry::span_path() const {
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
+std::string Registry::path_locked(const ThreadState& ts) const {
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   std::string path;
-  if (s.ambient.epoch == epoch) path = s.ambient.path;
-  if (s.epoch != epoch) return path;
-  for (const std::size_t idx : s.stack) {
-    if (!s.spans[idx].open) continue;
+  if (ts.ambient.epoch == epoch) path = ts.ambient.path;
+  if (ts.epoch != epoch) return path;
+  for (const std::size_t idx : ts.stack) {
     if (!path.empty()) path += '/';
-    path += s.spans[idx].name;
+    path += spans_[idx].name;
   }
   return path;
 }
 
+std::string Registry::span_path() const {
+  const ThreadState& ts = thread_state();
+  std::lock_guard<std::mutex> lock(mu_);
+  return path_locked(ts);
+}
+
 ThreadContext Registry::capture_thread_context() const {
-  ThreadContext ctx;
-  if (!enabled()) return ctx;
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
+  if (!enabled()) return {};
+  const ThreadState& ts = thread_state();
+  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  if (s.epoch == epoch && !s.stack.empty()) {
-    const SpanRecord& top = s.spans[s.stack.back()];
-    ctx.epoch = epoch;
-    ctx.parent_id = top.id;
-    ctx.depth = top.depth + 1;
-  } else if (s.ambient.epoch == epoch) {
+  if (ts.epoch != epoch || ts.stack.empty()) {
     // No local spans open (nested pools): forward the inherited context.
-    return s.ambient;
-  } else {
-    return ctx;
+    return ts.ambient.epoch == epoch ? ts.ambient : ThreadContext{};
   }
-  // Rebuild the path inline (span_path() would re-lock the shard).
-  std::string path;
-  if (s.ambient.epoch == epoch) path = s.ambient.path;
-  for (const std::size_t idx : s.stack) {
-    if (!s.spans[idx].open) continue;
-    if (!path.empty()) path += '/';
-    path += s.spans[idx].name;
-  }
-  ctx.path = std::move(path);
+  const SpanRecord& top = spans_[ts.stack.back()];
+  ThreadContext ctx;
+  ctx.epoch = epoch;
+  ctx.parent_id = top.id;
+  ctx.depth = top.depth + 1;
+  ctx.path = path_locked(ts);
   return ctx;
 }
 
 void Registry::set_thread_context(const ThreadContext& context) {
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.ambient = context;
-}
-
-void Registry::clear_thread_context() {
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.ambient = ThreadContext{};
+  thread_state().ambient = context;
 }
 
 ThreadContext Registry::ambient_thread_context() const {
-  Shard& s = shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.ambient;
+  return thread_state().ambient;
 }
 
 void Registry::set_thread_name(std::string name) {
-  const int tid = shard().tid;  // registered (and tid fixed) on first use
+  const int tid = thread_state().tid;
   std::lock_guard<std::mutex> lock(mu_);
   thread_names_[tid] = std::move(name);
 }
@@ -445,41 +298,30 @@ ThreadContext ThreadContextScope::capture_ambient() {
 }
 
 Snapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> reg(mu_);
   Snapshot snap;
-  snap.spans = spans_;
-  std::map<std::string, long> counters = counters_;
-  std::map<std::string, std::vector<double>> samples = samples_;
-  std::map<std::string, LatencyHistogram> hists = hists_;
-  const std::int64_t now_us =
-      steady_now_us() - t0_us_.load(std::memory_order_relaxed);
-  const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-  // Shards are read in registration order — and every family merge is
-  // order-independent anyway (counters/histograms add, distributions are
-  // computed over sorted samples, spans sort by id below), so the snapshot
-  // does not depend on merge timing.
-  for (Shard* s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->epoch != e) continue;
-    for (const auto& [name, value] : s->counters) counters[name] += value;
-    for (const auto& [name, values] : s->samples) {
-      auto& central = samples[name];
-      central.insert(central.end(), values.begin(), values.end());
+  // Families are keyed by name pointer; equal names behind different
+  // pointers fold together here.
+  std::map<std::string, std::vector<double>> samples;
+  std::map<std::string, LatencyHistogram> hists;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snap.spans = spans_;
+    const std::int64_t now_us = steady_now_us() - t0_us_;
+    for (SpanRecord& rec : snap.spans) {
+      if (rec.open) rec.dur_us = now_us - rec.start_us;
     }
-    for (const auto& [name, hist] : s->hists) hists[name].merge(hist);
-    for (const SpanRecord& rec : s->spans) snap.spans.push_back(rec);
+    for (const auto& [name, value] : counters_) {
+      long& total = snap.counters[name];
+      total = saturating_add(total, value);
+    }
+    for (const auto& [name, values] : samples_) {
+      std::vector<double>& all = samples[name];
+      all.insert(all.end(), values.begin(), values.end());
+    }
+    for (const auto& [name, hist] : hists_) hists[name].merge(hist);
+    snap.thread_names = thread_names_;
   }
-  std::sort(snap.spans.begin(), snap.spans.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              return a.id < b.id;
-            });
-  for (SpanRecord& rec : snap.spans) {
-    if (rec.open) rec.dur_us = now_us - rec.start_us;
-  }
-  snap.counters = std::move(counters);
-  for (const auto& [name, raw] : samples) {
-    if (raw.empty()) continue;
-    std::vector<double> sorted = raw;
+  for (auto& [name, sorted] : samples) {
     std::sort(sorted.begin(), sorted.end());
     DistributionStats d;
     d.count = static_cast<long>(sorted.size());
@@ -492,11 +334,7 @@ Snapshot Registry::snapshot() const {
     d.p95 = percentile(sorted, 0.95);
     snap.distributions[name] = d;
   }
-  for (const auto& [name, hist] : hists) {
-    if (hist.count() == 0) continue;
-    snap.histograms[name] = hist.stats();
-  }
-  snap.thread_names = thread_names_;
+  for (const auto& [name, hist] : hists) snap.histograms[name] = hist.stats();
   return snap;
 }
 

@@ -18,19 +18,12 @@
 //   eval.testbench                                           (per evaluation)
 //   sim.op, sim.ac, sim.tran                                 (per analysis)
 //
-// Sharded, thread-local collection (the scalability model): every thread
-// owns one shard — counters, samples, histograms and span records are
-// written into the calling thread's shard under a per-shard mutex that the
-// owner takes uncontended (plain stores behind a thread-private lock; no
-// shared mutex anywhere on the hot path). Shards merge into the central
-// registry at span exit (when a thread's open-span stack empties, or its
-// closed-span buffer crosses a batch threshold) and at every snapshot
-// point, in deterministic order: shards merge in registration order,
-// counters/histograms are additive, distribution statistics are computed
-// over sorted samples, and span records are globally ordered by their
-// atomically-assigned open id — so the merged snapshot is independent of
-// merge timing. Span ids come from one atomic counter, which keeps parent
-// links valid across shards without any central lock at open time.
+// One lock: counters, samples, histograms, span records and thread names
+// live in the registry's maps behind one mutex. Span records are appended
+// in open order, so a span's id is its position in the epoch and every
+// snapshot is a consistent cut. Each thread keeps only what is its own: a
+// tid, its open-span stack and the ambient ThreadContext below. Records of
+// a thread that exits stay in the registry; a span it left open stays open.
 //
 // TaskPool propagates a ThreadContext from the submitting thread to its
 // workers, making worker spans nest under the submitting span. Threads can
@@ -107,11 +100,10 @@ struct HistogramStats {
 /// microseconds, the pool its queue depth), so quantile
 /// estimates carry at most one-bucket (2x) relative error, refined by
 /// linear interpolation within the bucket and clamped to the exact
-/// observed [min, max]. Merging is bucket-wise addition, so shard merges
-/// commute and the merged histogram is independent of merge order.
+/// observed [min, max]. Merging is bucket-wise addition, so merges commute
+/// and the merged histogram is independent of merge order.
 ///
-/// Not internally synchronized: callers hold their own lock (the registry
-/// keeps one per shard).
+/// Not internally synchronized: callers hold their own lock.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 64;
@@ -167,8 +159,7 @@ class Registry {
  public:
   static Registry& global();
 
-  /// Clears all collected state (central and every live shard), restarts
-  /// the clock and starts collecting.
+  /// Clears all collected state, restarts the clock and starts collecting.
   void enable();
   /// Stops collecting; collected data stays snapshotable until the next
   /// enable()/rebase().
@@ -184,7 +175,7 @@ class Registry {
   void rebase();
 
   // -- Instrumentation backend (call through the free functions below). --
-  /// Opens a span in the calling thread's shard; returns the span id as a
+  /// Opens a span on the calling thread's stack; returns the span id as a
   /// close token, or -1 when disabled.
   std::int64_t open_span(const char* name, std::string detail);
   /// Closes the span if `epoch` still matches the open epoch. Must run on
@@ -200,12 +191,11 @@ class Registry {
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
-  /// Current counter value across central state and all shards (0 when
-  /// absent).
+  /// Current counter value (0 when absent).
   long counter(const std::string& name) const;
   /// Slash-joined names of this thread's open span stack (prefixed by any
   /// applied ThreadContext path), e.g. "flow.optimize/routing/router.net";
-  /// empty when none. Touches only the calling thread's shard.
+  /// empty when none.
   std::string span_path() const;
 
   /// Names the calling thread in exported traces (Chrome trace "M"
@@ -215,62 +205,47 @@ class Registry {
 
   /// Captures this thread's span position for propagation to pool workers.
   ThreadContext capture_thread_context() const;
-  /// Installs / clears the calling thread's ambient context (used by
+  /// Installs the calling thread's ambient context (used by
   /// ThreadContextScope below; stale-epoch contexts are ignored at use).
   void set_thread_context(const ThreadContext& context);
-  void clear_thread_context();
   /// The calling thread's raw ambient slot, as set (empty when none).
   ThreadContext ambient_thread_context() const;
 
-  /// Merges every live shard (in registration order) with the central
-  /// state into one copy. Open spans are included with their
-  /// duration-so-far and open=true. Shards are read, not drained, so
-  /// snapshot() is safe to call at any time from any thread.
+  /// A copy of everything collected in the current epoch. Open spans are
+  /// included with their duration-so-far and open=true. Safe to call at
+  /// any time from any thread.
   Snapshot snapshot() const;
 
  private:
-  struct Shard;
+  struct ThreadState;
 
   Registry() = default;
 
-  /// The calling thread's shard, registered with the global registry on
-  /// first use and merged+unregistered at thread exit.
-  static Shard& shard();
-
-  void register_shard(Shard* s);
-  void unregister_shard(Shard* s);
-  /// Clears a shard and stamps it with `epoch`. Caller holds s->mu.
-  static void reset_shard_locked(Shard& s, std::uint64_t epoch);
-  /// Drops stale-epoch shard state. Caller holds s.mu.
-  void ensure_current_locked(Shard& s) const;
-  /// Merges (and drains) a shard into the central maps. Caller holds BOTH
-  /// mu_ and s.mu, in that order.
-  void merge_shard_locked(Shard& s);
-  /// Lock-ordered flush of the calling thread's shard (mu_ then s.mu).
-  void flush_shard(Shard& s);
+  /// The calling thread's state; its tid is assigned on first use.
+  static ThreadState& thread_state();
+  /// Slash-joined path of `ts`'s ambient prefix and open spans. Caller
+  /// holds mu_.
+  std::string path_locked(const ThreadState& ts) const;
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> epoch_{0};  ///< bumped by enable()/rebase()
-  std::atomic<std::uint64_t> next_span_id_{0};  ///< reset by enable()/rebase()
-  std::atomic<std::int64_t> t0_us_{0};   ///< steady-clock origin of the epoch
   std::atomic<int> next_tid_{0};
 
-  mutable std::mutex mu_;     ///< guards everything below (never held while
-                              ///< taking a shard lock's *owner* path; lock
-                              ///< order is always mu_ -> shard.mu)
-  std::vector<Shard*> shards_;           ///< live shards, registration order
-  std::vector<SpanRecord> spans_;        ///< flushed span records
-  std::map<std::string, long> counters_;
-  std::map<std::string, std::vector<double>> samples_;
-  std::map<std::string, LatencyHistogram> hists_;
+  mutable std::mutex mu_;  ///< guards everything below
+  std::int64_t t0_us_ = 0;  ///< steady-clock origin of the epoch
+  std::vector<SpanRecord> spans_;  ///< the epoch's spans; id = index + 1
+  std::unordered_map<const char*, long> counters_;
+  std::unordered_map<const char*, std::vector<double>> samples_;
+  std::unordered_map<const char*, LatencyHistogram> hists_;
   std::map<int, std::string> thread_names_;
 };
 
 /// Fast-path enabled check (one relaxed atomic load).
 inline bool enabled() { return Registry::global().enabled(); }
 
-/// Bumps a named monotonic counter. `name` must be a literal or otherwise
-/// outlive the call; nothing is allocated when disabled.
+/// Bumps a named monotonic counter, which saturates at long's range.
+/// `name` must be a literal or otherwise outlive the call; nothing is
+/// allocated when disabled.
 inline void counter_add(const char* name, long delta = 1) {
   if (enabled()) Registry::global().add(name, delta);
 }
@@ -296,7 +271,7 @@ inline void set_thread_name(std::string name) {
 
 /// One instrumented mutex site: the counter bumped per *contended*
 /// acquisition and the histogram of contended wait times in microseconds.
-/// Both names must be string literals (they key thread-local shard maps by
+/// Both names must be string literals (they key the registry's maps by
 /// pointer).
 struct LockSite {
   const char* contended;  ///< counter, e.g. "obs.contention.pool.contended"
@@ -351,7 +326,7 @@ inline void timed_relock(std::unique_lock<std::mutex>& lock,
 /// caller) or a nullary callable returning one — use the callable form when
 /// building the detail would allocate, so disabled mode stays allocation-free.
 /// A Span must be destroyed on the thread that constructed it (RAII usage
-/// guarantees this); the record lives in that thread's shard.
+/// guarantees this); it sits on that thread's open-span stack.
 class Span {
  public:
   explicit Span(const char* name) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# ThreadSanitizer smoke run: build the OTA flow example with
-# -fsanitize=thread and drive it through the parallel + cached code path
+# ThreadSanitizer smoke run: build the eval-cache and obs registry stress
+# binaries and the OTA flow example with -fsanitize=thread, run both
+# stresses, drive the example through the parallel + cached code path
 # (8 worker threads, eval cache on), then drive the batch example the same
 # way — concurrent jobs racing over the shared worker pool and cross-job
 # eval cache. TSan aborts the process on the first data race
@@ -39,7 +40,7 @@ cmake -S "${src_dir}" -B "${build_dir}" \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build "${build_dir}" --target ota_layout_flow batch_flows \
-  eval_cache_stress -j "$(nproc)" > /dev/null
+  eval_cache_stress obs_stress -j "$(nproc)" > /dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "${probe}" "${tmp}"' EXIT
@@ -58,6 +59,20 @@ echo "tsan smoke: sanitized eval-cache stress reconciled exactly"
 if grep -q "ThreadSanitizer" "${stress_out}"; then
   echo "tsan smoke: ThreadSanitizer reported a race in the eval cache" >&2
   cat "${stress_out}" >&2
+  exit 1
+fi
+
+# The obs registry stress: 8 writers and a 4-worker pool open spans and
+# record counters, histograms and samples while a thread loops snapshot()
+# and rebase(); then one clean epoch must reconcile exactly.
+obs_out="${tmp}/obs_stdout.txt"
+TSAN_OPTIONS="${tsan_opts}" \
+  "${build_dir}/obs_stress" > "${obs_out}" 2>&1
+echo "tsan smoke: sanitized obs registry stress reconciled exactly"
+
+if grep -q "ThreadSanitizer" "${obs_out}"; then
+  echo "tsan smoke: ThreadSanitizer reported a race in the obs registry" >&2
+  cat "${obs_out}" >&2
   exit 1
 fi
 

@@ -156,6 +156,12 @@ TEST(Budget, EnvOverridesParseStrictly) {
     EXPECT_EQ(budget_options_from_env(base).max_testbenches, 3)
         << out_of_range;
   }
+  // So are deadlines whose millisecond value does not fit in long.
+  for (const char* out_of_range : {"inf", "1e300", "nan"}) {
+    setenv("OLP_DEADLINE_MS", out_of_range, 1);
+    EXPECT_DOUBLE_EQ(budget_options_from_env(base).deadline_s, 1.5)
+        << out_of_range;
+  }
   clear_budget_env();
   opt = budget_options_from_env();
   EXPECT_FALSE(opt.limited());
@@ -461,6 +467,23 @@ TEST_F(BudgetFlow, UnlimitedBudgetBitIdenticalToUnbudgeted) {
     EXPECT_EQ(wire.capacitance, budgeted.net_wires.at(net).capacitance)
         << net;
   }
+}
+
+TEST_F(BudgetFlow, HugeDeadlineSaturatesInTelemetry) {
+  // A deadline beyond long in milliseconds reaches the flow through
+  // FlowOptions; its telemetry must still report a positive deadline.
+  circuits::FlowOptions fopt;
+  fopt.budget_limits.deadline_s = 1e300;
+  const circuits::FlowEngine engine(t(), fopt);
+  circuits::FlowReport report;
+  {
+    obs::ScopedObservability scoped;
+    engine.run(circuits::FlowMode::kConventional, ota_->instances(),
+               ota_->routed_nets(), &report);
+  }
+  EXPECT_FALSE(report.budget.exhausted);
+  ASSERT_TRUE(report.telemetry.enabled);
+  EXPECT_GT(report.telemetry.budget.deadline_s, 0.0);
 }
 
 TEST_F(BudgetFlow, EnvDeadlineOverrideReachesTheFlow) {

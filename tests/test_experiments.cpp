@@ -128,6 +128,34 @@ TEST(PortSweepExperiment, TableIVIntervalShapes) {
   EXPECT_FALSE(core::interval_from_curve(cm, 0.04).hi.has_value());
 }
 
+TEST(StepCountsExperiment, TableVCounts) {
+  // Table V on our own counts, exactly: every testbench of each step. The
+  // DP and the CM spend most of their testbenches on selection, the
+  // current-starved inverter on tuning.
+  set_log_level(LogLevel::kError);
+  const std::vector<StepCountsRow> rows = run_step_counts(t());
+  struct Want {
+    const char* primitive;
+    int configs;
+    long selection, tuning, port;
+  };
+  const Want want[] = {{"diff pair", 150, 453, 90, 96},
+                       {"current mirror", 45, 92, 60, 32},
+                       {"curr-starved inv", 25, 52, 396, 32}};
+  ASSERT_EQ(rows.size(), std::size(want));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(want[i].primitive);
+    EXPECT_EQ(rows[i].primitive, want[i].primitive);
+    EXPECT_EQ(rows[i].configs, want[i].configs);
+    EXPECT_EQ(rows[i].selection, want[i].selection);
+    EXPECT_EQ(rows[i].tuning, want[i].tuning);
+    EXPECT_EQ(rows[i].port, want[i].port);
+  }
+  EXPECT_EQ(rows[0].total(), 639);
+  EXPECT_EQ(rows[1].total(), 184);
+  EXPECT_EQ(rows[2].total(), 480);
+}
+
 TEST(OtaExperiment, TableVIOrdering) {
   set_log_level(LogLevel::kError);
   const CircuitExperiment ex = run_ota(t(), {}, /*with_manual=*/true);

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "util/obs.hpp"
+#include "util/task_pool.hpp"
 #include "util/trace_export.hpp"
 
 // Global allocation counter for the zero-allocation test. Replacing the
@@ -134,6 +137,19 @@ TEST(Obs, CounterAccountingIsExact) {
   EXPECT_EQ(snap.counter("eval.testbench"), 5);
   EXPECT_EQ(snap.counter("router.nets"), 2);
   EXPECT_EQ(snap.counter("absent"), 0);
+}
+
+TEST(Obs, CountersSaturateInsteadOfOverflowing) {
+  constexpr long kMax = std::numeric_limits<long>::max();
+  ScopedObservability scope;
+  counter_add("big", kMax);
+  counter_add("big", kMax);
+  counter_add("small", -kMax);
+  counter_add("small", -kMax);
+  EXPECT_EQ(Registry::global().counter("big"), kMax);
+  const Snapshot snap = Registry::global().snapshot();
+  EXPECT_EQ(snap.counter("big"), kMax);
+  EXPECT_EQ(snap.counter("small"), std::numeric_limits<long>::min());
 }
 
 TEST(Obs, DistributionStatsNearestRank) {
@@ -274,9 +290,9 @@ TEST(LatencyHistogram, QuantilesClampedToObservedRange) {
 }
 
 TEST(Obs, ConcurrentCountersMergeExactlyToSerialTotals) {
-  // 8 threads hammer the same counter and histogram families through their
-  // own shards; the merged snapshot must equal the serial totals EXACTLY —
-  // sharded aggregation loses nothing and double-counts nothing.
+  // 8 threads hammer the same counter and histogram families; the snapshot
+  // must equal the serial totals EXACTLY — concurrent recording loses
+  // nothing and double-counts nothing.
   constexpr int kThreads = 8;
   constexpr int kIters = 5000;
   long serial_count = 0;
@@ -307,9 +323,8 @@ TEST(Obs, ConcurrentCountersMergeExactlyToSerialTotals) {
 }
 
 TEST(Obs, SnapshotIsDeterministicRegardlessOfMergeTiming) {
-  // Concurrent span producers, then two snapshots back-to-back: the first
-  // merge pulls live shard state, the second re-reads after that merge.
-  // Both must render the identical, id-ordered view.
+  // Concurrent span producers, then two snapshots back-to-back: both must
+  // render the identical, id-ordered view.
   constexpr int kThreads = 6;
   ScopedObservability scope;
   std::vector<std::thread> threads;
@@ -345,6 +360,116 @@ TEST(Obs, SnapshotIsDeterministicRegardlessOfMergeTiming) {
     EXPECT_EQ(by_id[s.parent]->name, "mt.outer");
     EXPECT_EQ(by_id[s.parent]->tid, s.tid);
   }
+}
+
+TEST(Obs, PoolWorkerSpansNestUnderTheSubmittingSpan) {
+  // Tasks that land on workers parent their spans under the span open on
+  // the submitting thread, one level deeper, and see its path as a prefix.
+  constexpr std::size_t kTasks = 16;
+  ScopedObservability scope;
+  TaskPool pool(4);
+  Span root("flow.optimize");
+  Span stage("selection");
+  const std::string submitter_path = Registry::global().span_path();
+  std::vector<std::string> paths(kTasks);
+  pool.parallel_for(kTasks, [&paths](std::size_t i) {
+    Span leaf("pool.leaf");
+    paths[i] = Registry::global().span_path();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return true;
+  });
+  stage.close();
+  root.close();
+
+  for (const std::string& path : paths) {
+    EXPECT_EQ(path, submitter_path + "/pool.leaf");
+  }
+  const Snapshot snap = Registry::global().snapshot();
+  const SpanRecord* submitter = nullptr;
+  for (const SpanRecord& s : snap.spans) {
+    if (s.name == "selection") submitter = &s;
+  }
+  ASSERT_NE(submitter, nullptr);
+  int leaves = 0;
+  int on_workers = 0;
+  for (const SpanRecord& s : snap.spans) {
+    if (s.name != "pool.leaf") continue;
+    ++leaves;
+    if (s.tid != submitter->tid) ++on_workers;
+    EXPECT_EQ(s.parent, submitter->id);
+    EXPECT_EQ(s.depth, submitter->depth + 1);
+    EXPECT_FALSE(s.open);
+  }
+  EXPECT_EQ(leaves, static_cast<int>(kTasks));
+  EXPECT_GT(on_workers, 0) << "no task ran on a worker";
+}
+
+TEST(Obs, ContextCapturedBeforeRebaseIsIgnored) {
+  ScopedObservability scope;
+  Span outer("flow.optimize");
+  const ThreadContext stale = capture_thread_context();
+  ASSERT_NE(stale.parent_id, 0u);
+  Registry::global().rebase();
+
+  std::string worker_path;
+  std::thread worker([&stale, &worker_path] {
+    ThreadContextScope context(stale);
+    Span leaf("pool.leaf");
+    worker_path = Registry::global().span_path();
+  });
+  worker.join();
+
+  EXPECT_EQ(worker_path, "pool.leaf");
+  const Snapshot snap = Registry::global().snapshot();
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_EQ(snap.spans[0].name, "pool.leaf");
+  EXPECT_EQ(snap.spans[0].parent, 0u);
+  EXPECT_EQ(snap.spans[0].depth, 0);
+}
+
+TEST(Obs, JoinedThreadRecordsSurviveIntoTheSnapshot) {
+  ScopedObservability scope;
+  std::unique_ptr<Span> left_open;
+  std::thread worker([&left_open] {
+    counter_add("joined.count", 3);
+    histogram("joined.hist", 2.0);
+    record("joined.dist", 1.5);
+    { Span closed("joined.closed"); }
+    left_open = std::make_unique<Span>("joined.open");
+  });
+  worker.join();
+
+  const Snapshot snap = Registry::global().snapshot();
+  EXPECT_EQ(snap.counter("joined.count"), 3);
+  ASSERT_EQ(snap.histograms.count("joined.hist"), 1u);
+  EXPECT_EQ(snap.histograms.at("joined.hist").count, 1);
+  ASSERT_EQ(snap.distributions.count("joined.dist"), 1u);
+  EXPECT_DOUBLE_EQ(snap.distributions.at("joined.dist").max, 1.5);
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_EQ(snap.spans[0].name, "joined.closed");
+  EXPECT_FALSE(snap.spans[0].open);
+  EXPECT_EQ(snap.spans[1].name, "joined.open");
+  EXPECT_TRUE(snap.spans[1].open);
+  EXPECT_EQ(snap.spans[0].tid, snap.spans[1].tid);
+  left_open.reset();  // closing from this thread is a no-op
+  EXPECT_TRUE(Registry::global().snapshot().spans[1].open);
+}
+
+TEST(Obs, ClosingASpanOnAnotherThreadIsANoOp) {
+  ScopedObservability scope;
+  Span outer("flow.optimize");
+  auto inner = std::make_unique<Span>("routing");
+  const std::string path = Registry::global().span_path();
+  ASSERT_EQ(path, "flow.optimize/routing");
+
+  std::thread other([&inner] { inner->close(); });
+  other.join();
+
+  EXPECT_EQ(Registry::global().span_path(), path);
+  const Snapshot snap = Registry::global().snapshot();
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_TRUE(snap.spans[0].open);
+  EXPECT_TRUE(snap.spans[1].open);
 }
 
 TEST(TraceExport, ThreadNameMetadataRecordsInChromeTrace) {
