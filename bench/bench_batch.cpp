@@ -15,8 +15,10 @@
 // Every batch configuration's per-job results are verified bit-identical to
 // the solo runs (chosen options, placement, realized net RCs). The harness
 // exits nonzero unless the 4-worker batch reaches 2x jobs/min over the
-// serial baseline with a nonzero cross-job hit count. Results land in
-// BENCH_batch.json.
+// serial baseline with a nonzero cross-job hit count, and unless every
+// cached worker count runs exactly the testbenches of the 1-worker cached
+// batch (single flight: each distinct evaluation runs once, whatever the
+// schedule). Results land in BENCH_batch.json.
 
 #include <chrono>
 #include <cstring>
@@ -265,7 +267,26 @@ int main() {
   }
   std::cout << "Gate (jobs/min vs 1 worker): "
             << (scaling ? "PASS" : "FAIL") << " (need >= 90% at every count)\n";
-  pass = pass && gate && scaling;
+
+  // Single flight: the shared cache simulates each distinct evaluation
+  // once, so a cached batch's testbench count cannot depend on how many
+  // workers race for the same keys.
+  long serial_cached_tb = -1;
+  for (const Row& r : rows) {
+    if (r.workers == 1 && r.cached) serial_cached_tb = r.testbenches;
+  }
+  bool same_testbenches = true;
+  for (const Row& r : rows) {
+    if (!r.cached || r.testbenches == serial_cached_tb) continue;
+    same_testbenches = false;
+    std::cout << "Gate FAIL: " << r.workers << " workers (cache on) ran "
+              << r.testbenches << " testbenches, 1 worker ran "
+              << serial_cached_tb << "\n";
+  }
+  std::cout << "Gate (cached testbenches vs 1 worker): "
+            << (same_testbenches ? "PASS" : "FAIL") << " ("
+            << serial_cached_tb << " at every worker count)\n";
+  pass = pass && gate && scaling && same_testbenches;
 
   std::string json = "{\n";
   json += "  \"jobs\": " + std::to_string(jobs.size()) + ",\n";
@@ -293,6 +314,10 @@ int main() {
           ",\n";
   json += std::string("  \"gate_scaling\": ") +
           (scaling ? "true" : "false") + ",\n";
+  json += "  \"cached_testbenches_1_worker\": " +
+          std::to_string(serial_cached_tb) + ",\n";
+  json += std::string("  \"gate_same_testbenches\": ") +
+          (same_testbenches ? "true" : "false") + ",\n";
   json += std::string("  \"pass\": ") + (pass ? "true" : "false") + "\n";
   json += "}\n";
   std::string err;

@@ -160,6 +160,22 @@ void BM_GeneratePrimitive(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratePrimitive)->Arg(1)->Arg(4)->Arg(8);
 
+// The plan alone: what scoring a candidate whose evaluation is cached costs.
+void BM_Footprint(benchmark::State& state) {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  const pcell::PrimitiveGenerator gen(t);
+  const pcell::PrimitiveNetlist dp = pcell::make_diff_pair();
+  pcell::LayoutConfig cfg;
+  cfg.nfin = 8;
+  cfg.nf = 20;
+  cfg.m = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    const pcell::PrimitiveLayout lay = gen.footprint(dp, cfg);
+    benchmark::DoNotOptimize(lay.devices.size());
+  }
+}
+BENCHMARK(BM_Footprint)->Arg(1)->Arg(4)->Arg(8);
+
 void BM_PrimitiveEvaluation(benchmark::State& state) {
   const tech::Technology t = tech::make_default_finfet_tech();
   const pcell::PrimitiveGenerator gen(t);

@@ -309,13 +309,17 @@ void FlowEngine::place_and_route(
   obs::Span placement_span("placement");
   // Blocks and placement nets.
   std::vector<place::Block> blocks;
+  std::vector<geom::Rect> block_bbox;  ///< per block, in instance order
   std::map<std::string, int> block_index;
   for (const InstanceSpec& inst : instances) {
     const pcell::PrimitiveLayout* layout = layouts.at(inst.name);
+    OLP_CHECK(!layout->footprint_only,
+              "place_and_route got the footprint of " + inst.name);
+    block_bbox.push_back(layout->geometry.bounding_box());
     place::Block b;
     b.name = inst.name;
-    b.width = layout->width();
-    b.height = layout->height();
+    b.width = geom::to_meters(block_bbox.back().width());
+    b.height = geom::to_meters(block_bbox.back().height());
     block_index[inst.name] = static_cast<int>(blocks.size());
     blocks.push_back(b);
     report.placed_instances.push_back(inst.name);
@@ -324,7 +328,8 @@ void FlowEngine::place_and_route(
   for (const std::string& net : routed_nets) {
     place::PlacementNet pn;
     pn.name = net;
-    for (const InstanceSpec& inst : instances) {
+    for (std::size_t b = 0; b < instances.size(); ++b) {
+      const InstanceSpec& inst = instances[b];
       for (const auto& [port, inet] : inst.port_nets) {
         if (inet != net) continue;
         const pcell::PrimitiveLayout* layout = layouts.at(inst.name);
@@ -332,7 +337,7 @@ void FlowEngine::place_and_route(
         ref.block = block_index.at(inst.name);
         if (layout->geometry.has_pin(port)) {
           const geom::Pin& pin = layout->geometry.pin(port);
-          const geom::Rect bb = layout->geometry.bounding_box();
+          const geom::Rect& bb = block_bbox[b];
           ref.dx = geom::to_meters(pin.rect.center().x - bb.x_lo);
           ref.dy = geom::to_meters(pin.rect.center().y - bb.y_lo);
         }
@@ -590,6 +595,8 @@ Realization FlowEngine::run_optimize(
     const core::LayoutCandidate& cand =
         report.options[inst.name][static_cast<std::size_t>(
             chosen[inst.name])];
+    OLP_CHECK(!cand.layout.footprint_only,
+              "realization got the footprint of " + inst.name);
     real.layouts[inst.name] = cand.layout;
     real.tunings[inst.name] = cand.tuning;
   }
@@ -642,18 +649,20 @@ Realization FlowEngine::run_conventional(
     for (const pcell::LayoutConfig& cfg : configs) {
       if (cfg.m >= 2) has_multirow = true;
     }
+    // The score reads only the outline, so configurations are scored on
+    // footprints and only the winner gets its full layout.
     double best_score = std::numeric_limits<double>::infinity();
     pcell::PrimitiveLayout best;
     for (pcell::LayoutConfig cfg : configs) {
       if (has_multirow && cfg.m < 2) continue;
-      // Budget-bounded enumeration: always generate at least one layout per
+      // Budget-bounded enumeration: always score at least one layout per
       // instance, then keep the best of the configurations scored so far.
       if (best_score < std::numeric_limits<double>::infinity() &&
           budget.check()) {
         break;
       }
       cfg.dummies = false;
-      pcell::PrimitiveLayout cand = generator.generate(inst.netlist, cfg);
+      pcell::PrimitiveLayout cand = generator.footprint(inst.netlist, cfg);
       const double squareness = std::fabs(std::log(cand.aspect_ratio()));
       const double score = cand.area() * (1.0 + 2.0 * squareness);
       if (score < best_score) {
@@ -661,6 +670,7 @@ Realization FlowEngine::run_conventional(
         best = std::move(cand);
       }
     }
+    generator.materialize(best);
     real.layouts[inst.name] = std::move(best);
   }
   generation_span.close();
@@ -720,6 +730,10 @@ Realization FlowEngine::run_manual_oracle(
                   return a.cost.total < b.cost.total;
                 });
       const std::size_t try_n = std::min<std::size_t>(5, all.size());
+      // The five to tune, the front-runner among them, get full layouts.
+      for (std::size_t k = 0; k < try_n; ++k) {
+        generator.materialize(all[k].layout);
+      }
       core::LayoutCandidate best = all.front();
       double best_cost = std::numeric_limits<double>::infinity();
       for (std::size_t k = 0; k < try_n; ++k) {
@@ -755,6 +769,8 @@ Realization FlowEngine::run_manual_oracle(
   Realization real;
   real.ideal = false;
   for (const InstanceSpec& inst : instances) {
+    OLP_CHECK(!chosen.at(inst.name).layout.footprint_only,
+              "realization got the footprint of " + inst.name);
     real.layouts[inst.name] = chosen.at(inst.name).layout;
     real.tunings[inst.name] = chosen.at(inst.name).tuning;
   }

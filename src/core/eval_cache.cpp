@@ -193,22 +193,52 @@ EvalCache::Shard& EvalCache::shard_for(const std::string& key) {
   return shards_[h % shards_.size()];
 }
 
-bool EvalCache::lookup(const std::string& key, MetricValues* values,
-                       int client) {
+bool EvalCache::lookup(const std::string& key, Claim& claim,
+                       MetricValues* values, int client) {
   Shard& shard = shard_for(key);
-  const auto lock = obs::timed_lock(shard.mu, kCacheLookupLock);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  auto lock = obs::timed_lock(shard.mu, kCacheLookupLock);
+  const auto read = [&] {
+    const auto it = shard.map.find(key);
+    if (it == shard.map.end()) return false;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    const Entry& entry = it->second;
+    if (client >= 0 && entry.owner >= 0 && entry.owner != client) {
+      cross_client_hits_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (values != nullptr) *values = entry.values;
+    return true;
+  };
+  if (read()) return true;
+  const auto flight = shard.in_flight.find(key);
+  if (flight == shard.in_flight.end()) {
+    claim.shard_ = &shard;
+    claim.key_ = key;
+    claim.serial_ = ++shard.next_serial;
+    shard.in_flight.emplace(key, claim.serial_);
+  } else {
+    // Wait for that claim to end, then read again. When its owner inserted
+    // nothing, this lookup evaluates for itself, unclaimed.
+    const std::uint64_t awaited = flight->second;
+    claim.waited_ = true;
+    waits_.fetch_add(1, std::memory_order_relaxed);
+    shard.released.wait(lock, [&] {
+      const auto it = shard.in_flight.find(key);
+      return it == shard.in_flight.end() || it->second != awaited;
+    });
+    if (read()) return true;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  const Entry& entry = it->second;
-  if (client >= 0 && entry.owner >= 0 && entry.owner != client) {
-    cross_client_hits_.fetch_add(1, std::memory_order_relaxed);
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+void EvalCache::Claim::release() {
+  if (shard_ == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(shard_->mu);
+    shard_->in_flight.erase(key_);
   }
-  if (values != nullptr) *values = entry.values;
-  return true;
+  shard_->released.notify_all();
+  shard_ = nullptr;
 }
 
 void EvalCache::insert(const std::string& key, const MetricValues& values,
@@ -224,6 +254,7 @@ EvalCacheStats EvalCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.cross_client_hits = cross_client_hits_.load(std::memory_order_relaxed);
+  s.waits = waits_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     s.entries += static_cast<long>(shard.map.size());

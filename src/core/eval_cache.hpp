@@ -29,6 +29,17 @@
 // "obs.contention.eval_cache_insert.*". Entries are stored by value, never
 // change once inserted and live as long as the cache: nothing is evicted.
 //
+// Single flight: a lookup that misses claims its key into the Claim it was
+// given, so it is the one evaluation of that key in flight. A second lookup
+// of a claimed key waits for the claim to end, then reads the map again. A
+// claim ends when its holder is destroyed (RAII: every exit path, a throw
+// included); the evaluator inserts before that. When the owner inserted
+// nothing (its evaluation was budget-cut, quarantined or threw), its waiters
+// evaluate for themselves, unclaimed. Each lookup still counts once, as the
+// hit or miss it ended as. Waiting is deadlock-free because an evaluation
+// never submits pool work or evaluates another key, so an owner never waits
+// on anything while it holds a claim.
+//
 // Entries are only inserted for evaluations with no quarantined metric and
 // no exhausted budget (the evaluator enforces both), so diagnostics and
 // quarantine accounting stay identical with the cache on or off, and a
@@ -47,7 +58,9 @@
 // determinism.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -65,10 +78,40 @@ struct EvalCacheStats {
   /// Hits on entries inserted by a different client id (both ids >= 0):
   /// evaluations one flow run saved because another already computed them.
   long cross_client_hits = 0;
+  /// Lookups that waited for another evaluation of their key (counted when
+  /// the wait starts; the lookup also counts as the hit or miss it ends as).
+  long waits = 0;
 };
 
 class EvalCache {
+  struct Shard;
+
  public:
+  /// A lookup's hold on a key that missed (single flight, see file comment).
+  /// Destroying it ends the claim and wakes the key's waiters; insert() the
+  /// values before that.
+  class Claim {
+   public:
+    Claim() = default;
+    ~Claim() { release(); }
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+
+    /// The lookup missed and holds its key.
+    bool owned() const { return shard_ != nullptr; }
+    /// The lookup waited for another evaluation of its key.
+    bool waited() const { return waited_; }
+
+   private:
+    friend class EvalCache;
+    void release();
+
+    Shard* shard_ = nullptr;
+    std::string key_;
+    std::uint64_t serial_ = 0;
+    bool waited_ = false;
+  };
+
   explicit EvalCache(std::size_t shards = 16);
 
   EvalCache(const EvalCache&) = delete;
@@ -104,8 +147,12 @@ class EvalCache {
 
   /// Copies the cached metrics into *values and returns true on a hit.
   /// Counts a hit/miss either way; a hit on another client's entry also
-  /// counts toward cross_client_hits when both ids are >= 0.
-  bool lookup(const std::string& key, MetricValues* values, int client = -1);
+  /// counts toward cross_client_hits when both ids are >= 0. Single flight
+  /// (see file comment): a miss on a key in flight waits for that
+  /// evaluation and reads again, and a miss on a key nobody holds claims it
+  /// into `claim`, which must be fresh; insert() before it is destroyed.
+  bool lookup(const std::string& key, Claim& claim, MetricValues* values,
+              int client = -1);
 
   /// Inserts (first writer wins; a racing duplicate insert is a no-op —
   /// both writers computed bit-identical values from the same key). The
@@ -123,8 +170,12 @@ class EvalCache {
   };
 
   struct Shard {
-    mutable std::mutex mu;  ///< guards map
+    mutable std::mutex mu;  ///< guards map, in_flight and next_serial
     std::unordered_map<std::string, Entry> map;
+    /// Claimed keys, each with its claim's serial number.
+    std::unordered_map<std::string, std::uint64_t> in_flight;
+    std::uint64_t next_serial = 0;
+    std::condition_variable released;  ///< notified when a claim ends
   };
   Shard& shard_for(const std::string& key);
 
@@ -132,6 +183,7 @@ class EvalCache {
   std::atomic<long> hits_{0};
   std::atomic<long> misses_{0};
   std::atomic<long> cross_client_hits_{0};
+  std::atomic<long> waits_{0};
 };
 
 }  // namespace olp::core

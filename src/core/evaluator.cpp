@@ -119,18 +119,36 @@ std::string PrimitiveEvaluator::cache_key(const pcell::PrimitiveLayout& layout,
 MetricValues PrimitiveEvaluator::evaluate(const pcell::PrimitiveLayout& layout,
                                           const EvalCondition& c,
                                           EvalOutcome* outcome) const {
+  return evaluate(
+      layout, c, [&layout]() -> const pcell::PrimitiveLayout& { return layout; },
+      outcome);
+}
+
+MetricValues PrimitiveEvaluator::evaluate(const pcell::PrimitiveLayout& footprint,
+                                          const EvalCondition& c,
+                                          const Materializer& full,
+                                          EvalOutcome* outcome) const {
   if (outcome != nullptr) *outcome = EvalOutcome{};
   std::string key;
+  // Held until return: the insert below lands before the claim ends, so a
+  // waiter wakes to the entry (or, when nothing is inserted, evaluates for
+  // itself).
+  EvalCache::Claim claim;
   if (cache_ != nullptr) {
-    key = cache_key(layout, c);
+    key = cache_key(footprint, c);
     MetricValues cached;
-    if (cache_->lookup(key, &cached, cache_client_)) {
+    const bool hit = cache_->lookup(key, claim, &cached, cache_client_);
+    if (claim.waited()) obs::counter_add("eval.cache_waits");
+    if (hit) {
       obs::counter_add("eval.cache_hit");
       if (outcome != nullptr) outcome->cache_hit = true;
       return cached;
     }
     obs::counter_add("eval.cache_miss");
   }
+  const pcell::PrimitiveLayout& layout = full();
+  OLP_CHECK(!layout.footprint_only,
+            "evaluating " + layout.netlist.name + " needs its full layout");
   obs::Span span("eval.evaluate",
                  [&] { return layout.netlist.name + (c.ideal ? " (sch)" : ""); });
   MetricValues out = evaluate_impl(layout, c);

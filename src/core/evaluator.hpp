@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -103,6 +104,20 @@ class PrimitiveEvaluator {
   /// so their diagnostics re-fire identically on every re-evaluation.
   MetricValues evaluate(const pcell::PrimitiveLayout& layout,
                         const EvalCondition& condition,
+                        EvalOutcome* outcome = nullptr) const;
+
+  /// Returns the full layout of the footprint being evaluated.
+  using Materializer = std::function<const pcell::PrimitiveLayout&()>;
+
+  /// The same evaluation of the layout `footprint` stands for (a
+  /// PrimitiveGenerator::footprint() or a full layout), with one cache
+  /// lookup: a hit reads only the key, and only a miss calls `full` for the
+  /// layout to simulate. With a cache attached, a miss on a key another
+  /// evaluation has in flight waits for it (single flight, see
+  /// core/eval_cache.hpp) and counts "eval.cache_waits".
+  MetricValues evaluate(const pcell::PrimitiveLayout& footprint,
+                        const EvalCondition& condition,
+                        const Materializer& full,
                         EvalOutcome* outcome = nullptr) const;
 
   /// Attaches a diagnostics sink (may be null to detach); the sink must

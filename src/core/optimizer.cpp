@@ -42,11 +42,13 @@ MetricValues PrimitiveOptimizer::schematic_reference(
       pcell::PrimitiveGenerator::enumerate_configs(
           fins_per_device, {pcell::PlacementPattern::kABBA});
   OLP_CHECK(!configs.empty(), "no layout configuration for the device size");
-  const pcell::PrimitiveLayout layout =
-      generator_.generate(netlist, configs[configs.size() / 2]);
+  pcell::PrimitiveLayout layout =
+      generator_.footprint(netlist, configs[configs.size() / 2]);
   EvalCondition cond;
   cond.ideal = true;
-  return evaluator_.evaluate(layout, cond);
+  return evaluator_.evaluate(layout, cond, [&]() -> const auto& {
+    return generator_.materialize(layout);
+  });
 }
 
 double PrimitiveOptimizer::offset_spec(
@@ -55,13 +57,18 @@ double PrimitiveOptimizer::offset_spec(
 }
 
 CostBreakdown PrimitiveOptimizer::cost_of(
-    const pcell::PrimitiveLayout& layout, const extract::TuningMap& tuning,
+    pcell::PrimitiveLayout& layout, const extract::TuningMap& tuning,
     const MetricValues& reference, MetricValues* values_out) const {
   EvalCondition cond;
   cond.ideal = false;
   cond.tuning = tuning;
   EvalOutcome outcome;
-  const MetricValues values = evaluator_.evaluate(layout, cond, &outcome);
+  // A miss materializes a footprint in place, so a winner that missed is
+  // already full when selection keeps it.
+  const MetricValues values = evaluator_.evaluate(
+      layout, cond,
+      [&]() -> const auto& { return generator_.materialize(layout); },
+      &outcome);
   if (values_out != nullptr) *values_out = values;
   const MetricLibraryEntry lib = metric_library(layout.netlist.type);
   CostBreakdown cb =
@@ -115,7 +122,7 @@ std::vector<LayoutCandidate> PrimitiveOptimizer::evaluate_all(
     run_indexed(pool_, configs.size(), [&](std::size_t i) {
       if (budget_ != nullptr && budget_->check()) return false;
       LayoutCandidate cand;
-      cand.layout = generator_.generate(netlist, configs[i]);
+      cand.layout = generator_.footprint(netlist, configs[i]);
       cand.cost = cost_of(cand.layout, {}, reference, &cand.values);
       cand.quarantined = cand.cost.total >= kQuarantineCost;
       slots[i] = std::move(cand);
@@ -164,6 +171,8 @@ std::vector<LayoutCandidate> PrimitiveOptimizer::evaluate_all(
 
 void PrimitiveOptimizer::tune(LayoutCandidate& candidate,
                               int max_wires) const {
+  OLP_CHECK(!candidate.layout.footprint_only,
+            "tune needs the full layout; materialize the candidate first");
   const MetricLibraryEntry lib = metric_library(candidate.layout.netlist.type);
   if (lib.tuning_terminals.empty()) return;
   obs::Span span("optimizer.tune",
@@ -312,7 +321,9 @@ std::vector<LayoutCandidate> PrimitiveOptimizer::optimize(
   }
   std::vector<LayoutCandidate> selected;
   for (int idx : best_in_bin) {
-    if (idx >= 0) selected.push_back(all[static_cast<std::size_t>(idx)]);
+    if (idx < 0) continue;
+    selected.push_back(std::move(all[static_cast<std::size_t>(idx)]));
+    generator_.materialize(selected.back().layout);
   }
 
   obs::counter_add("optimizer.selected", static_cast<long>(selected.size()));
@@ -333,6 +344,7 @@ std::vector<LayoutCandidate> PrimitiveOptimizer::optimize(
     }
     OLP_WARN << "optimizer: all candidates for " << netlist.name
              << " quarantined; min-area fallback";
+    generator_.materialize(all[best_area].layout);
     return {all[best_area]};
   }
 

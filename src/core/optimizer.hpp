@@ -34,6 +34,8 @@ inline constexpr double kQuarantineCost = 1e12;
 
 /// One evaluated (and possibly tuned) layout option.
 struct LayoutCandidate {
+  /// A footprint (layout.footprint_only) when the candidate was scored from
+  /// a cache hit; PrimitiveGenerator::materialize() makes it full.
   pcell::PrimitiveLayout layout;
   extract::TuningMap tuning;   ///< parallel wires at tuning terminals
   MetricValues values;         ///< measured at the current tuning
@@ -72,21 +74,26 @@ class PrimitiveOptimizer {
         pool_(pool) {}
 
   /// Step 1 only: evaluate every configuration and assign bins. Returned in
-  /// enumeration order; used directly by the Table III bench.
+  /// enumeration order; used directly by the Table III bench. Candidates
+  /// are scored from footprints and only a cache miss builds full geometry,
+  /// so a returned candidate may be a footprint:
+  /// PrimitiveGenerator::materialize() it before tuning, placing or
+  /// realizing it.
   std::vector<LayoutCandidate> evaluate_all(
       const pcell::PrimitiveNetlist& netlist, int fins_per_device,
       const OptimizerOptions& options = {}) const;
 
   /// Full Algorithm 1: selection + tuning; returns one tuned candidate per
-  /// non-empty bin, cheapest first. Quarantined candidates are skipped during
-  /// selection; when every candidate is quarantined the optimizer degrades to
-  /// the minimum-area configuration (with a warning diagnostic) rather than
-  /// failing.
+  /// non-empty bin, cheapest first, each with its full layout. Quarantined
+  /// candidates are skipped during selection; when every candidate is
+  /// quarantined the optimizer degrades to the minimum-area configuration
+  /// (with a warning diagnostic) rather than failing.
   std::vector<LayoutCandidate> optimize(const pcell::PrimitiveNetlist& netlist,
                                         int fins_per_device,
                                         const OptimizerOptions& options = {}) const;
 
-  /// Step 2 only: tunes a single candidate's terminals in place.
+  /// Step 2 only: tunes a single candidate's terminals in place. The
+  /// candidate must have its full layout.
   void tune(LayoutCandidate& candidate, int max_wires = 8) const;
 
   /// Schematic reference metric values for this primitive (x_sch in Eq. 6).
@@ -97,7 +104,8 @@ class PrimitiveOptimizer {
   double offset_spec(const pcell::PrimitiveLayout& layout) const;
 
  private:
-  CostBreakdown cost_of(const pcell::PrimitiveLayout& layout,
+  /// Evaluates and costs `layout`; a miss materializes it in place.
+  CostBreakdown cost_of(pcell::PrimitiveLayout& layout,
                         const extract::TuningMap& tuning,
                         const MetricValues& reference,
                         MetricValues* values_out) const;

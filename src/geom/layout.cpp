@@ -20,11 +20,10 @@ bool Layout::has_pin(const std::string& pin_name) const {
 Rect Layout::bounding_box() const {
   OLP_CHECK(!shapes_.empty() || !pins_.empty(),
             "bounding box of empty layout");
-  std::vector<Rect> rects;
-  rects.reserve(shapes_.size() + pins_.size());
-  for (const Shape& s : shapes_) rects.push_back(s.rect);
-  for (const Pin& p : pins_) rects.push_back(p.rect);
-  return geom::bounding_box(rects);
+  Rect bb = shapes_.empty() ? pins_.front().rect : shapes_.front().rect;
+  for (const Shape& s : shapes_) bb = bb.united(s.rect);
+  for (const Pin& p : pins_) bb = bb.united(p.rect);
+  return bb;
 }
 
 void Layout::merge(const Layout& other, Coord dx, Coord dy,

@@ -17,6 +17,14 @@
 //      optimizer can trade their R against C by adding parallel wires,
 //   6. emits the actual rectangles (diffusion, fins, poly, M1 bars, M2
 //      straps) and the port pins.
+//
+// Steps 1-2 are the plan: sections, one row plan per distinct finger
+// sequence (on interned net ids), slot counts, the cell outline with its
+// pins, and each device's finger count. footprint() runs only the plan;
+// generate() runs the plan and then steps 3-6 on it. A footprint has the
+// full layout's bounding box, pins and device W/L bit for bit
+// (tests/test_pcell.cpp checks every library netlist), which is all that
+// scoring a candidate whose evaluation is cached reads.
 
 #include <vector>
 
@@ -36,6 +44,16 @@ class PrimitiveGenerator {
   /// unit_ratio k gets k times the fingers.
   PrimitiveLayout generate(const PrimitiveNetlist& netlist,
                            const LayoutConfig& config) const;
+
+  /// The plan of generate() alone: the netlist, the configuration, the cell
+  /// outline with its pins, and each device's W and L. The result has
+  /// footprint_only set; materialize() turns it into generate()'s layout.
+  PrimitiveLayout footprint(const PrimitiveNetlist& netlist,
+                            const LayoutConfig& config) const;
+
+  /// Replaces a footprint by the full layout of its (netlist, config) and
+  /// returns it; a full layout is returned as it is.
+  const PrimitiveLayout& materialize(PrimitiveLayout& layout) const;
 
   /// Enumerates layout configurations realizing `fins_per_device` total fins,
   /// one per valid (nfin, nf, m) divisor triple and placement pattern.

@@ -139,6 +139,12 @@ struct PrimitiveLayout {
   std::map<std::string, DevicePhysical> devices;  ///< by LogicalDevice::name
   /// Internal strap of every primitive net (shared nets have one strap).
   std::map<std::string, InternalNet> nets;
+  /// Set by PrimitiveGenerator::footprint(): `geometry` holds only the cell
+  /// outline and the pins, `devices` only W and L, `nets` nothing. The
+  /// bounding box, pins and W/L equal the full layout's, so width(),
+  /// height(), aspect_ratio() and area() hold; nothing else may be read
+  /// before PrimitiveGenerator::materialize().
+  bool footprint_only = false;
 
   double width() const { return geom::to_meters(geometry.bounding_box().width()); }
   double height() const {

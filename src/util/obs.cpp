@@ -162,8 +162,8 @@ void Registry::rebase() {
   enable();
 }
 
-std::int64_t Registry::open_span(const char* name, std::string detail) {
-  if (!enabled()) return -1;
+SpanToken Registry::open_span(const char* name, std::string detail) {
+  if (!enabled()) return {};
   ThreadState& ts = thread_state();
   SpanRecord rec;
   rec.tid = ts.tid;
@@ -190,7 +190,7 @@ std::int64_t Registry::open_span(const char* name, std::string detail) {
   rec.start_us = steady_now_us() - t0_us_;
   ts.stack.push_back(spans_.size());
   spans_.push_back(std::move(rec));
-  return static_cast<std::int64_t>(spans_.back().id);
+  return {static_cast<std::int64_t>(spans_.back().id), epoch};
 }
 
 void Registry::close_span(std::int64_t token, std::uint64_t epoch) {

@@ -153,6 +153,14 @@ struct ThreadContext {
   std::string path;            ///< span_path() prefix, e.g. "flow.optimize/selection"
 };
 
+/// What Registry::open_span hands back for the matching close_span: the
+/// span id and the epoch the span was opened in, both read under the
+/// registry lock.
+struct SpanToken {
+  std::int64_t id = -1;  ///< -1 = disabled at open
+  std::uint64_t epoch = 0;
+};
+
 /// The process-wide registry. Use the free functions / Span below at
 /// instrumentation sites; the registry itself is for enable/export code.
 class Registry {
@@ -175,9 +183,10 @@ class Registry {
   void rebase();
 
   // -- Instrumentation backend (call through the free functions below). --
-  /// Opens a span on the calling thread's stack; returns the span id as a
-  /// close token, or -1 when disabled.
-  std::int64_t open_span(const char* name, std::string detail);
+  /// Opens a span on the calling thread's stack; returns its id and the
+  /// epoch it opened in (id -1 when disabled). Pass both to close_span: an
+  /// epoch read before this call may already be stale.
+  SpanToken open_span(const char* name, std::string detail);
   /// Closes the span if `epoch` still matches the open epoch. Must run on
   /// the opening thread (RAII spans always do); a mismatched thread or a
   /// stale epoch makes it a safe no-op.
@@ -356,8 +365,10 @@ class Span {
 
  private:
   void open(const char* name, std::string detail) {
-    epoch_ = Registry::global().epoch();
-    token_ = Registry::global().open_span(name, std::move(detail));
+    const SpanToken token =
+        Registry::global().open_span(name, std::move(detail));
+    token_ = token.id;
+    epoch_ = token.epoch;
   }
 
   std::int64_t token_ = -1;  ///< -1 = disabled at construction or closed

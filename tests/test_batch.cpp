@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -15,7 +17,9 @@
 #include "circuits/batch.hpp"
 #include "circuits/ota5t.hpp"
 #include "circuits/strongarm.hpp"
+#include "core/eval_cache.hpp"
 #include "flow_golden.hpp"
+#include "pcell/generator.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "util/task_pool.hpp"
@@ -155,6 +159,33 @@ TEST_F(BatchFlow, SharedCacheProducesCrossJobHits) {
   EXPECT_LT(batch.total_testbenches, solo_sum);
 }
 
+// Single flight makes the batch's simulation count a property of the job
+// set, not of the schedule: each distinct evaluation runs once, whichever
+// job gets there first. 2 and 4 workers run exactly the testbenches of the
+// 1-worker cached batch, and every job decides exactly as it does there.
+TEST_F(BatchFlow, TestbenchCountIsTheSameAtAnyWorkerCount) {
+  const std::vector<FlowJob> jobs = mixed_jobs();
+  BatchOptions bopt;
+  bopt.workers = 1;
+  const BatchReport serial = BatchRunner(t(), bopt).run(jobs);
+  EXPECT_GT(serial.total_testbenches, 0);
+  for (const int workers : {2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    bopt.workers = workers;
+    const BatchReport batch = BatchRunner(t(), bopt).run(jobs);
+    EXPECT_EQ(batch.total_testbenches, serial.total_testbenches);
+    EXPECT_EQ(batch.cache_misses, serial.cache_misses);
+    EXPECT_EQ(batch.cache_entries, serial.cache_entries);
+    ASSERT_EQ(batch.jobs.size(), serial.jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      SCOPED_TRACE(jobs[i].name);
+      expect_same_flow_result(batch.jobs[i].report, serial.jobs[i].report,
+                              batch.jobs[i].realization,
+                              serial.jobs[i].realization);
+    }
+  }
+}
+
 // Budget exhaustion of one job stays inside that job: the starved job
 // reports exhaustion and degraded salvage, its siblings stay pristine.
 TEST_F(BatchFlow, PerJobBudgetExhaustionIsIsolated) {
@@ -184,7 +215,10 @@ TEST_F(BatchFlow, PerJobBudgetExhaustionIsIsolated) {
 // A job whose budget trips partway through an evaluation must not leave the
 // truncated metrics in the shared cache for its siblings. Serial batch, so
 // the starved job 0 fills the cache before job 1 runs; each limit trips
-// job 0 inside an evaluation whose key job 1 later looks up.
+// job 0 inside an evaluation whose key job 1 later looks up. Then the same
+// with the sibling waiting on the starved evaluation while it is in flight:
+// a starved evaluator holds the claim on the sibling's first key until the
+// sibling waits on it, and the sibling must simulate that key for itself.
 TEST_F(BatchFlow, StarvedJobNeverPoisonsItsSiblings) {
   struct Circuit {
     const char* name;
@@ -218,6 +252,59 @@ TEST_F(BatchFlow, StarvedJobNeverPoisonsItsSiblings) {
       expect_same_flow_result(batch.jobs[1].report, want_report,
                               batch.jobs[1].realization, want_real);
     }
+
+    SCOPED_TRACE(std::string(circuit.name) + " waiting sibling");
+    // The sibling's first evaluation is the schematic reference of its
+    // first instance: the middle ABBA configuration, in schematic mode.
+    const FlowEngine engine(t());
+    const InstanceSpec& inst = circuit.instances.front();
+    const pcell::PrimitiveGenerator gen(t());
+    const std::vector<pcell::LayoutConfig> configs =
+        pcell::PrimitiveGenerator::enumerate_configs(
+            inst.fins, {pcell::PlacementPattern::kABBA});
+    pcell::PrimitiveLayout reference =
+        gen.footprint(inst.netlist, configs[configs.size() / 2]);
+    core::EvalCondition ideal;
+    ideal.ideal = true;
+
+    core::EvalCache cache;
+    std::atomic<bool> claimed{false};
+    BudgetOptions starved_limits;
+    starved_limits.max_testbenches = 0;
+    Budget starved(starved_limits);
+    core::PrimitiveEvaluator owner = engine.make_evaluator(inst);
+    owner.set_budget(&starved);
+    owner.set_cache(&cache, 0);
+    std::thread owner_thread([&] {
+      (void)owner.evaluate(reference, ideal,
+                           [&]() -> const pcell::PrimitiveLayout& {
+                             claimed = true;
+                             // Hold the claim until the sibling waits on
+                             // it (10 s at most, so a broken claim fails
+                             // rather than hangs).
+                             const auto deadline =
+                                 std::chrono::steady_clock::now() +
+                                 std::chrono::seconds(10);
+                             while (cache.stats().waits == 0 &&
+                                    std::chrono::steady_clock::now() <
+                                        deadline) {
+                               std::this_thread::yield();
+                             }
+                             return gen.materialize(reference);
+                           });
+    });
+    while (!claimed) std::this_thread::yield();
+    FlowOptions sibling_options = jobs[1].options;
+    sibling_options.shared_eval_cache = &cache;
+    sibling_options.cache_client = 1;
+    FlowReport report;
+    const Realization real =
+        FlowEngine(t(), sibling_options)
+            .run(jobs[1].mode, jobs[1].instances, jobs[1].routed_nets, &report);
+    owner_thread.join();
+    EXPECT_TRUE(starved.exhausted());
+    EXPECT_EQ(cache.stats().waits, 1);
+    expect_same_flow_result(report, want_report, real, want_real);
   }
 }
 

@@ -1,16 +1,20 @@
 // Eval-cache tests: the canonical key must distinguish every input an
 // evaluation depends on, hits must return bit-identical metrics without new
 // simulation, quarantined and budget-cut evaluations must never be memoized
-// (so diagnostics re-fire and no job reads another's truncated metrics), and
-// the cache must be safe to share across TaskPool workers.
+// (so diagnostics re-fire and no job reads another's truncated metrics), the
+// cache must be safe to share across TaskPool workers, and a key in flight
+// must be simulated once (single flight) with every waiter released however
+// its owner ends.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +43,18 @@ pcell::LayoutConfig cfg(int nfin, int nf, int m) {
   c.nf = nf;
   c.m = m;
   return c;
+}
+
+/// Spins until some lookup of `cache` waits on a claim; false after 10 s,
+/// so a broken claim fails the test instead of hanging it.
+bool await_waiter(const EvalCache& cache) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cache.stats().waits == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 BiasContext dp_bias() {
@@ -316,11 +332,13 @@ TEST(EvalCache, FullKeyEqualityMakesShardCollisionsBenign) {
   EXPECT_EQ(cache.stats().entries, 200);
   for (int i = 0; i < 200; ++i) {
     MetricValues v;
-    ASSERT_TRUE(cache.lookup("key" + std::to_string(i), &v)) << i;
+    EvalCache::Claim claim;
+    ASSERT_TRUE(cache.lookup("key" + std::to_string(i), claim, &v)) << i;
     EXPECT_EQ(v.at(MetricKind::kGm), static_cast<double>(i)) << i;
   }
   MetricValues v;
-  EXPECT_FALSE(cache.lookup("key200", &v));
+  EvalCache::Claim claim;
+  EXPECT_FALSE(cache.lookup("key200", claim, &v));
 }
 
 TEST(EvalCacheBounded, UnboundedDefaultNeverEvicts) {
@@ -335,7 +353,8 @@ TEST(EvalCacheBounded, UnboundedDefaultNeverEvicts) {
   EXPECT_EQ(cache.stats().entries, 1000);
   for (int i = 0; i < 1000; ++i) {
     MetricValues v;
-    ASSERT_TRUE(cache.lookup("key" + std::to_string(i), &v)) << i;
+    EvalCache::Claim claim;
+    ASSERT_TRUE(cache.lookup("key" + std::to_string(i), claim, &v)) << i;
     EXPECT_EQ(v.at(MetricKind::kGain), static_cast<double>(i)) << i;
   }
   EXPECT_EQ(cache.stats().hits, 1000);
@@ -353,7 +372,8 @@ TEST(EvalCacheSnapshot, LiveEntriesWinOverRestore) {
   cache.insert("shared", late, /*client=*/3);
   EXPECT_EQ(cache.stats().entries, 1);
   MetricValues got;
-  ASSERT_TRUE(cache.lookup("shared", &got, /*client=*/3));
+  EvalCache::Claim claim;
+  ASSERT_TRUE(cache.lookup("shared", claim, &got, /*client=*/3));
   EXPECT_EQ(got.at(MetricKind::kGain), 2.0);  // first writer (live) wins
   EXPECT_EQ(cache.stats().cross_client_hits, 1);  // owner is still 7
 }
@@ -376,11 +396,16 @@ TEST(EvalCache, SharedAcrossPoolWorkers) {
     return true;
   });
 
-  // Exactly one entry; every result is bit-identical to the first.
+  // Exactly one entry, simulated once: concurrent misses wait for the one
+  // in flight. Every result is bit-identical to the first.
   const EvalCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1);
   EXPECT_EQ(stats.hits + stats.misses, static_cast<long>(n));
-  EXPECT_GE(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 1);
+  PrimitiveEvaluator uncached(t(), circuits::default_nmos(),
+                              circuits::default_pmos(), dp_bias());
+  (void)uncached.evaluate(lay, EvalCondition{});
+  EXPECT_EQ(eval.stats().testbenches, uncached.stats().testbenches);
   for (std::size_t i = 1; i < n; ++i) {
     ASSERT_EQ(slots[i].size(), slots[0].size()) << i;
     auto a = slots[0].begin();
@@ -390,6 +415,125 @@ TEST(EvalCache, SharedAcrossPoolWorkers) {
           << i << "/" << metric_name(a->first);
     }
   }
+}
+
+// Single flight: a miss on a key another lookup has claimed waits for the
+// claim to end, then reads the entry the owner inserted. Each lookup counts
+// once, as the hit or miss it ended as.
+TEST(EvalCacheSingleFlight, SecondMissWaitsForTheOwnersInsert) {
+  EvalCache cache;
+  MetricValues value;
+  value[MetricKind::kGm] = 2.5;
+  bool hit = false;
+  bool owned = true;
+  MetricValues got;
+  std::thread waiter;
+  {
+    EvalCache::Claim owner;
+    EXPECT_FALSE(cache.lookup("k", owner, nullptr, /*client=*/0));
+    EXPECT_TRUE(owner.owned());
+    EXPECT_FALSE(owner.waited());
+    waiter = std::thread([&] {
+      EvalCache::Claim claim;
+      hit = cache.lookup("k", claim, &got, /*client=*/1);
+      owned = claim.owned();
+    });
+    EXPECT_TRUE(await_waiter(cache));
+    cache.insert("k", value, 0);
+  }  // the owner's claim ends here
+  waiter.join();
+
+  EXPECT_TRUE(hit);
+  EXPECT_FALSE(owned);
+  EXPECT_EQ(got, value);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.waits, 1);
+  EXPECT_EQ(stats.cross_client_hits, 1);
+}
+
+// An owner that inserts nothing (its evaluation was budget-cut, quarantined
+// or threw) still ends its claim; its waiter then evaluates for itself,
+// unclaimed, and the key is free for the next lookup to claim.
+TEST(EvalCacheSingleFlight, OwnerThatInsertsNothingReleasesItsWaiter) {
+  EvalCache cache;
+  bool hit = true;
+  bool owned = true;
+  bool waited = false;
+  std::thread waiter;
+  {
+    EvalCache::Claim owner;
+    EXPECT_FALSE(cache.lookup("k", owner, nullptr, 0));
+    waiter = std::thread([&] {
+      EvalCache::Claim claim;
+      hit = cache.lookup("k", claim, nullptr, 1);
+      owned = claim.owned();
+      waited = claim.waited();
+    });
+    EXPECT_TRUE(await_waiter(cache));
+  }  // the owner's claim ends here, with nothing inserted
+  waiter.join();
+
+  EXPECT_FALSE(hit);
+  EXPECT_FALSE(owned);
+  EXPECT_TRUE(waited);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.entries, 0);
+  EvalCache::Claim next;
+  EXPECT_FALSE(cache.lookup("k", next, nullptr, 0));
+  EXPECT_TRUE(next.owned());
+}
+
+// The same at the evaluator: an evaluation that throws between claiming its
+// key and inserting ends the claim on the way out, and the evaluation that
+// waited on it simulates for itself and caches the exact uncached values.
+TEST(EvalCacheSingleFlight, OwnerThatThrowsReleasesItsWaiters) {
+  const pcell::PrimitiveGenerator gen(t());
+  const pcell::PrimitiveLayout lay =
+      gen.generate(pcell::make_diff_pair(), cfg(8, 20, 6));
+  const EvalCondition cond;
+  PrimitiveEvaluator uncached(t(), circuits::default_nmos(),
+                              circuits::default_pmos(), dp_bias());
+  const MetricValues want = uncached.evaluate(lay, cond);
+
+  EvalCache cache;
+  PrimitiveEvaluator owner(t(), circuits::default_nmos(),
+                           circuits::default_pmos(), dp_bias());
+  PrimitiveEvaluator sibling(t(), circuits::default_nmos(),
+                             circuits::default_pmos(), dp_bias());
+  owner.set_cache(&cache, 0);
+  sibling.set_cache(&cache, 1);
+  MetricValues got;
+  std::thread waiter;
+  const pcell::PrimitiveLayout footprint =
+      gen.footprint(pcell::make_diff_pair(), cfg(8, 20, 6));
+  // The owner's materializer runs while it holds the claim: let the
+  // sibling arrive and wait, then fail.
+  EXPECT_THROW(
+      owner.evaluate(footprint, cond,
+                     [&]() -> const pcell::PrimitiveLayout& {
+                       waiter = std::thread(
+                           [&] { got = sibling.evaluate(lay, cond); });
+                       EXPECT_TRUE(await_waiter(cache));
+                       throw std::runtime_error("materialization failed");
+                     }),
+      std::runtime_error);
+  waiter.join();
+
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [kind, value] : want) {
+    const double g = got.at(kind);
+    EXPECT_EQ(std::memcmp(&g, &value, sizeof(double)), 0) << metric_name(kind);
+  }
+  EXPECT_EQ(owner.stats().testbenches, 0);
+  EXPECT_EQ(sibling.stats().testbenches, uncached.stats().testbenches);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.waits, 1);
 }
 
 TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
@@ -429,7 +573,9 @@ TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
       MetricValues v;
       for (int round = 0; round < kRounds; ++round) {
         for (int i = 0; i < kKeys; ++i) {
-          if (cache.lookup("k" + std::to_string(i), &v, /*client=*/100)) {
+          EvalCache::Claim claim;
+          if (cache.lookup("k" + std::to_string(i), claim, &v,
+                           /*client=*/100)) {
             ++my_hits;
             const double want = static_cast<double>(i) * 1.25 + 0.5;
             const double got = v.at(MetricKind::kGm);
@@ -456,7 +602,8 @@ TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
   // Serial replay: the steady state is a hit on every key, bit-exact.
   for (int i = 0; i < kKeys; ++i) {
     MetricValues v;
-    ASSERT_TRUE(cache.lookup("k" + std::to_string(i), &v)) << i;
+    EvalCache::Claim claim;
+    ASSERT_TRUE(cache.lookup("k" + std::to_string(i), claim, &v)) << i;
     const double want = static_cast<double>(i) * 1.25 + 0.5;
     const double got = v.at(MetricKind::kGm);
     EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << i;

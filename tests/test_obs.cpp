@@ -217,6 +217,30 @@ TEST(Obs, RebaseOrphansOpenSpansSafely) {
   EXPECT_EQ(snap.counter("eval.testbench"), 0);  // cleared by rebase
 }
 
+// A rebase that lands between reading the epoch and opening the span opens
+// the span in the new epoch. Closing it with the epoch open_span returned
+// must close it, so the thread's next span is a root, not its child.
+TEST(Obs, SpanOpenedAcrossARebaseCloses) {
+  ScopedObservability scope;
+  Registry& registry = Registry::global();
+  const std::uint64_t read_before = registry.epoch();
+  registry.rebase();
+  const SpanToken token = registry.open_span("flow.optimize", std::string());
+  EXPECT_NE(token.epoch, read_before);
+  EXPECT_EQ(token.epoch, registry.epoch());
+  registry.close_span(token.id, token.epoch);
+
+  Span next("flow.conventional");
+  next.close();
+  const Snapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_FALSE(snap.spans[0].open);
+  EXPECT_EQ(snap.spans[1].name, "flow.conventional");
+  EXPECT_EQ(snap.spans[1].parent, 0u);
+  EXPECT_EQ(snap.spans[1].depth, 0);
+  EXPECT_TRUE(registry.span_path().empty());
+}
+
 TEST(Obs, RebaseWhileDisabledIsNoOp) {
   ScopedObservability scope;
   counter_add("kept", 1);

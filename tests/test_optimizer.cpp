@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "circuits/common.hpp"
+#include "core/eval_cache.hpp"
 #include "core/optimizer.hpp"
 
 namespace olp::core {
@@ -159,6 +162,52 @@ TEST(Optimizer, OffsetSpecIsTenPercentOfSigma) {
       gen.generate(pcell::make_diff_pair(), c);
   EXPECT_NEAR(opt.offset_spec(lay), 0.1 * eval.random_offset_sigma(lay),
               1e-12);
+}
+
+// With a cache, candidates are scored from footprints: a cache hit builds
+// no geometry, yet costs, values and bins match the uncached run bit for
+// bit. tune() refuses a footprint until it is materialized, and optimize()
+// hands back full layouts.
+TEST(Optimizer, CachedSelectionScoresFootprints) {
+  const pcell::PrimitiveGenerator gen(t());
+  const PrimitiveEvaluator plain_eval(t(), circuits::default_nmos(),
+                                      circuits::default_pmos(), dp_bias());
+  PrimitiveEvaluator cached_eval(t(), circuits::default_nmos(),
+                                 circuits::default_pmos(), dp_bias());
+  EvalCache cache;
+  cached_eval.set_cache(&cache);
+  const PrimitiveOptimizer plain(gen, plain_eval);
+  const PrimitiveOptimizer cached(gen, cached_eval);
+  const pcell::PrimitiveNetlist dp = pcell::make_diff_pair();
+  const std::vector<LayoutCandidate> want = plain.evaluate_all(dp, 96);
+  (void)cached.evaluate_all(dp, 96);  // fills the cache
+  const long testbenches = cached_eval.stats().testbenches;
+  std::vector<LayoutCandidate> all = cached.evaluate_all(dp, 96);
+  EXPECT_EQ(cached_eval.stats().testbenches, testbenches);  // all hits
+
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  ASSERT_EQ(all.size(), want.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE(want[i].layout.config.to_string());
+    EXPECT_TRUE(all[i].layout.footprint_only);
+    EXPECT_FALSE(want[i].layout.footprint_only);
+    EXPECT_EQ(all[i].bin, want[i].bin);
+    EXPECT_TRUE(same_bits(all[i].cost.total, want[i].cost.total));
+    ASSERT_EQ(all[i].values.size(), want[i].values.size());
+    for (const auto& [kind, value] : want[i].values) {
+      EXPECT_TRUE(same_bits(all[i].values.at(kind), value));
+    }
+  }
+
+  EXPECT_THROW(cached.tune(all.front()), InvalidArgumentError);
+  gen.materialize(all.front().layout);
+  EXPECT_FALSE(all.front().layout.footprint_only);
+  EXPECT_NO_THROW(cached.tune(all.front()));
+  for (const LayoutCandidate& c : cached.optimize(dp, 96)) {
+    EXPECT_FALSE(c.layout.footprint_only) << c.layout.config.to_string();
+  }
 }
 
 TEST(Optimizer, ExplicitConfigListRespected) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "pcell/capacitor.hpp"
@@ -336,6 +338,221 @@ TEST_P(GenerateAll, EveryConfigGeneratesConsistentLayout) {
 
 INSTANTIATE_TEST_SUITE_P(FinBudgets, GenerateAll,
                          ::testing::Values(32, 96, 192, 512, 960));
+
+// Every library netlist (each make_* in primitive.hpp, with a ratio or the
+// other device type where the factory takes one).
+std::vector<PrimitiveNetlist> library_netlists() {
+  return {
+      make_diff_pair(),
+      make_current_mirror(),
+      make_current_mirror(4),
+      make_cascode_current_mirror(),
+      make_cascode_current_mirror(2),
+      make_cascode_diff_pair(),
+      make_active_current_mirror(),
+      make_current_source(),
+      make_current_source(spice::MosType::kPmos),
+      make_common_source(),
+      make_current_starved_inverter(),
+      make_cross_coupled_pair(),
+      make_cross_coupled_pair(spice::MosType::kPmos),
+      make_latch_pair(),
+      make_latch_pair(spice::MosType::kPmos),
+      make_switch(),
+      make_switch(spice::MosType::kPmos),
+  };
+}
+
+/// Calls fn(config) for a spread of fin budgets, every enumerated
+/// configuration of each, with dummies on and off.
+template <typename Fn>
+void for_each_library_config(Fn fn) {
+  for (const int fins : {8, 16, 24, 32, 48, 64, 96, 120, 160, 192}) {
+    for (LayoutConfig cfg : PrimitiveGenerator::enumerate_configs(fins)) {
+      for (const bool dummies : {true, false}) {
+        cfg.dummies = dummies;
+        fn(cfg);
+      }
+    }
+  }
+}
+
+// The footprint is generate()'s plan alone, so everything a cached candidate
+// is scored on must equal the full layout's bit for bit: the bounding box
+// (aspect ratio, area), the pins and every device's W and L.
+TEST(Footprint, MatchesTheGeneratedLayoutForEveryLibraryConfig) {
+  const PrimitiveGenerator gen(t());
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  long layouts = 0;
+  long mismatches = 0;
+  for (const PrimitiveNetlist& netlist : library_netlists()) {
+    for_each_library_config([&](const LayoutConfig& cfg) {
+      const PrimitiveLayout full = gen.generate(netlist, cfg);
+      const PrimitiveLayout fp = gen.footprint(netlist, cfg);
+      ++layouts;
+      bool same = fp.footprint_only && !full.footprint_only &&
+                  fp.geometry.bounding_box() == full.geometry.bounding_box() &&
+                  fp.devices.size() == full.devices.size();
+      for (const geom::Pin& pin : full.geometry.pins()) {
+        same = same && fp.geometry.has_pin(pin.name) &&
+               fp.geometry.pin(pin.name).rect == pin.rect;
+      }
+      for (const auto& [name, phys] : full.devices) {
+        const auto it = fp.devices.find(name);
+        same = same && it != fp.devices.end() &&
+               same_bits(it->second.w, phys.w) &&
+               same_bits(it->second.l, phys.l);
+      }
+      if (!same) {
+        ++mismatches;
+        ADD_FAILURE() << netlist.name << " " << cfg.to_string();
+      }
+    });
+  }
+  EXPECT_GT(layouts, 10000);
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// 64-bit FNV-1a over every field of generated layouts, integers and double
+/// bit patterns fed little-endian, so the value is the same on any host.
+class LayoutHash {
+ public:
+  void add(const PrimitiveLayout& layout) {
+    str(layout.netlist.name);
+    for (const LogicalDevice& d : layout.netlist.devices) {
+      str(d.name);
+      u64(static_cast<std::uint64_t>(d.mos_type));
+      str(d.drain_net);
+      str(d.gate_net);
+      str(d.source_net);
+      u64(static_cast<std::uint64_t>(d.unit_ratio));
+      u64(static_cast<std::uint64_t>(d.match_group));
+      f64(d.vth_offset);
+    }
+    str(layout.config.to_string());
+    str(layout.geometry.name());
+    u64(layout.geometry.shapes().size());
+    for (const geom::Shape& shape : layout.geometry.shapes()) {
+      u64(static_cast<std::uint64_t>(shape.layer));
+      rect(shape.rect);
+      str(shape.net);
+    }
+    u64(layout.geometry.pins().size());
+    for (const geom::Pin& pin : layout.geometry.pins()) {
+      str(pin.name);
+      u64(static_cast<std::uint64_t>(pin.layer));
+      rect(pin.rect);
+    }
+    u64(layout.devices.size());
+    for (const auto& [name, d] : layout.devices) {
+      str(name);
+      for (const double v : {d.w, d.l, d.as, d.ad, d.ps, d.pd, d.delta_vth,
+                             d.mobility_mult}) {
+        f64(v);
+      }
+    }
+    u64(layout.nets.size());
+    for (const auto& [name, net] : layout.nets) {
+      str(name);
+      u64(static_cast<std::uint64_t>(net.layer));
+      f64(net.span_length);
+      f64(net.bar_length);
+      f64(net.trunk_length);
+      u64(static_cast<std::uint64_t>(net.rows));
+      u64(static_cast<std::uint64_t>(net.n_contacts));
+      f64(net.contact_res);
+      u64(static_cast<std::uint64_t>(net.base_tracks));
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+    }
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) {
+      h_ = (h_ ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    }
+  }
+  void rect(const geom::Rect& r) {
+    for (const geom::Coord c : {r.x_lo, r.y_lo, r.x_hi, r.y_hi}) {
+      u64(static_cast<std::uint64_t>(c));
+    }
+  }
+
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+// generate()'s output bit for bit: one hash per library netlist over every
+// shape, pin, device annotation (W, L, junction areas and perimeters, LDE
+// shifts) and internal net of every layout the footprint test walks. The
+// goldens were recorded from the generator before its plan/geometry split;
+// a change to either step that moves any output bit fails here.
+TEST(Generate, EveryLibraryLayoutMatchesItsRecordedHash) {
+  const std::vector<std::uint64_t> goldens = {
+      0xde8bcca3f93540e6ULL,  // diff_pair
+      0x91fbb7274097d916ULL,  // current_mirror
+      0x0460549e9850281aULL,  // current_mirror 1:4
+      0xdcd2822662badeecULL,  // cascode_current_mirror
+      0x2ff90d333d61e869ULL,  // cascode_current_mirror 1:2
+      0x1ce5e053b2484cf0ULL,  // cascode_diff_pair
+      0xd5acb9159d8ad72aULL,  // active_current_mirror
+      0xa614c63c81d0b0f8ULL,  // current_source
+      0xe3508a93466a5c4cULL,  // current_source (PMOS)
+      0xf37a13f681ab254aULL,  // common_source
+      0xbbf4f9753f61cd90ULL,  // current_starved_inverter
+      0xe58548a5d11df335ULL,  // cross_coupled_pair
+      0x5805fbc0ddc597cdULL,  // cross_coupled_pair (PMOS)
+      0x1da4ad0b4ebeffdaULL,  // latch_pair
+      0xcc5663468079998aULL,  // latch_pair (PMOS)
+      0xafa37b5460b38942ULL,  // switch
+      0x88ddccf2c75b6f26ULL,  // switch (PMOS)
+  };
+  const PrimitiveGenerator gen(t());
+  const std::vector<PrimitiveNetlist> library = library_netlists();
+  ASSERT_EQ(library.size(), goldens.size());
+  for (std::size_t i = 0; i < library.size(); ++i) {
+    LayoutHash hash;
+    for_each_library_config([&](const LayoutConfig& cfg) {
+      hash.add(gen.generate(library[i], cfg));
+    });
+    EXPECT_EQ(hash.value(), goldens[i])
+        << library[i].name << " " << std::hex << hash.value();
+  }
+}
+
+TEST(Footprint, MaterializeBuildsTheGeneratedLayout) {
+  const PrimitiveGenerator gen(t());
+  LayoutConfig cfg;
+  cfg.nfin = 8;
+  cfg.nf = 6;
+  cfg.m = 3;
+  cfg.pattern = PlacementPattern::kAABB;
+  const PrimitiveLayout full = gen.generate(make_diff_pair(), cfg);
+  PrimitiveLayout lay = gen.footprint(make_diff_pair(), cfg);
+  EXPECT_TRUE(lay.nets.empty());
+  EXPECT_LT(lay.geometry.shapes().size(), full.geometry.shapes().size());
+  gen.materialize(lay);
+  EXPECT_FALSE(lay.footprint_only);
+  EXPECT_EQ(lay.geometry.name(), full.geometry.name());
+  EXPECT_EQ(lay.geometry.shapes().size(), full.geometry.shapes().size());
+  EXPECT_EQ(lay.nets.size(), full.nets.size());
+  EXPECT_EQ(lay.devices.at("MA").delta_vth, full.devices.at("MA").delta_vth);
+  // A full layout is left as it is.
+  const PrimitiveLayout& again = gen.materialize(lay);
+  EXPECT_EQ(&again, &lay);
+}
 
 // Property: with the shape fixed, cell area grows monotonically with the
 // fin budget (bigger devices cannot get cheaper in area).
