@@ -273,6 +273,79 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
   return ex;
 }
 
+std::vector<AblationRow> run_ablations(const tech::Technology& t) {
+  Ota5T ota(t);
+  OLP_CHECK(ota.prepare(), "OTA schematic preparation failed");
+  const auto optimize = [&](const FlowOptions& options, FlowReport* report) {
+    return FlowEngine(t, options).run(FlowMode::kOptimize, ota.instances(),
+                                      ota.routed_nets(), report);
+  };
+
+  std::vector<AblationRow> rows;
+  rows.push_back({"schematic (target)",
+                  ota.measure(schematic_realization(ota.instances(), t))});
+  for (int bins : {1, 2, 3, 4}) {
+    FlowOptions options;
+    options.bins = bins;
+    rows.push_back({"full flow, bins = " + std::to_string(bins),
+                    ota.measure(optimize(options, nullptr))});
+  }
+
+  // The other ablations strip steps from one default flow's realization.
+  FlowReport report;
+  const Realization full = optimize({}, &report);
+  Realization no_tuning = full;
+  for (auto& [inst, tuning] : no_tuning.tunings) {
+    (void)inst;
+    tuning.clear();
+  }
+  // Every net back to a single route: what the flow would emit with
+  // Algorithm 2 disabled.
+  const auto single_routes = [&](Realization real) {
+    for (auto& [net, rc] : real.net_wires) {
+      const auto rit = report.routes.find(net);
+      if (rit != report.routes.end() && rit->second.routed) {
+        rc = core::route_wire_rc(t, rit->second, 1);
+      }
+    }
+    return real;
+  };
+  rows.push_back({"no primitive tuning", ota.measure(no_tuning)});
+  rows.push_back({"no port optimization", ota.measure(single_routes(full))});
+  rows.push_back({"selection only", ota.measure(single_routes(no_tuning))});
+  rows.push_back({"conventional baseline",
+                  ota.measure(FlowEngine(t, {}).run(FlowMode::kConventional,
+                                                    ota.instances(),
+                                                    ota.routed_nets()))});
+  return rows;
+}
+
+std::vector<CornerRow> run_corners(const tech::Technology& t) {
+  Ota5T ota(t);
+  OLP_CHECK(ota.prepare(), "OTA schematic preparation failed");
+  FlowEngine engine(t, {});
+  Realization optimized = engine.run(FlowMode::kOptimize, ota.instances(),
+                                     ota.routed_nets());
+  Realization conventional = engine.run(
+      FlowMode::kConventional, ota.instances(), ota.routed_nets());
+  Realization schematic = schematic_realization(ota.instances(), t);
+
+  std::vector<CornerRow> rows;
+  for (Corner c : {Corner::kTT, Corner::kSS, Corner::kFF, Corner::kSF,
+                   Corner::kFS}) {
+    schematic.corner = c;
+    conventional.corner = c;
+    optimized.corner = c;
+    CornerRow row;
+    row.corner = c;
+    row.results["schematic"] = ota.measure(schematic);
+    row.results["conventional"] = ota.measure(conventional);
+    row.results["this_work"] = ota.measure(optimized);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 std::vector<DpOptionRow> run_dp_options(const tech::Technology& t) {
   constexpr int kFins = 960;  // W/L = 46 um / 14 nm at 48 nm per fin
   constexpr int kBins = 3;

@@ -1,14 +1,15 @@
 #pragma once
-// The paper's evaluation experiments (Sec. IV), packaged so the benchmark
-// harnesses and examples can regenerate each table/figure.
+// The paper's evaluation experiments (Sec. IV), packaged so bench_paper and
+// the claim tests read the same results for each table/figure.
 //
 //   Table I / Fig. 2  -> run_cs_amp()        (wire width sweep on Vout)
 //   Table III         -> run_dp_options()    (DP layout options per bin)
 //   Table IV          -> run_port_sweep()    (parallel routes at DP/CM ports)
 //   Table V           -> run_step_counts()   (testbenches per step)
-//   Table VI          -> run_ota(), run_strongarm()
+//   Table VI / Fig. 6 -> run_ota(), run_strongarm()
 //   Table VII         -> run_vco()
-//   Table VIII        -> the FlowReport::runtime_s of each run
+//   Table VIII        -> the optimized_report of the Table VI and VII runs
+//   extensions        -> run_ablations(), run_corners()   (5T OTA)
 
 #include <map>
 #include <string>
@@ -22,10 +23,13 @@
 
 namespace olp::circuits {
 
+/// Metrics per flavor: flavor name -> metric key -> value.
+using FlavorMetrics = std::map<std::string, std::map<std::string, double>>;
+
 /// Metric rows per flavor ("schematic", "conventional", "this_work",
 /// "manual"), plus the flow reports for runtime/constraint reporting.
 struct CircuitExperiment {
-  std::map<std::string, std::map<std::string, double>> results;
+  FlavorMetrics results;
   FlowReport conventional_report;
   FlowReport optimized_report;
   FlowReport manual_report;
@@ -113,5 +117,29 @@ std::vector<StepCountsRow> run_step_counts(const tech::Technology& t);
 /// "tableI_<flavor>" keys: Gm (A/V), Rout (ohm), Ctotal (F), I (A).
 CircuitExperiment run_cs_amp(const tech::Technology& t,
                              const FlowOptions& options = {});
+
+/// One row of the ablation study: a flow variant and its OTA metrics.
+struct AblationRow {
+  std::string label;
+  std::map<std::string, double> metrics;
+};
+
+/// Ablations on the 5T OTA (not a paper table), one row each, in order:
+/// the schematic target; the full flow with 1..4 aspect-ratio bins; the
+/// default flow without primitive tuning, without port optimization (every
+/// net back to one route), and without both ("selection only"); and the
+/// conventional baseline.
+std::vector<AblationRow> run_ablations(const tech::Technology& t);
+
+/// One process corner of the corner sweep: the OTA metrics of the
+/// "schematic", "conventional" and "this_work" realizations.
+struct CornerRow {
+  Corner corner = Corner::kTT;
+  FlavorMetrics results;
+};
+
+/// The 5T OTA's layouts, made once at TT by the default flows, measured at
+/// TT, SS, FF, SF and FS (not a paper table); one row per corner.
+std::vector<CornerRow> run_corners(const tech::Technology& t);
 
 }  // namespace olp::circuits

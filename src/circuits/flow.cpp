@@ -625,21 +625,20 @@ Realization FlowEngine::run_conventional(
     DiagnosticsSink& sink, Budget& budget, BudgetObserver& budget_obs) const {
   const pcell::PrimitiveGenerator generator(tech_);
 
-  // Minimum-area interdigitated configuration, no dummies: geometric
-  // constraints are honored but nothing is optimized for parasitics or LDE.
+  // Per primitive, the ABBA configuration (multi-row when any exists, no
+  // dummies) with the least area·(1 + 2·|ln AR|); every net is then routed
+  // at two tracks. Geometric constraints are honored but nothing is
+  // optimized for parasitics or LDE.
   obs::Span generation_span("generation");
   Realization real;
   real.ideal = false;
   std::map<std::string, const pcell::PrimitiveLayout*> layouts;
   for (const InstanceSpec& inst : instances) {
-    const bool matched = inst.netlist.devices.size() > 1 &&
-                         inst.netlist.devices.front().match_group >= 0;
     // Conventional tools honor the matching constraint (common-centroid
     // rows) but never look at parasitics or LDE.
     std::vector<pcell::LayoutConfig> configs =
         pcell::PrimitiveGenerator::enumerate_configs(
             inst.fins, {pcell::PlacementPattern::kABBA});
-    (void)matched;
     OLP_CHECK(!configs.empty(), "no configuration for " + inst.name);
     // A conventional generator picks a compact, roughly square cell; it just
     // never looks at parasitics or LDEs when doing so.

@@ -7,9 +7,11 @@
 //                                 placement, global routing, primitive port
 //                                 optimization (Algorithm 2) -> full
 //                                 realization ("This work").
-//   run(FlowMode::kConventional): geometric constraints only —
-//                                 interdigitated min-area primitives, no
-//                                 dummies, single wires, no parasitic/LDE
+//   run(FlowMode::kConventional): geometric constraints only — each
+//                                 primitive an ABBA configuration (multi-row
+//                                 when any exists) without dummies, the one
+//                                 minimizing area·(1 + 2·|ln AR|); every net
+//                                 routed at two tracks; no parasitic/LDE
 //                                 optimization ([19]/[20]-style baseline).
 //   run(FlowMode::kManualOracle): exhaustive configuration/tuning/wire search
 //                                 standing in for expert manual layout.

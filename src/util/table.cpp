@@ -70,7 +70,7 @@ std::string TextTable::render() const {
       data_line(r.cells);
     }
   }
-  rule_line();
+  if (rows_.empty() || !rows_.back().rule) rule_line();
   return out.str();
 }
 

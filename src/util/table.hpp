@@ -1,8 +1,8 @@
 #pragma once
 // ASCII table rendering for the benchmark harnesses.
 //
-// Every bench regenerates one of the paper's tables; TextTable produces the
-// aligned, boxed output those harnesses print.
+// bench_paper regenerates the paper's tables; TextTable produces the
+// aligned, boxed output it prints.
 
 #include <cstddef>
 #include <iosfwd>
@@ -23,7 +23,8 @@ class TextTable {
   /// was set, otherwise defines the column count.
   void add_row(std::vector<std::string> row);
 
-  /// Appends a horizontal rule between the previous and next data rows.
+  /// Appends a horizontal rule between the previous and next data rows. A
+  /// rule after the last row is the table's closing rule, drawn once.
   void add_rule();
 
   std::size_t row_count() const { return rows_.size(); }

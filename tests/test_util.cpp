@@ -183,6 +183,14 @@ TEST(TextTable, RendersAlignedCells) {
   EXPECT_NE(s.find("| 333 | 4  |"), std::string::npos);
 }
 
+TEST(TextTable, TrailingRuleIsTheClosingRule) {
+  TextTable t;
+  t.set_header({"a"});
+  t.add_row({"1"});
+  t.add_rule();
+  EXPECT_EQ(t.render(), "+---+\n| a |\n+---+\n| 1 |\n+---+\n");
+}
+
 TEST(TextTable, ColumnCountEnforced) {
   TextTable t;
   t.add_row({"a", "b"});
