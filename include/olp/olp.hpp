@@ -11,7 +11,7 @@
 //                         evaluator, for primitive-level use
 //   core/eval_cache.hpp   cross-run evaluation memoization
 //   pcell/*               primitive netlists and the layout generator
-//   util/budget.hpp       deadline/testbench budgets and cancellation
+//   util/budget.hpp       deadline, testbench and check budgets
 //   util/obs.hpp          observability registry, spans, counters
 //   util/trace_export.hpp telemetry JSON/Chrome-trace export
 //   util/env.hpp          OLP_* environment override catalog

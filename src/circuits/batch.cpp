@@ -133,8 +133,9 @@ JobResult run_job(const FlowJob& job, const tech::Technology& technology,
   FlowOptions jopt = job.options;
   // Plumbing overrides: every parallel stage runs on the shared pool,
   // telemetry is pooled by the caller, and the scope cache (when provided)
-  // replaces any per-job cache setting. Budget fields pass through
-  // untouched — that's the per-job isolation.
+  // replaces any per-job cache setting. budget_limits pass through
+  // untouched and the job's run builds its own Budget from them — that's
+  // the per-job isolation.
   jopt.pool = pool;
   jopt.num_threads = 1;  // never spawn an engine-local pool
   jopt.own_telemetry = false;

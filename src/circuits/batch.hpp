@@ -17,25 +17,27 @@
 // inserted are tallied as cross-job hits — testbenches the batch saved
 // versus running every job alone.
 //
-// Isolation and determinism: each job gets its own Budget (its
-// FlowOptions::budget_limits / budget handle apply verbatim — exhaustion or
-// Budget::cancel() of one job never touches a sibling), its own
-// DiagnosticsSink, and its own FlowReport. A job that throws is recorded as
-// failed (with the error text) and the rest of the batch proceeds. Cached
-// values are bit-identical to freshly computed ones by construction, an
-// evaluation cut short by its job's budget is never cached, and per-batch
-// ordered reduction keeps every job's decisions independent of scheduling —
-// so a job whose budget never trips reports exactly what it reports alone
-// (tests/test_batch.cpp proves it against the serial uncached run), whatever
-// its siblings' budgets do. A job whose own budget trips may stop at a
-// different point than its solo run: a cache hit charges no testbench and
-// runs none of the simulator's Budget::check() probes. A limit of 0 still
-// matches the solo run, because it trips before any evaluation.
+// Isolation and determinism: each job gets its own Budget (built from its
+// FlowOptions::budget_limits — exhaustion of one job never touches a
+// sibling), its own DiagnosticsSink, and its own FlowReport. A job that
+// throws is recorded as failed (with the error text) and the rest of the
+// batch proceeds. Cached values are bit-identical to freshly computed ones
+// by construction, an evaluation cut short by its job's budget is never
+// cached, and per-batch ordered reduction keeps every job's decisions
+// independent of scheduling — so a job whose budget never trips reports
+// exactly what it reports alone (tests/test_batch.cpp proves it against the
+// serial uncached run), whatever its siblings' budgets do. A job whose own
+// budget trips may stop at a different point than its solo run: a cache hit
+// charges no testbench and runs none of the simulator's Budget::check()
+// probes. A limit of 0 still matches the solo run, because it trips before
+// any evaluation.
 //
 // Telemetry: concurrent jobs cannot each own the process-wide obs registry
 // (a per-job rebase would clobber the siblings), so every job runs with
 // FlowOptions::own_telemetry = false and the runner attaches ONE pooled
 // snapshot — counters and spans of the whole batch — to the BatchReport.
+// The pooled telemetry carries no budget of its own: each job's budget is
+// its JobResult::report.budget.
 
 #include <cstddef>
 #include <string>
@@ -47,9 +49,9 @@
 namespace olp::circuits {
 
 /// One unit of batch work: a circuit, the flow to run on it, and per-job
-/// option overrides (seed, budget limits or a caller-owned Budget handle for
-/// cancellation, trace artifacts, ...). The runner overwrites the options'
-/// pool/cache/telemetry plumbing fields; everything else applies verbatim.
+/// option overrides (seed, budget limits, trace artifacts, ...). The runner
+/// overwrites the options' pool/cache/telemetry plumbing fields; everything
+/// else applies verbatim.
 struct FlowJob {
   std::string name;  ///< report key; defaults to "job<i>" when empty
   FlowMode mode = FlowMode::kOptimize;
@@ -110,7 +112,7 @@ struct BatchReport {
   std::size_t cache_scopes = 0;  ///< distinct tech/model-card scopes
   /// One pooled snapshot over the whole batch (counters, spans, stage
   /// timings of every job interleaved). Populated when obs::Registry is
-  /// enabled during the run.
+  /// enabled during the run; its budget stays default (see file comment).
   obs::FlowTelemetry telemetry;
 
   std::size_t succeeded() const;

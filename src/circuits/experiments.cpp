@@ -276,24 +276,26 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
 std::vector<AblationRow> run_ablations(const tech::Technology& t) {
   Ota5T ota(t);
   OLP_CHECK(ota.prepare(), "OTA schematic preparation failed");
-  const auto optimize = [&](const FlowOptions& options, FlowReport* report) {
-    return FlowEngine(t, options).run(FlowMode::kOptimize, ota.instances(),
-                                      ota.routed_nets(), report);
-  };
-
   std::vector<AblationRow> rows;
   rows.push_back({"schematic (target)",
                   ota.measure(schematic_realization(ota.instances(), t))});
+  // The bins = 3 run is the default flow; the other ablations strip steps
+  // from its realization.
+  FlowReport report;
+  Realization full;
   for (int bins : {1, 2, 3, 4}) {
     FlowOptions options;
     options.bins = bins;
+    const bool is_default = bins == FlowOptions{}.bins;
+    Realization real =
+        FlowEngine(t, options).run(FlowMode::kOptimize, ota.instances(),
+                                   ota.routed_nets(),
+                                   is_default ? &report : nullptr);
     rows.push_back({"full flow, bins = " + std::to_string(bins),
-                    ota.measure(optimize(options, nullptr))});
+                    ota.measure(real)});
+    if (is_default) full = std::move(real);
   }
 
-  // The other ablations strip steps from one default flow's realization.
-  FlowReport report;
-  const Realization full = optimize({}, &report);
   Realization no_tuning = full;
   for (auto& [inst, tuning] : no_tuning.tunings) {
     (void)inst;

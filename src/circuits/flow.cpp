@@ -59,11 +59,11 @@ void equalize_symmetric_nets(const std::vector<InstanceSpec>& instances,
 }
 
 /// Stage checkpoint at a flow stage boundary: emits the per-stage budget
-/// check counter and remaining-budget distributions, and — when the budget
-/// is exhausted — a stage-attributed diagnostic with stage == "budget". The
-/// FIRST such record in a report names the stage whose work the trip
-/// interrupted (earlier checkpoints ran before the trip and stay silent);
-/// later stages also report, since they too salvaged degraded results.
+/// check counter and — when the budget is exhausted — a stage-attributed
+/// diagnostic with stage == "budget". The FIRST such record in a report
+/// names the stage whose work the trip interrupted (earlier checkpoints ran
+/// before the trip and stay silent); later stages also report, since they
+/// too salvaged degraded results.
 void budget_checkpoint(Budget& budget, BudgetObserver& budget_obs,
                        DiagnosticsSink& sink, const char* stage,
                        const char* checks_counter) {
@@ -72,60 +72,6 @@ void budget_checkpoint(Budget& budget, BudgetObserver& budget_obs,
     obs::counter_add("budget.stages_degraded");
     sink.report(DiagSeverity::kWarning, "budget", stage,
                 budget.description() + "; salvaged best-so-far results");
-  }
-}
-
-/// End-of-run budget bookkeeping: stores the final consumption snapshot on
-/// the report and emits the budget.* summary counters the telemetry's
-/// budget section is derived from. Must run before the root span closes so
-/// the counters land in the same snapshot.
-void finish_budget(const Budget& budget, FlowReport& report) {
-  report.budget = budget.status();
-  if (!obs::enabled()) return;
-  const BudgetStatus& s = report.budget;
-  obs::counter_add("budget.checks_total", s.checks);
-  obs::counter_add("budget.testbenches_consumed", s.testbenches_consumed);
-  obs::record("budget.elapsed_ms", s.elapsed_s * 1000.0);
-  if (s.limited) obs::counter_add("budget.limited");
-  if (s.deadline_s > 0.0) {
-    // A deadline set through FlowOptions may exceed long in milliseconds;
-    // converting that would be undefined behavior, so it saturates.
-    constexpr long kMaxMs = std::numeric_limits<long>::max();
-    const double ms = s.deadline_s * 1000.0;
-    obs::counter_add("budget.deadline_ms",
-                     ms < static_cast<double>(kMaxMs) ? static_cast<long>(ms)
-                                                      : kMaxMs);
-  }
-  if (s.testbench_limit >= 0) {
-    obs::counter_add("budget.testbench_limit", s.testbench_limit);
-  }
-  if (s.check_limit >= 0) {
-    obs::counter_add("budget.check_limit", s.check_limit);
-  }
-  if (s.exhausted) {
-    obs::counter_add("budget.exhausted");
-    // The registry keys counter families by the name pointer and assumes it
-    // outlives the registry's maps, so the kind must map to a string literal
-    // rather than a composed temporary.
-    switch (s.tripped) {
-      case BudgetKind::kDeadline:
-        obs::counter_add("budget.tripped.deadline");
-        break;
-      case BudgetKind::kTestbenches:
-        obs::counter_add("budget.tripped.testbenches");
-        break;
-      case BudgetKind::kChecks:
-        obs::counter_add("budget.tripped.checks");
-        break;
-      case BudgetKind::kCancelled:
-        obs::counter_add("budget.tripped.cancelled");
-        break;
-      case BudgetKind::kInjected:
-        obs::counter_add("budget.tripped.injected");
-        break;
-      case BudgetKind::kNone:
-        break;
-    }
   }
 }
 
@@ -140,11 +86,13 @@ void finish_diagnostics(DiagnosticsSink& sink, FlowReport& report) {
 /// after the flow's root span is closed so stage/total timings are final.
 /// The simulation count is taken from the registry's "eval.testbench"
 /// counter — the exact increments that fed the evaluators' EvalStats — and
-/// overwrites report.testbenches so the two views can never disagree.
+/// overwrites report.testbenches so the two views can never disagree; the
+/// budget is the report's own status.
 void finish_telemetry(FlowReport& report) {
   if (!obs::enabled()) return;
   report.telemetry =
       obs::make_flow_telemetry(obs::Registry::global().snapshot());
+  report.telemetry.budget = report.budget;
   report.testbenches = report.telemetry.simulations;
 }
 
@@ -267,32 +215,29 @@ Realization FlowEngine::run(FlowMode mode,
   obs::Span root(flow_span_name(mode));
   FlowReport report;
   DiagnosticsSink sink;
-  // A caller-owned handle wins verbatim (cooperative cancellation); else
-  // build a run-local budget from the options (env already folded in at
-  // construction).
-  Budget local_budget(options_.budget_limits);
-  Budget* budget =
-      options_.budget != nullptr ? options_.budget : &local_budget;
-  BudgetObserver budget_obs(*budget);
+  // Each run builds its own budget from the options (env already folded in
+  // at construction).
+  Budget budget(options_.budget_limits);
+  BudgetObserver budget_obs(budget);
 
   Realization real;
   switch (mode) {
     case FlowMode::kOptimize:
-      real = run_optimize(instances, routed_nets, report, sink, *budget,
+      real = run_optimize(instances, routed_nets, report, sink, budget,
                           budget_obs);
       break;
     case FlowMode::kConventional:
-      real = run_conventional(instances, routed_nets, report, sink, *budget,
+      real = run_conventional(instances, routed_nets, report, sink, budget,
                               budget_obs);
       break;
     case FlowMode::kManualOracle:
-      real = run_manual_oracle(instances, routed_nets, report, sink, *budget,
+      real = run_manual_oracle(instances, routed_nets, report, sink, budget,
                                budget_obs);
       break;
   }
 
   report.runtime_s = watch.seconds();
-  finish_budget(*budget, report);
+  report.budget = budget.status();
   root.close();
   if (options_.own_telemetry) finish_telemetry(report);
   finish_diagnostics(sink, report);

@@ -70,15 +70,10 @@ struct FlowOptions {
   /// Execution limits for each flow run: wall-clock deadline, testbench
   /// budget, deterministic check budget. OLP_DEADLINE_MS /
   /// OLP_TESTBENCH_BUDGET environment overrides apply at engine
-  /// construction. On exhaustion every stage salvages its best-so-far result
-  /// and the report is marked degraded with stage-attributed "budget"
-  /// diagnostics. Ignored when `budget` below is set.
+  /// construction, and every run builds its own Budget from the result. On
+  /// exhaustion every stage salvages its best-so-far result and the report
+  /// is marked degraded with stage-attributed "budget" diagnostics.
   BudgetOptions budget_limits;
-  /// Optional caller-owned budget handle (not owned, may be null; must
-  /// outlive the flow call). Used verbatim — no env overrides — so a caller
-  /// can share one budget across runs or cancel a running flow from another
-  /// thread via Budget::cancel().
-  Budget* budget = nullptr;
   /// Worker threads (including the caller) for primitive evaluation and
   /// sweep parallelization. 1 (the default) runs the exact serial seed path
   /// with no pool; 0 means one thread per hardware core. The OLP_THREADS
@@ -133,9 +128,10 @@ struct FlowReport {
   /// True when any diagnostic at warning severity or above was reported:
   /// the flow completed, but some subsystem degraded along the way.
   bool degraded = false;
-  /// Final consumption snapshot of this run's execution budget. When the
-  /// budget tripped (budget.exhausted), the stage whose work was interrupted
-  /// is named by the first diagnostic with stage == "budget".
+  /// Final consumption snapshot of this run's execution budget, the one
+  /// record of it (telemetry.budget below is a copy). When the budget
+  /// tripped (budget.exhausted), the stage whose work was interrupted is
+  /// named by the first diagnostic with stage == "budget".
   BudgetStatus budget;
   /// Per-flow observability report (stage timings, counters, distributions,
   /// full span trace). Populated only when obs::Registry is enabled during

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/env.hpp"
-#include "util/faults.hpp"
 #include "util/obs.hpp"
 
 namespace olp {
@@ -19,10 +18,6 @@ const char* budget_kind_name(BudgetKind kind) {
       return "testbenches";
     case BudgetKind::kChecks:
       return "checks";
-    case BudgetKind::kCancelled:
-      return "cancelled";
-    case BudgetKind::kInjected:
-      return "injected";
   }
   return "unknown";
 }
@@ -41,10 +36,14 @@ bool fits_in_long(double value) {
 }  // namespace
 
 BudgetOptions budget_options_from_env(BudgetOptions base) {
-  // The deadline is reported in whole milliseconds (flow telemetry's
-  // budget.deadline_ms counter), so it obeys the same rule as the count.
+  // Both values come from outside the program, where inf or 1e300 is a typo
+  // rather than a limit, so the deadline obeys the count's range rule. It
+  // must also be positive: 0 ms would read as "no deadline" and lift the
+  // configured one.
   const double deadline_ms = env::number("OLP_DEADLINE_MS", -1.0);
-  if (fits_in_long(deadline_ms)) base.deadline_s = deadline_ms / 1000.0;
+  if (deadline_ms > 0.0 && fits_in_long(deadline_ms)) {
+    base.deadline_s = deadline_ms / 1000.0;
+  }
   const double benches = env::number("OLP_TESTBENCH_BUDGET", -1.0);
   if (fits_in_long(benches)) {
     base.max_testbenches = static_cast<long>(benches);
@@ -86,11 +85,7 @@ std::string BudgetStatus::to_string() const {
 bool Budget::check() {
   const long checks = checks_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (exhausted_.load(std::memory_order_relaxed)) return true;
-  if (FaultInjector::global().should_fail(FaultSite::kBudgetExhaustion)) {
-    trip(BudgetKind::kInjected);
-  } else if (cancel_requested_.load(std::memory_order_relaxed)) {
-    trip(BudgetKind::kCancelled);
-  } else if (opt_.max_checks >= 0 && checks > opt_.max_checks) {
+  if (opt_.max_checks >= 0 && checks > opt_.max_checks) {
     trip(BudgetKind::kChecks);
   } else if (opt_.max_testbenches >= 0 &&
              testbenches_.load(std::memory_order_relaxed) >=
@@ -111,18 +106,6 @@ void Budget::trip(BudgetKind kind) {
                                        std::memory_order_relaxed)) {
     exhausted_.store(true, std::memory_order_release);
   }
-}
-
-double Budget::remaining_s() const {
-  if (opt_.deadline_s <= 0.0) return std::numeric_limits<double>::infinity();
-  const double left = opt_.deadline_s - stopwatch_.seconds();
-  return left > 0.0 ? left : 0.0;
-}
-
-long Budget::remaining_testbenches() const {
-  if (opt_.max_testbenches < 0) return -1;
-  const long left = opt_.max_testbenches - testbenches_;
-  return left > 0 ? left : 0;
 }
 
 BudgetStatus Budget::status() const {
@@ -157,12 +140,6 @@ std::string Budget::description() const {
       os << "check budget exhausted (" << opt_.max_checks << " limit, "
          << checks_ << " consumed)";
       break;
-    case BudgetKind::kCancelled:
-      os << "execution cancelled";
-      break;
-    case BudgetKind::kInjected:
-      os << "budget exhaustion injected (chaos site \"budget\")";
-      break;
   }
   return os.str();
 }
@@ -171,14 +148,6 @@ void BudgetObserver::stage_boundary(const char* checks_counter) {
   const long checks = budget_.checks();
   obs::counter_add(checks_counter, checks - last_checks_);
   last_checks_ = checks;
-  const BudgetOptions& opt = budget_.options();
-  if (opt.deadline_s > 0.0) {
-    obs::record("budget.remaining_s", budget_.remaining_s());
-  }
-  if (opt.max_testbenches >= 0) {
-    obs::record("budget.remaining_testbenches",
-                static_cast<double>(budget_.remaining_testbenches()));
-  }
 }
 
 }  // namespace olp

@@ -3,23 +3,18 @@
 //
 // A Budget is a cooperative execution bound carried through the layout flow:
 // a wall-clock deadline (monotonic, steady_clock), a testbench-count budget,
-// a deterministic check-count budget ("fuel", mainly for tests), and an
-// explicit cancellation flag. Every major loop in the flow — optimizer
-// candidate enumeration and tuning sweeps, placer annealing iterations,
-// per-net routing, port-optimizer sweeps, simulator Newton/timestep loops —
-// probes the handle via Budget::check() and, once the budget is exhausted,
-// unwinds keeping its best-so-far result instead of throwing work away.
+// and a deterministic check-count budget ("fuel", for tests). Every major
+// loop in the flow — optimizer candidate enumeration and tuning sweeps,
+// placer annealing iterations, per-net routing, port-optimizer sweeps,
+// simulator Newton/timestep loops — probes the handle via Budget::check()
+// and, once the budget is exhausted, unwinds keeping its best-so-far result
+// instead of throwing work away.
 //
 // Exhaustion is sticky: once any dimension trips, every later check() returns
 // true, so all downstream stages degrade to their cheapest salvage path and
-// the flow terminates promptly. When no limit is configured (and chaos
-// injection is off) check() never trips and feeds nothing back into flow
-// decisions, so a budgeted-but-unlimited run is bit-identical to an
-// unbudgeted one.
-//
-// Chaos composition: each check() draws at FaultSite::kBudgetExhaustion, so
-// tests can force exhaustion deterministically at any check site without a
-// real deadline (see util/faults.hpp).
+// the flow terminates promptly. Until a limit trips, check() feeds nothing
+// back into flow decisions, so a run whose limits are never reached is
+// bit-identical to an unbudgeted one.
 
 #include <atomic>
 #include <chrono>
@@ -52,12 +47,9 @@ enum class BudgetKind : int {
   kDeadline = 1,     ///< wall-clock deadline exceeded
   kTestbenches = 2,  ///< testbench-count budget consumed
   kChecks = 3,       ///< check-count ("fuel") budget consumed
-  kCancelled = 4,    ///< explicit cancel() request
-  kInjected = 5,     ///< chaos-injected exhaustion (FaultSite::kBudgetExhaustion)
 };
 
-/// Short kind name: "none", "deadline", "testbenches", "checks",
-/// "cancelled", "injected".
+/// Short kind name: "none", "deadline", "testbenches", "checks".
 const char* budget_kind_name(BudgetKind kind);
 
 /// Configured limits. Every dimension defaults to unlimited.
@@ -77,8 +69,9 @@ struct BudgetOptions {
 };
 
 /// Applies OLP_DEADLINE_MS / OLP_TESTBENCH_BUDGET environment overrides on
-/// top of `base`. Unset, non-numeric or out-of-range variables (a testbench
-/// count that is not finite or does not fit in long) leave `base` untouched.
+/// top of `base`. Unset, non-numeric or out-of-range variables (a value that
+/// is not finite or does not fit in long, or a deadline of 0 ms or less)
+/// leave `base` untouched.
 BudgetOptions budget_options_from_env(BudgetOptions base = {});
 
 /// Point-in-time consumption snapshot, reported on FlowReport::budget.
@@ -99,11 +92,11 @@ struct BudgetStatus {
 /// The budget handle threaded through the flow. Fully thread-safe: check()
 /// and consume_testbench() may race freely across TaskPool workers (all
 /// consumption counters are atomic; the first trip wins and is sticky), and
-/// cancel() may be called from any non-worker thread — every subsequent
-/// check() on any worker sees the trip, so a cancelled pool drains promptly.
+/// every later check() on any worker sees the trip, so a pool whose tasks
+/// probe the budget drains promptly.
 class Budget {
  public:
-  /// Unlimited budget: check() never trips (unless chaos injects).
+  /// Unlimited budget: check() never trips.
   Budget() : Budget(BudgetOptions{}) {}
   explicit Budget(const BudgetOptions& options) : opt_(options) {}
 
@@ -125,10 +118,6 @@ class Budget {
     return tripped_.load(std::memory_order_relaxed);
   }
 
-  /// Cooperative cancellation; takes effect at the next check(). Safe to
-  /// call from another thread.
-  void cancel() { cancel_requested_.store(true, std::memory_order_relaxed); }
-
   /// Records testbench evaluations against the testbench budget. The limit
   /// itself is enforced at the next check(), so an in-flight testbench
   /// always completes (exhaustion overshoots by at most one evaluation).
@@ -136,16 +125,7 @@ class Budget {
     testbenches_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  double elapsed_s() const { return stopwatch_.seconds(); }
-  /// Seconds until the deadline (clamped at 0); +infinity when no deadline.
-  double remaining_s() const;
-  long testbenches_consumed() const {
-    return testbenches_.load(std::memory_order_relaxed);
-  }
-  /// Testbenches until the budget (clamped at 0); -1 when unlimited.
-  long remaining_testbenches() const;
   long checks() const { return checks_.load(std::memory_order_relaxed); }
-  const BudgetOptions& options() const { return opt_; }
 
   BudgetStatus status() const;
 
@@ -160,20 +140,15 @@ class Budget {
   MonotonicStopwatch stopwatch_;
   std::atomic<long> testbenches_{0};
   std::atomic<long> checks_{0};
-  std::atomic<bool> cancel_requested_{false};
   std::atomic<bool> exhausted_{false};
   std::atomic<BudgetKind> tripped_{BudgetKind::kNone};
 };
 
-/// Emits per-stage budget observability at flow stage boundaries:
-///   - counter `checks_counter` += check() probes since the last boundary
-///     (e.g. "budget.checks.placement"), the deterministic per-stage cost
-///     used by tests to target exhaustion at an exact stage;
-///   - distribution "budget.remaining_s" (when a deadline is configured);
-///   - distribution "budget.remaining_testbenches" (when a testbench budget
-///     is configured).
-/// All emissions go through util/obs and are no-ops when the registry is
-/// disabled.
+/// Emits the per-stage check count at flow stage boundaries: counter
+/// `checks_counter` += check() probes since the last boundary (e.g.
+/// "budget.checks.placement"), the deterministic per-stage cost tests use to
+/// land exhaustion at an exact stage. The emission goes through util/obs and
+/// is a no-op when the registry is disabled.
 class BudgetObserver {
  public:
   explicit BudgetObserver(const Budget& budget) : budget_(budget) {}

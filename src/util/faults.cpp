@@ -33,8 +33,6 @@ const char* fault_site_name(FaultSite site) {
       return "route";
     case FaultSite::kNanMetric:
       return "nan_metric";
-    case FaultSite::kBudgetExhaustion:
-      return "budget";
     case FaultSite::kPoolTaskDelay:
       return "pool_delay";
   }
@@ -51,8 +49,6 @@ double FaultConfig::rate(FaultSite site) const {
       return route_rate;
     case FaultSite::kNanMetric:
       return nan_metric_rate;
-    case FaultSite::kBudgetExhaustion:
-      return budget_rate;
     case FaultSite::kPoolTaskDelay:
       return pool_delay_rate;
   }
@@ -71,7 +67,6 @@ void FaultInjector::enable(const FaultConfig& config) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   config_ = config;
-  total_draws_ = 0;
   site_draws_.fill(0);
   site_fires_.fill(0);
   enabled_.store(true, std::memory_order_relaxed);
@@ -82,7 +77,6 @@ bool FaultInjector::should_fail(FaultSite site) {
   std::lock_guard<std::mutex> lock(mu_);
   const int idx = static_cast<int>(site);
   const long draw_index = site_draws_[idx]++;
-  ++total_draws_;
   if (draw_index < config_.skip_draws) return false;
   if (config_.max_total_fires >= 0) {
     long total = 0;

@@ -2,10 +2,13 @@
 // Deterministic chaos fault injection.
 //
 // A process-global FaultInjector lets tests force recoverable failures at
-// well-known sites (op/tran non-convergence, route failure, NaN metric)
-// without patching subsystem code. Draws are derived from a counter hash, so
-// a given (seed, rates) configuration fires the exact same faults on every
-// run — chaos tests are reproducible and can assert exact accounting.
+// well-known sites (op/tran non-convergence, route failure, NaN metric) and
+// scramble TaskPool completion order, without patching subsystem code. Draws
+// are derived from a counter hash, so a given (seed, rates) configuration
+// fires the exact same faults on every run — chaos tests are reproducible
+// and can assert exact accounting. Budget exhaustion is not a site: a test
+// lands a trip at an exact point with the per-budget fuel limit
+// (BudgetOptions::max_checks, util/budget.hpp).
 //
 // The injector is disabled by default and costs one branch per site when
 // disabled; production flows with injection off are bit-identical to a build
@@ -23,14 +26,12 @@ enum class FaultSite : int {
   kTranNonConvergence = 1, ///< Simulator::tran attempt reports ok=false
   kRouteFailure = 2,       ///< GlobalRouter::route reports routed=false
   kNanMetric = 3,          ///< PrimitiveEvaluator emits a NaN metric
-  kBudgetExhaustion = 4,   ///< Budget::check() trips (BudgetKind::kInjected)
-  kPoolTaskDelay = 5,      ///< TaskPool sleeps before a task (reorder chaos)
+  kPoolTaskDelay = 4,      ///< TaskPool sleeps before a task (reorder chaos)
 };
 
-inline constexpr int kNumFaultSites = 6;
+inline constexpr int kNumFaultSites = 5;
 
-/// Short site name: "op", "tran", "route", "nan_metric", "budget",
-/// "pool_delay".
+/// Short site name: "op", "tran", "route", "nan_metric", "pool_delay".
 const char* fault_site_name(FaultSite site);
 
 /// Per-site fault probabilities plus determinism controls.
@@ -40,7 +41,6 @@ struct FaultConfig {
   double tran_rate = 0.0;
   double route_rate = 0.0;
   double nan_metric_rate = 0.0;
-  double budget_rate = 0.0;
   /// Probability that a TaskPool task sleeps a few hundred microseconds
   /// before running — scrambles completion order so tests can prove the
   /// ordered reduction is completion-order independent. Never corrupts
@@ -82,7 +82,6 @@ class FaultInjector {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;  ///< guards everything below
   FaultConfig config_;
-  long total_draws_ = 0;
   std::array<long, kNumFaultSites> site_draws_{};
   std::array<long, kNumFaultSites> site_fires_{};
 };

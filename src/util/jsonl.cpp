@@ -4,57 +4,6 @@
 
 namespace olp::jsonl {
 
-namespace {
-
-void fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-}
-
-std::string at_pos(const std::string& message, std::size_t pos) {
-  return message + " at offset " + std::to_string(pos);
-}
-
-/// Appends a Unicode code point as UTF-8.
-void append_utf8(std::string& out, unsigned long cp) {
-  if (cp < 0x80) {
-    out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    out += static_cast<char>(0xc0 | (cp >> 6));
-    out += static_cast<char>(0x80 | (cp & 0x3f));
-  } else if (cp < 0x10000) {
-    out += static_cast<char>(0xe0 | (cp >> 12));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-    out += static_cast<char>(0x80 | (cp & 0x3f));
-  } else {
-    out += static_cast<char>(0xf0 | (cp >> 18));
-    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-    out += static_cast<char>(0x80 | (cp & 0x3f));
-  }
-}
-
-/// Parses exactly 4 hex digits at s[pos..pos+3]; returns -1 on failure.
-long hex4(const std::string& s, std::size_t pos) {
-  if (pos + 4 > s.size()) return -1;
-  long value = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const char c = s[pos + i];
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      value |= c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      value |= c - 'A' + 10;
-    } else {
-      return -1;
-    }
-  }
-  return value;
-}
-
-}  // namespace
-
 std::string escape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
@@ -88,85 +37,19 @@ std::string escape(const std::string& raw) {
   return out;
 }
 
-bool unescape(const std::string& escaped, std::string* out,
-              std::string* error) {
-  std::string result;
-  result.reserve(escaped.size());
-  for (std::size_t i = 0; i < escaped.size(); ++i) {
-    const char c = escaped[i];
-    if (c != '\\') {
-      result += c;
-      continue;
-    }
-    if (++i >= escaped.size()) {
-      fail(error, at_pos("dangling backslash", i - 1));
+namespace {
+
+/// True when s[pos..pos+3] are 4 hex digits.
+bool is_hex4(const std::string& s, std::size_t pos) {
+  if (pos + 4 > s.size()) return false;
+  for (std::size_t i = pos; i < pos + 4; ++i) {
+    const char c = s[i];
+    if ((c < '0' || c > '9') && (c < 'a' || c > 'f') && (c < 'A' || c > 'F')) {
       return false;
     }
-    switch (escaped[i]) {
-      case '"':
-        result += '"';
-        break;
-      case '\\':
-        result += '\\';
-        break;
-      case '/':
-        result += '/';
-        break;
-      case 'b':
-        result += '\b';
-        break;
-      case 'f':
-        result += '\f';
-        break;
-      case 'n':
-        result += '\n';
-        break;
-      case 'r':
-        result += '\r';
-        break;
-      case 't':
-        result += '\t';
-        break;
-      case 'u': {
-        const long unit = hex4(escaped, i + 1);
-        if (unit < 0) {
-          fail(error, at_pos("invalid \\u escape", i - 1));
-          return false;
-        }
-        i += 4;
-        unsigned long cp = static_cast<unsigned long>(unit);
-        if (cp >= 0xd800 && cp <= 0xdbff) {
-          // High surrogate: must pair with a following \uDC00-\uDFFF.
-          if (i + 2 >= escaped.size() || escaped[i + 1] != '\\' ||
-              escaped[i + 2] != 'u') {
-            fail(error, at_pos("unpaired high surrogate", i - 5));
-            return false;
-          }
-          const long low = hex4(escaped, i + 3);
-          if (low < 0xdc00 || low > 0xdfff) {
-            fail(error, at_pos("invalid low surrogate", i + 1));
-            return false;
-          }
-          i += 6;
-          cp = 0x10000 + ((cp - 0xd800) << 10) +
-               (static_cast<unsigned long>(low) - 0xdc00);
-        } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-          fail(error, at_pos("unpaired low surrogate", i - 5));
-          return false;
-        }
-        append_utf8(result, cp);
-        break;
-      }
-      default:
-        fail(error, at_pos("unknown escape", i - 1));
-        return false;
-    }
   }
-  *out = std::move(result);
   return true;
 }
-
-namespace {
 
 /// Containers well_formed() follows before giving up on a document.
 constexpr int kMaxDepth = 64;
@@ -178,7 +61,9 @@ struct Parser {
   std::string* error;
 
   bool fail_here(const std::string& message) {
-    fail(error, at_pos(message, pos));
+    if (error != nullptr) {
+      *error = message + " at offset " + std::to_string(pos);
+    }
     return false;
   }
 
@@ -219,7 +104,7 @@ struct Parser {
           case 't':
             break;
           case 'u':
-            if (hex4(s, pos + 1) < 0) return fail_here("invalid \\u escape");
+            if (!is_hex4(s, pos + 1)) return fail_here("invalid \\u escape");
             pos += 4;
             break;
           default:

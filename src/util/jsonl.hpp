@@ -8,9 +8,7 @@
 //   escape()        string body -> JSON string escaping (quotes, backslashes,
 //                   \n/\r/\t, \u00XX control codes; non-ASCII UTF-8 bytes
 //                   pass through verbatim — they are valid JSON).
-//   unescape()      exact inverse, including \uXXXX (with UTF-16 surrogate
-//                   pairs) decoded to UTF-8. escape/unescape round-trip any
-//                   byte string (tests/test_util.cpp proves it).
+//                   tests/test_util.cpp checks the spelling of every byte.
 //   well_formed()   strict syntax check of any JSON document (nesting
 //                   allowed, up to 64 levels) for the documents the library
 //                   emits. Numbers follow the strict JSON grammar (no
@@ -22,12 +20,6 @@ namespace olp::jsonl {
 
 /// JSON string escaping of an arbitrary byte string (see file comment).
 std::string escape(const std::string& raw);
-
-/// Inverse of escape(): decodes every JSON escape, including \uXXXX and
-/// surrogate pairs, to UTF-8 bytes. Returns false (and sets *error when
-/// non-null) on any invalid escape; *out is untouched on failure.
-bool unescape(const std::string& escaped, std::string* out,
-              std::string* error = nullptr);
 
 /// Strict JSON well-formedness check (syntax only; duplicate keys allowed).
 /// On failure returns false and, when `error` is non-null, a short

@@ -33,7 +33,8 @@ double percentile(const std::vector<double>& sorted, double q) {
 constexpr double kHistMin = 1e-3;
 
 /// a + b clamped to long's range. Counters saturate instead of overflowing:
-/// every job of a batch may add a LONG_MAX budget.deadline_ms.
+/// counter_add takes any caller-supplied long, and a batch sums every job's
+/// additions into one counter.
 long saturating_add(long a, long b) {
   long sum = 0;
   if (!__builtin_add_overflow(a, b, &sum)) return sum;

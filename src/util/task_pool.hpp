@@ -31,9 +31,9 @@
 //
 // Budget interaction: the pool knows nothing about budgets. Tasks probe
 // Budget::check() themselves and return false once it trips; because
-// exhaustion is sticky, a Budget::cancel() from any thread drains that
-// batch promptly (every subsequent claim sees the trip and stops) — other
-// batches on the pool are untouched.
+// exhaustion is sticky, a trip on any worker (a deadline passing, a
+// testbench limit reached) drains that batch promptly (every subsequent
+// claim sees the trip and stops) — other batches on the pool are untouched.
 //
 // Chaos: each task draws at FaultSite::kPoolTaskDelay; a fired draw sleeps
 // a few hundred deterministic, index-derived microseconds, letting tests

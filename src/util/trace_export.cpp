@@ -101,33 +101,6 @@ FlowTelemetry make_flow_telemetry(const Snapshot& snapshot) {
   t.enabled = !snapshot.spans.empty() || !snapshot.counters.empty() ||
               !snapshot.distributions.empty();
   t.simulations = snapshot.counter("eval.testbench");
-  // Budget consumption, from the "budget.*" family the flow emits at the
-  // end of each run (see circuits/flow.cpp finish_budget).
-  t.budget.limited = snapshot.counter("budget.limited") > 0;
-  t.budget.exhausted = snapshot.counter("budget.exhausted") > 0;
-  t.budget.checks = snapshot.counter("budget.checks_total");
-  t.budget.testbenches_consumed =
-      snapshot.counter("budget.testbenches_consumed");
-  t.budget.truncations = snapshot.counter("budget.truncations");
-  t.budget.stages_degraded = snapshot.counter("budget.stages_degraded");
-  if (snapshot.counters.count("budget.testbench_limit")) {
-    t.budget.testbench_limit = snapshot.counter("budget.testbench_limit");
-  }
-  if (snapshot.counters.count("budget.check_limit")) {
-    t.budget.check_limit = snapshot.counter("budget.check_limit");
-  }
-  t.budget.deadline_s =
-      static_cast<double>(snapshot.counter("budget.deadline_ms")) * 1e-3;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (value > 0 && name.rfind("budget.tripped.", 0) == 0) {
-      t.budget.tripped = name.substr(std::string("budget.tripped.").size());
-      break;
-    }
-  }
-  const auto dit = snapshot.distributions.find("budget.elapsed_ms");
-  if (dit != snapshot.distributions.end() && dit->second.count > 0) {
-    t.budget.elapsed_s = dit->second.max * 1e-3;
-  }
   t.snapshot = snapshot;
   if (snapshot.spans.empty()) return t;
   const SpanRecord& root = snapshot.spans.front();
@@ -163,20 +136,17 @@ std::string to_json(const FlowTelemetry& t) {
     out += ",\"seconds\":" + num(s.seconds);
     out += ",\"spans\":" + std::to_string(s.spans) + "}";
   }
+  const BudgetStatus& b = t.budget;
   out += "],\"budget\":{";
-  out += "\"limited\":" + std::string(t.budget.limited ? "true" : "false");
-  out += ",\"exhausted\":" +
-         std::string(t.budget.exhausted ? "true" : "false");
-  out += ",\"tripped\":\"" + jsonl::escape(t.budget.tripped) + "\"";
-  out += ",\"checks\":" + std::to_string(t.budget.checks);
-  out += ",\"testbenches_consumed\":" +
-         std::to_string(t.budget.testbenches_consumed);
-  out += ",\"testbench_limit\":" + std::to_string(t.budget.testbench_limit);
-  out += ",\"check_limit\":" + std::to_string(t.budget.check_limit);
-  out += ",\"deadline_s\":" + num(t.budget.deadline_s);
-  out += ",\"elapsed_s\":" + num(t.budget.elapsed_s);
-  out += ",\"truncations\":" + std::to_string(t.budget.truncations);
-  out += ",\"stages_degraded\":" + std::to_string(t.budget.stages_degraded);
+  out += "\"limited\":" + std::string(b.limited ? "true" : "false");
+  out += ",\"exhausted\":" + std::string(b.exhausted ? "true" : "false");
+  out += ",\"tripped\":\"" + std::string(budget_kind_name(b.tripped)) + "\"";
+  out += ",\"checks\":" + std::to_string(b.checks);
+  out += ",\"testbenches_consumed\":" + std::to_string(b.testbenches_consumed);
+  out += ",\"testbench_limit\":" + std::to_string(b.testbench_limit);
+  out += ",\"check_limit\":" + std::to_string(b.check_limit);
+  out += ",\"deadline_s\":" + num(b.deadline_s);
+  out += ",\"elapsed_s\":" + num(b.elapsed_s);
   out += "},\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : t.snapshot.counters) {
@@ -223,24 +193,23 @@ std::string summary_table(const FlowTelemetry& t) {
                    std::to_string(t.snapshot.spans.size())});
     out += table.render();
   }
-  if (t.budget.limited || t.budget.exhausted) {
+  const BudgetStatus& b = t.budget;
+  if (b.limited || b.exhausted) {
+    const auto of_limit = [](long n, long limit) {
+      return std::to_string(n) + " / " +
+             (limit >= 0 ? std::to_string(limit) : std::string("unlimited"));
+    };
     TextTable table("Budget");
     table.set_header({"field", "value"});
-    table.add_row({"exhausted", t.budget.exhausted ? "yes" : "no"});
-    table.add_row({"tripped", t.budget.tripped});
-    table.add_row({"checks", std::to_string(t.budget.checks)});
+    table.add_row({"exhausted", b.exhausted ? "yes" : "no"});
+    table.add_row({"tripped", budget_kind_name(b.tripped)});
+    table.add_row({"checks", of_limit(b.checks, b.check_limit)});
     table.add_row(
-        {"testbenches", std::to_string(t.budget.testbenches_consumed) + " / " +
-                            (t.budget.testbench_limit >= 0
-                                 ? std::to_string(t.budget.testbench_limit)
-                                 : std::string("unlimited"))});
-    table.add_row({"deadline [s]", t.budget.deadline_s > 0.0
-                                       ? fixed(t.budget.deadline_s, 3)
+        {"testbenches", of_limit(b.testbenches_consumed, b.testbench_limit)});
+    table.add_row({"deadline [s]", b.deadline_s > 0.0
+                                       ? fixed(b.deadline_s, 3)
                                        : std::string("none")});
-    table.add_row({"elapsed [s]", fixed(t.budget.elapsed_s, 3)});
-    table.add_row({"truncations", std::to_string(t.budget.truncations)});
-    table.add_row(
-        {"stages degraded", std::to_string(t.budget.stages_degraded)});
+    table.add_row({"elapsed [s]", fixed(b.elapsed_s, 3)});
     out += '\n';
     out += table.render();
   }

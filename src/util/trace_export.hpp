@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/budget.hpp"
 #include "util/obs.hpp"
 
 namespace olp::obs {
@@ -34,23 +35,6 @@ struct StageTiming {
   long spans = 0;         ///< number of span occurrences merged
 };
 
-/// Execution-budget consumption view, derived from the "budget.*" counter
-/// family the flow emits at the end of each run (util/budget). All zeros /
-/// "none" when the run carried no budget instrumentation.
-struct BudgetTelemetry {
-  bool limited = false;     ///< a deadline/testbench/check limit was set
-  bool exhausted = false;   ///< the budget tripped during the run
-  std::string tripped = "none";  ///< BudgetKind name that tripped first
-  long checks = 0;               ///< total Budget::check() calls
-  long testbenches_consumed = 0;
-  long testbench_limit = -1;     ///< -1 = unlimited
-  long check_limit = -1;         ///< -1 = unlimited
-  double deadline_s = 0.0;       ///< 0 = no deadline
-  double elapsed_s = 0.0;        ///< budget clock at end of run
-  long truncations = 0;          ///< loops cut short ("budget.truncations")
-  long stages_degraded = 0;      ///< stages reporting exhaustion at boundary
-};
-
 /// Machine-readable flow telemetry: what FlowReport carries when the
 /// registry is enabled during a flow run.
 struct FlowTelemetry {
@@ -61,17 +45,20 @@ struct FlowTelemetry {
   /// sites that feed FlowReport::testbenches, so the two cannot disagree.
   long simulations = 0;
   std::vector<StageTiming> stages;  ///< spans one level under the root
-  BudgetTelemetry budget;   ///< execution-budget consumption for this run
+  /// The run's FlowReport::budget, the one record of its budget. A batch's
+  /// pooled telemetry leaves it default: each job's budget stays on its own
+  /// report.
+  BudgetStatus budget;
   Snapshot snapshot;        ///< full raw data (spans/counters/distributions)
 };
 
 /// Builds the telemetry view of a snapshot. The first span is taken as the
 /// flow root; stages are the spans exactly one level deeper, merged by name
-/// in first-seen order.
+/// in first-seen order. The budget is left default for the caller to set.
 FlowTelemetry make_flow_telemetry(const Snapshot& snapshot);
 
-/// FlowTelemetry as a JSON document (stages, counters, distributions; the
-/// raw span list is left to the Chrome trace export).
+/// FlowTelemetry as a JSON document (stages, budget, counters,
+/// distributions; the raw span list is left to the Chrome trace export).
 std::string to_json(const FlowTelemetry& telemetry);
 
 /// Renders the per-stage summary table plus counter/distribution sections.

@@ -4,8 +4,11 @@
 #
 #   - the process still exits 0 (exhaustion degrades, never fails);
 #   - the run reports itself degraded ("Flow degraded: true");
+#   - the report's "Budget:" line ends with "exhausted by deadline}";
 #   - the telemetry JSON is written, well-formed enough to grep, and marks
-#     the budget as exhausted;
+#     the budget as exhausted by the deadline. The "Budget:" line prints
+#     FlowReport::budget and the JSON prints its copy in the telemetry, so
+#     the two checks agree only when the report and the telemetry do;
 #   - the Chrome trace is written and non-empty.
 #
 # Usage: OLP_FLOW_BIN=<path-to-ota_layout_flow> tests/run_budget_smoke.sh
@@ -32,6 +35,12 @@ echo "budget smoke: flow exited 0 under a 5 ms deadline"
 
 grep -q "^Flow degraded: true$" "${out}" || {
   echo "budget smoke: run did not report itself degraded" >&2
+  cat "${out}" >&2
+  exit 1
+}
+
+grep -q "^Budget: .*exhausted by deadline}$" "${out}" || {
+  echo "budget smoke: Budget: line does not end with 'exhausted by deadline}'" >&2
   cat "${out}" >&2
   exit 1
 }

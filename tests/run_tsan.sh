@@ -77,7 +77,8 @@ if grep -q "ThreadSanitizer" "${obs_out}"; then
 fi
 
 # A modest testbench budget keeps the (TSan-slowed) run bounded while still
-# exercising every stage; the budget path itself is part of what is raced.
+# exercising every stage; the budget path itself is part of what is raced:
+# workers call check() and consume_testbench() on one Budget concurrently.
 OLP_THREADS=8 OLP_EVAL_CACHE=1 OLP_TESTBENCH_BUDGET=600 \
   OLP_TRACE_DIR="${tmp}" TSAN_OPTIONS="${tsan_opts}" \
   "${build_dir}/examples/ota_layout_flow" > "${out}" 2>&1
@@ -89,10 +90,11 @@ if grep -q "ThreadSanitizer" "${out}"; then
   exit 1
 fi
 
-# The batch runner: 7 jobs racing through the shared pool, the
-# scope-sharded cross-job cache, and per-job budget handles. The batch
-# pool runs min(8, cores) workers; the flow run above keeps 8 real threads
-# on any machine, because a FlowEngine's own pool is not capped.
+# The batch runner: 7 jobs racing through the shared pool and the
+# scope-sharded cross-job cache, each job's workers racing check() and
+# consume_testbench() on that job's own budget. The batch pool runs
+# min(8, cores) workers; the flow run above keeps 8 real threads on any
+# machine, because a FlowEngine's own pool is not capped.
 batch_out="${tmp}/batch_stdout.txt"
 OLP_THREADS=8 OLP_TESTBENCH_BUDGET=2000 \
   TSAN_OPTIONS="${tsan_opts}" \

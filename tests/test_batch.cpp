@@ -1,7 +1,7 @@
 // Batch flow runner tests: the multi-job scheduler must be a pure
 // throughput optimization — every job whose budget never trips reports
 // byte-identically to running that job alone on the serial uncached path
-// (tests/flow_golden.hpp does the comparison), with per-job budget/cancel
+// (tests/flow_golden.hpp does the comparison), with per-job budget
 // isolation and observable cross-job cache sharing.
 
 #include <gtest/gtest.h>
@@ -305,30 +305,6 @@ TEST_F(BatchFlow, StarvedJobNeverPoisonsItsSiblings) {
     EXPECT_TRUE(starved.exhausted());
     EXPECT_EQ(cache.stats().waits, 1);
     expect_same_flow_result(report, want_report, real, want_real);
-  }
-}
-
-// A caller-owned Budget handle cancels exactly its job. Cancelling before
-// the batch starts makes the outcome deterministic regardless of worker
-// scheduling: the cancelled job salvages a degraded skeleton, siblings run
-// to completion.
-TEST_F(BatchFlow, BudgetCancelStopsOnlyItsJob) {
-  std::vector<FlowJob> jobs = mixed_jobs();
-  Budget cancel_handle(BudgetOptions{});
-  jobs[1].options.budget = &cancel_handle;
-  cancel_handle.cancel();
-  BatchOptions bopt;
-  bopt.workers = 4;
-  const BatchRunner runner(t(), bopt);
-  const BatchReport batch = runner.run(jobs);
-
-  EXPECT_TRUE(batch.jobs[1].report.budget.exhausted);
-  EXPECT_EQ(batch.jobs[1].report.budget.tripped, BudgetKind::kCancelled);
-  EXPECT_EQ(batch.jobs[1].status, JobStatus::kDegraded);
-  for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
-    if (i == 1) continue;
-    SCOPED_TRACE(batch.jobs[i].name);
-    EXPECT_FALSE(batch.jobs[i].report.budget.exhausted);
   }
 }
 

@@ -332,8 +332,9 @@ TEST(Tran, FailureDiagnosticCountsTheRetriesThatRan) {
   tr.dt = 10e-12;
   {
     DiagnosticsSink diag;
-    Budget budget;
-    budget.cancel();
+    BudgetOptions limits;
+    limits.max_checks = 0;  // trips at the first check
+    Budget budget(limits);
     const Simulator sim(c, &diag, &budget);
     EXPECT_FALSE(sim.tran(tr).ok);
     EXPECT_EQ(failure(diag),

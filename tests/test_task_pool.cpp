@@ -1,9 +1,9 @@
 // TaskPool tests: the ordered-reduction contract must hold under adversarial
 // completion orders (chaos-injected per-task delays), early exit must stop
-// further claims, exceptions must propagate deterministically, and a
-// Budget::cancel() from a non-worker thread must drain a running pool
-// promptly. The same contracts must hold with several external submitters
-// at once and with batches submitted from worker threads (nesting).
+// further claims, exceptions must propagate deterministically, and a budget
+// tripped on the workers' own check() must drain a running pool promptly.
+// The same contracts must hold with several external submitters at once and
+// with batches submitted from worker threads (nesting).
 
 #include <gtest/gtest.h>
 
@@ -152,30 +152,29 @@ TEST(TaskPool, LowestIndexExceptionWins) {
 }
 
 TEST(TaskPool, CancelFromNonWorkerThreadDrainsPromptly) {
-  Budget budget;  // unlimited: only cancel() can trip it
+  // The deadline trips mid-batch on whichever thread's check() first sees
+  // it pass; the trip is sticky, so every other thread stops claiming.
+  BudgetOptions limits;
+  limits.deadline_s = 0.05;
+  Budget budget(limits);
   TaskPool pool(4);
   const std::size_t n = 100000;
   std::atomic<long> executed{0};
   const MonotonicStopwatch watch;
 
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    budget.cancel();
-  });
   pool.parallel_for(n, [&](std::size_t) {
     if (budget.check()) return false;
     executed.fetch_add(1);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return true;
   });
-  canceller.join();
 
   // The pool drained long before the 100k tasks could have run (at 200 us
   // each, 4 threads would need ~5 s); generous bound for loaded machines.
   EXPECT_LT(watch.seconds(), 3.0);
   EXPECT_LT(executed.load(), static_cast<long>(n));
   EXPECT_TRUE(budget.exhausted());
-  EXPECT_EQ(budget.tripped(), BudgetKind::kCancelled);
+  EXPECT_EQ(budget.tripped(), BudgetKind::kDeadline);
 }
 
 TEST(TaskPool, ConcurrentSubmittersUnderChaosDelays) {
@@ -230,7 +229,9 @@ TEST(TaskPool, NestedSubmissionFromWorkerThreads) {
 }
 
 TEST(TaskPool, CancelDrainsConcurrentSubmittersPromptly) {
-  Budget budget;  // unlimited: only cancel() can trip it
+  BudgetOptions limits;
+  limits.deadline_s = 0.05;
+  Budget budget(limits);  // shared by both submitters' batches
   TaskPool pool(4);
   const std::size_t n = 100000;
   std::atomic<long> executed{0};
@@ -245,14 +246,13 @@ TEST(TaskPool, CancelDrainsConcurrentSubmittersPromptly) {
     });
   };
   std::thread a(submit), b(submit);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  budget.cancel();
   a.join();
   b.join();
 
   EXPECT_LT(watch.seconds(), 3.0);
   EXPECT_LT(executed.load(), static_cast<long>(2 * n));
   EXPECT_TRUE(budget.exhausted());
+  EXPECT_EQ(budget.tripped(), BudgetKind::kDeadline);
 }
 
 TEST(TaskPool, ExceptionStaysWithItsOwnBatch) {
