@@ -459,8 +459,8 @@ int main(int argc, char** argv) {
       {"table6", table6(ota, sa)},
       {"table7", table7(vco)},
       {"table8", table8(flows)},
-      {"ablations", ablations(circuits::run_ablations(t))},
-      {"corners", corners(circuits::run_corners(t))},
+      {"ablations", ablations(circuits::run_ablations(t, ota))},
+      {"corners", corners(circuits::run_corners(t, ota))},
   };
   for (const Block& b : blocks) std::cout << b.text;
   std::cout << '\n' << wall_times(steps, flows);

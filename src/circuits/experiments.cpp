@@ -110,58 +110,46 @@ StepCountsRow count_steps(const tech::Technology& t, std::string primitive,
   return row;
 }
 
+/// Measures `circuit`'s schematic, then runs and measures its conventional,
+/// optimized and (with `with_manual`) manual-oracle flows on one engine,
+/// keeping each realization with its metrics.
+template <typename CircuitT, typename... Args>
+CircuitExperiment run_flows(const tech::Technology& t, const CircuitT& circuit,
+                            const FlowOptions& options, bool with_manual,
+                            const Args&... measure_args) {
+  CircuitExperiment ex;
+  const auto keep = [&](const std::string& flavor, Realization real) {
+    ex.results[flavor] = circuit.measure(real, measure_args...);
+    ex.realizations[flavor] = std::move(real);
+  };
+  keep("schematic", schematic_realization(circuit.instances(), t));
+  const FlowEngine engine(t, options);
+  const auto run = [&](FlowMode mode, FlowReport* report) {
+    return engine.run(mode, circuit.instances(), circuit.routed_nets(),
+                      report);
+  };
+  keep("conventional", run(FlowMode::kConventional, &ex.conventional_report));
+  keep("this_work", run(FlowMode::kOptimize, &ex.optimized_report));
+  if (with_manual) {
+    keep("manual", run(FlowMode::kManualOracle, &ex.manual_report));
+  }
+  return ex;
+}
+
 }  // namespace
 
 CircuitExperiment run_ota(const tech::Technology& t,
                           const FlowOptions& options, bool with_manual) {
   Ota5T ota(t);
   OLP_CHECK(ota.prepare(), "OTA schematic preparation failed");
-
-  CircuitExperiment ex;
-  ex.results["schematic"] =
-      ota.measure(schematic_realization(ota.instances(), t));
-
-  FlowEngine engine(t, options);
-  const Realization conv = engine.run(FlowMode::kConventional, 
-      ota.instances(), ota.routed_nets(), &ex.conventional_report);
-  ex.results["conventional"] = ota.measure(conv);
-
-  const Realization opt = engine.run(FlowMode::kOptimize, ota.instances(), ota.routed_nets(),
-                                          &ex.optimized_report);
-  ex.results["this_work"] = ota.measure(opt);
-
-  if (with_manual) {
-    const Realization manual = engine.run(FlowMode::kManualOracle, 
-        ota.instances(), ota.routed_nets(), &ex.manual_report);
-    ex.results["manual"] = ota.measure(manual);
-  }
-  return ex;
+  return run_flows(t, ota, options, with_manual);
 }
 
 CircuitExperiment run_strongarm(const tech::Technology& t,
                                 const FlowOptions& options, bool with_manual) {
   StrongArmComparator sa(t);
   OLP_CHECK(sa.prepare(), "StrongARM preparation failed");
-
-  CircuitExperiment ex;
-  ex.results["schematic"] =
-      sa.measure(schematic_realization(sa.instances(), t));
-
-  FlowEngine engine(t, options);
-  const Realization conv = engine.run(FlowMode::kConventional, 
-      sa.instances(), sa.routed_nets(), &ex.conventional_report);
-  ex.results["conventional"] = sa.measure(conv);
-
-  const Realization opt =
-      engine.run(FlowMode::kOptimize, sa.instances(), sa.routed_nets(), &ex.optimized_report);
-  ex.results["this_work"] = sa.measure(opt);
-
-  if (with_manual) {
-    const Realization manual = engine.run(FlowMode::kManualOracle, 
-        sa.instances(), sa.routed_nets(), &ex.manual_report);
-    ex.results["manual"] = sa.measure(manual);
-  }
-  return ex;
+  return run_flows(t, sa, options, with_manual);
 }
 
 CircuitExperiment run_vco(const tech::Technology& t,
@@ -169,20 +157,7 @@ CircuitExperiment run_vco(const tech::Technology& t,
                           const std::vector<double>& vctrls) {
   RoVco vco(t);
   OLP_CHECK(vco.prepare(), "VCO preparation failed");
-
-  CircuitExperiment ex;
-  ex.results["schematic"] =
-      vco.measure(schematic_realization(vco.instances(), t), vctrls);
-
-  FlowEngine engine(t, options);
-  const Realization conv = engine.run(FlowMode::kConventional, 
-      vco.instances(), vco.routed_nets(), &ex.conventional_report);
-  ex.results["conventional"] = vco.measure(conv, vctrls);
-
-  const Realization opt =
-      engine.run(FlowMode::kOptimize, vco.instances(), vco.routed_nets(), &ex.optimized_report);
-  ex.results["this_work"] = vco.measure(opt, vctrls);
-  return ex;
+  return run_flows(t, vco, options, /*with_manual=*/false, vctrls);
 }
 
 CircuitExperiment run_cs_amp(const tech::Technology& t,
@@ -273,29 +248,28 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
   return ex;
 }
 
-std::vector<AblationRow> run_ablations(const tech::Technology& t) {
+std::vector<AblationRow> run_ablations(const tech::Technology& t,
+                                       const CircuitExperiment& ota_run) {
   Ota5T ota(t);
   OLP_CHECK(ota.prepare(), "OTA schematic preparation failed");
   std::vector<AblationRow> rows;
-  rows.push_back({"schematic (target)",
-                  ota.measure(schematic_realization(ota.instances(), t))});
-  // The bins = 3 run is the default flow; the other ablations strip steps
-  // from its realization.
-  FlowReport report;
-  Realization full;
+  rows.push_back({"schematic (target)", ota_run.results.at("schematic")});
+  // The bins = 3 run is the default flow, Table VI's "this work"; the other
+  // ablations strip steps from its realization.
   for (int bins : {1, 2, 3, 4}) {
+    const std::string label = "full flow, bins = " + std::to_string(bins);
+    if (bins == FlowOptions{}.bins) {
+      rows.push_back({label, ota_run.results.at("this_work")});
+      continue;
+    }
     FlowOptions options;
     options.bins = bins;
-    const bool is_default = bins == FlowOptions{}.bins;
-    Realization real =
-        FlowEngine(t, options).run(FlowMode::kOptimize, ota.instances(),
-                                   ota.routed_nets(),
-                                   is_default ? &report : nullptr);
-    rows.push_back({"full flow, bins = " + std::to_string(bins),
-                    ota.measure(real)});
-    if (is_default) full = std::move(real);
+    rows.push_back({label, ota.measure(FlowEngine(t, options).run(
+                               FlowMode::kOptimize, ota.instances(),
+                               ota.routed_nets()))});
   }
 
+  const Realization& full = ota_run.realizations.at("this_work");
   Realization no_tuning = full;
   for (auto& [inst, tuning] : no_tuning.tunings) {
     (void)inst;
@@ -305,8 +279,8 @@ std::vector<AblationRow> run_ablations(const tech::Technology& t) {
   // Algorithm 2 disabled.
   const auto single_routes = [&](Realization real) {
     for (auto& [net, rc] : real.net_wires) {
-      const auto rit = report.routes.find(net);
-      if (rit != report.routes.end() && rit->second.routed) {
+      const auto rit = ota_run.optimized_report.routes.find(net);
+      if (rit != ota_run.optimized_report.routes.end() && rit->second.routed) {
         rc = core::route_wire_rc(t, rit->second, 1);
       }
     }
@@ -315,22 +289,17 @@ std::vector<AblationRow> run_ablations(const tech::Technology& t) {
   rows.push_back({"no primitive tuning", ota.measure(no_tuning)});
   rows.push_back({"no port optimization", ota.measure(single_routes(full))});
   rows.push_back({"selection only", ota.measure(single_routes(no_tuning))});
-  rows.push_back({"conventional baseline",
-                  ota.measure(FlowEngine(t, {}).run(FlowMode::kConventional,
-                                                    ota.instances(),
-                                                    ota.routed_nets()))});
+  rows.push_back({"conventional baseline", ota_run.results.at("conventional")});
   return rows;
 }
 
-std::vector<CornerRow> run_corners(const tech::Technology& t) {
+std::vector<CornerRow> run_corners(const tech::Technology& t,
+                                   const CircuitExperiment& ota_run) {
   Ota5T ota(t);
   OLP_CHECK(ota.prepare(), "OTA schematic preparation failed");
-  FlowEngine engine(t, {});
-  Realization optimized = engine.run(FlowMode::kOptimize, ota.instances(),
-                                     ota.routed_nets());
-  Realization conventional = engine.run(
-      FlowMode::kConventional, ota.instances(), ota.routed_nets());
-  Realization schematic = schematic_realization(ota.instances(), t);
+  Realization schematic = ota_run.realizations.at("schematic");
+  Realization conventional = ota_run.realizations.at("conventional");
+  Realization optimized = ota_run.realizations.at("this_work");
 
   std::vector<CornerRow> rows;
   for (Corner c : {Corner::kTT, Corner::kSS, Corner::kFF, Corner::kSF,

@@ -27,9 +27,11 @@ namespace olp::circuits {
 using FlavorMetrics = std::map<std::string, std::map<std::string, double>>;
 
 /// Metric rows per flavor ("schematic", "conventional", "this_work",
-/// "manual"), plus the flow reports for runtime/constraint reporting.
+/// "manual"), the realizations they were measured on, and the flow reports
+/// for runtime/constraint reporting.
 struct CircuitExperiment {
   FlavorMetrics results;
+  std::map<std::string, Realization> realizations;
   FlowReport conventional_report;
   FlowReport optimized_report;
   FlowReport manual_report;
@@ -128,8 +130,10 @@ struct AblationRow {
 /// the schematic target; the full flow with 1..4 aspect-ratio bins; the
 /// default flow without primitive tuning, without port optimization (every
 /// net back to one route), and without both ("selection only"); and the
-/// conventional baseline.
-std::vector<AblationRow> run_ablations(const tech::Technology& t);
+/// conventional baseline. `ota_run` is run_ota() under default options: its
+/// schematic, default-flow and conventional rows are reused, not rerun.
+std::vector<AblationRow> run_ablations(const tech::Technology& t,
+                                       const CircuitExperiment& ota_run);
 
 /// One process corner of the corner sweep: the OTA metrics of the
 /// "schematic", "conventional" and "this_work" realizations.
@@ -138,8 +142,10 @@ struct CornerRow {
   FlavorMetrics results;
 };
 
-/// The 5T OTA's layouts, made once at TT by the default flows, measured at
-/// TT, SS, FF, SF and FS (not a paper table); one row per corner.
-std::vector<CornerRow> run_corners(const tech::Technology& t);
+/// The 5T OTA's realizations from `ota_run` (run_ota() under default
+/// options, made at TT) measured at TT, SS, FF, SF and FS (not a paper
+/// table); one row per corner.
+std::vector<CornerRow> run_corners(const tech::Technology& t,
+                                   const CircuitExperiment& ota_run);
 
 }  // namespace olp::circuits

@@ -272,6 +272,12 @@ void build_bench(PrimitiveEvaluator::Bench& b,
   }
 }
 
+/// The bench's voltage source `name`, for changing its waveform or AC
+/// magnitude between analyses on a live simulator.
+spice::VSource& source(PrimitiveEvaluator::Bench& b, const char* name) {
+  return b.ckt.vsources()[static_cast<std::size_t>(b.ckt.find_vsource(name))];
+}
+
 /// Complex admittance looking into the `src`-driven node: Y = I(src)/V.
 std::complex<double> driven_admittance(const spice::Simulator& sim,
                                        const std::vector<double>& op_x,
@@ -344,27 +350,29 @@ MetricValues PrimitiveEvaluator::eval_diff_pair(
   MetricValues out;
   const bool has_gates = !cross;
 
+  // One bench and one simulator for all three testbenches: they share every
+  // element and DC value, and differ only in which source carries AC = 1
+  // and, during the offset secant, in vga's DC value.
+  Bench b;
+  build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
+  if (has_gates) {
+    b.ckt.add_vsource("vga", b.ext.at("ga"), spice::kGround,
+                      spice::Waveform::dc(port_v(bias_, "ga")), 1.0);
+    b.ckt.add_vsource("vgb", b.ext.at("gb"), spice::kGround,
+                      spice::Waveform::dc(port_v(bias_, "gb")));
+  }
+  b.ckt.add_vsource("vda", b.ext.at("da"), spice::kGround,
+                    spice::Waveform::dc(port_v(bias_, "da")),
+                    has_gates ? 0.0 : 1.0);
+  b.ckt.add_vsource("vdb", b.ext.at("db"), spice::kGround,
+                    spice::Waveform::dc(port_v(bias_, "db")));
+  attach_pair_tail(b, bias_);
+  bias_remaining_ports(b, bias_, layout.netlist,
+                       {"da", "db", "ga", "gb", "s", "sa", "sb"});
+  const spice::Simulator sim(b.ckt, diag_, budget_);
+
   // --- Testbench 1: Gm (paper Fig. 4 — AC at the gate, AC drain current).
   {
-    Bench b;
-    build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
-    const std::string ga = has_gates ? "ga" : "da";
-    const std::string gb = has_gates ? "gb" : "db";
-    if (has_gates) {
-      b.ckt.add_vsource("vga", b.ext.at("ga"), spice::kGround,
-                        spice::Waveform::dc(port_v(bias_, "ga")), 1.0);
-      b.ckt.add_vsource("vgb", b.ext.at("gb"), spice::kGround,
-                        spice::Waveform::dc(port_v(bias_, "gb")));
-    }
-    b.ckt.add_vsource("vda", b.ext.at("da"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "da")),
-                      has_gates ? 0.0 : 1.0);
-    b.ckt.add_vsource("vdb", b.ext.at("db"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "db")));
-    attach_pair_tail(b, bias_);
-    bias_remaining_ports(b, bias_, layout.netlist,
-                         {"da", "db", "ga", "gb", "s", "sa", "sb"});
-    spice::Simulator sim(b.ckt, diag_, budget_);
     const spice::OpResult op = sim.op();
     if (!op.converged) {
       OLP_WARN << "DP Gm testbench OP failed for "
@@ -379,33 +387,16 @@ MetricValues PrimitiveEvaluator::eval_diff_pair(
     out[MetricKind::kGm] =
         std::abs(sim.ac_vsource_current(r.solutions[0], meter));
     count_testbench();
-    (void)ga;
-    (void)gb;
   }
 
   // --- Testbench 2: total drain capacitance (drive the drain with AC).
-  double ctotal = 0.0;
+  if (has_gates) source(b, "vga").ac_mag = 0.0;
+  source(b, "vda").ac_mag = 1.0;
   {
-    Bench b;
-    build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
-    if (has_gates) {
-      b.ckt.add_vsource("vga", b.ext.at("ga"), spice::kGround,
-                        spice::Waveform::dc(port_v(bias_, "ga")));
-      b.ckt.add_vsource("vgb", b.ext.at("gb"), spice::kGround,
-                        spice::Waveform::dc(port_v(bias_, "gb")));
-    }
-    b.ckt.add_vsource("vda", b.ext.at("da"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "da")), 1.0);
-    b.ckt.add_vsource("vdb", b.ext.at("db"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "db")));
-    attach_pair_tail(b, bias_);
-    bias_remaining_ports(b, bias_, layout.netlist,
-                         {"da", "db", "ga", "gb", "s", "sa", "sb"});
-    spice::Simulator sim(b.ckt, diag_, budget_);
     const spice::OpResult op = sim.op();
     const std::complex<double> y =
         driven_admittance(sim, op.x, "vda", kCapFreq);
-    ctotal = y.imag() / (kTwoPi * kCapFreq);
+    const double ctotal = y.imag() / (kTwoPi * kCapFreq);
     out[MetricKind::kCout] = ctotal;
     if (out[MetricKind::kGm] > 0 && ctotal > 0) {
       out[MetricKind::kGmOverCtotal] = out[MetricKind::kGm] / ctotal;
@@ -417,30 +408,12 @@ MetricValues PrimitiveEvaluator::eval_diff_pair(
 
   // --- Testbench 3: systematic input offset (DC null by secant iteration).
   if (has_gates) {
-    Bench b;
-    build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
-    const spice::NodeId ga = b.ext.at("ga");
-    const spice::NodeId gb = b.ext.at("gb");
-    b.ckt.add_vsource("vga", ga, spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "ga")));
-    b.ckt.add_vsource("vgb", gb, spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "gb")));
-    b.ckt.add_vsource("vda", b.ext.at("da"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "da")));
-    b.ckt.add_vsource("vdb", b.ext.at("db"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "db")));
-    attach_pair_tail(b, bias_);
-    bias_remaining_ports(b, bias_, layout.netlist,
-                         {"da", "db", "ga", "gb", "s", "sa", "sb"});
-
-    const int ia = b.ckt.find_vsource("vga");
+    spice::VSource& vga = source(b, "vga");
     const double vcm = port_v(bias_, "ga");
-    // One simulator for every secant point: only vga's waveform changes,
-    // which a live simulator allows, and each op() orders and solves anew.
-    const spice::Simulator sim(b.ckt, diag_, budget_);
+    // Each secant point moves only vga's DC value, and each op() solves
+    // anew from a cold start.
     auto imbalance = [&](double dv) {
-      b.ckt.vsources()[static_cast<std::size_t>(ia)].wave =
-          spice::Waveform::dc(vcm + dv);
+      vga.wave = spice::Waveform::dc(vcm + dv);
       const spice::OpResult op = sim.op();
       return sim.vsource_current(op.x, "vda") -
              sim.vsource_current(op.x, "vdb");
@@ -560,8 +533,8 @@ MetricValues PrimitiveEvaluator::eval_common_source(
   // current from the circuit-level schematic simulation); servo the gate to
   // that current so the Gm measurement reflects wire/LDE effects at the
   // operating point rather than bias drift the surrounding mirrors absorb.
-  spice::Simulator sim(b.ckt, diag_, budget_);
-  const int vin_idx = b.ckt.find_vsource("vin");
+  const spice::Simulator sim(b.ckt, diag_, budget_);
+  spice::VSource& vin = source(b, "vin");
   double vg = port_v(bias_, "in");
   spice::OpResult op = sim.op();
   for (int it = 0; it < 8; ++it) {
@@ -572,8 +545,7 @@ MetricValues PrimitiveEvaluator::eval_common_source(
         sim.mos_operating_points(op.x);
     const double gm = std::max(ops.front().gm, 1e-6);
     vg += (bias_.bias_current - id) / gm;
-    b.ckt.vsources()[static_cast<std::size_t>(vin_idx)].wave =
-        spice::Waveform::dc(vg);
+    vin.wave = spice::Waveform::dc(vg);
     spice::OpOptions oo;
     oo.initial_guess = op.x;
     op = sim.op(oo);
@@ -586,79 +558,59 @@ MetricValues PrimitiveEvaluator::eval_common_source(
       std::fabs(sim.vsource_current(op.x, "vout"));
   count_testbench();
 
-  // Output admittance needs the input at AC ground; the Gm bench drives the
-  // input, so a second bench with the AC source moved to the output is used.
-  {
-    Bench b2;
-    build_bench(b2, layout, tech_, nmos_, pmos_, bias_, c);
-    b2.ckt.add_vsource("vs", b2.ext.at("s"), spice::kGround,
-                       spice::Waveform::dc(0.0));
-    b2.ckt.add_vsource("vin", b2.ext.at("in"), spice::kGround,
-                       spice::Waveform::dc(vg));  // servoed bias point
-    b2.ckt.add_vsource("vout", b2.ext.at("out"), spice::kGround,
-                       spice::Waveform::dc(port_v(bias_, "out")), 1.0);
-    spice::Simulator sim2(b2.ckt, diag_, budget_);
-    const spice::OpResult op2 = sim2.op();
-    const std::complex<double> y2 =
-        driven_admittance(sim2, op2.x, "vout", kRoutFreq);
-    if (y2.real() > 0) out[MetricKind::kRout] = 1.0 / y2.real();
-    const std::complex<double> yc =
-        driven_admittance(sim2, op2.x, "vout", kCapFreq);
-    out[MetricKind::kCout] = yc.imag() / (kTwoPi * kCapFreq);
-    count_testbench();
-  }
+  // Output admittance needs the input at AC ground: the same bench with vin
+  // at the servoed bias point (where the servo left it) and the AC source
+  // moved to the output, solved anew from a cold start.
+  vin.ac_mag = 0.0;
+  source(b, "vout").ac_mag = 1.0;
+  const spice::OpResult op2 = sim.op();
+  const std::complex<double> y2 =
+      driven_admittance(sim, op2.x, "vout", kRoutFreq);
+  if (y2.real() > 0) out[MetricKind::kRout] = 1.0 / y2.real();
+  const std::complex<double> yc =
+      driven_admittance(sim, op2.x, "vout", kCapFreq);
+  out[MetricKind::kCout] = yc.imag() / (kTwoPi * kCapFreq);
+  count_testbench();
   return out;
 }
 
 MetricValues PrimitiveEvaluator::eval_starved_inverter(
     const pcell::PrimitiveLayout& layout, const EvalCondition& c) const {
   MetricValues out;
+  Bench b;
+  build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
+  b.ckt.add_vsource("vdd", b.ext.at("vdd"), spice::kGround,
+                    spice::Waveform::dc(bias_.vdd));
+  b.ckt.add_vsource("vss", b.ext.at("vss"), spice::kGround,
+                    spice::Waveform::dc(0.0));
+  b.ckt.add_vsource("vbp", b.ext.at("vbp"), spice::kGround,
+                    spice::Waveform::dc(port_v(bias_, "vbp")));
+  b.ckt.add_vsource("vbn", b.ext.at("vbn"), spice::kGround,
+                    spice::Waveform::dc(port_v(bias_, "vbn")));
+  b.ckt.add_vsource("vin", b.ext.at("in"), spice::kGround,
+                    spice::Waveform::dc(0.5 * bias_.vdd), 1.0);
+  const spice::Simulator sim(b.ckt, diag_, budget_);
+  const spice::NodeId in = b.ext.at("in");
+  const spice::NodeId outn = b.ext.at("out");
 
   // --- Testbench 1: starved current + small-signal gain at mid-rail.
   {
-    Bench b;
-    build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
-    b.ckt.add_vsource("vdd", b.ext.at("vdd"), spice::kGround,
-                      spice::Waveform::dc(bias_.vdd));
-    b.ckt.add_vsource("vss", b.ext.at("vss"), spice::kGround,
-                      spice::Waveform::dc(0.0));
-    b.ckt.add_vsource("vbp", b.ext.at("vbp"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "vbp")));
-    b.ckt.add_vsource("vbn", b.ext.at("vbn"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "vbn")));
-    b.ckt.add_vsource("vin", b.ext.at("in"), spice::kGround,
-                      spice::Waveform::dc(0.5 * bias_.vdd), 1.0);
-    spice::Simulator sim(b.ckt, diag_, budget_);
     const spice::OpResult op = sim.op();
     out[MetricKind::kOutputCurrent] =
         std::fabs(sim.vsource_current(op.x, "vdd"));
     spice::AcOptions ac;
     ac.frequencies = {kRoutFreq};
     const spice::AcResult r = sim.ac(op.x, ac);
-    out[MetricKind::kGain] = std::abs(
-        sim.ac_voltage(r.solutions[0], b.ext.at("out")));
+    out[MetricKind::kGain] = std::abs(sim.ac_voltage(r.solutions[0], outn));
     count_testbench();
   }
 
   // --- Testbench 2: propagation delay (transient with an input pulse).
   {
-    Bench b;
-    build_bench(b, layout, tech_, nmos_, pmos_, bias_, c);
-    b.ckt.add_vsource("vdd", b.ext.at("vdd"), spice::kGround,
-                      spice::Waveform::dc(bias_.vdd));
-    b.ckt.add_vsource("vss", b.ext.at("vss"), spice::kGround,
-                      spice::Waveform::dc(0.0));
-    b.ckt.add_vsource("vbp", b.ext.at("vbp"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "vbp")));
-    b.ckt.add_vsource("vbn", b.ext.at("vbn"), spice::kGround,
-                      spice::Waveform::dc(port_v(bias_, "vbn")));
-    b.ckt.add_vsource(
-        "vin", b.ext.at("in"), spice::kGround,
-        spice::Waveform::pulse(0.0, bias_.vdd, 50e-12, 10e-12, 10e-12,
-                               2e-9, 4e-9));
-    spice::Simulator sim(b.ckt, diag_, budget_);
-    const spice::NodeId in = b.ext.at("in");
-    const spice::NodeId outn = b.ext.at("out");
+    spice::VSource& vin = source(b, "vin");
+    vin.wave = spice::Waveform::pulse(0.0, bias_.vdd, 50e-12, 10e-12, 10e-12,
+                                      2e-9, 4e-9);
+    vin.ac_mag = 0.0;
     const double mid = 0.5 * bias_.vdd;
     spice::TranOptions tr;
     tr.tstop = kDelayWindow;

@@ -7,7 +7,9 @@
 // once; every later matrix (Newton iteration, timestep, AC frequency) is
 // refactored numerically on the same order in preallocated workspaces. When a
 // pivot of the fixed order drops below the relative threshold, the next
-// factor() re-orders once on the current values.
+// factor() re-orders once on the current values. A first matrix bitwise equal
+// to one another SparseLu already ordered can adopt that factorization
+// instead (adopt()).
 
 #include <algorithm>
 #include <climits>
@@ -128,6 +130,29 @@ class SparseLu {
     return ordered_;
   }
 
+  /// This object's first factor() of a matrix bitwise equal to the one
+  /// `first` ordered on in its own first factor(), without ordering: takes
+  /// over `first`'s order, structure and values. `first` must still be in
+  /// its state right after that call (a refactor moves its values), so the
+  /// caller keeps a copy. Exact, because the ordering reads only the pattern
+  /// and the values, and the singular tolerance comes from the values.
+  /// Counts a factorization, not an ordering.
+  void adopt(const SparseLu& first) {
+    OLP_CHECK(first.pattern_ == pattern_ && first.ordered_ && !ordered_,
+              "adopt needs an ordered factorization on the same pattern");
+    ++factorizations_;
+    ordered_ = true;
+    prow_ = first.prow_;
+    pcol_ = first.pcol_;
+    ptr_ = first.ptr_;
+    diag_ = first.diag_;
+    col_ = first.col_;
+    val_ = first.val_;
+    slot_pos_ = first.slot_pos_;
+    w_.assign(first.w_.size(), T{});
+    y_.assign(first.y_.size(), T{});
+  }
+
   /// Solves A x = b with the last successful factorization; `x` is resized
   /// only when its size differs.
   void solve(const std::vector<T>& b, std::vector<T>& x) {
@@ -156,6 +181,9 @@ class SparseLu {
   /// Orderings forced by a failed pivot of an existing order (the first
   /// ordering is not a re-order).
   long reorders() const noexcept { return reorders_; }
+  /// Orderings computed: the first, every re-order, and each attempt on a
+  /// singular matrix. adopt() computes none.
+  long orderings() const noexcept { return orderings_; }
   /// Stored entries of L and U (pattern entries plus fill).
   int factor_nnz() const noexcept { return static_cast<int>(col_.size()); }
 
@@ -164,16 +192,20 @@ class SparseLu {
   /// the filled structure of the factors and their values. False when no
   /// acceptable pivot remains (singular).
   bool order(const std::vector<T>& a, double tol) {
+    ++orderings_;
     const int n = pattern_->size();
     const std::vector<int>& rp = pattern_->row_ptr();
     const std::vector<int>& pcols = pattern_->cols();
 
     // Active submatrix: a pool of entries linked per row and per column.
     // Entries of eliminated columns stay linked in their rows and are
-    // skipped; the counts and maxima cover live entries only.
+    // skipped; the counts and maxima cover live entries only. Each entry
+    // keeps |value|, set on every write, so the pivot scan and the row
+    // maxima never recompute it (a hypot for complex values).
     struct Entry {
       int row, col;
       T val;
+      double mag;  ///< |val|
       int next_in_row, next_in_col;
     };
     struct Line {
@@ -186,7 +218,7 @@ class SparseLu {
     pool.reserve(2 * pcols.size());
     std::vector<Line> rows(n), cols(n);
     auto insert = [&](int r, int c, T v) {
-      pool.push_back(Entry{r, c, v, rows[r].head, cols[c].head});
+      pool.push_back(Entry{r, c, v, std::abs(v), rows[r].head, cols[c].head});
       rows[r].head = cols[c].head = static_cast<int>(pool.size()) - 1;
       ++rows[r].count;
       ++cols[c].count;
@@ -203,7 +235,7 @@ class SparseLu {
     };
     auto refresh_max = [&](int r) {
       double m = 0.0;
-      for_row(r, [&](int e) { m = std::max(m, std::abs(pool[e].val)); });
+      for_row(r, [&](int e) { m = std::max(m, pool[e].mag); });
       rows[r].max = m;
     };
     for (int r = 0; r < n; ++r) refresh_max(r);
@@ -233,7 +265,7 @@ class SparseLu {
         if (rows[r].done || rows[r].max <= tol) continue;
         const long row_cost = rows[r].count - 1;
         for_row(r, [&](int e) {
-          const double mag = std::abs(pool[e].val);
+          const double mag = pool[e].mag;
           if (mag <= tol || mag < kPivotThreshold * rows[r].max) return;
           const long cost = row_cost * (cols[pool[e].col].count - 1);
           const double ratio = mag / rows[r].max;
@@ -269,6 +301,7 @@ class SparseLu {
           int& p = pos[pool[e].col];
           if (p < 0) p = insert(i, pool[e].col, T{});  // fill-in
           pool[p].val -= l * pool[e].val;
+          pool[p].mag = std::abs(pool[p].val);
         });
         for_row(i, [&](int e) { pos[pool[e].col] = -1; });
         refresh_max(i);
@@ -363,6 +396,7 @@ class SparseLu {
   bool ordered_ = false;
   long factorizations_ = 0;
   long reorders_ = 0;
+  long orderings_ = 0;
 
   std::vector<int> prow_, pcol_;  ///< original row / column of pivot k
   std::vector<int> ptr_;          ///< row k of the factors: [ptr_[k], ptr_[k+1])

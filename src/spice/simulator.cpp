@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <type_traits>
 
 #include "util/budget.hpp"
 #include "util/diag.hpp"
@@ -167,23 +169,37 @@ std::vector<Simulator::LinearCap> Simulator::gather_caps() const {
 
 /// One analysis call's solver state on the simulator's pattern: matrix
 /// values, rhs, solution and the sparse LU, plus the largest linearized KCL
-/// residual of its converged Newton solves. Local to the call, so concurrent
-/// analyses on one Simulator share nothing mutable. The destructor adds the
-/// call's totals to the obs registry, once per call on every exit path.
+/// residual of its converged Newton solves. Local to the call; the one thing
+/// an op() call's state shares is `first`, the simulator's remembered first
+/// factorization (null for ac() and tran), read and written under its mutex.
+/// The destructor adds the call's totals to the obs registry, once per call
+/// on every exit path.
 template <typename T>
 struct Simulator::System {
-  explicit System(const linalg::SparsePattern& p)
+  explicit System(const linalg::SparsePattern& p,
+                  FirstFactorization* first_ = nullptr)
       : pattern(p),
         a(static_cast<std::size_t>(p.nnz())),
         b(static_cast<std::size_t>(p.size())),
         x(static_cast<std::size_t>(p.size())),
-        lu(p) {}
+        lu(p),
+        first(first_) {}
 
   /// Factors `a` and solves into `x`; false when singular.
   bool solve() {
-    if (!lu.factor(a)) return false;
+    if (!factor()) return false;
     lu.solve(b, x);
     return true;
+  }
+
+  /// An op() call's first factor() goes through the remembered one.
+  bool factor() {
+    if constexpr (std::is_same_v<T, double>) {
+      if (first != nullptr && lu.factorizations() == 0) {
+        return first->factor(a, lu);
+      }
+    }
+    return lu.factor(a);
   }
 
   /// Linearized KCL residual of a converged Newton solve: A and b are the
@@ -200,6 +216,7 @@ struct Simulator::System {
   System& operator=(const System&) = delete;
   ~System() {
     obs::counter_add("sim.lu.factorizations", lu.factorizations());
+    obs::counter_add("sim.lu.orderings", lu.orderings());
     obs::counter_add("sim.lu.reorders", lu.reorders());
     if (kcl_checks > 0) obs::record("sim.kcl_residual_max", kcl_max);
   }
@@ -207,9 +224,28 @@ struct Simulator::System {
   const linalg::SparsePattern& pattern;
   std::vector<T> a, b, x;
   linalg::SparseLu<T> lu;
+  FirstFactorization* first;
   double kcl_max = 0.0;
   long kcl_checks = 0;
 };
+
+bool Simulator::FirstFactorization::factor(const std::vector<double>& a_new,
+                                           linalg::SparseLu<double>& lu_new) {
+  {
+    // memcmp, so -0.0 and +0.0 differ: adopting is exact only on equal bits.
+    const std::lock_guard<std::mutex> lock(mu);
+    if (lu && std::memcmp(a.data(), a_new.data(),
+                          a_new.size() * sizeof(double)) == 0) {
+      lu_new.adopt(*lu);
+      return true;
+    }
+  }
+  if (!lu_new.factor(a_new)) return false;
+  const std::lock_guard<std::mutex> lock(mu);
+  a = a_new;
+  lu = lu_new;
+  return true;
+}
 
 namespace {
 
@@ -381,7 +417,7 @@ OpResult Simulator::op(const OpOptions& options) const {
   obs::Span span("sim.op");
   obs::counter_add("sim.op");
   SimStats::global().op_count++;
-  System<double> sys(pattern_);
+  System<double> sys(pattern_, &first_);
   OpResult result = op_impl(options, sys);
   obs::record("sim.op.newton_iterations", result.iterations);
   if (!result.converged) obs::counter_add("sim.op.nonconverged");
@@ -510,6 +546,9 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   // The frequency-independent part, once per call: linear devices, the
   // MOSFETs' gm/gds, a tiny conductance to ground that keeps isolated
   // internal nodes solvable, and the AC sources (the solve leaves b intact).
+  // Each call orders on its first frequency: that matrix repeats an earlier
+  // call's only at the same bias and frequency, which no testbench asks for,
+  // so ac() neither adopts nor remembers a factorization.
   System<C> sys(pattern_);
   std::vector<C> a0(sys.a.size());
   stamp_linear(a0);
@@ -666,6 +705,10 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     return va - vb;
   };
 
+  // A transient's first matrix carries its step's companion conductances and
+  // is linearized at its t = 0 state, so it does not repeat an op()'s. It
+  // neither adopts nor replaces the remembered factorization, which the op()
+  // starting the next transient window then still matches.
   System<double> sys(pattern_);
 
   const double h = options.dt;

@@ -9,15 +9,18 @@
 // Every analysis stamps into one structural pattern built by the constructor
 // (see DESIGN.md §6k): each device knows its matrix slots, and each analysis
 // call orders a sparse LU once and refactors it numerically per Newton
-// iteration, timestep or frequency. The part of each system that does not
-// depend on the Newton iterate is stamped once per call, step or step size;
-// a Newton iteration copies it and adds only the MOSFETs, read from a device
-// table the constructor builds.
+// iteration, timestep or frequency. An op() call whose first matrix is
+// bitwise equal to the first matrix of the last op() call that ordered
+// adopts that factorization instead of ordering again. The part of each
+// system that does not depend on the Newton iterate is stamped once per
+// call, step or step size; a Newton iteration copies it and adds only the
+// MOSFETs, read from a device table the constructor builds.
 
 #include <array>
 #include <atomic>
 #include <complex>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -122,11 +125,13 @@ struct SimStats {
 /// What may change under a live simulator: only the independent sources'
 /// waveforms and AC magnitude/phase. Each analysis re-stamps them per call
 /// (op, ac) or per timestep (tran), so a changed source is seen by the next
-/// analysis; dc_sweep relies on this. Everything else must stay fixed while
-/// the simulator lives: the structure, the models and every device value.
-/// The constructor copies the capacitances (explicit and MOS-derived) and
-/// each MOSFET's terminals and folded model constants; to change a device,
-/// construct a new Simulator.
+/// analysis. dc_sweep relies on this, and so does the evaluator, whose
+/// testbenches of one evaluation share one bench and move the AC magnitudes
+/// or replace a waveform between analyses. Everything else must stay fixed
+/// while the simulator lives: the structure, the models and every device
+/// value. The constructor copies the capacitances (explicit and MOS-derived)
+/// and each MOSFET's terminals and folded model constants; to change a
+/// device, construct a new Simulator.
 class Simulator {
  public:
   /// `diagnostics` (optional, may be null) receives structured records for
@@ -210,6 +215,20 @@ class Simulator {
   template <typename T>
   struct System;
 
+  /// The first factorization of the last op() call that ordered: its
+  /// matrix and the LU right after that factor(). Empty until a call orders;
+  /// guarded by `mu` for analyses pooled on one simulator.
+  struct FirstFactorization {
+    /// The first factor() of an op() call: adopts the remembered
+    /// factorization into `lu` when `a` is bitwise equal to its matrix, and
+    /// otherwise orders and, when not singular, becomes the remembered one.
+    bool factor(const std::vector<double>& a, linalg::SparseLu<double>& lu);
+
+    std::mutex mu;
+    std::vector<double> a;
+    std::optional<linalg::SparseLu<double>> lu;
+  };
+
   int n_unknowns() const { return circuit_.unknown_count(); }
 
   /// One transient attempt with the given options (no retry ladder).
@@ -247,6 +266,9 @@ class Simulator {
   linalg::SparsePattern pattern_;
   Slots slots_;
   std::vector<MosEntry> mos_;
+  // Mutable: remembering a factorization changes what a later call computes,
+  // never what it returns.
+  mutable FirstFactorization first_;
   DiagnosticsSink* diag_ = nullptr;
   Budget* budget_ = nullptr;
 };

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Chaos smoke run: build the fault-injection tests, the netlist parser
 # tests (parse_netlist is the one parser of outside bytes; its suite fuzzes
-# it with mutated decks), the JSON layer tests, and the transient and
-# evaluator tests (TranOptions::stop_when is a callback holding references
-# into the caller's frame, copied into every attempt) under
+# it with mutated decks), the JSON layer tests, the transient and evaluator
+# tests (TranOptions::stop_when is a callback holding references into the
+# caller's frame, copied into every attempt; an evaluation's testbenches
+# share one bench and change its sources between analyses), and the solver
+# tests (the sparse LU ordering's linked entry pool, and a Simulator hands
+# its first factorization from one analysis call to the next) under
 # AddressSanitizer + UBSan and execute them.
 #
 # Usage: tests/run_chaos.sh [build-dir]
@@ -37,7 +40,8 @@ cmake -B "${build_dir}" -S "${src_dir}" \
   -DOLP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_chaos test_failure_injection test_parser test_util \
-  test_simulator_tran test_evaluator > /dev/null
+  test_simulator_tran test_evaluator test_linalg test_simulator_dc \
+  test_simulator_ac > /dev/null
 
 echo "== chaos tests (ASan+UBSan) =="
 "${build_dir}/tests/test_chaos"
@@ -50,4 +54,8 @@ echo "== util + JSON layer tests (ASan+UBSan) =="
 echo "== transient + evaluator tests (ASan+UBSan) =="
 "${build_dir}/tests/test_simulator_tran"
 "${build_dir}/tests/test_evaluator"
+echo "== sparse LU + DC/AC simulator tests (ASan+UBSan) =="
+"${build_dir}/tests/test_linalg"
+"${build_dir}/tests/test_simulator_dc"
+"${build_dir}/tests/test_simulator_ac"
 echo "chaos smoke run passed"

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # ThreadSanitizer smoke run: build the eval-cache and obs registry stress
-# binaries and the OTA flow example with -fsanitize=thread, run both
-# stresses, drive the example through the parallel + cached code path
-# (8 worker threads, eval cache on), then drive the batch example the same
-# way — concurrent jobs racing over the shared worker pool and cross-job
-# eval cache. TSan aborts the process on the first data race
+# binaries, the DC simulator tests and the OTA flow example with
+# -fsanitize=thread, run both stresses and the DC simulator tests (op()
+# calls pooled on one Simulator share its remembered first factorization),
+# drive the example through the parallel + cached code path (8 worker
+# threads, eval cache on), then drive the batch example the same way —
+# concurrent jobs racing over the shared worker pool and cross-job eval
+# cache. TSan aborts the process on the first data race
 # (-fno-sanitize-recover=all), so the assertions are simply:
 #
 #   - each sanitized run exits 0;
@@ -36,11 +38,11 @@ fi
 cmake -S "${src_dir}" -B "${build_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DOLP_SANITIZE=thread \
-  -DOLP_BUILD_TESTS=OFF \
+  -DOLP_BUILD_TESTS=ON \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build "${build_dir}" --target ota_layout_flow batch_flows \
-  eval_cache_stress obs_stress -j "$(nproc)" > /dev/null
+  eval_cache_stress obs_stress test_simulator_dc -j "$(nproc)" > /dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "${probe}" "${tmp}"' EXIT
@@ -49,8 +51,7 @@ out="${tmp}/stdout.txt"
 tsan_opts="halt_on_error=1"
 
 # The eval-cache stress: 8 readers against 2 writers on the same shard
-# mutexes. Built gtest-free precisely so it can run here (this tree has no
-# GTest).
+# mutexes.
 stress_out="${tmp}/stress_stdout.txt"
 TSAN_OPTIONS="${tsan_opts}" \
   "${build_dir}/eval_cache_stress" > "${stress_out}" 2>&1
@@ -75,6 +76,23 @@ if grep -q "ThreadSanitizer" "${obs_out}"; then
   cat "${obs_out}" >&2
   exit 1
 fi
+
+# The DC simulator tests: DcOp.PooledOpsOnOneSimulatorAgree runs op() from
+# 4 pool workers on one Simulator, racing the compare, adopt and replace of
+# its remembered first factorization.
+dc_out="${tmp}/dc_stdout.txt"
+if ! TSAN_OPTIONS="${tsan_opts}" \
+    "${build_dir}/tests/test_simulator_dc" > "${dc_out}" 2>&1; then
+  echo "tsan smoke: sanitized test_simulator_dc failed" >&2
+  cat "${dc_out}" >&2
+  exit 1
+fi
+if grep -q "ThreadSanitizer" "${dc_out}"; then
+  echo "tsan smoke: ThreadSanitizer reported a race in the simulator" >&2
+  cat "${dc_out}" >&2
+  exit 1
+fi
+echo "tsan smoke: sanitized test_simulator_dc passed"
 
 # A modest testbench budget keeps the (TSan-slowed) run bounded while still
 # exercising every stage; the budget path itself is part of what is raced:

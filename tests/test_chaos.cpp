@@ -97,7 +97,10 @@ TEST_P(ChaosWithBudget, FaultsComposeWithTightBudget) {
   // budget and a per-seed fuel limit: the flow must never crash, hang, or
   // produce an inconsistent report, across seeds. The fuel limit (50 plus
   // the seed mod 250) lands the trip at a different check for each seed;
-  // seed 1234's lies past the check where the testbench limit trips.
+  // seed 1234's lies past the check where the testbench limit trips. The
+  // 20% rates make faults fire before every trip: 6, 6, 6 and 12 of them on
+  // seeds 1, 7, 42 and 1234, at the op and NaN-metric sites (the OTA flow
+  // runs no transient, and every trip lands before routing).
   set_log_level(LogLevel::kOff);
   circuits::Ota5T ota(t());
   ASSERT_TRUE(ota.prepare());
@@ -109,10 +112,10 @@ TEST_P(ChaosWithBudget, FaultsComposeWithTightBudget) {
 
   FaultConfig config;
   config.seed = GetParam();
-  config.op_rate = 0.05;
-  config.tran_rate = 0.05;
-  config.route_rate = 0.05;
-  config.nan_metric_rate = 0.05;
+  config.op_rate = 0.2;
+  config.tran_rate = 0.2;
+  config.route_rate = 0.2;
+  config.nan_metric_rate = 0.2;
 
   circuits::FlowReport report;
   circuits::Realization real;
@@ -122,6 +125,22 @@ TEST_P(ChaosWithBudget, FaultsComposeWithTightBudget) {
                                            &report));
   }
   set_log_level(LogLevel::kWarn);
+  FaultInjector& inj = FaultInjector::global();
+
+  // Faults and the budget compose: faults fired at two or more sites before
+  // the trip, each with its one chaos diagnostic.
+  int sites_fired = 0;
+  for (FaultSite site :
+       {FaultSite::kOpNonConvergence, FaultSite::kTranNonConvergence,
+        FaultSite::kRouteFailure, FaultSite::kNanMetric}) {
+    EXPECT_EQ(chaos_count(report.diagnostics, site),
+              static_cast<std::size_t>(inj.fired(site)))
+        << fault_site_name(site);
+    if (inj.fired(site) > 0) ++sites_fired;
+  }
+  EXPECT_GE(sites_fired, 2);
+  EXPECT_GE(inj.total_fired(), 4);
+  EXPECT_TRUE(report.budget.exhausted);
 
   // Structurally complete realization regardless of what fired.
   for (const circuits::InstanceSpec& inst : ota.instances()) {

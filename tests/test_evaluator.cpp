@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "circuits/common.hpp"
 #include "core/evaluator.hpp"
 #include "pcell/generator.hpp"
@@ -296,6 +299,96 @@ TEST(Evaluator, StatsCountTestbenches) {
   (void)eval.evaluate(lay, {});
   // DP runs three testbenches: Gm, drain capacitance, offset (Table V).
   EXPECT_EQ(eval.stats().testbenches, 3);
+}
+
+/// FNV-1a hash of the kinds and value bits of metric sets.
+class MetricHash {
+ public:
+  void add(const MetricValues& values) {
+    for (const auto& [kind, value] : values) {
+      word(static_cast<std::uint64_t>(kind));
+      std::uint64_t bits;
+      std::memcpy(&bits, &value, sizeof bits);
+      word(bits);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (w >> (8 * i)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Every family's testbenches, pinned bit for bit: one hash per library
+// primitive over its metrics at the first and last enumerated configuration
+// of 48 fins per device, each in schematic mode, extracted, with three
+// parallel wires on every tuning terminal, and with a (12.5 ohm, 3 fF) wire
+// on every port. The goldens were recorded from the evaluator that built a
+// new bench and simulator per testbench; sharing them within an evaluation
+// must move no bit.
+TEST(Evaluator, MatchesParentBitForBit) {
+  using spice::MosType;
+  using Golden = std::pair<pcell::PrimitiveNetlist, std::uint64_t>;
+  const std::vector<Golden> goldens = {
+      {pcell::make_diff_pair(), 0x74d2f9e72277ae12ULL},
+      {pcell::make_current_mirror(), 0x7f26fee9f2cdb4cfULL},
+      {pcell::make_current_mirror(4), 0x36a671fc70c55a30ULL},
+      {pcell::make_cascode_current_mirror(), 0x11ce737c5162d662ULL},
+      {pcell::make_cascode_current_mirror(2), 0x57a66b834dabc766ULL},
+      {pcell::make_cascode_diff_pair(), 0xf88e5d80b9fd4a58ULL},
+      {pcell::make_active_current_mirror(), 0x7e9a559da230c3f2ULL},
+      {pcell::make_current_source(), 0x223d95310be4d491ULL},
+      {pcell::make_current_source(MosType::kPmos), 0x17c8ac4385d0ee6cULL},
+      {pcell::make_common_source(), 0x47443c4987758234ULL},
+      {pcell::make_current_starved_inverter(), 0x8602986992d89143ULL},
+      {pcell::make_cross_coupled_pair(), 0xf4e54bb006497a10ULL},
+      {pcell::make_cross_coupled_pair(MosType::kPmos), 0x3de4ae096761abebULL},
+      {pcell::make_latch_pair(), 0xb2a50d5d53d6d9d1ULL},
+      {pcell::make_latch_pair(MosType::kPmos), 0x425dcd984f51df74ULL},
+      {pcell::make_switch(), 0xa26d1852f565a5d2ULL},
+      {pcell::make_switch(MosType::kPmos), 0xf7385b3fc973af50ULL},
+  };
+  BiasContext bias;
+  bias.vdd = t().vdd;
+  bias.bias_current = 200e-6;
+  bias.port_voltage = {{"ga", 0.5},  {"gb", 0.5},  {"da", 0.5},
+                       {"db", 0.5},  {"sa", 0.1},  {"sb", 0.1},
+                       {"in", 0.45}, {"out", 0.4}, {"bias", 0.45},
+                       {"vcasc", 0.7}, {"vbn", 0.4}, {"vbp", t().vdd - 0.4},
+                       {"a", 0.4},   {"b", 0.0}};
+  bias.port_load_cap = {{"da", 20e-15}, {"db", 20e-15}, {"out", 4e-15}};
+  const PrimitiveEvaluator eval = make_eval(bias);
+  const pcell::PrimitiveGenerator gen(t());
+  const std::vector<pcell::LayoutConfig> configs =
+      pcell::PrimitiveGenerator::enumerate_configs(48);
+  ASSERT_GE(configs.size(), 2u);
+  for (const auto& [netlist, golden] : goldens) {
+    EvalCondition ideal;
+    ideal.ideal = true;
+    EvalCondition tuned;
+    for (const std::string& net :
+         metric_library(netlist.type).tuning_terminals) {
+      tuned.tuning[net] = 3;
+    }
+    EvalCondition wired;
+    for (const std::string& port : netlist.ports) {
+      wired.port_wires[port] = extract::WireRc{12.5, 3e-15};
+    }
+    MetricHash hash;
+    for (const pcell::LayoutConfig& cfg : {configs.front(), configs.back()}) {
+      const pcell::PrimitiveLayout lay = gen.generate(netlist, cfg);
+      for (const EvalCondition& c : {ideal, EvalCondition{}, tuned, wired}) {
+        hash.add(eval.evaluate(lay, c));
+      }
+    }
+    EXPECT_EQ(hash.value(), golden)
+        << netlist.name << " " << std::hex << hash.value();
+  }
 }
 
 TEST(Evaluator, MomCapMetrics) {

@@ -197,7 +197,8 @@ TEST(AblationsExperiment, AblationClaims) {
   // The ablation table's claims: Algorithm 2 carries the win, primitive
   // tuning and the bin count move the OTA by under 1%.
   set_log_level(LogLevel::kError);
-  const std::vector<AblationRow> rows = run_ablations(t());
+  const std::vector<AblationRow> rows =
+      run_ablations(t(), run_ota(t(), {}, /*with_manual=*/false));
   std::vector<std::string> labels;
   std::map<std::string, std::map<std::string, double>> m;
   for (const AblationRow& row : rows) {
@@ -235,7 +236,8 @@ TEST(CornersExperiment, ThisWorkBeatsConventionalAtEveryCorner) {
   // The wire-sizing decisions taken at TT keep this work ahead of the
   // conventional layout on UGF and current at every process corner.
   set_log_level(LogLevel::kError);
-  const std::vector<CornerRow> rows = run_corners(t());
+  const std::vector<CornerRow> rows =
+      run_corners(t(), run_ota(t(), {}, /*with_manual=*/false));
   std::set<std::string> corners;
   for (const CornerRow& row : rows) {
     corners.insert(corner_name(row.corner));

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "circuits/common.hpp"
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
+#include "util/obs.hpp"
 
 namespace olp::spice {
 namespace {
@@ -122,6 +125,47 @@ TEST(Ac, MosfetGmStage) {
   const AcResult r = sim.ac(op.x, ac);
   EXPECT_NEAR(std::abs(sim.ac_vsource_current(r.solutions[0], "vd")), gm,
               1e-3 * gm);
+}
+
+/// Sparse LU orderings computed by one ac() call at `freqs`, and its result.
+long ac_orderings(const Simulator& sim, const std::vector<double>& op_x,
+                  std::vector<double> freqs, AcResult& result) {
+  obs::ScopedObservability scope;
+  AcOptions ac;
+  ac.frequencies = std::move(freqs);
+  result = sim.ac(op_x, ac);
+  return obs::Registry::global().counter("sim.lu.orderings");
+}
+
+bool same_bits(const AcResult& a, const AcResult& b) {
+  if (a.solutions.size() != b.solutions.size()) return false;
+  for (std::size_t k = 0; k < a.solutions.size(); ++k) {
+    const auto& x = a.solutions[k];
+    const auto& y = b.solutions[k];
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// An ac() call orders once, on its first frequency, and refactors on the
+// rest; it remembers no factorization, so a repeated call orders again.
+// Earlier calls on the simulator leave a call's bits as a fresh one's.
+TEST(Ac, EachCallOrdersOnce) {
+  const Circuit c = rc_lowpass();
+  const Simulator sim(c);
+  const OpResult op = sim.op();
+  ASSERT_TRUE(op.converged);
+  AcResult first, again, sweep;
+  EXPECT_EQ(ac_orderings(sim, op.x, {100e6}, first), 1);
+  EXPECT_EQ(ac_orderings(sim, op.x, {100e6}, again), 1);
+  EXPECT_TRUE(same_bits(first, again));
+  EXPECT_EQ(ac_orderings(sim, op.x, {1e6, 1e8, 1e9}, sweep), 1);
+  AcResult fresh;
+  (void)ac_orderings(Simulator(c), op.x, {1e6, 1e8, 1e9}, fresh);
+  EXPECT_TRUE(same_bits(sweep, fresh));
 }
 
 TEST(Ac, VcvsGainIsFrequencyIndependent) {

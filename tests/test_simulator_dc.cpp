@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "circuits/common.hpp"
 #include "spice/parser.hpp"
 #include "spice/simulator.hpp"
+#include "util/obs.hpp"
+#include "util/task_pool.hpp"
 
 namespace olp::spice {
 namespace {
@@ -274,6 +278,93 @@ TEST(DcOp, MosfetTableIsCheckedAtConstruction) {
   EXPECT_THROW(Simulator{c}, InvalidArgumentError);
   c.mosfets()[0].g = d;
   EXPECT_TRUE(Simulator(c).op().converged);
+}
+
+/// A V-biased NMOS: vg and vd drive its gate and drain.
+Circuit biased_nmos() {
+  Circuit c;
+  const int nm = c.add_model(circuits::default_nmos());
+  const NodeId g = c.node("g");
+  const NodeId d = c.node("d");
+  c.add_vsource("vg", g, kGround, Waveform::dc(0.5));
+  c.add_vsource("vd", d, kGround, Waveform::dc(0.4));
+  c.add_resistor("rd", d, kGround, 10e3);
+  Mosfet m;
+  m.name = "m1";
+  m.d = d;
+  m.g = g;
+  m.s = kGround;
+  m.b = kGround;
+  m.model = nm;
+  m.w = 2e-6;
+  m.l = 14e-9;
+  c.add_mosfet(m);
+  return c;
+}
+
+/// Sparse LU orderings computed while `run` executes.
+template <typename F>
+long orderings_during(F&& run) {
+  obs::ScopedObservability scope;
+  run();
+  return obs::Registry::global().counter("sim.lu.orderings");
+}
+
+bool same_bits(const OpResult& a, const OpResult& b) {
+  return a.converged == b.converged && a.iterations == b.iterations &&
+         a.x.size() == b.x.size() &&
+         std::memcmp(a.x.data(), b.x.data(), a.x.size() * sizeof(double)) == 0;
+}
+
+// A source value enters the rhs, not the matrix, so a second cold-start
+// op() with only vg changed starts from the same first matrix: it adopts the
+// remembered factorization, orders nothing, and returns a fresh simulator's
+// bits.
+TEST(DcOp, ColdStartAdoptsTheFirstFactorization) {
+  Circuit c = biased_nmos();
+  const Simulator sim(c);
+  OpResult first;
+  EXPECT_EQ(orderings_during([&] { first = sim.op(); }), 1);
+  ASSERT_TRUE(first.converged);
+  c.vsources()[static_cast<std::size_t>(c.find_vsource("vg"))].wave =
+      Waveform::dc(0.55);
+  OpResult second;
+  EXPECT_EQ(orderings_during([&] { second = sim.op(); }), 0);
+  EXPECT_TRUE(same_bits(second, Simulator(c).op()));
+  EXPECT_FALSE(same_bits(second, first));
+}
+
+// A different gmin floor moves the first matrix's diagonal: no adoption.
+TEST(DcOp, DifferentGminOrdersAnew) {
+  const Circuit c = biased_nmos();
+  const Simulator sim(c);
+  (void)sim.op();
+  OpOptions options;
+  options.gmin_floor = 1e-10;
+  OpResult op;
+  EXPECT_EQ(orderings_during([&] { op = sim.op(options); }), 1);
+  EXPECT_TRUE(same_bits(op, Simulator(c).op(options)));
+}
+
+// Pooled op() calls on one simulator, alternating two gmin floors so that
+// calls keep replacing the remembered factorization while others compare
+// with it and adopt it, all return a lone call's bits. Its mutex is what
+// keeps them apart; tsan_smoke runs this under ThreadSanitizer.
+TEST(DcOp, PooledOpsOnOneSimulatorAgree) {
+  const Circuit c = biased_nmos();
+  OpOptions other;
+  other.gmin_floor = 1e-10;
+  const OpResult expected[2] = {Simulator(c).op(), Simulator(c).op(other)};
+  const Simulator sim(c);
+  std::vector<OpResult> results(256);
+  TaskPool pool(4);
+  pool.parallel_for(results.size(), [&](std::size_t i) {
+    results[i] = i % 2 == 0 ? sim.op() : sim.op(other);
+    return true;
+  });
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(same_bits(results[i], expected[i % 2])) << i;
+  }
 }
 
 TEST(SimStats, CountsOpRuns) {
