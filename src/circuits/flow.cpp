@@ -152,6 +152,73 @@ void report_unrouted_nets(DiagnosticsSink& sink,
   }
 }
 
+/// The placer's view of a set of chosen layouts (one block per instance, in
+/// instance order, and one net per routed net with two or more placed pins)
+/// and the placement annealed on it.
+struct Floorplan {
+  std::vector<place::Block> blocks;
+  std::vector<place::PlacementNet> nets;
+  place::PlacementResult placement;
+};
+
+/// Builds the floorplan of `layouts` and anneals it with `popt`, under the
+/// "placement" span. `sink` receives the placer's diagnostics. The option
+/// choice scores its trial floorplans on this alone; place_and_route goes on
+/// to route the final one.
+Floorplan place_layouts(
+    const std::vector<InstanceSpec>& instances,
+    const std::map<std::string, const pcell::PrimitiveLayout*>& layouts,
+    const std::vector<std::string>& routed_nets,
+    const place::PlacerOptions& popt, DiagnosticsSink& sink) {
+  obs::Span placement_span("placement");
+  Floorplan fp;
+  std::vector<geom::Rect> block_bbox;  ///< per block, in instance order
+  std::map<std::string, int> block_index;
+  for (const InstanceSpec& inst : instances) {
+    const pcell::PrimitiveLayout* layout = layouts.at(inst.name);
+    OLP_CHECK(!layout->footprint_only,
+              "placement got the footprint of " + inst.name);
+    block_bbox.push_back(layout->geometry.bounding_box());
+    place::Block b;
+    b.name = inst.name;
+    b.width = geom::to_meters(block_bbox.back().width());
+    b.height = geom::to_meters(block_bbox.back().height());
+    block_index[inst.name] = static_cast<int>(fp.blocks.size());
+    fp.blocks.push_back(b);
+  }
+  for (const std::string& net : routed_nets) {
+    place::PlacementNet pn;
+    pn.name = net;
+    for (std::size_t b = 0; b < instances.size(); ++b) {
+      const InstanceSpec& inst = instances[b];
+      for (const auto& [port, inet] : inst.port_nets) {
+        if (inet != net) continue;
+        const pcell::PrimitiveLayout* layout = layouts.at(inst.name);
+        place::PlacementNet::PinRef ref;
+        ref.block = block_index.at(inst.name);
+        if (layout->geometry.has_pin(port)) {
+          const geom::Pin& pin = layout->geometry.pin(port);
+          const geom::Rect& bb = block_bbox[b];
+          ref.dx = geom::to_meters(pin.rect.center().x - bb.x_lo);
+          ref.dy = geom::to_meters(pin.rect.center().y - bb.y_lo);
+        }
+        pn.pins.push_back(ref);
+      }
+    }
+    if (pn.pins.size() >= 2) fp.nets.push_back(pn);
+  }
+
+  fp.placement = place::AnnealingPlacer(popt).place(fp.blocks, fp.nets, {});
+  obs::counter_add("placer.runs");
+  obs::record("placer.hpwl_um", fp.placement.hpwl * 1e6);
+  if (!fp.placement.legal) {
+    obs::counter_add("placer.illegal_results");
+    sink.report(DiagSeverity::kWarning, "placer", "placement",
+                "annealing result has residual overlaps (legal=false)");
+  }
+  return fp;
+}
+
 /// Root span name per mode ("flow." + flow_mode_name, as static storage —
 /// obs::Span keeps only the pointer).
 const char* flow_span_name(FlowMode mode) {
@@ -249,73 +316,24 @@ void FlowEngine::place_and_route(
     const std::vector<InstanceSpec>& instances,
     const std::map<std::string, const pcell::PrimitiveLayout*>& layouts,
     const std::vector<std::string>& routed_nets, FlowReport& report,
-    DiagnosticsSink* diag, const std::string& artifact_prefix, Budget* budget,
-    BudgetObserver* budget_obs) const {
-  obs::Span placement_span("placement");
-  // Blocks and placement nets.
-  std::vector<place::Block> blocks;
-  std::vector<geom::Rect> block_bbox;  ///< per block, in instance order
-  std::map<std::string, int> block_index;
-  for (const InstanceSpec& inst : instances) {
-    const pcell::PrimitiveLayout* layout = layouts.at(inst.name);
-    OLP_CHECK(!layout->footprint_only,
-              "place_and_route got the footprint of " + inst.name);
-    block_bbox.push_back(layout->geometry.bounding_box());
-    place::Block b;
-    b.name = inst.name;
-    b.width = geom::to_meters(block_bbox.back().width());
-    b.height = geom::to_meters(block_bbox.back().height());
-    block_index[inst.name] = static_cast<int>(blocks.size());
-    blocks.push_back(b);
-    report.placed_instances.push_back(inst.name);
-  }
-  std::vector<place::PlacementNet> pnets;
-  for (const std::string& net : routed_nets) {
-    place::PlacementNet pn;
-    pn.name = net;
-    for (std::size_t b = 0; b < instances.size(); ++b) {
-      const InstanceSpec& inst = instances[b];
-      for (const auto& [port, inet] : inst.port_nets) {
-        if (inet != net) continue;
-        const pcell::PrimitiveLayout* layout = layouts.at(inst.name);
-        place::PlacementNet::PinRef ref;
-        ref.block = block_index.at(inst.name);
-        if (layout->geometry.has_pin(port)) {
-          const geom::Pin& pin = layout->geometry.pin(port);
-          const geom::Rect& bb = block_bbox[b];
-          ref.dx = geom::to_meters(pin.rect.center().x - bb.x_lo);
-          ref.dy = geom::to_meters(pin.rect.center().y - bb.y_lo);
-        }
-        pn.pins.push_back(ref);
-      }
-    }
-    if (pn.pins.size() >= 2) pnets.push_back(pn);
-  }
-
+    DiagnosticsSink& sink, const std::string& artifact_prefix, Budget& budget,
+    BudgetObserver& budget_obs) const {
   place::PlacerOptions popt;
   popt.iterations = options_.placer_iterations;
   popt.seed = options_.seed;
-  popt.budget = budget;
-  const place::AnnealingPlacer placer(popt);
-  report.placement = placer.place(blocks, pnets, {});
-  obs::counter_add("placer.runs");
-  obs::record("placer.hpwl_um", report.placement.hpwl * 1e6);
-  if (!report.placement.legal) {
-    obs::counter_add("placer.illegal_results");
-    if (diag != nullptr) {
-      diag->report(DiagSeverity::kWarning, "placer", "placement",
-                   "annealing result has residual overlaps (legal=false)");
-    }
+  popt.budget = &budget;
+  const Floorplan fp =
+      place_layouts(instances, layouts, routed_nets, popt, sink);
+  for (const place::Block& b : fp.blocks) {
+    report.placed_instances.push_back(b.name);
   }
-  placement_span.close();
-  if (budget != nullptr && budget_obs != nullptr && diag != nullptr) {
-    budget_checkpoint(*budget, *budget_obs, *diag, "placement",
-                      "budget.checks.placement");
-  }
-  if (!options_.trace_artifacts_dir.empty() && !artifact_prefix.empty()) {
+  report.placement = fp.placement;
+  budget_checkpoint(budget, budget_obs, sink, "placement",
+                    "budget.checks.placement");
+  if (!options_.trace_artifacts_dir.empty()) {
     write_stage_artifact(tech_, options_.trace_artifacts_dir,
                          artifact_prefix + "_placement.svg", instances,
-                         layouts, report, /*with_routes=*/false, diag);
+                         layouts, report, /*with_routes=*/false, &sink);
   }
 
   // Global routing.
@@ -324,15 +342,15 @@ void FlowEngine::place_and_route(
       0, 0, geom::to_nm(report.placement.width),
       geom::to_nm(report.placement.height)};
   route::GlobalRouter router(tech_, region);
-  router.set_diagnostics(diag);
-  router.set_budget(budget);
+  router.set_diagnostics(&sink);
+  router.set_budget(&budget);
   // Nets route one at a time in placement-net order. The budget is checked
   // before each net: once it trips, the remaining nets come back
   // routed=false with only their name set and degrade downstream, while the
   // nets routed before the trip are kept.
-  for (const place::PlacementNet& pn : pnets) {
+  for (const place::PlacementNet& pn : fp.nets) {
     route::NetRoute nr;
-    if (budget != nullptr && budget->check()) {
+    if (budget.check()) {
       nr.net = pn.name;
     } else {
       std::vector<geom::Point> pins;
@@ -340,7 +358,8 @@ void FlowEngine::place_and_route(
       for (const place::PlacementNet::PinRef& ref : pn.pins) {
         const place::PlacedBlock& pb =
             report.placement.blocks[static_cast<std::size_t>(ref.block)];
-        const place::Block& blk = blocks[static_cast<std::size_t>(ref.block)];
+        const place::Block& blk =
+            fp.blocks[static_cast<std::size_t>(ref.block)];
         const double dx = pb.mirrored ? blk.width - ref.dx : ref.dx;
         pins.push_back(geom::Point{geom::to_nm(pb.x + dx),
                                    geom::to_nm(pb.y + ref.dy)});
@@ -353,14 +372,12 @@ void FlowEngine::place_and_route(
     report.routes[pn.name] = std::move(nr);
   }
   routing_span.close();
-  if (budget != nullptr && budget_obs != nullptr && diag != nullptr) {
-    budget_checkpoint(*budget, *budget_obs, *diag, "routing",
-                      "budget.checks.routing");
-  }
-  if (!options_.trace_artifacts_dir.empty() && !artifact_prefix.empty()) {
+  budget_checkpoint(budget, budget_obs, sink, "routing",
+                    "budget.checks.routing");
+  if (!options_.trace_artifacts_dir.empty()) {
     write_stage_artifact(tech_, options_.trace_artifacts_dir,
                          artifact_prefix + "_routed.svg", instances, layouts,
-                         report, /*with_routes=*/true, diag);
+                         report, /*with_routes=*/true, &sink);
   }
 }
 
@@ -424,6 +441,10 @@ Realization FlowEngine::run_optimize(
     // Pre-seed with the all-first-options combination so a budget trip
     // before the first trial still yields a complete choice.
     best_combo = combo;
+    place::PlacerOptions trial_popt;
+    trial_popt.iterations = options_.combo_place_iterations;
+    trial_popt.seed = options_.seed;
+    trial_popt.budget = &budget;
     bool done = false;
     while (!done) {
       // Budget-bounded trials: keep the best combination tried so far.
@@ -438,24 +459,17 @@ Realization FlowEngine::run_optimize(
         layouts[inst.name] = &cand.layout;
         cost_sum += cand.cost.total;
       }
-      FlowReport trial;
-      FlowOptions quick = options_;
-      quick.placer_iterations = options_.combo_place_iterations;
-      // Quick trials never write stage artifacts (they would overwrite the
-      // real run's snapshots dozens of times).
-      quick.trace_artifacts_dir.clear();
-      FlowEngine quick_engine(tech_, quick);
       obs::counter_add("flow.combo_trials");
-      // The trial report is discarded, but its diagnostics must not be:
-      // sharing the sink keeps the per-fault accounting exact. The budget is
-      // shared too (trials consume real work), but without a budget observer
-      // — stage checkpoints belong to the main run only.
-      quick_engine.place_and_route(instances, layouts, routed_nets, trial,
-                                   &sink, std::string(), &budget);
-      const double area = trial.placement.width * trial.placement.height;
+      // The score reads the placement alone, so a trial is only placed:
+      // never routed, and it writes no stage artifact. It reports into the
+      // run's sink and anneals on the run's budget, but stage checkpoints
+      // belong to the main run only.
+      const place::PlacementResult trial =
+          place_layouts(instances, layouts, routed_nets, trial_popt, sink)
+              .placement;
+      const double area = trial.width * trial.height;
       const double metric =
-          cost_sum * (1.0 + 0.2 * trial.placement.hpwl / 1e-6) +
-          area / 1e-12 * 0.01;
+          cost_sum * (1.0 + 0.2 * trial.hpwl / 1e-6) + area / 1e-12 * 0.01;
       if (metric < best_metric) {
         best_metric = metric;
         best_combo = combo;
@@ -489,8 +503,8 @@ Realization FlowEngine::run_optimize(
   }
 
   // --- Step C: placement + global routing of the chosen options.
-  place_and_route(instances, layouts, routed_nets, report, &sink, "optimize",
-                  &budget, &budget_obs);
+  place_and_route(instances, layouts, routed_nets, report, sink, "optimize",
+                  budget, budget_obs);
   report_unrouted_nets(sink, routed_nets, report);
 
   // --- Step D: primitive port optimization (Algorithm 2).
@@ -623,8 +637,8 @@ Realization FlowEngine::run_conventional(
   for (const InstanceSpec& inst : instances) {
     layouts[inst.name] = &real.layouts.at(inst.name);
   }
-  place_and_route(instances, layouts, routed_nets, report, &sink,
-                  "conventional", &budget, &budget_obs);
+  place_and_route(instances, layouts, routed_nets, report, sink,
+                  "conventional", budget, budget_obs);
   report_unrouted_nets(sink, routed_nets, report);
   // Conventional routing uses the PDK's default analog route width (two
   // tracks) everywhere -- fixed, never optimized per net.
@@ -704,8 +718,8 @@ Realization FlowEngine::run_manual_oracle(
   for (const InstanceSpec& inst : instances) {
     layouts[inst.name] = &chosen.at(inst.name).layout;
   }
-  place_and_route(instances, layouts, routed_nets, report, &sink,
-                  "manual_oracle", &budget, &budget_obs);
+  place_and_route(instances, layouts, routed_nets, report, sink,
+                  "manual_oracle", budget, budget_obs);
   report_unrouted_nets(sink, routed_nets, report);
 
   // Exhaustive per-net wire count by total primitive cost.

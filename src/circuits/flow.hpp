@@ -177,21 +177,20 @@ class FlowEngine {
                                 Budget& budget,
                                 BudgetObserver& budget_obs) const;
 
-  /// Places the chosen layouts and globally routes the given nets. `diag`
-  /// (may be null) receives placer/router diagnostics. `artifact_prefix`
-  /// names the per-stage SVG snapshots when FlowOptions::trace_artifacts_dir
-  /// is set (empty = no artifacts, used by the quick combo trials). `budget`
-  /// (may be null) bounds annealing iterations and per-net routing;
-  /// `budget_obs` (may be null, null in combo trials) receives the
+  /// Places the chosen layouts at FlowOptions::placer_iterations and
+  /// globally routes the given nets: the final floorplan of every mode (the
+  /// option choice's trial floorplans are only placed). `sink` receives
+  /// placer/router diagnostics. `artifact_prefix` names the per-stage SVG
+  /// snapshots when FlowOptions::trace_artifacts_dir is set. `budget` bounds
+  /// annealing iterations and per-net routing; `budget_obs` receives the
   /// placement/routing stage-boundary budget telemetry and stage-attributed
   /// exhaustion diagnostics.
   void place_and_route(
       const std::vector<InstanceSpec>& instances,
       const std::map<std::string, const pcell::PrimitiveLayout*>& layouts,
       const std::vector<std::string>& routed_nets, FlowReport& report,
-      DiagnosticsSink* diag = nullptr,
-      const std::string& artifact_prefix = std::string(),
-      Budget* budget = nullptr, BudgetObserver* budget_obs = nullptr) const;
+      DiagnosticsSink& sink, const std::string& artifact_prefix,
+      Budget& budget, BudgetObserver& budget_obs) const;
 
   /// The pool parallel stages run on: FlowOptions::pool when set, else a
   /// lazily built engine-local pool; null when num_threads == 1 so the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "util/budget.hpp"
@@ -148,6 +149,75 @@ void snap_symmetry(const std::vector<Block>& blocks,
   }
 }
 
+/// The costs of recently scored annealing states. A state is its sequence
+/// pair and mirror flags, packed into 16-bit words: both sequences, then the
+/// flags as bits. The cache is direct-mapped: an FNV-1a hash of those words
+/// picks one of a fixed number of slots, and each slot holds one full state
+/// and its cost. A lookup compares the whole state, so a hit returns exactly
+/// the cost evaluate() would compute again (a pure function of the state),
+/// and a miss overwrites the slot. The memory is sized once, when the cache
+/// is built, and never grows with the iterations.
+class StateCosts {
+ public:
+  /// Most blocks a 16-bit word can index, with 0xFFFF left to mark an empty
+  /// slot: no sequence entry of a legal state equals it.
+  static constexpr std::size_t kMaxBlocks = 0xFFFF;
+
+  explicit StateCosts(std::size_t n)
+      : n_(n),
+        words_(2 * n + (n + 15) / 16),
+        probe_(words_),
+        keys_(kSlots * words_, kEmpty),
+        costs_(kSlots) {}
+
+  /// Makes (pos, neg, mirrored) the probe state. True, with `cost` set, when
+  /// its slot holds that state.
+  bool find(const std::vector<int>& pos, const std::vector<int>& neg,
+            const std::vector<bool>& mirrored, double& cost) {
+    std::fill(probe_.begin() + static_cast<std::ptrdiff_t>(2 * n_),
+              probe_.end(), std::uint16_t{0});
+    for (std::size_t i = 0; i < n_; ++i) {
+      probe_[i] = static_cast<std::uint16_t>(pos[i]);
+      probe_[n_ + i] = static_cast<std::uint16_t>(neg[i]);
+      if (mirrored[i]) {
+        probe_[2 * n_ + i / 16] |= static_cast<std::uint16_t>(1U << (i % 16));
+      }
+    }
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint16_t w : probe_) {
+      h = (h ^ (w & 0xffU)) * 0x100000001b3ULL;
+      h = (h ^ (w >> 8)) * 0x100000001b3ULL;
+    }
+    // Fold the high half in: FNV-1a's low bits alone mix the small words of
+    // a state poorly.
+    slot_ = static_cast<std::size_t>((h ^ (h >> 32)) & (kSlots - 1));
+    if (!std::equal(probe_.begin(), probe_.end(), slot_key())) return false;
+    cost = costs_[slot_];
+    return true;
+  }
+
+  /// Stores `cost` for the last probe state, evicting its slot's state.
+  void store(double cost) {
+    std::copy(probe_.begin(), probe_.end(), slot_key());
+    costs_[slot_] = cost;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 1024;
+  static constexpr std::uint16_t kEmpty = 0xFFFF;
+
+  std::vector<std::uint16_t>::iterator slot_key() {
+    return keys_.begin() + static_cast<std::ptrdiff_t>(slot_ * words_);
+  }
+
+  std::size_t n_;
+  std::size_t words_;                 ///< words per state
+  std::vector<std::uint16_t> probe_;  ///< the state last looked up
+  std::vector<std::uint16_t> keys_;   ///< kSlots states of words_ words
+  std::vector<double> costs_;         ///< per slot
+  std::size_t slot_ = 0;              ///< the probe state's slot
+};
+
 /// One candidate annealing move, fully described by values drawn from the
 /// RNG stream. Every move is its own inverse: applying it twice restores
 /// the sequence pair and the mirror flags.
@@ -235,6 +305,7 @@ PlacementResult AnnealingPlacer::place(
   }
 
   const std::size_t n = blocks.size();
+  OLP_CHECK(n <= StateCosts::kMaxBlocks, "too many blocks to place");
   Rng rng(options_.seed);
   std::vector<int> pos(n), neg(n);
   std::iota(pos.begin(), pos.end(), 0);
@@ -242,44 +313,66 @@ PlacementResult AnnealingPlacer::place(
   std::vector<bool> mirrored(n, false);
 
   // Every move is applied in place and, when rejected, applied again to
-  // undo it; candidates are scored into `cand`, whose storage is reused.
+  // undo it. The anneal tracks costs only: a state's cost comes from the
+  // cache of recently scored states or, on a miss, from evaluate() into
+  // `cand`. The best state is kept as its sequence pair and mirror flags and
+  // packed once more after the loop.
   SequenceIndex index(n);
-  Candidate current;
-  current.placed.resize(n);
-  evaluate(blocks, nets, symmetry, pos, neg, mirrored, options_, index,
-           current);
-  Candidate best = current;
-  Candidate cand = current;
+  Candidate cand;
+  cand.placed.resize(n);
+  StateCosts scored(n);
+  const auto cost_of_state = [&] {
+    double cost = 0.0;
+    if (!scored.find(pos, neg, mirrored, cost)) {
+      evaluate(blocks, nets, symmetry, pos, neg, mirrored, options_, index,
+               cand);
+      cost = cand.cost;
+      scored.store(cost);
+    }
+    return cost;
+  };
+  double current = cost_of_state();
+  double best = current;
+  std::vector<int> best_pos = pos;
+  std::vector<int> best_neg = neg;
+  std::vector<bool> best_mirrored = mirrored;
 
-  double temp = options_.initial_temp *
-                std::max(current.cost, 1e-18);
+  double temp = options_.initial_temp * std::max(current, 1e-18);
   for (int it = 0; it < options_.iterations; ++it) {
     // Budget-bounded annealing: stop early with the best placement so far
-    // (the initial packing was evaluated before the loop, so `best` is
-    // always a complete, packable candidate).
+    // (the initial packing was scored before the loop, so the best state is
+    // always a complete, packable one).
     if (options_.budget != nullptr && options_.budget->check()) break;
     const Move move = draw_move(rng, n);
     apply_move(move, pos, neg, mirrored);
-    evaluate(blocks, nets, symmetry, pos, neg, mirrored, options_, index,
-             cand);
-    const double delta = cand.cost - current.cost;
+    const double cost = cost_of_state();
+    const double delta = cost - current;
     if (delta <= 0 ||
         rng.uniform() < std::exp(-delta / std::max(temp, 1e-30))) {
-      std::swap(current, cand);
-      if (current.cost < best.cost) best = current;
+      current = cost;
+      if (current < best) {
+        best = current;
+        best_pos = pos;
+        best_neg = neg;
+        best_mirrored = mirrored;
+      }
     } else {
       apply_move(move, pos, neg, mirrored);
     }
     temp *= options_.cooling;
   }
+  // The best state packed again: evaluate() is a pure function of the
+  // state, so this is the candidate the anneal scored.
+  evaluate(blocks, nets, symmetry, best_pos, best_neg, best_mirrored,
+           options_, index, cand);
 
   PlacementResult result;
-  result.blocks = best.placed;
+  result.blocks = cand.placed;
   snap_symmetry(blocks, symmetry, result.blocks);
   result.legal = !overlaps(blocks, result.blocks);
   if (!result.legal) {
     // Fall back to the unsnapped (guaranteed legal) packing.
-    result.blocks = best.placed;
+    result.blocks = cand.placed;
     result.legal = !overlaps(blocks, result.blocks);
   }
   result.width = 0.0;
@@ -290,7 +383,7 @@ PlacementResult AnnealingPlacer::place(
         std::max(result.height, result.blocks[b].y + blocks[b].height);
   }
   result.hpwl = compute_hpwl(blocks, nets, result.blocks);
-  result.cost = best.cost;
+  result.cost = cand.cost;
   return result;
 }
 

@@ -6,8 +6,10 @@
 // Blocks are primitive-layout abstracts. The annealer explores sequence
 // pairs (plus per-block mirroring), evaluates packed coordinates by the
 // standard longest-path computation, and scores area + wirelength + symmetry
-// deviation. Symmetry pairs are finally snapped exactly (equal y, mirrored
-// about the group axis), with a legality check on the snapped result.
+// deviation. A state it revisits is often still in a fixed-size cache of
+// recently scored states, keyed on the full state, and is not packed again.
+// Symmetry pairs are finally snapped exactly (equal y, mirrored about the
+// group axis), with a legality check on the snapped result.
 
 #include <cstdint>
 #include <string>

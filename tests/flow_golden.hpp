@@ -16,10 +16,16 @@
 // reporters interleave records in nondeterministic order, but the same set
 // of records must always be produced. The span path is excluded from the
 // tuple for the same reason.
+//
+// flow_result_hash() folds the same fields, with the same exclusions, into
+// one 64-bit FNV-1a value, so a committed hash can pin a flow's decisions
+// across commits where expect_same_flow_result() compares two runs of one
+// build.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -193,6 +199,151 @@ inline void expect_same_flow_result(const circuits::FlowReport& got,
     expect_bits(got_real.net_wires.at(net).capacitance, wrc.capacitance,
                 net + ".c");
   }
+}
+
+/// 64-bit FNV-1a over the fields expect_same_flow_result() compares:
+/// integers and double bit patterns fed little-endian and strings with their
+/// length, so the value is the same on any host.
+class FlowHash {
+ public:
+  void add(const circuits::FlowReport& report,
+           const circuits::Realization& real) {
+    u64(report.options.size());
+    for (const auto& [name, opts] : report.options) {
+      str(name);
+      u64(opts.size());
+      for (const core::LayoutCandidate& c : opts) {
+        str(c.layout.config.to_string());
+        tuning(c.tuning);
+        u64(c.values.size());
+        for (const auto& [kind, value] : c.values) {
+          u64(static_cast<std::uint64_t>(kind));
+          f64(value);
+        }
+        f64(c.cost.total);
+        u64(c.cost.terms.size());
+        for (const auto& term : c.cost.terms) f64(term.deviation);
+        u64(static_cast<std::uint64_t>(c.bin));
+        u64(c.quarantined ? 1 : 0);
+      }
+    }
+    u64(report.chosen_option.size());
+    for (const auto& [name, index] : report.chosen_option) {
+      str(name);
+      u64(static_cast<std::uint64_t>(index));
+    }
+
+    u64(report.placed_instances.size());
+    for (const std::string& name : report.placed_instances) str(name);
+    u64(report.placement.blocks.size());
+    for (const place::PlacedBlock& b : report.placement.blocks) {
+      f64(b.x);
+      f64(b.y);
+      u64(b.mirrored ? 1 : 0);
+    }
+    f64(report.placement.width);
+    f64(report.placement.height);
+    f64(report.placement.hpwl);
+    u64(report.placement.legal ? 1 : 0);
+    u64(report.routes.size());
+    for (const auto& [net, r] : report.routes) {
+      str(net);
+      str(r.net);
+      u64(r.routed ? 1 : 0);
+      u64(static_cast<std::uint64_t>(r.vias));
+      u64(r.segments.size());
+      for (const route::RouteSegment& seg : r.segments) {
+        u64(static_cast<std::uint64_t>(seg.layer));
+        for (const geom::Point& pt : {seg.a, seg.b}) {
+          u64(static_cast<std::uint64_t>(pt.x));
+          u64(static_cast<std::uint64_t>(pt.y));
+        }
+      }
+    }
+
+    u64(report.constraints.size());
+    for (const core::PortConstraint& c : report.constraints) {
+      str(c.instance);
+      str(c.circuit_net);
+      u64(static_cast<std::uint64_t>(c.interval.lo));
+      u64(c.interval.hi ? 1 : 0);
+      u64(static_cast<std::uint64_t>(c.interval.hi.value_or(0)));
+      u64(c.cost_curve.size());
+      for (const double v : c.cost_curve) f64(v);
+    }
+    u64(report.decisions.size());
+    for (const core::NetWireDecision& d : report.decisions) {
+      str(d.circuit_net);
+      u64(static_cast<std::uint64_t>(d.parallel_routes));
+      u64(d.from_overlap ? 1 : 0);
+    }
+
+    u64(report.degraded ? 1 : 0);
+    u64(report.budget.exhausted ? 1 : 0);
+    u64(static_cast<std::uint64_t>(report.budget.tripped));
+    const auto diags = diag_multiset(report.diagnostics);
+    u64(diags.size());
+    for (const auto& [severity, stage, subject, message] : diags) {
+      u64(static_cast<std::uint64_t>(severity));
+      str(stage);
+      str(subject);
+      str(message);
+    }
+
+    u64(real.layouts.size());
+    for (const auto& [name, layout] : real.layouts) {
+      str(name);
+      str(layout.config.to_string());
+    }
+    u64(real.tunings.size());
+    for (const auto& [name, t] : real.tunings) {
+      str(name);
+      tuning(t);
+    }
+    u64(real.net_wires.size());
+    for (const auto& [net, rc] : real.net_wires) {
+      str(net);
+      f64(rc.resistance);
+      f64(rc.capacitance);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void u64(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (w >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void f64(double v) {
+    std::uint64_t w;
+    std::memcpy(&w, &v, sizeof w);
+    u64(w);
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void tuning(const extract::TuningMap& t) {
+    u64(t.size());
+    for (const auto& [net, wires] : t) {
+      str(net);
+      u64(static_cast<std::uint64_t>(wires));
+    }
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+inline std::uint64_t flow_result_hash(const circuits::FlowReport& report,
+                                      const circuits::Realization& real) {
+  FlowHash hash;
+  hash.add(report, real);
+  return hash.value();
 }
 
 }  // namespace olp

@@ -4,10 +4,11 @@
 # it with mutated decks), the JSON layer tests, the transient and evaluator
 # tests (TranOptions::stop_when is a callback holding references into the
 # caller's frame, copied into every attempt; an evaluation's testbenches
-# share one bench and change its sources between analyses), and the solver
+# share one bench and change its sources between analyses), the solver
 # tests (the sparse LU ordering's linked entry pool, and a Simulator hands
-# its first factorization from one analysis call to the next) under
-# AddressSanitizer + UBSan and execute them.
+# its first factorization from one analysis call to the next), and the
+# placer tests (the annealer's cache of scored states: slot arithmetic, key
+# copies and compares) under AddressSanitizer + UBSan and execute them.
 #
 # Usage: tests/run_chaos.sh [build-dir]
 # The build directory defaults to build-chaos-asan next to the source tree.
@@ -41,7 +42,7 @@ cmake -B "${build_dir}" -S "${src_dir}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_chaos test_failure_injection test_parser test_util \
   test_simulator_tran test_evaluator test_linalg test_simulator_dc \
-  test_simulator_ac > /dev/null
+  test_simulator_ac test_place > /dev/null
 
 echo "== chaos tests (ASan+UBSan) =="
 "${build_dir}/tests/test_chaos"
@@ -58,4 +59,6 @@ echo "== sparse LU + DC/AC simulator tests (ASan+UBSan) =="
 "${build_dir}/tests/test_linalg"
 "${build_dir}/tests/test_simulator_dc"
 "${build_dir}/tests/test_simulator_ac"
+echo "== placer tests (ASan+UBSan) =="
+"${build_dir}/tests/test_place"
 echo "chaos smoke run passed"

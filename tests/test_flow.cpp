@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "circuits/flow.hpp"
 #include "circuits/ota5t.hpp"
+#include "circuits/strongarm.hpp"
+#include "circuits/vco.hpp"
+#include "flow_golden.hpp"
 #include "util/logging.hpp"
+#include "util/obs.hpp"
 
 namespace olp::circuits {
 namespace {
@@ -149,6 +155,99 @@ TEST(FlowEngine, ManualOracleAtLeastAsGoodAsFlowOnCost) {
   // with manual layout").
   EXPECT_NEAR(m_man.at("ugf_ghz"), m_opt.at("ugf_ghz"),
               0.3 * m_opt.at("ugf_ghz"));
+}
+
+TEST(FlowEngine, TrialFloorplansArePlacedNotRouted) {
+  // The option choice scores each trial floorplan on its placement alone, so
+  // only the final floorplan is routed, and a trial spends one budget check
+  // on itself and one per annealing iteration.
+  set_log_level(LogLevel::kError);
+  Ota5T ota(t());
+  ASSERT_TRUE(ota.prepare());
+  ASSERT_EQ(ota.routed_nets().size(), 3u);
+  obs::ScopedObservability scoped;
+  const FlowOptions opt;
+  FlowReport report;
+  FlowEngine(t(), opt).run(FlowMode::kOptimize, ota.instances(),
+                           ota.routed_nets(), &report);
+  const obs::Snapshot& snap = report.telemetry.snapshot;
+  const long trials = snap.counter("flow.combo_trials");
+  EXPECT_GT(trials, 1);
+  EXPECT_EQ(snap.counter("placer.runs"), trials + 1);
+  EXPECT_EQ(snap.counter("router.nets"), 3);
+  EXPECT_EQ(report.routes.size(), 3u);
+  EXPECT_EQ(snap.counter("budget.checks.combo"),
+            trials * (1 + opt.combo_place_iterations));
+}
+
+// Every decision of the OTA, StrongARM and RO-VCO flows, optimize and
+// conventional, at placer seeds 1, 7 and 1003: one hash per flow over the
+// fields expect_same_flow_result() compares (testbench and budget counts
+// excluded). The hashes were recorded from the flow whose option choice
+// placed and routed a trial floorplan per combination, with an annealer that
+// scored every visited state afresh.
+TEST(Flow, MatchesParentBitForBit) {
+  set_log_level(LogLevel::kError);
+  Ota5T ota(t());
+  StrongArmComparator strongarm(t());
+  RoVco vco(t());
+  ASSERT_TRUE(ota.prepare());
+  ASSERT_TRUE(strongarm.prepare());
+  ASSERT_TRUE(vco.prepare());
+  struct Circuit {
+    const char* name;
+    const std::vector<InstanceSpec>& instances;
+    std::vector<std::string> routed_nets;
+  };
+  const Circuit circuits[] = {
+      {"ota", ota.instances(), ota.routed_nets()},
+      {"strongarm", strongarm.instances(), strongarm.routed_nets()},
+      {"vco", vco.instances(), vco.routed_nets()},
+  };
+  struct Golden {
+    const char* circuit;
+    FlowMode mode;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {"ota", FlowMode::kOptimize, 1, 0x1314e35c86188c7cULL},
+      {"ota", FlowMode::kOptimize, 7, 0x73c983803f8bcd0dULL},
+      {"ota", FlowMode::kOptimize, 1003, 0x1314e35c86188c7cULL},
+      {"ota", FlowMode::kConventional, 1, 0xdcf73ebc0e99ffbfULL},
+      {"ota", FlowMode::kConventional, 7, 0xdcf73ebc0e99ffbfULL},
+      {"ota", FlowMode::kConventional, 1003, 0x6540d0f626ff31eeULL},
+      {"strongarm", FlowMode::kOptimize, 1, 0x45876d3b3954b037ULL},
+      {"strongarm", FlowMode::kOptimize, 7, 0x8fcebe94adf27441ULL},
+      {"strongarm", FlowMode::kOptimize, 1003, 0xb3a45ce9969f7ca2ULL},
+      {"strongarm", FlowMode::kConventional, 1, 0x68525f4a1546ede6ULL},
+      {"strongarm", FlowMode::kConventional, 7, 0x36f548a027675f99ULL},
+      {"strongarm", FlowMode::kConventional, 1003, 0xaf099106307cf463ULL},
+      {"vco", FlowMode::kOptimize, 1, 0xef174f1ae794030dULL},
+      {"vco", FlowMode::kOptimize, 7, 0x8dc079dcf4890b31ULL},
+      {"vco", FlowMode::kOptimize, 1003, 0xef174f1ae794030dULL},
+      {"vco", FlowMode::kConventional, 1, 0x3fc9ba424159fec3ULL},
+      {"vco", FlowMode::kConventional, 7, 0xc5b0059bef38eb68ULL},
+      {"vco", FlowMode::kConventional, 1003, 0xc5b0059bef38eb68ULL},
+  };
+  for (const Golden& g : goldens) {
+    const std::string what = std::string(g.circuit) + " " +
+                             flow_mode_name(g.mode) + " seed " +
+                             std::to_string(g.seed);
+    SCOPED_TRACE(what);
+    const Circuit* c = nullptr;
+    for (const Circuit& candidate : circuits) {
+      if (std::string(candidate.name) == g.circuit) c = &candidate;
+    }
+    ASSERT_NE(c, nullptr);
+    FlowOptions opt;
+    opt.seed = g.seed;
+    FlowReport report;
+    const Realization real = FlowEngine(t(), opt).run(
+        g.mode, c->instances, c->routed_nets, &report);
+    const std::uint64_t h = flow_result_hash(report, real);
+    EXPECT_EQ(h, g.hash) << std::hex << "0x" << h;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "place/placer.hpp"
+#include "util/budget.hpp"
 #include "util/rng.hpp"
 
 namespace olp::place {
@@ -212,20 +213,21 @@ struct GoldenInstance {
   PlacerOptions options;
 };
 
-/// Instance k: 5-10 blocks, one symmetry pair of equal blocks, one 2-4-pin
-/// net per block, 1,500 iterations.
-GoldenInstance golden_instance(int k) {
-  Rng rng(static_cast<std::uint64_t>(700 + k));
-  const int n = 5 + k % 6;
+/// n random blocks and one 2-4-pin net per block, drawn from `rng_seed`;
+/// with `symmetric`, blocks 0 and 1 are equal and form a symmetry pair.
+GoldenInstance random_instance(std::uint64_t rng_seed, int n, bool symmetric) {
+  Rng rng(rng_seed);
   GoldenInstance in;
   for (int i = 0; i < n; ++i) {
     const double w = rng.uniform(0.5e-6, 4e-6);
     const double h = rng.uniform(0.5e-6, 4e-6);
     in.blocks.push_back(Block{"b" + std::to_string(i), w, h});
   }
-  in.blocks[1].width = in.blocks[0].width;
-  in.blocks[1].height = in.blocks[0].height;
-  in.symmetry = {SymmetryPair{0, 1}};
+  if (symmetric) {
+    in.blocks[1].width = in.blocks[0].width;
+    in.blocks[1].height = in.blocks[0].height;
+    in.symmetry = {SymmetryPair{0, 1}};
+  }
   for (int j = 0; j < n; ++j) {
     PlacementNet net;
     net.name = "n" + std::to_string(j);
@@ -240,6 +242,14 @@ GoldenInstance golden_instance(int k) {
     }
     in.nets.push_back(net);
   }
+  return in;
+}
+
+/// Instance k: 5-10 blocks, one symmetry pair of equal blocks, one 2-4-pin
+/// net per block, 1,500 iterations.
+GoldenInstance golden_instance(int k) {
+  GoldenInstance in =
+      random_instance(static_cast<std::uint64_t>(700 + k), 5 + k % 6, true);
   in.options.iterations = 1500;
   in.options.seed = static_cast<std::uint64_t>(k + 1);
   return in;
@@ -374,6 +384,71 @@ TEST(Placer, MatchesParentBitForBit) {
       EXPECT_EQ(bits(r.blocks[b].y), bits(g.blocks[b].y)) << "block " << b;
       EXPECT_EQ(r.blocks[b].mirrored, g.blocks[b].mirrored) << "block " << b;
     }
+  }
+}
+
+/// FNV-1a over every bit of a placement result, fed little-endian.
+std::uint64_t result_hash(const PlacementResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto word = [&h](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const double v : {r.width, r.height, r.hpwl, r.cost}) word(bits(v));
+  word(r.legal ? 1 : 0);
+  word(r.blocks.size());
+  for (const PlacedBlock& b : r.blocks) {
+    word(bits(b.x));
+    word(bits(b.y));
+    word(b.mirrored ? 1 : 0);
+  }
+  return h;
+}
+
+// The annealer at the sizes the flows place: the OTA's 3 blocks, the
+// StrongARM's 8, the VCO's 2, without a symmetry pair, at the combo trials'
+// 1,500 iterations and the final placement's 8,000; 16 blocks, where states
+// rarely repeat and cache slots are overwritten; and an anneal whose fuel
+// budget trips at iteration 400, where its best state differs from the one
+// found at 200 or at 800. One hash per instance over every result bit,
+// recorded from the annealer that scored every visited state afresh.
+TEST(Placer, FlowSizedAnnealsMatchParentBitForBit) {
+  struct Golden {
+    int blocks;
+    int iterations;
+    long max_checks;  ///< fuel limit; -1 = unbudgeted
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {2, 1500, -1, 0x81743d2068f5c311ULL},
+      {2, 8000, -1, 0x81743d2068f5c311ULL},
+      {3, 1500, -1, 0xcd2c1486132986a4ULL},
+      {3, 8000, -1, 0xcd2c1486132986a4ULL},
+      {8, 1500, -1, 0x103bf4110182634dULL},
+      {8, 8000, -1, 0x6805b31272c6ad4dULL},
+      {16, 1500, -1, 0xeffd517e3ea6276eULL},
+      {16, 8000, -1, 0xed7bd32a19ec6512ULL},
+      {8, 8000, 400, 0xf5c7e07a618b89b1ULL},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::to_string(g.blocks) + " blocks, " +
+                 std::to_string(g.iterations) + " iterations, fuel " +
+                 std::to_string(g.max_checks));
+    GoldenInstance in = random_instance(
+        static_cast<std::uint64_t>(900 + g.blocks), g.blocks, false);
+    in.options.iterations = g.iterations;
+    in.options.seed = static_cast<std::uint64_t>(g.blocks + g.iterations);
+    BudgetOptions limits;
+    limits.max_checks = g.max_checks;
+    Budget budget(limits);
+    in.options.budget = &budget;
+    const PlacementResult r =
+        AnnealingPlacer(in.options).place(in.blocks, in.nets, in.symmetry);
+    EXPECT_EQ(budget.exhausted(), g.max_checks >= 0);
+    const std::uint64_t h = result_hash(r);
+    EXPECT_EQ(h, g.hash) << std::hex << "0x" << h;
   }
 }
 
