@@ -120,6 +120,10 @@ spice::Circuit make_dp_testbench(const tech::Technology& t) {
   return ckt;
 }
 
+// One Simulator for every iteration: after the first, each op() finds its
+// first matrix bitwise equal to the remembered one and adopts that
+// factorization, so this times the adopting path (a compare, a copy and the
+// Newton refactors). BM_OperatingPointOrdering times the ordering path.
 void BM_OperatingPoint(benchmark::State& state) {
   const tech::Technology t = tech::make_default_finfet_tech();
   const spice::Circuit ckt = make_dp_testbench(t);
@@ -130,6 +134,20 @@ void BM_OperatingPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OperatingPoint);
+
+// A fresh Simulator per iteration, so every op() orders its first matrix:
+// the path each evaluation's first testbench pays. Includes the Simulator's
+// construction.
+void BM_OperatingPointOrdering(benchmark::State& state) {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  const spice::Circuit ckt = make_dp_testbench(t);
+  for (auto _ : state) {
+    const spice::Simulator sim(ckt);
+    const spice::OpResult op = sim.op();
+    benchmark::DoNotOptimize(op.x.data());
+  }
+}
+BENCHMARK(BM_OperatingPointOrdering);
 
 void BM_AcSweep(benchmark::State& state) {
   const tech::Technology t = tech::make_default_finfet_tech();

@@ -63,8 +63,7 @@ int main() {
 
   std::cout << report.summary_table() << "\n";
   std::cout << "cache: " << report.cache_hits << " hits / "
-            << report.cache_misses << " misses across "
-            << report.cache_scopes << " scope(s); " << report.cross_job_hits
+            << report.cache_misses << " misses; " << report.cross_job_hits
             << " testbenches saved by cross-job sharing\n";
   if (report.telemetry.enabled) {
     std::cout << "\n" << obs::summary_table(report.telemetry);

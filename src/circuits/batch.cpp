@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <map>
-#include <utility>
 
 #include "util/budget.hpp"
 #include "util/jsonl.hpp"
@@ -106,7 +104,6 @@ std::string BatchReport::to_jsonl() const {
   out += ",\"cache_misses\":" + std::to_string(cache_misses);
   out += ",\"cache_entries\":" + std::to_string(cache_entries);
   out += ",\"cross_job_hits\":" + std::to_string(cross_job_hits);
-  out += ",\"cache_scopes\":" + std::to_string(cache_scopes);
   out += "}}\n";
   return out;
 }
@@ -118,7 +115,7 @@ void BatchReport::write_jsonl(const std::string& path) const {
 namespace {
 
 /// Executes ONE FlowJob with the batch plumbing overrides (shared pool,
-/// pooled telemetry, optional shared scope cache with client id `client`)
+/// pooled telemetry, optional shared batch cache with client id `client`)
 /// and per-job isolation: a throwing job is recorded as JobStatus::kFailed
 /// with its message, never rethrown. Fills everything but queued_s.
 JobResult run_job(const FlowJob& job, const tech::Technology& technology,
@@ -127,12 +124,10 @@ JobResult run_job(const FlowJob& job, const tech::Technology& technology,
   result.name = job.name.empty() ? "job" + std::to_string(client) : job.name;
   result.mode = job.mode;
   const MonotonicStopwatch job_watch;
-  const tech::Technology& jt =
-      job.technology != nullptr ? *job.technology : technology;
 
   FlowOptions jopt = job.options;
   // Plumbing overrides: every parallel stage runs on the shared pool,
-  // telemetry is pooled by the caller, and the scope cache (when provided)
+  // telemetry is pooled by the caller, and the batch cache (when provided)
   // replaces any per-job cache setting. budget_limits pass through
   // untouched and the job's run builds its own Budget from them — that's
   // the per-job isolation.
@@ -144,7 +139,7 @@ JobResult run_job(const FlowJob& job, const tech::Technology& technology,
     jopt.cache_client = client;
   }
   try {
-    const FlowEngine engine(jt, jopt);
+    const FlowEngine engine(technology, jopt);
     result.realization =
         engine.run(job.mode, job.instances, job.routed_nets, &result.report);
     result.status = result.report.degraded ? JobStatus::kDegraded
@@ -179,21 +174,10 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
   obs::Registry::global().rebase();
   obs::Span root("batch.run");
 
-  // One shared cache per evaluation scope (technology + model cards). Jobs
-  // in different scopes must not share entries — the evaluation key does not
-  // cover the technology — so each scope gets its own cache. Resolved up
-  // front, serially, so the map is read-only while jobs run.
-  std::map<std::string, core::EvalCache> caches;
-  std::vector<core::EvalCache*> cache_of(jobs.size(), nullptr);
-  if (options_.share_cache) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const tech::Technology& jt =
-          jobs[i].technology != nullptr ? *jobs[i].technology : tech_;
-      const std::string scope =
-          core::EvalCache::scope_key(jt, default_nmos(), default_pmos());
-      cache_of[i] = &caches.try_emplace(scope).first->second;
-    }
-  }
+  // One cache for the whole batch: every job runs on the runner's
+  // technology, so every job's evaluations are interchangeable.
+  core::EvalCache cache;
+  core::EvalCache* shared = options_.share_cache ? &cache : nullptr;
 
   // Oversubscription guard: resolve_num_threads(0) is one thread per
   // hardware core — the most workers that can ever help on this machine.
@@ -205,7 +189,7 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
   pool.parallel_for(jobs.size(), [&](std::size_t i) {
     const double queued_s = watch.seconds();
     report.jobs[i] =
-        run_job(jobs[i], tech_, &pool, cache_of[i], static_cast<int>(i));
+        run_job(jobs[i], tech_, &pool, shared, static_cast<int>(i));
     report.jobs[i].queued_s = queued_s;
     return true;  // one job's failure never stops the batch
   });
@@ -213,14 +197,11 @@ BatchReport BatchRunner::run(const std::vector<FlowJob>& jobs) const {
   for (const JobResult& j : report.jobs) {
     report.total_testbenches += j.report.testbenches;
   }
-  report.cache_scopes = caches.size();
-  for (const auto& [scope, cache] : caches) {
-    const core::EvalCacheStats s = cache.stats();
-    report.cache_hits += s.hits;
-    report.cache_misses += s.misses;
-    report.cache_entries += s.entries;
-    report.cross_job_hits += s.cross_client_hits;
-  }
+  const core::EvalCacheStats s = cache.stats();
+  report.cache_hits = s.hits;
+  report.cache_misses = s.misses;
+  report.cache_entries = s.entries;
+  report.cross_job_hits = s.cross_client_hits;
   if (obs::enabled()) {
     obs::counter_add("batch.cross_job_hits", report.cross_job_hits);
   }

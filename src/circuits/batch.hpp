@@ -8,14 +8,12 @@
 // fairness), and every parallel stage inside every job runs on the same
 // fixed worker set — worker count bounds the whole batch, not each job.
 //
-// Cross-job cache sharing: evaluation results are memoized in caches keyed
-// by core::EvalCache::scope_key(technology, nmos, pmos) — one cache per
-// distinct technology/model-card combination, so only jobs whose
-// evaluations are interchangeable ever share (sharing across scopes would
-// be unsound: the cache key does not cover the technology). Each job
-// presents its index as the cache client id; hits on entries another job
-// inserted are tallied as cross-job hits — testbenches the batch saved
-// versus running every job alone.
+// Cross-job cache sharing: evaluation results are memoized in ONE cache
+// per batch, shared by every job. Sharing is sound because every job runs on
+// the runner's technology, the one input of an evaluation that the cache key
+// does not cover. Each job presents its index as the cache client id; hits
+// on entries another job inserted are tallied as cross-job hits —
+// testbenches the batch saved versus running every job alone.
 //
 // Isolation and determinism: each job gets its own Budget (built from its
 // FlowOptions::budget_limits — exhaustion of one job never touches a
@@ -49,19 +47,15 @@
 namespace olp::circuits {
 
 /// One unit of batch work: a circuit, the flow to run on it, and per-job
-/// option overrides (seed, budget limits, trace artifacts, ...). The runner
-/// overwrites the options' pool/cache/telemetry plumbing fields; everything
-/// else applies verbatim.
+/// option overrides (seed, budget limits, trace artifacts, ...). Every job
+/// runs on the runner's technology. The runner overwrites the options'
+/// pool/cache/telemetry plumbing fields; everything else applies verbatim.
 struct FlowJob {
   std::string name;  ///< report key; defaults to "job<i>" when empty
   FlowMode mode = FlowMode::kOptimize;
   std::vector<InstanceSpec> instances;
   std::vector<std::string> routed_nets;
   FlowOptions options;
-  /// Technology override (not owned, must outlive the run); null = the
-  /// runner's technology. Jobs only share cached evaluations when their
-  /// technologies (and model cards) fingerprint identically.
-  const tech::Technology* technology = nullptr;
 };
 
 enum class JobStatus {
@@ -92,7 +86,7 @@ struct BatchOptions {
   /// cores: more workers add context switches and lock handoffs, not
   /// throughput. Results are bit-identical at any worker count.
   int workers = 1;
-  /// Share one evaluation cache among same-scope jobs (see file comment).
+  /// Share one evaluation cache among the batch's jobs (see file comment).
   /// Off = every job runs with exactly its own FlowOptions cache settings.
   bool share_cache = true;
 };
@@ -109,7 +103,6 @@ struct BatchReport {
   /// Hits on entries a DIFFERENT job inserted: testbenches saved by
   /// cross-job sharing (1 evaluation == 1 testbench).
   long cross_job_hits = 0;
-  std::size_t cache_scopes = 0;  ///< distinct tech/model-card scopes
   /// One pooled snapshot over the whole batch (counters, spans, stage
   /// timings of every job interleaved). Populated when obs::Registry is
   /// enabled during the run; its budget stays default (see file comment).
@@ -131,8 +124,7 @@ struct BatchReport {
 
 class BatchRunner {
  public:
-  /// `technology` is the default for jobs without an override; not owned,
-  /// must outlive run() calls.
+  /// Every job runs on `technology`; not owned, must outlive run() calls.
   explicit BatchRunner(const tech::Technology& technology,
                        BatchOptions options = {});
 

@@ -19,19 +19,30 @@ namespace olp::circuits {
 
 namespace {
 
-/// Signature for deduplicating identical primitive optimization problems
-/// (same netlist, size, and bias): the VCO's 16 inverters optimize once.
-std::string instance_signature(const InstanceSpec& inst) {
-  std::string sig = inst.netlist.name + "/" + std::to_string(inst.fins);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "/%.4f/%.6g", inst.bias.vdd,
-                inst.bias.bias_current);
-  sig += buf;
-  for (const auto& [port, v] : inst.bias.port_voltage) {
-    std::snprintf(buf, sizeof buf, "/%s=%.3f", port.c_str(), v);
-    sig += buf;
-  }
-  return sig;
+/// What sets the modes apart outside their decision steps, indexed by
+/// FlowMode.
+struct ModeRow {
+  const char* name;
+  /// The root span, "flow." + name, as static storage (obs::Span keeps only
+  /// the pointer).
+  const char* span;
+  /// Parallel routes of a routed net that the wire-count step left without
+  /// a decision. Conventional routing uses the PDK's default analog route
+  /// width (two tracks) everywhere, never optimized per net.
+  int default_wires;
+  /// The chosen candidates' tunings are part of the realization (the
+  /// conventional generator tunes nothing, so its realization has none).
+  bool tunes;
+};
+
+constexpr ModeRow kModes[] = {
+    {"optimize", "flow.optimize", 1, true},
+    {"conventional", "flow.conventional", 2, false},
+    {"manual_oracle", "flow.manual_oracle", 1, true},
+};
+
+const ModeRow& mode_row(FlowMode mode) {
+  return kModes[static_cast<std::size_t>(mode)];
 }
 
 /// Equalizes the parallel-route counts of nets joined by a primitive's
@@ -55,23 +66,6 @@ void equalize_symmetric_nets(const std::vector<InstanceSpec>& instances,
       da->second->parallel_routes = w;
       db->second->parallel_routes = w;
     }
-  }
-}
-
-/// Stage checkpoint at a flow stage boundary: emits the per-stage budget
-/// check counter and — when the budget is exhausted — a stage-attributed
-/// diagnostic with stage == "budget". The FIRST such record in a report
-/// names the stage whose work the trip interrupted (earlier checkpoints ran
-/// before the trip and stay silent); later stages also report, since they
-/// too salvaged degraded results.
-void budget_checkpoint(Budget& budget, BudgetObserver& budget_obs,
-                       DiagnosticsSink& sink, const char* stage,
-                       const char* checks_counter) {
-  budget_obs.stage_boundary(checks_counter);
-  if (budget.exhausted()) {
-    obs::counter_add("budget.stages_degraded");
-    sink.report(DiagSeverity::kWarning, "budget", stage,
-                budget.description() + "; salvaged best-so-far results");
   }
 }
 
@@ -134,21 +128,6 @@ void write_stage_artifact(
       diag->report(DiagSeverity::kWarning, "flow", file_name,
                    std::string("trace artifact write failed: ") + e.what());
     }
-  }
-}
-
-/// Reports every requested net that ended up unrouted (the realization falls
-/// back to schematic-net parasitics for it).
-void report_unrouted_nets(DiagnosticsSink& sink,
-                          const std::vector<std::string>& routed_nets,
-                          const FlowReport& report) {
-  for (const std::string& net : routed_nets) {
-    const auto it = report.routes.find(net);
-    // Nets with fewer than two placed pins are never handed to the router;
-    // that is not a failure.
-    if (it == report.routes.end() || it->second.routed) continue;
-    sink.report(DiagSeverity::kWarning, "flow", net,
-                "net unrouted; degrading to schematic-net parasitics");
   }
 }
 
@@ -219,33 +198,56 @@ Floorplan place_layouts(
   return fp;
 }
 
-/// Root span name per mode ("flow." + flow_mode_name, as static storage —
-/// obs::Span keeps only the pointer).
-const char* flow_span_name(FlowMode mode) {
-  switch (mode) {
-    case FlowMode::kOptimize:
-      return "flow.optimize";
-    case FlowMode::kConventional:
-      return "flow.conventional";
-    case FlowMode::kManualOracle:
-      return "flow.manual_oracle";
-  }
-  return "flow.unknown";
-}
-
 }  // namespace
 
-const char* flow_mode_name(FlowMode mode) {
-  switch (mode) {
-    case FlowMode::kOptimize:
-      return "optimize";
-    case FlowMode::kConventional:
-      return "conventional";
-    case FlowMode::kManualOracle:
-      return "manual_oracle";
+const char* flow_mode_name(FlowMode mode) { return mode_row(mode).name; }
+
+/// One run's state, threaded through the skeleton's steps: the inputs, the
+/// report under construction, the diagnostics sink, the budget, and the
+/// evaluators that Algorithm 1 and Algorithm 2 share.
+struct FlowEngine::Run {
+  Run(FlowMode run_mode, const std::vector<InstanceSpec>& run_instances,
+      const std::vector<std::string>& run_routed_nets,
+      const BudgetOptions& limits)
+      : mode(run_mode),
+        instances(run_instances),
+        routed_nets(run_routed_nets),
+        budget(limits) {}
+
+  /// Stage checkpoint at a flow stage boundary. Adds the budget checks
+  /// spent since the previous checkpoint to `checks_counter` (e.g.
+  /// "budget.checks.placement"; the deterministic per-stage cost tests use
+  /// to land exhaustion at an exact stage). When the budget is exhausted it
+  /// also reports a stage-attributed diagnostic with stage == "budget". The
+  /// FIRST such record in a report names the stage whose work the trip
+  /// interrupted (earlier checkpoints ran before the trip and stay silent);
+  /// later stages also report, since they too salvaged degraded results.
+  void checkpoint(const char* stage, const char* checks_counter) {
+    const long checks = budget.checks();
+    obs::counter_add(checks_counter, checks - checks_at_checkpoint);
+    checks_at_checkpoint = checks;
+    if (budget.exhausted()) {
+      obs::counter_add("budget.stages_degraded");
+      sink.report(DiagSeverity::kWarning, "budget", stage,
+                  budget.description() + "; salvaged best-so-far results");
+    }
   }
-  return "unknown";
-}
+
+  const FlowMode mode;
+  const std::vector<InstanceSpec>& instances;
+  const std::vector<std::string>& routed_nets;
+  FlowReport report;
+  DiagnosticsSink sink;
+  Budget budget;  ///< built from the options, env already folded in
+  long checks_at_checkpoint = 0;  ///< budget.checks() at the last checkpoint
+  /// The run-local evaluation cache, when one is on and no shared cache is
+  /// given. Algorithm 2 evaluates through the same evaluators as Algorithm
+  /// 1, so it lives as long as the run.
+  std::unique_ptr<core::EvalCache> local_cache;
+  /// One evaluator per distinct primitive problem (make_evaluators).
+  std::vector<std::unique_ptr<core::PrimitiveEvaluator>> evaluators;
+  std::map<std::string, core::PrimitiveEvaluator*> evaluator_of;  ///< by name
+};
 
 FlowEngine::FlowEngine(const tech::Technology& technology, FlowOptions options)
     : tech_(technology), options_(options) {
@@ -279,180 +281,130 @@ Realization FlowEngine::run(FlowMode mode,
   // and must not rebase (own_telemetry = false): the batch runner rebases
   // once and snapshots once.
   if (options_.own_telemetry) obs::Registry::global().rebase();
-  obs::Span root(flow_span_name(mode));
-  FlowReport report;
-  DiagnosticsSink sink;
-  // Each run builds its own budget from the options (env already folded in
-  // at construction).
-  Budget budget(options_.budget_limits);
-  BudgetObserver budget_obs(budget);
+  obs::Span root(mode_row(mode).span);
+  Run run(mode, instances, routed_nets, options_.budget_limits);
 
-  Realization real;
+  // 1. Each instance's layout and tuning.
+  Choice chosen;
   switch (mode) {
     case FlowMode::kOptimize:
-      real = run_optimize(instances, routed_nets, report, sink, budget,
-                          budget_obs);
+      chosen = select_optimized(run);
       break;
     case FlowMode::kConventional:
-      real = run_conventional(instances, routed_nets, report, sink, budget,
-                              budget_obs);
+      chosen = generate_conventional(run);
       break;
     case FlowMode::kManualOracle:
-      real = run_manual_oracle(instances, routed_nets, report, sink, budget,
-                               budget_obs);
+      chosen = select_oracle(run);
       break;
   }
+  // 2. Placement and global routing of the chosen layouts.
+  place_and_route(run, chosen);
+  // 3. Parallel routes per net (the conventional flow decides none).
+  if (mode != FlowMode::kConventional) choose_wire_counts(run, chosen);
+  // 4. Net wires from the decisions, the mode's default count elsewhere.
+  Realization real = realize(run, std::move(chosen));
 
+  FlowReport& report = run.report;
+  for (const auto& eval : run.evaluators) {
+    report.testbenches += eval->stats().testbenches;
+  }
   report.runtime_s = watch.seconds();
-  report.budget = budget.status();
+  report.budget = run.budget.status();
   root.close();
   if (options_.own_telemetry) finish_telemetry(report);
-  finish_diagnostics(sink, report);
+  finish_diagnostics(run.sink, report);
   if (report_out != nullptr) *report_out = std::move(report);
   return real;
 }
 
-void FlowEngine::place_and_route(
-    const std::vector<InstanceSpec>& instances,
-    const std::map<std::string, const pcell::PrimitiveLayout*>& layouts,
-    const std::vector<std::string>& routed_nets, FlowReport& report,
-    DiagnosticsSink& sink, const std::string& artifact_prefix, Budget& budget,
-    BudgetObserver& budget_obs) const {
-  place::PlacerOptions popt;
-  popt.iterations = options_.placer_iterations;
-  popt.seed = options_.seed;
-  popt.budget = &budget;
-  const Floorplan fp =
-      place_layouts(instances, layouts, routed_nets, popt, sink);
-  for (const place::Block& b : fp.blocks) {
-    report.placed_instances.push_back(b.name);
-  }
-  report.placement = fp.placement;
-  budget_checkpoint(budget, budget_obs, sink, "placement",
-                    "budget.checks.placement");
-  if (!options_.trace_artifacts_dir.empty()) {
-    write_stage_artifact(tech_, options_.trace_artifacts_dir,
-                         artifact_prefix + "_placement.svg", instances,
-                         layouts, report, /*with_routes=*/false, &sink);
-  }
-
-  // Global routing.
-  obs::Span routing_span("routing");
-  const geom::Rect region{
-      0, 0, geom::to_nm(report.placement.width),
-      geom::to_nm(report.placement.height)};
-  route::GlobalRouter router(tech_, region);
-  router.set_diagnostics(&sink);
-  router.set_budget(&budget);
-  // Nets route one at a time in placement-net order. The budget is checked
-  // before each net: once it trips, the remaining nets come back
-  // routed=false with only their name set and degrade downstream, while the
-  // nets routed before the trip are kept.
-  for (const place::PlacementNet& pn : fp.nets) {
-    route::NetRoute nr;
-    if (budget.check()) {
-      nr.net = pn.name;
-    } else {
-      std::vector<geom::Point> pins;
-      pins.reserve(pn.pins.size());
-      for (const place::PlacementNet::PinRef& ref : pn.pins) {
-        const place::PlacedBlock& pb =
-            report.placement.blocks[static_cast<std::size_t>(ref.block)];
-        const place::Block& blk =
-            fp.blocks[static_cast<std::size_t>(ref.block)];
-        const double dx = pb.mirrored ? blk.width - ref.dx : ref.dx;
-        pins.push_back(geom::Point{geom::to_nm(pb.x + dx),
-                                   geom::to_nm(pb.y + ref.dy)});
-      }
-      nr = router.route(pn.name, pins);
-    }
-    if (!nr.routed) {
-      OLP_WARN << "global routing failed for net " << pn.name;
-    }
-    report.routes[pn.name] = std::move(nr);
-  }
-  routing_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "routing",
-                    "budget.checks.routing");
-  if (!options_.trace_artifacts_dir.empty()) {
-    write_stage_artifact(tech_, options_.trace_artifacts_dir,
-                         artifact_prefix + "_routed.svg", instances, layouts,
-                         report, /*with_routes=*/true, &sink);
-  }
-}
-
-Realization FlowEngine::run_optimize(
-    const std::vector<InstanceSpec>& instances,
-    const std::vector<std::string>& routed_nets, FlowReport& report,
-    DiagnosticsSink& sink, Budget& budget, BudgetObserver& budget_obs) const {
-  // --- Step A: primitive layout optimization (Algorithm 1), deduplicated.
-  obs::Span selection_span("selection");
-  std::map<std::string, std::vector<core::LayoutCandidate>> by_signature;
-  std::vector<std::unique_ptr<core::PrimitiveEvaluator>> evaluators;
-  std::map<std::string, core::PrimitiveEvaluator*> eval_by_instance;
-  const pcell::PrimitiveGenerator generator(tech_);
-
+void FlowEngine::make_evaluators(Run& run) const {
   // Evaluation memo cache: a caller-owned shared cache wins (cross-run
   // sharing, batch mode); else an optional run-local cache, scoped to the
   // run so cross-run state can never leak. Most valuable for the repeated
   // schematic references in tuning and port sweeps.
-  core::EvalCache local_cache;
-  core::EvalCache* cache = options_.shared_eval_cache != nullptr
-                               ? options_.shared_eval_cache
-                               : (options_.eval_cache ? &local_cache : nullptr);
-  for (const InstanceSpec& inst : instances) {
-    auto eval = std::make_unique<core::PrimitiveEvaluator>(make_evaluator(inst));
-    eval->set_diagnostics(&sink);
-    eval->set_budget(&budget);
-    if (cache != nullptr) eval->set_cache(cache, options_.cache_client);
-    eval_by_instance[inst.name] = eval.get();
-    const std::string sig = instance_signature(inst);
-    if (!by_signature.count(sig)) {
-      core::PrimitiveOptimizer optimizer(generator, *eval, &sink, &budget,
-                                         pool());
+  core::EvalCache* cache = options_.shared_eval_cache;
+  if (cache == nullptr && options_.eval_cache) {
+    run.local_cache = std::make_unique<core::EvalCache>();
+    cache = run.local_cache.get();
+  }
+  // Instances with the same netlist, fin count and evaluation context
+  // (exactly what an evaluator serializes into its cache keys) pose the same
+  // Algorithm 1 problem, so they share one evaluator and one result: the
+  // StrongARM's four precharge switches optimize once.
+  std::map<std::string, core::PrimitiveEvaluator*> by_problem;
+  for (const InstanceSpec& inst : run.instances) {
+    const std::string problem =
+        inst.netlist.name + ';' + std::to_string(inst.fins) + ';' +
+        core::EvalCache::context_key(inst.bias, default_nmos(),
+                                     default_pmos());
+    core::PrimitiveEvaluator*& eval = by_problem[problem];
+    if (eval == nullptr) {
+      run.evaluators.push_back(
+          std::make_unique<core::PrimitiveEvaluator>(make_evaluator(inst)));
+      eval = run.evaluators.back().get();
+      eval->set_diagnostics(&run.sink);
+      eval->set_budget(&run.budget);
+      if (cache != nullptr) eval->set_cache(cache, options_.cache_client);
+    }
+    run.evaluator_of[inst.name] = eval;
+  }
+}
+
+FlowEngine::Choice FlowEngine::select_optimized(Run& run) const {
+  FlowReport& report = run.report;
+  // --- Primitive layout optimization (Algorithm 1), once per problem.
+  obs::Span selection_span("selection");
+  make_evaluators(run);
+  const pcell::PrimitiveGenerator generator(tech_);
+  std::map<const core::PrimitiveEvaluator*,
+           const std::vector<core::LayoutCandidate>*>
+      solved;
+  for (const InstanceSpec& inst : run.instances) {
+    const core::PrimitiveEvaluator* eval = run.evaluator_of.at(inst.name);
+    std::vector<core::LayoutCandidate>& options = report.options[inst.name];
+    const auto [it, first] = solved.try_emplace(eval, &options);
+    if (first) {
+      core::PrimitiveOptimizer optimizer(generator, *eval, &run.sink,
+                                         &run.budget, pool());
       core::OptimizerOptions oopt;
       oopt.bins = options_.bins;
       oopt.max_tuning_wires = options_.max_tuning_wires;
-      by_signature[sig] =
-          optimizer.optimize(inst.netlist, inst.fins, oopt);
+      options = optimizer.optimize(inst.netlist, inst.fins, oopt);
     } else {
       obs::counter_add("flow.dedup_hits");
+      options = *it->second;
     }
-    report.options[inst.name] = by_signature.at(sig);
-    evaluators.push_back(std::move(eval));
   }
   selection_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "selection",
-                    "budget.checks.selection");
+  run.checkpoint("selection", "budget.checks.selection");
 
-  // --- Step B: choose one option per instance for the floorplan. With few
+  // --- Choose one option per instance for the floorplan. With few
   // combinations, trial-place each; otherwise take the min-cost option.
   obs::Span combo_span("combo_choice");
-  std::map<std::string, int> chosen;
   long combos = 1;
-  for (const InstanceSpec& inst : instances) {
+  for (const InstanceSpec& inst : run.instances) {
     combos *= static_cast<long>(report.options[inst.name].size());
     if (combos > 64) break;
   }
+  // The all-first-options combination pre-seeds the choice, so a budget
+  // trip before the first trial still yields a complete one.
+  std::map<std::string, int> combo;
+  for (const InstanceSpec& inst : run.instances) combo[inst.name] = 0;
+  report.chosen_option = combo;
   if (combos > 1 && combos <= 64) {
     double best_metric = std::numeric_limits<double>::infinity();
-    std::map<std::string, int> combo, best_combo;
-    for (const InstanceSpec& inst : instances) combo[inst.name] = 0;
-    // Pre-seed with the all-first-options combination so a budget trip
-    // before the first trial still yields a complete choice.
-    best_combo = combo;
     place::PlacerOptions trial_popt;
     trial_popt.iterations = options_.combo_place_iterations;
     trial_popt.seed = options_.seed;
-    trial_popt.budget = &budget;
+    trial_popt.budget = &run.budget;
     bool done = false;
     while (!done) {
       // Budget-bounded trials: keep the best combination tried so far.
-      if (budget.check()) break;
+      if (run.budget.check()) break;
       // Quick placement trial of this combination.
       std::map<std::string, const pcell::PrimitiveLayout*> layouts;
       double cost_sum = 0.0;
-      for (const InstanceSpec& inst : instances) {
+      for (const InstanceSpec& inst : run.instances) {
         const core::LayoutCandidate& cand =
             report.options[inst.name][static_cast<std::size_t>(
                 combo[inst.name])];
@@ -465,18 +417,19 @@ Realization FlowEngine::run_optimize(
       // run's sink and anneals on the run's budget, but stage checkpoints
       // belong to the main run only.
       const place::PlacementResult trial =
-          place_layouts(instances, layouts, routed_nets, trial_popt, sink)
+          place_layouts(run.instances, layouts, run.routed_nets, trial_popt,
+                        run.sink)
               .placement;
       const double area = trial.width * trial.height;
       const double metric =
           cost_sum * (1.0 + 0.2 * trial.hpwl / 1e-6) + area / 1e-12 * 0.01;
       if (metric < best_metric) {
         best_metric = metric;
-        best_combo = combo;
+        report.chosen_option = combo;
       }
       // Advance the combination counter.
       done = true;
-      for (const InstanceSpec& inst : instances) {
+      for (const InstanceSpec& inst : run.instances) {
         int& idx = combo[inst.name];
         if (++idx < static_cast<int>(report.options[inst.name].size())) {
           done = false;
@@ -485,114 +438,26 @@ Realization FlowEngine::run_optimize(
         idx = 0;
       }
     }
-    chosen = best_combo;
-  } else {
-    for (const InstanceSpec& inst : instances) chosen[inst.name] = 0;
   }
-  report.chosen_option = chosen;
   combo_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "combo_choice",
-                    "budget.checks.combo");
+  run.checkpoint("combo_choice", "budget.checks.combo");
 
-  std::map<std::string, const pcell::PrimitiveLayout*> layouts;
-  for (const InstanceSpec& inst : instances) {
-    layouts[inst.name] =
-        &report.options[inst.name][static_cast<std::size_t>(
-                                       chosen[inst.name])]
-             .layout;
+  Choice chosen;
+  for (const InstanceSpec& inst : run.instances) {
+    chosen[inst.name] = report.options[inst.name][static_cast<std::size_t>(
+        report.chosen_option.at(inst.name))];
   }
-
-  // --- Step C: placement + global routing of the chosen options.
-  place_and_route(instances, layouts, routed_nets, report, sink, "optimize",
-                  budget, budget_obs);
-  report_unrouted_nets(sink, routed_nets, report);
-
-  // --- Step D: primitive port optimization (Algorithm 2).
-  obs::Span portopt_span("port_optimization");
-  core::PortOptimizerOptions popt;
-  popt.max_wires = options_.max_port_wires;
-  core::PortOptimizer port_opt(tech_, popt);
-  port_opt.set_diagnostics(&sink);
-  port_opt.set_budget(&budget);
-  port_opt.set_pool(pool());
-  std::vector<core::PortOptPrimitive> pops;
-  for (const InstanceSpec& inst : instances) {
-    core::PortOptPrimitive pop;
-    pop.instance = inst.name;
-    pop.evaluator = eval_by_instance.at(inst.name);
-    pop.layout = layouts.at(inst.name);
-    pop.tuning = report.options[inst.name][static_cast<std::size_t>(
-                                               chosen[inst.name])]
-                     .tuning;
-    for (const auto& [port, net] : inst.port_nets) {
-      const auto rit = report.routes.find(net);
-      if (rit == report.routes.end() || !rit->second.routed) continue;
-      core::PortRoute pr;
-      pr.port = port;
-      pr.circuit_net = net;
-      pr.route = rit->second;
-      pop.routes.push_back(std::move(pr));
-    }
-    if (!pop.routes.empty()) pops.push_back(std::move(pop));
-  }
-  for (const core::PortOptPrimitive& pop : pops) {
-    std::vector<core::PortConstraint> pcs = port_opt.generate_constraints(pop);
-    report.constraints.insert(report.constraints.end(), pcs.begin(),
-                              pcs.end());
-  }
-  report.decisions = port_opt.reconcile(pops, report.constraints);
-  equalize_symmetric_nets(instances, report.decisions);
-  portopt_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "port_optimization",
-                    "budget.checks.portopt");
-
-  // --- Assemble the realization.
-  obs::Span realization_span("realization");
-  Realization real;
-  real.ideal = false;
-  for (const InstanceSpec& inst : instances) {
-    const core::LayoutCandidate& cand =
-        report.options[inst.name][static_cast<std::size_t>(
-            chosen[inst.name])];
-    OLP_CHECK(!cand.layout.footprint_only,
-              "realization got the footprint of " + inst.name);
-    real.layouts[inst.name] = cand.layout;
-    real.tunings[inst.name] = cand.tuning;
-  }
-  for (const core::NetWireDecision& d : report.decisions) {
-    const auto rit = report.routes.find(d.circuit_net);
-    if (rit == report.routes.end() || !rit->second.routed) continue;
-    real.net_wires[d.circuit_net] =
-        core::route_wire_rc(tech_, rit->second, d.parallel_routes);
-  }
-  // Routed nets without a decision (no constraints) still carry their wire.
-  for (const auto& [net, route] : report.routes) {
-    if (!route.routed || real.net_wires.count(net)) continue;
-    real.net_wires[net] = core::route_wire_rc(tech_, route, 1);
-  }
-  realization_span.close();
-
-  long tb = 0;
-  for (const auto& e : evaluators) tb += e->stats().testbenches;
-  report.testbenches = tb;
-  return real;
+  return chosen;
 }
 
-Realization FlowEngine::run_conventional(
-    const std::vector<InstanceSpec>& instances,
-    const std::vector<std::string>& routed_nets, FlowReport& report,
-    DiagnosticsSink& sink, Budget& budget, BudgetObserver& budget_obs) const {
-  const pcell::PrimitiveGenerator generator(tech_);
-
+FlowEngine::Choice FlowEngine::generate_conventional(Run& run) const {
   // Per primitive, the ABBA configuration (multi-row when any exists, no
-  // dummies) with the least area·(1 + 2·|ln AR|); every net is then routed
-  // at two tracks. Geometric constraints are honored but nothing is
-  // optimized for parasitics or LDE.
+  // dummies) with the least area·(1 + 2·|ln AR|). Geometric constraints are
+  // honored but nothing is optimized for parasitics or LDE.
   obs::Span generation_span("generation");
-  Realization real;
-  real.ideal = false;
-  std::map<std::string, const pcell::PrimitiveLayout*> layouts;
-  for (const InstanceSpec& inst : instances) {
+  const pcell::PrimitiveGenerator generator(tech_);
+  Choice chosen;
+  for (const InstanceSpec& inst : run.instances) {
     // Conventional tools honor the matching constraint (common-centroid
     // rows) but never look at parasitics or LDE.
     std::vector<pcell::LayoutConfig> configs =
@@ -616,7 +481,7 @@ Realization FlowEngine::run_conventional(
       // Budget-bounded enumeration: always score at least one layout per
       // instance, then keep the best of the configurations scored so far.
       if (best_score < std::numeric_limits<double>::infinity() &&
-          budget.check()) {
+          run.budget.check()) {
         break;
       }
       cfg.dummies = false;
@@ -629,122 +494,159 @@ Realization FlowEngine::run_conventional(
       }
     }
     generator.materialize(best);
-    real.layouts[inst.name] = std::move(best);
+    chosen[inst.name].layout = std::move(best);
   }
   generation_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "generation",
-                    "budget.checks.generation");
-  for (const InstanceSpec& inst : instances) {
-    layouts[inst.name] = &real.layouts.at(inst.name);
-  }
-  place_and_route(instances, layouts, routed_nets, report, sink,
-                  "conventional", budget, budget_obs);
-  report_unrouted_nets(sink, routed_nets, report);
-  // Conventional routing uses the PDK's default analog route width (two
-  // tracks) everywhere -- fixed, never optimized per net.
-  for (const auto& [net, route] : report.routes) {
-    if (!route.routed) continue;
-    real.net_wires[net] = core::route_wire_rc(tech_, route, 2);
-  }
-  return real;
+  run.checkpoint("generation", "budget.checks.generation");
+  return chosen;
 }
 
-Realization FlowEngine::run_manual_oracle(
-    const std::vector<InstanceSpec>& instances,
-    const std::vector<std::string>& routed_nets, FlowReport& report,
-    DiagnosticsSink& sink, Budget& budget, BudgetObserver& budget_obs) const {
-  const pcell::PrimitiveGenerator generator(tech_);
-
+FlowEngine::Choice FlowEngine::select_oracle(Run& run) const {
   // Exhaustive per-primitive search: tune the five cheapest configurations
   // and keep the global minimum (no aspect-ratio binning — the "manual"
   // designer iterates as long as needed).
-  std::map<std::string, core::LayoutCandidate> chosen;
-  std::vector<std::unique_ptr<core::PrimitiveEvaluator>> evaluators;
-  std::map<std::string, core::PrimitiveEvaluator*> eval_by_instance;
-  std::map<std::string, std::string> sig_of;
-  std::map<std::string, core::LayoutCandidate> by_signature;
-
   obs::Span selection_span("selection");
-  core::EvalCache local_cache;
-  core::EvalCache* cache = options_.shared_eval_cache != nullptr
-                               ? options_.shared_eval_cache
-                               : (options_.eval_cache ? &local_cache : nullptr);
-  for (const InstanceSpec& inst : instances) {
-    auto eval = std::make_unique<core::PrimitiveEvaluator>(make_evaluator(inst));
-    eval->set_diagnostics(&sink);
-    eval->set_budget(&budget);
-    if (cache != nullptr) eval->set_cache(cache, options_.cache_client);
-    eval_by_instance[inst.name] = eval.get();
-    const std::string sig = instance_signature(inst);
-    sig_of[inst.name] = sig;
-    if (!by_signature.count(sig)) {
-      core::PrimitiveOptimizer optimizer(generator, *eval, &sink, &budget,
-                                         pool());
-      std::vector<core::LayoutCandidate> all =
-          optimizer.evaluate_all(inst.netlist, inst.fins);
-      std::sort(all.begin(), all.end(),
-                [](const core::LayoutCandidate& a,
-                   const core::LayoutCandidate& b) {
-                  return a.cost.total < b.cost.total;
-                });
-      const std::size_t try_n = std::min<std::size_t>(5, all.size());
-      // The five to tune, the front-runner among them, get full layouts.
-      for (std::size_t k = 0; k < try_n; ++k) {
-        generator.materialize(all[k].layout);
-      }
-      core::LayoutCandidate best = all.front();
-      double best_cost = std::numeric_limits<double>::infinity();
-      for (std::size_t k = 0; k < try_n; ++k) {
-        // Budget-bounded exhaustive tuning: keep the cheapest candidate
-        // tuned so far (`best` starts as the untuned front-runner).
-        if (budget.check()) break;
-        core::LayoutCandidate cand = all[k];
-        optimizer.tune(cand, options_.max_tuning_wires);
-        if (cand.cost.total < best_cost) {
-          best_cost = cand.cost.total;
-          best = cand;
-        }
-      }
-      by_signature[sig] = best;
+  make_evaluators(run);
+  const pcell::PrimitiveGenerator generator(tech_);
+  Choice chosen;
+  std::map<const core::PrimitiveEvaluator*, const core::LayoutCandidate*>
+      solved;
+  for (const InstanceSpec& inst : run.instances) {
+    const core::PrimitiveEvaluator* eval = run.evaluator_of.at(inst.name);
+    core::LayoutCandidate& pick = chosen[inst.name];
+    const auto [it, first] = solved.try_emplace(eval, &pick);
+    if (!first) {
+      pick = *it->second;
+      continue;
     }
-    chosen[inst.name] = by_signature.at(sig);
-    evaluators.push_back(std::move(eval));
+    core::PrimitiveOptimizer optimizer(generator, *eval, &run.sink,
+                                       &run.budget, pool());
+    std::vector<core::LayoutCandidate> all =
+        optimizer.evaluate_all(inst.netlist, inst.fins);
+    std::sort(all.begin(), all.end(),
+              [](const core::LayoutCandidate& a,
+                 const core::LayoutCandidate& b) {
+                return a.cost.total < b.cost.total;
+              });
+    const std::size_t try_n = std::min<std::size_t>(5, all.size());
+    // The five to tune, the front-runner among them, get full layouts.
+    for (std::size_t k = 0; k < try_n; ++k) {
+      generator.materialize(all[k].layout);
+    }
+    pick = all.front();
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < try_n; ++k) {
+      // Budget-bounded exhaustive tuning: keep the cheapest candidate
+      // tuned so far (`pick` starts as the untuned front-runner).
+      if (run.budget.check()) break;
+      core::LayoutCandidate cand = all[k];
+      optimizer.tune(cand, options_.max_tuning_wires);
+      if (cand.cost.total < best_cost) {
+        best_cost = cand.cost.total;
+        pick = cand;
+      }
+    }
   }
   selection_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "selection",
-                    "budget.checks.selection");
+  run.checkpoint("selection", "budget.checks.selection");
+  return chosen;
+}
 
+void FlowEngine::place_and_route(Run& run, const Choice& chosen) const {
+  FlowReport& report = run.report;
   std::map<std::string, const pcell::PrimitiveLayout*> layouts;
-  for (const InstanceSpec& inst : instances) {
-    layouts[inst.name] = &chosen.at(inst.name).layout;
+  for (const auto& [name, cand] : chosen) layouts[name] = &cand.layout;
+  const std::string artifact_prefix = flow_mode_name(run.mode);
+  place::PlacerOptions popt;
+  popt.iterations = options_.placer_iterations;
+  popt.seed = options_.seed;
+  popt.budget = &run.budget;
+  const Floorplan fp =
+      place_layouts(run.instances, layouts, run.routed_nets, popt, run.sink);
+  for (const place::Block& b : fp.blocks) {
+    report.placed_instances.push_back(b.name);
   }
-  place_and_route(instances, layouts, routed_nets, report, sink,
-                  "manual_oracle", budget, budget_obs);
-  report_unrouted_nets(sink, routed_nets, report);
+  report.placement = fp.placement;
+  run.checkpoint("placement", "budget.checks.placement");
+  if (!options_.trace_artifacts_dir.empty()) {
+    write_stage_artifact(tech_, options_.trace_artifacts_dir,
+                         artifact_prefix + "_placement.svg", run.instances,
+                         layouts, report, /*with_routes=*/false, &run.sink);
+  }
 
-  // Exhaustive per-net wire count by total primitive cost.
-  obs::Span portopt_span("port_optimization");
-  Realization real;
-  real.ideal = false;
-  for (const InstanceSpec& inst : instances) {
-    OLP_CHECK(!chosen.at(inst.name).layout.footprint_only,
-              "realization got the footprint of " + inst.name);
-    real.layouts[inst.name] = chosen.at(inst.name).layout;
-    real.tunings[inst.name] = chosen.at(inst.name).tuning;
+  // Global routing.
+  obs::Span routing_span("routing");
+  const geom::Rect region{
+      0, 0, geom::to_nm(report.placement.width),
+      geom::to_nm(report.placement.height)};
+  route::GlobalRouter router(tech_, region);
+  router.set_diagnostics(&run.sink);
+  router.set_budget(&run.budget);
+  // Nets route one at a time in placement-net order. The budget is checked
+  // before each net: once it trips, the remaining nets come back
+  // routed=false with only their name set and degrade downstream, while the
+  // nets routed before the trip are kept.
+  for (const place::PlacementNet& pn : fp.nets) {
+    route::NetRoute nr;
+    if (run.budget.check()) {
+      nr.net = pn.name;
+    } else {
+      std::vector<geom::Point> pins;
+      pins.reserve(pn.pins.size());
+      for (const place::PlacementNet::PinRef& ref : pn.pins) {
+        const place::PlacedBlock& pb =
+            report.placement.blocks[static_cast<std::size_t>(ref.block)];
+        const place::Block& blk =
+            fp.blocks[static_cast<std::size_t>(ref.block)];
+        const double dx = pb.mirrored ? blk.width - ref.dx : ref.dx;
+        pins.push_back(geom::Point{geom::to_nm(pb.x + dx),
+                                   geom::to_nm(pb.y + ref.dy)});
+      }
+      nr = router.route(pn.name, pins);
+    }
+    if (!nr.routed) {
+      OLP_WARN << "global routing failed for net " << pn.name;
+    }
+    report.routes[pn.name] = std::move(nr);
   }
+  routing_span.close();
+  run.checkpoint("routing", "budget.checks.routing");
+  if (!options_.trace_artifacts_dir.empty()) {
+    write_stage_artifact(tech_, options_.trace_artifacts_dir,
+                         artifact_prefix + "_routed.svg", run.instances,
+                         layouts, report, /*with_routes=*/true, &run.sink);
+  }
+
+  // Every requested net that ended up unrouted: the realization falls back
+  // to schematic-net parasitics for it. Nets with fewer than two placed pins
+  // are never handed to the router; that is not a failure.
+  for (const std::string& net : run.routed_nets) {
+    const auto it = report.routes.find(net);
+    if (it == report.routes.end() || it->second.routed) continue;
+    run.sink.report(DiagSeverity::kWarning, "flow", net,
+                    "net unrouted; degrading to schematic-net parasitics");
+  }
+}
+
+void FlowEngine::choose_wire_counts(Run& run, const Choice& chosen) const {
+  FlowReport& report = run.report;
+  obs::Span portopt_span("port_optimization");
   core::PortOptimizerOptions popt;
   popt.max_wires = options_.max_port_wires;
   core::PortOptimizer port_opt(tech_, popt);
-  port_opt.set_diagnostics(&sink);
-  port_opt.set_budget(&budget);
+  port_opt.set_diagnostics(&run.sink);
+  port_opt.set_budget(&run.budget);
   port_opt.set_pool(pool());
+  // Algorithm 2's view of each instance with a routed net at a port: its
+  // evaluator, chosen layout and tuning, and those routes.
   std::vector<core::PortOptPrimitive> pops;
-  for (const InstanceSpec& inst : instances) {
+  for (const InstanceSpec& inst : run.instances) {
+    const core::LayoutCandidate& cand = chosen.at(inst.name);
     core::PortOptPrimitive pop;
     pop.instance = inst.name;
-    pop.evaluator = eval_by_instance.at(inst.name);
-    pop.layout = layouts.at(inst.name);
-    pop.tuning = chosen.at(inst.name).tuning;
+    pop.evaluator = run.evaluator_of.at(inst.name);
+    pop.layout = &cand.layout;
+    pop.tuning = cand.tuning;
     for (const auto& [port, net] : inst.port_nets) {
       const auto rit = report.routes.find(net);
       if (rit == report.routes.end() || !rit->second.routed) continue;
@@ -752,27 +654,47 @@ Realization FlowEngine::run_manual_oracle(
     }
     if (!pop.routes.empty()) pops.push_back(std::move(pop));
   }
-  report.decisions = port_opt.optimize(pops);
-  equalize_symmetric_nets(instances, report.decisions);
+  if (run.mode == FlowMode::kOptimize) {
+    for (const core::PortOptPrimitive& pop : pops) {
+      std::vector<core::PortConstraint> pcs =
+          port_opt.generate_constraints(pop);
+      report.constraints.insert(report.constraints.end(), pcs.begin(),
+                                pcs.end());
+    }
+    report.decisions = port_opt.reconcile(pops, report.constraints);
+  } else {
+    // The oracle runs both steps through PortOptimizer::optimize and, like
+    // the manual designer it stands in for, reports no constraints.
+    report.decisions = port_opt.optimize(pops);
+  }
+  equalize_symmetric_nets(run.instances, report.decisions);
   portopt_span.close();
-  budget_checkpoint(budget, budget_obs, sink, "port_optimization",
-                    "budget.checks.portopt");
+  run.checkpoint("port_optimization", "budget.checks.portopt");
+}
+
+Realization FlowEngine::realize(const Run& run, Choice chosen) const {
   obs::Span realization_span("realization");
-  for (const core::NetWireDecision& d : report.decisions) {
-    const auto rit = report.routes.find(d.circuit_net);
-    if (rit == report.routes.end() || !rit->second.routed) continue;
+  const ModeRow& row = mode_row(run.mode);
+  Realization real;
+  real.ideal = false;
+  for (auto& [name, cand] : chosen) {
+    OLP_CHECK(!cand.layout.footprint_only,
+              "realization got the footprint of " + name);
+    real.layouts[name] = std::move(cand.layout);
+    if (row.tunes) real.tunings[name] = std::move(cand.tuning);
+  }
+  const std::map<std::string, route::NetRoute>& routes = run.report.routes;
+  for (const core::NetWireDecision& d : run.report.decisions) {
+    const auto rit = routes.find(d.circuit_net);
+    if (rit == routes.end() || !rit->second.routed) continue;
     real.net_wires[d.circuit_net] =
         core::route_wire_rc(tech_, rit->second, d.parallel_routes);
   }
-  for (const auto& [net, route] : report.routes) {
+  // Routed nets without a decision carry their wire at the mode's default.
+  for (const auto& [net, route] : routes) {
     if (!route.routed || real.net_wires.count(net)) continue;
-    real.net_wires[net] = core::route_wire_rc(tech_, route, 1);
+    real.net_wires[net] = core::route_wire_rc(tech_, route, row.default_wires);
   }
-  realization_span.close();
-
-  long tb = 0;
-  for (const auto& eval : evaluators) tb += eval->stats().testbenches;
-  report.testbenches = tb;
   return real;
 }
 

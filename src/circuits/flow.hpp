@@ -1,20 +1,32 @@
 #pragma once
 // The hierarchical layout flow driver (paper Fig. 1 with the two inserted
 // optimization steps), plus the comparison baselines of Sec. IV. One entry
-// point runs any of the three flows:
+// point runs any of the three flows through one skeleton of four steps:
 //
-//   run(FlowMode::kOptimize):     primitive selection + tuning (Algorithm 1),
-//                                 placement, global routing, primitive port
-//                                 optimization (Algorithm 2) -> full
-//                                 realization ("This work").
+//   1. each instance's layout and tuning,
+//   2. placement and global routing (place_and_route), which also reports
+//      unrouted nets,
+//   3. each routed net's parallel-route count,
+//   4. the realization: net wires from the decisions, the mode's default
+//      count on every other routed net.
+//
+// The modes differ at steps 1 and 3:
+//
+//   run(FlowMode::kOptimize):     Algorithm 1 selection + tuning, one option
+//                                 per instance by trial floorplans; Algorithm
+//                                 2 port optimization ("This work").
 //   run(FlowMode::kConventional): geometric constraints only — each
 //                                 primitive an ABBA configuration (multi-row
 //                                 when any exists) without dummies, the one
-//                                 minimizing area·(1 + 2·|ln AR|); every net
-//                                 routed at two tracks; no parasitic/LDE
-//                                 optimization ([19]/[20]-style baseline).
-//   run(FlowMode::kManualOracle): exhaustive configuration/tuning/wire search
-//                                 standing in for expert manual layout.
+//                                 minimizing area·(1 + 2·|ln AR|); no wire
+//                                 decisions, every net routed at two tracks;
+//                                 no parasitic/LDE optimization
+//                                 ([19]/[20]-style baseline).
+//   run(FlowMode::kManualOracle): the five cheapest configurations of each
+//                                 primitive tuned and the best kept, then
+//                                 Algorithm 2's wire counts without reported
+//                                 constraints, standing in for expert manual
+//                                 layout.
 //
 // Environment overrides (see util/env.hpp for the full catalog) are applied
 // ONCE, at FlowEngine construction: OLP_THREADS onto num_threads,
@@ -93,9 +105,10 @@ struct FlowOptions {
   bool eval_cache = false;
   /// Optional caller-owned evaluation cache shared ACROSS runs (not owned,
   /// may be null; must outlive the flow call). Overrides `eval_cache`: when
-  /// set, every evaluator of the run uses this cache. Sharing is only sound
-  /// between runs with equal core::EvalCache::scope_key(technology, nmos,
-  /// pmos) — the batch runner enforces that by keeping one cache per scope.
+  /// set, every evaluator of the run uses this cache. The cache key does not
+  /// cover the technology, so sharing is only sound between runs on one
+  /// technology; it is in a batch, because every batch job runs on the
+  /// runner's technology.
   core::EvalCache* shared_eval_cache = nullptr;
   /// Client id this run presents to `shared_eval_cache` (>= 0 enables
   /// cross-client hit attribution; see core::EvalCacheStats).
@@ -158,39 +171,38 @@ class FlowEngine {
   const FlowOptions& options() const { return options_; }
 
  private:
-  /// The three mode cores. Each fills `report` (except the envelope fields —
-  /// runtime, budget snapshot, telemetry, diagnostics — which run() owns)
-  /// and returns the realization. `budget` is the run's effective budget and
-  /// `budget_obs` its stage-boundary observer.
-  Realization run_optimize(const std::vector<InstanceSpec>& instances,
-                           const std::vector<std::string>& routed_nets,
-                           FlowReport& report, DiagnosticsSink& sink,
-                           Budget& budget, BudgetObserver& budget_obs) const;
-  Realization run_conventional(const std::vector<InstanceSpec>& instances,
-                               const std::vector<std::string>& routed_nets,
-                               FlowReport& report, DiagnosticsSink& sink,
-                               Budget& budget,
-                               BudgetObserver& budget_obs) const;
-  Realization run_manual_oracle(const std::vector<InstanceSpec>& instances,
-                                const std::vector<std::string>& routed_nets,
-                                FlowReport& report, DiagnosticsSink& sink,
-                                Budget& budget,
-                                BudgetObserver& budget_obs) const;
+  struct Run;
+  /// Step 1's decision: the candidate (layout and tuning) each instance is
+  /// placed, port-optimized and realized with, by instance name.
+  using Choice = std::map<std::string, core::LayoutCandidate>;
 
-  /// Places the chosen layouts at FlowOptions::placer_iterations and
-  /// globally routes the given nets: the final floorplan of every mode (the
-  /// option choice's trial floorplans are only placed). `sink` receives
-  /// placer/router diagnostics. `artifact_prefix` names the per-stage SVG
-  /// snapshots when FlowOptions::trace_artifacts_dir is set. `budget` bounds
-  /// annealing iterations and per-net routing; `budget_obs` receives the
-  /// placement/routing stage-boundary budget telemetry and stage-attributed
-  /// exhaustion diagnostics.
-  void place_and_route(
-      const std::vector<InstanceSpec>& instances,
-      const std::map<std::string, const pcell::PrimitiveLayout*>& layouts,
-      const std::vector<std::string>& routed_nets, FlowReport& report,
-      DiagnosticsSink& sink, const std::string& artifact_prefix,
-      Budget& budget, BudgetObserver& budget_obs) const;
+  /// Step 1 per mode. select_optimized runs Algorithm 1 once per distinct
+  /// problem and picks one option per instance by trial floorplans;
+  /// generate_conventional takes each primitive's squarest ABBA
+  /// configuration; select_oracle tunes the five cheapest configurations of
+  /// each primitive and keeps the best.
+  Choice select_optimized(Run& run) const;
+  Choice generate_conventional(Run& run) const;
+  Choice select_oracle(Run& run) const;
+
+  /// Builds the run's evaluators: one per distinct (netlist, fin count,
+  /// evaluation context), wired to the run's sink, budget and cache.
+  void make_evaluators(Run& run) const;
+
+  /// Step 2: places the chosen layouts at FlowOptions::placer_iterations,
+  /// globally routes the run's nets and reports every net left unrouted:
+  /// the final floorplan of every mode (the option choice's trial
+  /// floorplans are only placed). Writes the per-stage SVG snapshots when
+  /// FlowOptions::trace_artifacts_dir is set.
+  void place_and_route(Run& run, const Choice& chosen) const;
+
+  /// Step 3: each routed net's parallel-route count (Algorithm 2), equal
+  /// across symmetric port pairs.
+  void choose_wire_counts(Run& run, const Choice& chosen) const;
+
+  /// Step 4: the realization of the decisions. Every routed net without a
+  /// decision gets the mode's default count.
+  Realization realize(const Run& run, Choice chosen) const;
 
   /// The pool parallel stages run on: FlowOptions::pool when set, else a
   /// lazily built engine-local pool; null when num_threads == 1 so the

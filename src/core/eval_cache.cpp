@@ -3,7 +3,6 @@
 #include <charconv>
 #include <functional>
 
-#include "tech/technology.hpp"
 #include "util/obs.hpp"
 
 namespace olp::core {
@@ -142,50 +141,6 @@ std::string EvalCache::make_key(const pcell::PrimitiveLayout& layout,
                                 const spice::MosModel& nmos,
                                 const spice::MosModel& pmos) {
   return make_key(layout, condition, context_key(bias, nmos, pmos));
-}
-
-std::string EvalCache::scope_key(const tech::Technology& technology,
-                                 const spice::MosModel& nmos,
-                                 const spice::MosModel& pmos) {
-  std::string key;
-  key.reserve(256);
-  // Technology identity: the name plus the physical parameters that shape
-  // generated layouts, parasitic annotation and LDE shifts. Two techs that
-  // differ in any of these must not share evaluations.
-  key += "t:";
-  append_str(key, technology.name);
-  append_double(key, technology.fin_pitch);
-  append_double(key, technology.poly_pitch);
-  append_double(key, technology.fin_width_eff);
-  append_double(key, technology.gate_length);
-  append_double(key, technology.diff_extension);
-  append_double(key, technology.row_height);
-  append_double(key, technology.diff_cont_res);
-  append_double(key, technology.diff_sheet_res);
-  append_double(key, technology.poly_res_sheet);
-  append_double(key, technology.poly_res_cap);
-  for (const tech::MetalLayerInfo& m : technology.metals) {
-    append_double(key, m.min_width);
-    append_double(key, m.min_spacing);
-    append_double(key, m.pitch);
-    append_double(key, m.sheet_res);
-    append_double(key, m.cap_per_length);
-    append_long(key, m.horizontal ? 1 : 0);
-  }
-  append_double(key, technology.via_res);
-  append_double(key, technology.via_cap);
-  const tech::LdeCoefficients& lde = technology.lde;
-  append_double(key, lde.k_lod_vth);
-  append_double(key, lde.sa_ref);
-  append_double(key, lde.k_lod_mob);
-  append_double(key, lde.k_wpe_vth);
-  append_double(key, lde.sc_offset);
-  append_double(key, lde.grad_vth);
-  append_double(key, technology.vdd);
-  key += "m:";
-  append_model(key, nmos);
-  append_model(key, pmos);
-  return key;
 }
 
 EvalCache::Shard& EvalCache::shard_for(const std::string& key) {

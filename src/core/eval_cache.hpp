@@ -47,15 +47,14 @@
 //
 // Cross-job sharing (circuits/batch): one cache may serve many concurrent
 // flow runs. The key does NOT cover the Technology (layer stack, parasitic
-// coefficients, LDE constants), so a shared cache must be scoped to one
-// technology + model-card combination — scope_key() fingerprints that
-// combination, and the batch runner keeps one cache per distinct scope.
-// Each sharing run passes a small integer `client` id; a hit on an entry
-// inserted by a different client is additionally counted as a cross-client
-// hit, which is how the batch report attributes testbenches saved by
-// cross-job sharing. Values are bit-identical regardless of which client
-// computed them (same key => same bits), so sharing preserves per-job
-// determinism.
+// coefficients, LDE constants), so every run that shares a cache must run
+// on one technology; the batch runner keeps one cache per batch, and every
+// job of a batch runs on the runner's technology. Each sharing run passes a
+// small integer `client` id; a hit on an entry inserted by a different
+// client is additionally counted as a cross-client hit, which is how the
+// batch report attributes testbenches saved by cross-job sharing. Values are
+// bit-identical regardless of which client computed them (same key => same
+// bits), so sharing preserves per-job determinism.
 
 #include <atomic>
 #include <condition_variable>
@@ -135,15 +134,6 @@ class EvalCache {
                               const BiasContext& bias,
                               const spice::MosModel& nmos,
                               const spice::MosModel& pmos);
-
-  /// Fingerprint of what an evaluation depends on beyond make_key: the
-  /// technology (name + every parameter that shapes layouts, parasitics and
-  /// LDE shifts: front-end geometry, diffusion and via parasitics, the metal
-  /// stack, the LDE coefficients, vdd), plus the model cards. Two flow runs
-  /// may share one cache iff their scope keys are equal.
-  static std::string scope_key(const tech::Technology& technology,
-                               const spice::MosModel& nmos,
-                               const spice::MosModel& pmos);
 
   /// Copies the cached metrics into *values and returns true on a hit.
   /// Counts a hit/miss either way; a hit on another client's entry also

@@ -1,7 +1,6 @@
 #include "spice/export.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -54,13 +53,6 @@ std::string ac_to_csv(const Simulator& sim, const AcResult& result,
     os << '\n';
   }
   return os.str();
-}
-
-void write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  OLP_CHECK(static_cast<bool>(out), "cannot open " + path + " for writing");
-  out << text;
-  OLP_CHECK(static_cast<bool>(out), "failed writing " + path);
 }
 
 }  // namespace olp::spice

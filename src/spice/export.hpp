@@ -19,7 +19,4 @@ std::string tran_to_csv(const Simulator& sim, const TranResult& result,
 std::string ac_to_csv(const Simulator& sim, const AcResult& result,
                       const std::vector<std::string>& nodes);
 
-/// Writes text to a file; throws on I/O failure.
-void write_text_file(const std::string& path, const std::string& text);
-
 }  // namespace olp::spice

@@ -14,11 +14,6 @@
 
 namespace olp::spice {
 
-SimStats& SimStats::global() {
-  static SimStats stats;
-  return stats;
-}
-
 Simulator::Simulator(const Circuit& circuit, DiagnosticsSink* diagnostics,
                      Budget* budget)
     : circuit_(circuit), diag_(diagnostics), budget_(budget) {
@@ -416,7 +411,6 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
 OpResult Simulator::op(const OpOptions& options) const {
   obs::Span span("sim.op");
   obs::counter_add("sim.op");
-  SimStats::global().op_count++;
   System<double> sys(pattern_, &first_);
   OpResult result = op_impl(options, sys);
   obs::record("sim.op.newton_iterations", result.iterations);
@@ -530,7 +524,6 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   obs::counter_add("sim.ac");
   obs::record("sim.ac.frequencies",
               static_cast<double>(options.frequencies.size()));
-  SimStats::global().ac_count++;
   const int n = n_unknowns();
   const int nn = circuit_.node_count() - 1;
   OLP_CHECK(static_cast<int>(op_x.size()) == n, "ac needs an OP solution");
@@ -638,7 +631,6 @@ TranResult Simulator::tran(const TranOptions& options) const {
 
 TranResult Simulator::tran_attempt(const TranOptions& options) const {
   obs::counter_add("sim.tran.attempts");
-  SimStats::global().tran_count++;
   OLP_CHECK(options.dt > 0 && options.tstop > options.dt &&
                 options.record_stride >= 1,
             "transient needs dt > 0, tstop > dt and record_stride >= 1");

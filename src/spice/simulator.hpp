@@ -17,7 +17,6 @@
 // MOSFETs, read from a device table the constructor builds.
 
 #include <array>
-#include <atomic>
 #include <complex>
 #include <functional>
 #include <mutex>
@@ -102,21 +101,6 @@ struct TranResult {
   std::vector<double> times;
   /// samples[k] is the full unknown vector at times[k].
   std::vector<std::vector<double>> samples;
-};
-
-/// Process-wide analysis counters; the flow reports these in Table V / VIII.
-/// Atomic so concurrent TaskPool evaluations merge instead of racing.
-struct SimStats {
-  std::atomic<long> op_count{0};
-  std::atomic<long> ac_count{0};
-  std::atomic<long> tran_count{0};
-  long total() const { return op_count + ac_count + tran_count; }
-  void reset() {
-    op_count = 0;
-    ac_count = 0;
-    tran_count = 0;
-  }
-  static SimStats& global();
 };
 
 /// The analysis engine. Holds a reference to the circuit, which must outlive

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/env.hpp"
-#include "util/obs.hpp"
 
 namespace olp {
 
@@ -142,12 +141,6 @@ std::string Budget::description() const {
       break;
   }
   return os.str();
-}
-
-void BudgetObserver::stage_boundary(const char* checks_counter) {
-  const long checks = budget_.checks();
-  obs::counter_add(checks_counter, checks - last_checks_);
-  last_checks_ = checks;
 }
 
 }  // namespace olp

@@ -144,20 +144,4 @@ class Budget {
   std::atomic<BudgetKind> tripped_{BudgetKind::kNone};
 };
 
-/// Emits the per-stage check count at flow stage boundaries: counter
-/// `checks_counter` += check() probes since the last boundary (e.g.
-/// "budget.checks.placement"), the deterministic per-stage cost tests use to
-/// land exhaustion at an exact stage. The emission goes through util/obs and
-/// is a no-op when the registry is disabled.
-class BudgetObserver {
- public:
-  explicit BudgetObserver(const Budget& budget) : budget_(budget) {}
-
-  void stage_boundary(const char* checks_counter);
-
- private:
-  const Budget& budget_;
-  long last_checks_ = 0;
-};
-
 }  // namespace olp

@@ -6,9 +6,12 @@
 # caller's frame, copied into every attempt; an evaluation's testbenches
 # share one bench and change its sources between analyses), the solver
 # tests (the sparse LU ordering's linked entry pool, and a Simulator hands
-# its first factorization from one analysis call to the next), and the
-# placer tests (the annealer's cache of scored states: slot arithmetic, key
-# copies and compares) under AddressSanitizer + UBSan and execute them.
+# its first factorization from one analysis call to the next), the placer
+# tests (the annealer's cache of scored states: slot arithmetic, key copies
+# and compares), and the flow and batch tests (the flow skeleton hands
+# pointers to the chosen candidates' layouts from step to step, and its
+# evaluators read the run-local or batch cache through Algorithm 2) under
+# AddressSanitizer + UBSan and execute them.
 #
 # Usage: tests/run_chaos.sh [build-dir]
 # The build directory defaults to build-chaos-asan next to the source tree.
@@ -42,7 +45,7 @@ cmake -B "${build_dir}" -S "${src_dir}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_chaos test_failure_injection test_parser test_util \
   test_simulator_tran test_evaluator test_linalg test_simulator_dc \
-  test_simulator_ac test_place > /dev/null
+  test_simulator_ac test_place test_flow test_batch > /dev/null
 
 echo "== chaos tests (ASan+UBSan) =="
 "${build_dir}/tests/test_chaos"
@@ -61,4 +64,7 @@ echo "== sparse LU + DC/AC simulator tests (ASan+UBSan) =="
 "${build_dir}/tests/test_simulator_ac"
 echo "== placer tests (ASan+UBSan) =="
 "${build_dir}/tests/test_place"
+echo "== flow + batch tests (ASan+UBSan) =="
+"${build_dir}/tests/test_flow"
+"${build_dir}/tests/test_batch"
 echo "chaos smoke run passed"

@@ -190,23 +190,6 @@ TEST(EvalCacheKey, DistinguishesEveryInput) {
   expect_new_key(b, nmos, pmos, "port_load_cap");
 }
 
-// Technologies that differ only in the metal stack or the LDE coefficients
-// generate and annotate different layouts, so they must not share a cache.
-TEST(EvalCacheScope, LayoutShapingTechnologyChangesScope) {
-  const spice::MosModel nmos = circuits::default_nmos();
-  const spice::MosModel pmos = circuits::default_pmos();
-  const std::string base = EvalCache::scope_key(t(), nmos, pmos);
-  EXPECT_EQ(EvalCache::scope_key(t(), nmos, pmos), base);
-
-  tech::Technology lde = t();
-  lde.lde.k_lod_vth *= 1.5;
-  EXPECT_NE(EvalCache::scope_key(lde, nmos, pmos), base);
-
-  tech::Technology metal = t();
-  metal.metals[0].sheet_res *= 1.5;
-  EXPECT_NE(EvalCache::scope_key(metal, nmos, pmos), base);
-}
-
 TEST(EvalCache, HitReturnsIdenticalValuesWithoutNewTestbenches) {
   const pcell::PrimitiveGenerator gen(t());
   const pcell::PrimitiveLayout lay =

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
-
 #include <sstream>
 
 #include "spice/export.hpp"
 #include "spice/simulator.hpp"
+#include "util/trace_export.hpp"
 
 namespace olp::spice {
 namespace {
@@ -80,14 +81,20 @@ TEST(Export, UnknownNodeThrows) {
 }
 
 TEST(Export, WriteTextFile) {
-  const std::string path = "/tmp/olp_export_test.csv";
-  write_text_file(path, "a,b\n1,2\n");
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "olp_export_test";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "out.csv").string();
+  obs::write_text_file(path, "a,b\n1,2\n");  // creates the directory
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "a,b");
-  EXPECT_THROW(write_text_file("/nonexistent_dir/x.csv", "x"),
+  // A regular file cannot hold a directory, even for a user who may create
+  // one anywhere.
+  EXPECT_THROW(obs::write_text_file(path + "/x.csv", "x"),
                InvalidArgumentError);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

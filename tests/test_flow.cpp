@@ -180,12 +180,66 @@ TEST(FlowEngine, TrialFloorplansArePlacedNotRouted) {
             trials * (1 + opt.combo_place_iterations));
 }
 
+TEST(FlowEngine, DedupMergesOnlyInterchangeableInstances) {
+  // Algorithm 1 runs once per distinct evaluation context: two instances
+  // that differ only in a port load, or in a port voltage by less than a
+  // millivolt, are different problems and each gets its own options, while
+  // an exact copy reuses the first one's result.
+  set_log_level(LogLevel::kError);
+  Ota5T ota(t());
+  ASSERT_TRUE(ota.prepare());
+  InstanceSpec base;
+  for (const InstanceSpec& inst : ota.instances()) {
+    if (inst.name == "cmtail") base = inst;
+  }
+  ASSERT_EQ(base.name, "cmtail");
+  ASSERT_TRUE(base.bias.port_load_cap.count("out"));
+  ASSERT_TRUE(base.bias.port_voltage.count("out"));
+  InstanceSpec loaded = base;
+  loaded.name = "loaded";
+  loaded.bias.port_load_cap["out"] *= 3.0;
+  InstanceSpec shifted = base;
+  shifted.name = "shifted";
+  shifted.bias.port_voltage["out"] += 1e-5;
+  InstanceSpec copy = base;
+  copy.name = "copy";
+
+  obs::ScopedObservability scoped;
+  const FlowEngine engine(t(), {});
+  const auto run = [&engine](const std::vector<InstanceSpec>& instances) {
+    FlowReport report;
+    engine.run(FlowMode::kOptimize, instances, {}, &report);
+    return report;
+  };
+  const FlowReport joint = run({base, loaded, shifted});
+  EXPECT_EQ(joint.telemetry.snapshot.counter("flow.dedup_hits"), 0);
+  for (const InstanceSpec& inst : {base, loaded, shifted}) {
+    SCOPED_TRACE(inst.name);
+    const FlowReport solo = run({inst});
+    const std::vector<core::LayoutCandidate>& got = joint.options.at(inst.name);
+    const std::vector<core::LayoutCandidate>& want = solo.options.at(inst.name);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_same_candidate(got[i], want[i], std::to_string(i));
+    }
+  }
+
+  const FlowReport with_copy = run({base, copy});
+  EXPECT_EQ(with_copy.telemetry.snapshot.counter("flow.dedup_hits"), 1);
+  EXPECT_EQ(with_copy.options.at("copy").size(),
+            with_copy.options.at("cmtail").size());
+}
+
 // Every decision of the OTA, StrongARM and RO-VCO flows, optimize and
-// conventional, at placer seeds 1, 7 and 1003: one hash per flow over the
-// fields expect_same_flow_result() compares (testbench and budget counts
-// excluded). The hashes were recorded from the flow whose option choice
-// placed and routed a trial floorplan per combination, with an annealer that
-// scored every visited state afresh.
+// conventional, and of the OTA and StrongARM manual-oracle flows, at placer
+// seeds 1, 7 and 1003: one hash per flow over the fields
+// expect_same_flow_result() compares, plus the flow's testbench and budget
+// check counts, which the hash leaves out but the fuel-limit tests place
+// their trips by. The optimize and conventional hashes were recorded from
+// the flow whose option choice placed and routed a trial floorplan per
+// combination, with an annealer that scored every visited state afresh; the
+// oracle rows and every count were recorded from the three per-mode flow
+// bodies that preceded the shared flow skeleton.
 TEST(Flow, MatchesParentBitForBit) {
   set_log_level(LogLevel::kError);
   Ota5T ota(t());
@@ -209,26 +263,40 @@ TEST(Flow, MatchesParentBitForBit) {
     FlowMode mode;
     std::uint64_t seed;
     std::uint64_t hash;
+    long testbenches;
+    long checks;
   };
   const Golden goldens[] = {
-      {"ota", FlowMode::kOptimize, 1, 0x1314e35c86188c7cULL},
-      {"ota", FlowMode::kOptimize, 7, 0x73c983803f8bcd0dULL},
-      {"ota", FlowMode::kOptimize, 1003, 0x1314e35c86188c7cULL},
-      {"ota", FlowMode::kConventional, 1, 0xdcf73ebc0e99ffbfULL},
-      {"ota", FlowMode::kConventional, 7, 0xdcf73ebc0e99ffbfULL},
-      {"ota", FlowMode::kConventional, 1003, 0x6540d0f626ff31eeULL},
-      {"strongarm", FlowMode::kOptimize, 1, 0x45876d3b3954b037ULL},
-      {"strongarm", FlowMode::kOptimize, 7, 0x8fcebe94adf27441ULL},
-      {"strongarm", FlowMode::kOptimize, 1003, 0xb3a45ce9969f7ca2ULL},
-      {"strongarm", FlowMode::kConventional, 1, 0x68525f4a1546ede6ULL},
-      {"strongarm", FlowMode::kConventional, 7, 0x36f548a027675f99ULL},
-      {"strongarm", FlowMode::kConventional, 1003, 0xaf099106307cf463ULL},
-      {"vco", FlowMode::kOptimize, 1, 0xef174f1ae794030dULL},
-      {"vco", FlowMode::kOptimize, 7, 0x8dc079dcf4890b31ULL},
-      {"vco", FlowMode::kOptimize, 1003, 0xef174f1ae794030dULL},
-      {"vco", FlowMode::kConventional, 1, 0x3fc9ba424159fec3ULL},
-      {"vco", FlowMode::kConventional, 7, 0xc5b0059bef38eb68ULL},
-      {"vco", FlowMode::kConventional, 1003, 0xc5b0059bef38eb68ULL},
+      {"ota", FlowMode::kOptimize, 1, 0x1314e35c86188c7cULL, 990, 60895},
+      {"ota", FlowMode::kOptimize, 7, 0x73c983803f8bcd0dULL, 990, 60895},
+      {"ota", FlowMode::kOptimize, 1003, 0x1314e35c86188c7cULL, 990, 60895},
+      {"ota", FlowMode::kConventional, 1, 0xdcf73ebc0e99ffbfULL, 0, 8057},
+      {"ota", FlowMode::kConventional, 7, 0xdcf73ebc0e99ffbfULL, 0, 8057},
+      {"ota", FlowMode::kConventional, 1003, 0x6540d0f626ff31eeULL, 0, 8057},
+      {"ota", FlowMode::kManualOracle, 1, 0x2188b9967decd81fULL, 1140, 21995},
+      {"ota", FlowMode::kManualOracle, 7, 0x2188b9967decd81fULL, 1140, 21995},
+      {"ota", FlowMode::kManualOracle, 1003, 0x2188b9967decd81fULL,
+       1140, 21995},
+      {"strongarm", FlowMode::kOptimize, 1, 0x45876d3b3954b037ULL, 1180, 19835},
+      {"strongarm", FlowMode::kOptimize, 7, 0x8fcebe94adf27441ULL, 1150, 19618},
+      {"strongarm", FlowMode::kOptimize, 1003, 0xb3a45ce9969f7ca2ULL,
+       1198, 20120},
+      {"strongarm", FlowMode::kConventional, 1, 0x68525f4a1546ede6ULL, 0, 8060},
+      {"strongarm", FlowMode::kConventional, 7, 0x36f548a027675f99ULL, 0, 8060},
+      {"strongarm", FlowMode::kConventional, 1003, 0xaf099106307cf463ULL,
+       0, 8060},
+      {"strongarm", FlowMode::kManualOracle, 1, 0x32d0b0fe1b07789fULL,
+       1360, 21544},
+      {"strongarm", FlowMode::kManualOracle, 7, 0x30620f6b9ace4e64ULL,
+       1330, 21327},
+      {"strongarm", FlowMode::kManualOracle, 1003, 0x72052ccf2cb609edULL,
+       1378, 21829},
+      {"vco", FlowMode::kOptimize, 1, 0xef174f1ae794030dULL, 610, 35610},
+      {"vco", FlowMode::kOptimize, 7, 0x8dc079dcf4890b31ULL, 610, 35610},
+      {"vco", FlowMode::kOptimize, 1003, 0xef174f1ae794030dULL, 610, 35610},
+      {"vco", FlowMode::kConventional, 1, 0x3fc9ba424159fec3ULL, 0, 8004},
+      {"vco", FlowMode::kConventional, 7, 0xc5b0059bef38eb68ULL, 0, 8004},
+      {"vco", FlowMode::kConventional, 1003, 0xc5b0059bef38eb68ULL, 0, 8004},
   };
   for (const Golden& g : goldens) {
     const std::string what = std::string(g.circuit) + " " +
@@ -247,6 +315,8 @@ TEST(Flow, MatchesParentBitForBit) {
         g.mode, c->instances, c->routed_nets, &report);
     const std::uint64_t h = flow_result_hash(report, real);
     EXPECT_EQ(h, g.hash) << std::hex << "0x" << h;
+    EXPECT_EQ(report.testbenches, g.testbenches);
+    EXPECT_EQ(report.budget.checks, g.checks);
   }
 }
 

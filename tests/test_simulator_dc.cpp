@@ -367,17 +367,5 @@ TEST(DcOp, PooledOpsOnOneSimulatorAgree) {
   }
 }
 
-TEST(SimStats, CountsOpRuns) {
-  SimStats::global().reset();
-  Circuit c;
-  const NodeId n = c.node("n");
-  c.add_resistor("r", n, kGround, 1e3);
-  c.add_isource("i", kGround, n, Waveform::dc(1e-6));
-  Simulator sim(c);
-  (void)sim.op();
-  (void)sim.op();
-  EXPECT_EQ(SimStats::global().op_count, 2);
-}
-
 }  // namespace
 }  // namespace olp::spice
