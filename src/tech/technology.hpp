@@ -100,10 +100,6 @@ struct Technology {
   // Diffusion/contact parasitics.
   double diff_cont_res = 0.0;   ///< resistance of one S/D contact stack [ohm]
   double diff_sheet_res = 0.0;  ///< diffusion sheet resistance [ohm/sq]
-  /// Unsilicided precision-poly sheet resistance [ohm/sq] and its parasitic
-  /// capacitance to substrate [F/m^2] (the resistor passive primitive).
-  double poly_res_sheet = 300.0;
-  double poly_res_cap = 0.1e-3;
 
   std::array<MetalLayerInfo, kNumRoutingLayers> metals{};
   double via_res = 0.0;         ///< single-cut via resistance [ohm]

@@ -66,6 +66,7 @@ TEST_F(FlowOnOta, RealizationsAreComplete) {
 }
 
 TEST_F(FlowOnOta, EveryInstanceGotOptionsPerBin) {
+  EXPECT_EQ(opt_report_.options.size(), ota_->instances().size());
   for (const InstanceSpec& inst : ota_->instances()) {
     const auto it = opt_report_.options.find(inst.name);
     ASSERT_NE(it, opt_report_.options.end()) << inst.name;
@@ -132,12 +133,6 @@ TEST_F(FlowOnOta, ConventionalUsesNoDummiesAndFixedWires) {
 TEST_F(FlowOnOta, ReportCountsRuntimeAndSimulations) {
   EXPECT_GT(opt_report_.runtime_s, 0.0);
   EXPECT_GT(opt_report_.testbenches, 50);
-}
-
-TEST_F(FlowOnOta, IdenticalInstancesDeduplicated) {
-  // The two mirror instances have different bias signatures here, but the
-  // options map must still exist for each instance independently.
-  EXPECT_EQ(opt_report_.options.size(), ota_->instances().size());
 }
 
 TEST(FlowEngine, ManualOracleAtLeastAsGoodAsFlowOnCost) {
@@ -232,14 +227,9 @@ TEST(FlowEngine, DedupMergesOnlyInterchangeableInstances) {
 
 // Every decision of the OTA, StrongARM and RO-VCO flows, optimize and
 // conventional, and of the OTA and StrongARM manual-oracle flows, at placer
-// seeds 1, 7 and 1003: one hash per flow over the fields
-// expect_same_flow_result() compares, plus the flow's testbench and budget
-// check counts, which the hash leaves out but the fuel-limit tests place
-// their trips by. The optimize and conventional hashes were recorded from
-// the flow whose option choice placed and routed a trial floorplan per
-// combination, with an annealer that scored every visited state afresh; the
-// oracle rows and every count were recorded from the three per-mode flow
-// bodies that preceded the shared flow skeleton.
+// seeds 1, 7 and 1003: one hash per flow over every field FlowFields walks,
+// plus the flow's testbench and budget check counts, which the hash leaves
+// out but the fuel-limit tests place their trips by.
 TEST(Flow, MatchesParentBitForBit) {
   set_log_level(LogLevel::kError);
   Ota5T ota(t());
@@ -248,75 +238,36 @@ TEST(Flow, MatchesParentBitForBit) {
   ASSERT_TRUE(ota.prepare());
   ASSERT_TRUE(strongarm.prepare());
   ASSERT_TRUE(vco.prepare());
+  const std::vector<FlowMode> all_modes = {
+      FlowMode::kOptimize, FlowMode::kConventional, FlowMode::kManualOracle};
   struct Circuit {
     const char* name;
     const std::vector<InstanceSpec>& instances;
     std::vector<std::string> routed_nets;
+    std::vector<FlowMode> modes;
   };
   const Circuit circuits[] = {
-      {"ota", ota.instances(), ota.routed_nets()},
-      {"strongarm", strongarm.instances(), strongarm.routed_nets()},
-      {"vco", vco.instances(), vco.routed_nets()},
+      {"ota", ota.instances(), ota.routed_nets(), all_modes},
+      {"strongarm", strongarm.instances(), strongarm.routed_nets(), all_modes},
+      {"vco", vco.instances(), vco.routed_nets(),
+       {FlowMode::kOptimize, FlowMode::kConventional}},
   };
-  struct Golden {
-    const char* circuit;
-    FlowMode mode;
-    std::uint64_t seed;
-    std::uint64_t hash;
-    long testbenches;
-    long checks;
-  };
-  const Golden goldens[] = {
-      {"ota", FlowMode::kOptimize, 1, 0x1314e35c86188c7cULL, 990, 60895},
-      {"ota", FlowMode::kOptimize, 7, 0x73c983803f8bcd0dULL, 990, 60895},
-      {"ota", FlowMode::kOptimize, 1003, 0x1314e35c86188c7cULL, 990, 60895},
-      {"ota", FlowMode::kConventional, 1, 0xdcf73ebc0e99ffbfULL, 0, 8057},
-      {"ota", FlowMode::kConventional, 7, 0xdcf73ebc0e99ffbfULL, 0, 8057},
-      {"ota", FlowMode::kConventional, 1003, 0x6540d0f626ff31eeULL, 0, 8057},
-      {"ota", FlowMode::kManualOracle, 1, 0x2188b9967decd81fULL, 1140, 21995},
-      {"ota", FlowMode::kManualOracle, 7, 0x2188b9967decd81fULL, 1140, 21995},
-      {"ota", FlowMode::kManualOracle, 1003, 0x2188b9967decd81fULL,
-       1140, 21995},
-      {"strongarm", FlowMode::kOptimize, 1, 0x45876d3b3954b037ULL, 1180, 19835},
-      {"strongarm", FlowMode::kOptimize, 7, 0x8fcebe94adf27441ULL, 1150, 19618},
-      {"strongarm", FlowMode::kOptimize, 1003, 0xb3a45ce9969f7ca2ULL,
-       1198, 20120},
-      {"strongarm", FlowMode::kConventional, 1, 0x68525f4a1546ede6ULL, 0, 8060},
-      {"strongarm", FlowMode::kConventional, 7, 0x36f548a027675f99ULL, 0, 8060},
-      {"strongarm", FlowMode::kConventional, 1003, 0xaf099106307cf463ULL,
-       0, 8060},
-      {"strongarm", FlowMode::kManualOracle, 1, 0x32d0b0fe1b07789fULL,
-       1360, 21544},
-      {"strongarm", FlowMode::kManualOracle, 7, 0x30620f6b9ace4e64ULL,
-       1330, 21327},
-      {"strongarm", FlowMode::kManualOracle, 1003, 0x72052ccf2cb609edULL,
-       1378, 21829},
-      {"vco", FlowMode::kOptimize, 1, 0xef174f1ae794030dULL, 610, 35610},
-      {"vco", FlowMode::kOptimize, 7, 0x8dc079dcf4890b31ULL, 610, 35610},
-      {"vco", FlowMode::kOptimize, 1003, 0xef174f1ae794030dULL, 610, 35610},
-      {"vco", FlowMode::kConventional, 1, 0x3fc9ba424159fec3ULL, 0, 8004},
-      {"vco", FlowMode::kConventional, 7, 0xc5b0059bef38eb68ULL, 0, 8004},
-      {"vco", FlowMode::kConventional, 1003, 0xc5b0059bef38eb68ULL, 0, 8004},
-  };
-  for (const Golden& g : goldens) {
-    const std::string what = std::string(g.circuit) + " " +
-                             flow_mode_name(g.mode) + " seed " +
-                             std::to_string(g.seed);
-    SCOPED_TRACE(what);
-    const Circuit* c = nullptr;
-    for (const Circuit& candidate : circuits) {
-      if (std::string(candidate.name) == g.circuit) c = &candidate;
+  Goldens goldens("flow/");
+  for (const Circuit& c : circuits) {
+    for (const FlowMode mode : c.modes) {
+      for (const std::uint64_t seed : {1, 7, 1003}) {
+        FlowOptions opt;
+        opt.seed = seed;
+        FlowReport report;
+        const Realization real =
+            FlowEngine(t(), opt).run(mode, c.instances, c.routed_nets, &report);
+        goldens.check(std::string(c.name) + "/" + flow_mode_name(mode) +
+                          "/s" + std::to_string(seed),
+                      {{"hash", hex64(flow_result_hash(report, real))},
+                       {"testbenches", std::to_string(report.testbenches)},
+                       {"checks", std::to_string(report.budget.checks)}});
+      }
     }
-    ASSERT_NE(c, nullptr);
-    FlowOptions opt;
-    opt.seed = g.seed;
-    FlowReport report;
-    const Realization real = FlowEngine(t(), opt).run(
-        g.mode, c->instances, c->routed_nets, &report);
-    const std::uint64_t h = flow_result_hash(report, real);
-    EXPECT_EQ(h, g.hash) << std::hex << "0x" << h;
-    EXPECT_EQ(report.testbenches, g.testbenches);
-    EXPECT_EQ(report.budget.checks, g.checks);
   }
 }
 

@@ -6,8 +6,8 @@
 #include <array>
 #include <complex>
 #include <cstdint>
-#include <cstring>
 
+#include "goldens.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse_lu.hpp"
@@ -335,29 +335,11 @@ TEST_P(SparseLuMna, RefactorReusesOrder) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseLuMna,
                          ::testing::Values(1, 2, 5, 23, 45, 88, 280));
 
-/// FNV-1a over the bytes of 64-bit words.
-class Fnv1a {
- public:
-  void add(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (word >> (8 * i)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(double v) {
-    std::uint64_t word;
-    std::memcpy(&word, &v, sizeof word);
-    add(word);
-  }
-  void add(std::complex<double> v) {
-    add(v.real());
-    add(v.imag());
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+void add(Fnv1a& hash, double v) { hash.f64(v); }
+void add(Fnv1a& hash, std::complex<double> v) {
+  hash.f64(v.real());
+  hash.f64(v.imag());
+}
 
 /// Every solution bit of a random MNA system of size n: factored, then
 /// refactored on two more sets of values, each solved for three right-hand
@@ -375,38 +357,22 @@ std::uint64_t solver_bits(int n) {
     for (std::uint64_t rhs = 1; rhs <= 3; ++rhs) {
       std::vector<T> x;
       lu.solve(random_rhs<T>(static_cast<std::size_t>(n), 10 * seed + rhs), x);
-      for (const T& v : x) hash.add(v);
+      for (const T& v : x) add(hash, v);
     }
   }
-  hash.add(static_cast<std::uint64_t>(lu.factor_nnz()));
-  hash.add(static_cast<std::uint64_t>(lu.reorders()));
+  hash.u64(static_cast<std::uint64_t>(lu.factor_nnz()));
+  hash.u64(static_cast<std::uint64_t>(lu.reorders()));
   return hash.value();
 }
 
 // The ordering's scan order, tie-breaks and arithmetic, pinned bit for bit
-// on the random MNA systems, real and complex. The goldens were recorded from
-// the solver whose ordering recomputed every magnitude; keeping them with
-// the entries must move no bit.
+// on the random MNA systems, real and complex.
 TEST(SparseLu, MatchesParentBitForBit) {
-  struct Golden {
-    int n;
-    std::uint64_t real, complex;
-  };
-  const Golden goldens[] = {
-      {1, 0xe8ed8aec44312c2cULL, 0xde0a49d65b18190fULL},
-      {2, 0xe2b24f950b27c181ULL, 0x504cbe9573eb7f45ULL},
-      {5, 0x82d7541b3fbb40adULL, 0x7ba9050280e0d942ULL},
-      {23, 0x528d15e693bc17b5ULL, 0x03c47cd82daab3a6ULL},
-      {45, 0x47fa511a86c920b0ULL, 0x4d9739adf0025f22ULL},
-      {88, 0x52c8a97d47bb0115ULL, 0xbb20c373bb789daeULL},
-      {280, 0x490e1db0c717c087ULL, 0xa638865096c4e424ULL},
-  };
-  for (const Golden& g : goldens) {
-    const std::uint64_t real = solver_bits<double>(g.n);
-    const std::uint64_t complex = solver_bits<std::complex<double>>(g.n);
-    EXPECT_EQ(real, g.real) << "n=" << g.n << " real " << std::hex << real;
-    EXPECT_EQ(complex, g.complex)
-        << "n=" << g.n << " complex " << std::hex << complex;
+  Goldens goldens("sparse_lu/");
+  for (const int n : {1, 2, 5, 23, 45, 88, 280}) {
+    goldens.check("n" + std::to_string(n),
+                  {{"real", hex64(solver_bits<double>(n))},
+                   {"complex", hex64(solver_bits<std::complex<double>>(n))}});
   }
 }
 

@@ -590,6 +590,22 @@ TEST(TraceExport, TelemetryViewAggregatesStages) {
   EXPECT_TRUE(jsonl::well_formed(to_json(empty), &err)) << err;
 }
 
+TEST(TraceExport, WriteTextFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "olp_export_test";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "out.csv").string();
+  write_text_file(path, "a,b\n1,2\n");  // creates the directory
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "a,b");
+  // A regular file cannot hold a directory, even for a user who may create
+  // one anywhere.
+  EXPECT_THROW(write_text_file(path + "/x.csv", "x"), InvalidArgumentError);
+  std::filesystem::remove_all(dir);
+}
+
 // --- Flow integration: enabled vs disabled on the 5T OTA. ---
 
 class ObsFlowOnOta : public ::testing::Test {

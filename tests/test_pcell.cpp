@@ -8,6 +8,8 @@
 #include <cstring>
 #include <numeric>
 
+#include "goldens.hpp"
+#include "library_netlists.hpp"
 #include "pcell/capacitor.hpp"
 #include "pcell/generator.hpp"
 #include "pcell/primitive.hpp"
@@ -339,30 +341,6 @@ TEST_P(GenerateAll, EveryConfigGeneratesConsistentLayout) {
 INSTANTIATE_TEST_SUITE_P(FinBudgets, GenerateAll,
                          ::testing::Values(32, 96, 192, 512, 960));
 
-// Every library netlist (each make_* in primitive.hpp, with a ratio or the
-// other device type where the factory takes one).
-std::vector<PrimitiveNetlist> library_netlists() {
-  return {
-      make_diff_pair(),
-      make_current_mirror(),
-      make_current_mirror(4),
-      make_cascode_current_mirror(),
-      make_cascode_current_mirror(2),
-      make_cascode_diff_pair(),
-      make_active_current_mirror(),
-      make_current_source(),
-      make_current_source(spice::MosType::kPmos),
-      make_common_source(),
-      make_current_starved_inverter(),
-      make_cross_coupled_pair(),
-      make_cross_coupled_pair(spice::MosType::kPmos),
-      make_latch_pair(),
-      make_latch_pair(spice::MosType::kPmos),
-      make_switch(),
-      make_switch(spice::MosType::kPmos),
-  };
-}
-
 /// Calls fn(config) for a spread of fin budgets, every enumerated
 /// configuration of each, with dummies on and off.
 template <typename Fn>
@@ -387,10 +365,10 @@ TEST(Footprint, MatchesTheGeneratedLayoutForEveryLibraryConfig) {
   };
   long layouts = 0;
   long mismatches = 0;
-  for (const PrimitiveNetlist& netlist : library_netlists()) {
+  for (const LibraryNetlist& lib : library_netlists()) {
     for_each_library_config([&](const LayoutConfig& cfg) {
-      const PrimitiveLayout full = gen.generate(netlist, cfg);
-      const PrimitiveLayout fp = gen.footprint(netlist, cfg);
+      const PrimitiveLayout full = gen.generate(lib.netlist, cfg);
+      const PrimitiveLayout fp = gen.footprint(lib.netlist, cfg);
       ++layouts;
       bool same = fp.footprint_only && !full.footprint_only &&
                   fp.geometry.bounding_box() == full.geometry.bounding_box() &&
@@ -407,7 +385,7 @@ TEST(Footprint, MatchesTheGeneratedLayoutForEveryLibraryConfig) {
       }
       if (!same) {
         ++mismatches;
-        ADD_FAILURE() << netlist.name << " " << cfg.to_string();
+        ADD_FAILURE() << lib.key << " " << cfg.to_string();
       }
     });
   }
@@ -415,120 +393,74 @@ TEST(Footprint, MatchesTheGeneratedLayoutForEveryLibraryConfig) {
   EXPECT_EQ(mismatches, 0);
 }
 
-/// 64-bit FNV-1a over every field of generated layouts, integers and double
-/// bit patterns fed little-endian, so the value is the same on any host.
-class LayoutHash {
- public:
-  void add(const PrimitiveLayout& layout) {
-    str(layout.netlist.name);
-    for (const LogicalDevice& d : layout.netlist.devices) {
-      str(d.name);
-      u64(static_cast<std::uint64_t>(d.mos_type));
-      str(d.drain_net);
-      str(d.gate_net);
-      str(d.source_net);
-      u64(static_cast<std::uint64_t>(d.unit_ratio));
-      u64(static_cast<std::uint64_t>(d.match_group));
-      f64(d.vth_offset);
-    }
-    str(layout.config.to_string());
-    str(layout.geometry.name());
-    u64(layout.geometry.shapes().size());
-    for (const geom::Shape& shape : layout.geometry.shapes()) {
-      u64(static_cast<std::uint64_t>(shape.layer));
-      rect(shape.rect);
-      str(shape.net);
-    }
-    u64(layout.geometry.pins().size());
-    for (const geom::Pin& pin : layout.geometry.pins()) {
-      str(pin.name);
-      u64(static_cast<std::uint64_t>(pin.layer));
-      rect(pin.rect);
-    }
-    u64(layout.devices.size());
-    for (const auto& [name, d] : layout.devices) {
-      str(name);
-      for (const double v : {d.w, d.l, d.as, d.ad, d.ps, d.pd, d.delta_vth,
-                             d.mobility_mult}) {
-        f64(v);
-      }
-    }
-    u64(layout.nets.size());
-    for (const auto& [name, net] : layout.nets) {
-      str(name);
-      u64(static_cast<std::uint64_t>(net.layer));
-      f64(net.span_length);
-      f64(net.bar_length);
-      f64(net.trunk_length);
-      u64(static_cast<std::uint64_t>(net.rows));
-      u64(static_cast<std::uint64_t>(net.n_contacts));
-      f64(net.contact_res);
-      u64(static_cast<std::uint64_t>(net.base_tracks));
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ = (h_ ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) {
-      h_ = (h_ ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    }
-  }
-  void rect(const geom::Rect& r) {
+/// Feeds every field of a generated layout to the hash.
+void add_layout(Fnv1a& h, const PrimitiveLayout& layout) {
+  const auto rect = [&h](const geom::Rect& r) {
     for (const geom::Coord c : {r.x_lo, r.y_lo, r.x_hi, r.y_hi}) {
-      u64(static_cast<std::uint64_t>(c));
+      h.u64(static_cast<std::uint64_t>(c));
+    }
+  };
+  h.str(layout.netlist.name);
+  for (const LogicalDevice& d : layout.netlist.devices) {
+    h.str(d.name);
+    h.u64(static_cast<std::uint64_t>(d.mos_type));
+    h.str(d.drain_net);
+    h.str(d.gate_net);
+    h.str(d.source_net);
+    h.u64(static_cast<std::uint64_t>(d.unit_ratio));
+    h.u64(static_cast<std::uint64_t>(d.match_group));
+    h.f64(d.vth_offset);
+  }
+  h.str(layout.config.to_string());
+  h.str(layout.geometry.name());
+  h.u64(layout.geometry.shapes().size());
+  for (const geom::Shape& shape : layout.geometry.shapes()) {
+    h.u64(static_cast<std::uint64_t>(shape.layer));
+    rect(shape.rect);
+    h.str(shape.net);
+  }
+  h.u64(layout.geometry.pins().size());
+  for (const geom::Pin& pin : layout.geometry.pins()) {
+    h.str(pin.name);
+    h.u64(static_cast<std::uint64_t>(pin.layer));
+    rect(pin.rect);
+  }
+  h.u64(layout.devices.size());
+  for (const auto& [name, d] : layout.devices) {
+    h.str(name);
+    for (const double v : {d.w, d.l, d.as, d.ad, d.ps, d.pd, d.delta_vth,
+                           d.mobility_mult}) {
+      h.f64(v);
     }
   }
-
-  std::uint64_t h_ = 14695981039346656037ULL;
-};
+  h.u64(layout.nets.size());
+  for (const auto& [name, net] : layout.nets) {
+    h.str(name);
+    h.u64(static_cast<std::uint64_t>(net.layer));
+    h.f64(net.span_length);
+    h.f64(net.bar_length);
+    h.f64(net.trunk_length);
+    h.u64(static_cast<std::uint64_t>(net.rows));
+    h.u64(static_cast<std::uint64_t>(net.n_contacts));
+    h.f64(net.contact_res);
+    h.u64(static_cast<std::uint64_t>(net.base_tracks));
+  }
+}
 
 // generate()'s output bit for bit: one hash per library netlist over every
 // shape, pin, device annotation (W, L, junction areas and perimeters, LDE
-// shifts) and internal net of every layout the footprint test walks. The
-// goldens were recorded from the generator before its plan/geometry split;
-// a change to either step that moves any output bit fails here.
+// shifts) and internal net of every layout the footprint test walks. A
+// change to the plan or the geometry step that moves any output bit fails
+// here.
 TEST(Generate, EveryLibraryLayoutMatchesItsRecordedHash) {
-  const std::vector<std::uint64_t> goldens = {
-      0xde8bcca3f93540e6ULL,  // diff_pair
-      0x91fbb7274097d916ULL,  // current_mirror
-      0x0460549e9850281aULL,  // current_mirror 1:4
-      0xdcd2822662badeecULL,  // cascode_current_mirror
-      0x2ff90d333d61e869ULL,  // cascode_current_mirror 1:2
-      0x1ce5e053b2484cf0ULL,  // cascode_diff_pair
-      0xd5acb9159d8ad72aULL,  // active_current_mirror
-      0xa614c63c81d0b0f8ULL,  // current_source
-      0xe3508a93466a5c4cULL,  // current_source (PMOS)
-      0xf37a13f681ab254aULL,  // common_source
-      0xbbf4f9753f61cd90ULL,  // current_starved_inverter
-      0xe58548a5d11df335ULL,  // cross_coupled_pair
-      0x5805fbc0ddc597cdULL,  // cross_coupled_pair (PMOS)
-      0x1da4ad0b4ebeffdaULL,  // latch_pair
-      0xcc5663468079998aULL,  // latch_pair (PMOS)
-      0xafa37b5460b38942ULL,  // switch
-      0x88ddccf2c75b6f26ULL,  // switch (PMOS)
-  };
   const PrimitiveGenerator gen(t());
-  const std::vector<PrimitiveNetlist> library = library_netlists();
-  ASSERT_EQ(library.size(), goldens.size());
-  for (std::size_t i = 0; i < library.size(); ++i) {
-    LayoutHash hash;
+  Goldens goldens("layout/");
+  for (const LibraryNetlist& lib : library_netlists()) {
+    Fnv1a hash;
     for_each_library_config([&](const LayoutConfig& cfg) {
-      hash.add(gen.generate(library[i], cfg));
+      add_layout(hash, gen.generate(lib.netlist, cfg));
     });
-    EXPECT_EQ(hash.value(), goldens[i])
-        << library[i].name << " " << std::hex << hash.value();
+    goldens.check(lib.key, {{"hash", hex64(hash.value())}});
   }
 }
 
