@@ -227,7 +227,8 @@ void BM_Placer(benchmark::State& state) {
   std::vector<place::PlacementNet> nets;
   for (int i = 0; i + 1 < n; ++i) {
     place::PlacementNet pn;
-    pn.name = "n" + std::to_string(i);
+    pn.name = "n";
+    pn.name += std::to_string(i);
     pn.pins = {{i, 0, 0}, {i + 1, 0, 0}};
     nets.push_back(pn);
   }
@@ -274,7 +275,9 @@ void BM_GlobalRoute(benchmark::State& state) {
         pins.push_back(geom::Point{geom::to_nm(rng.uniform(0, 20e-6)),
                                    geom::to_nm(rng.uniform(0, 20e-6))});
       }
-      const route::NetRoute nr = router.route("n" + std::to_string(n), pins);
+      std::string name = "n";
+      name += std::to_string(n);
+      const route::NetRoute nr = router.route(name, pins);
       benchmark::DoNotOptimize(nr.segments.size());
     }
   }

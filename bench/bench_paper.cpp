@@ -187,9 +187,11 @@ std::string table4(const std::vector<circuits::PortSweepRow>& rows,
   }
   std::ostringstream out;
   out << table << "\nDP interval "
-      << core::interval_from_curve(dp_curve, 0.04).to_string()
+      << core::interval_from_curve(dp_curve, core::kPlateauTolerance)
+             .to_string()
       << ", CM interval "
-      << core::interval_from_curve(cm_curve, 0.04).to_string()
+      << core::interval_from_curve(cm_curve, core::kPlateauTolerance)
+             .to_string()
       << " (paper: [3,5] and unbounded)\n\n"
       << fig6 << '\n'
       << dec;

@@ -202,7 +202,7 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
     return cs.measure(r);
   };
   ex.results["narrow"] = measure_width(1);
-  ex.results["wide"] = measure_width(options.max_port_wires);
+  ex.results["wide"] = measure_width(kMaxPortWires);
   ex.results["optimized"] = measure_width(0);
   ex.results["optimized"]["wires"] = w_opt;
 
@@ -243,7 +243,7 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
   };
   primitive_metrics(-1, "schematic");
   primitive_metrics(1, "narrow");
-  primitive_metrics(options.max_port_wires, "wide");
+  primitive_metrics(kMaxPortWires, "wide");
   primitive_metrics(0, "optimized");
   return ex;
 }

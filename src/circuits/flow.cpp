@@ -631,9 +631,7 @@ void FlowEngine::place_and_route(Run& run, const Choice& chosen) const {
 void FlowEngine::choose_wire_counts(Run& run, const Choice& chosen) const {
   FlowReport& report = run.report;
   obs::Span portopt_span("port_optimization");
-  core::PortOptimizerOptions popt;
-  popt.max_wires = options_.max_port_wires;
-  core::PortOptimizer port_opt(tech_, popt);
+  core::PortOptimizer port_opt(tech_, {kMaxPortWires});
   port_opt.set_diagnostics(&run.sink);
   port_opt.set_budget(&run.budget);
   port_opt.set_pool(pool());

@@ -67,10 +67,12 @@ enum class FlowMode {
 /// also the suffix of the flow's root span, "flow.<name>".
 const char* flow_mode_name(FlowMode mode);
 
+/// The most parallel routes Algorithm 2 sweeps per net.
+inline constexpr int kMaxPortWires = 8;
+
 struct FlowOptions {
   int bins = 3;
   int max_tuning_wires = 8;
-  int max_port_wires = 8;
   std::uint64_t seed = 1;
   int placer_iterations = 8000;
   int combo_place_iterations = 1500;  ///< quick placements during option choice

@@ -136,7 +136,7 @@ std::vector<PortConstraint> PortOptimizer::generate_constraints(
     PortConstraint pc;
     pc.instance = primitive.instance;
     pc.circuit_net = net;
-    pc.interval = interval_from_curve(curve, options_.plateau_tolerance);
+    pc.interval = interval_from_curve(curve, kPlateauTolerance);
     pc.cost_curve = std::move(curve);
     constraints.push_back(std::move(pc));
   }

@@ -57,12 +57,13 @@ struct NetWireDecision {
   bool from_overlap = true;  ///< false when the gap had to be re-simulated
 };
 
+/// Costs within this fraction of the minimum count as "optimized" (defines
+/// the [w_min, w_max] plateau; w_min is effectively the knee /
+/// maximum-curvature point of these cost curves).
+inline constexpr double kPlateauTolerance = 0.04;
+
 struct PortOptimizerOptions {
   int max_wires = 8;
-  /// Costs within this fraction of the minimum count as "optimized"
-  /// (defines the [w_min, w_max] plateau; w_min is effectively the knee /
-  /// maximum-curvature point of these cost curves).
-  double plateau_tolerance = 0.04;
 };
 
 /// Converts a global route to a lumped RC for `parallel` routes. Parallel

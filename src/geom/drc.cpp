@@ -30,20 +30,18 @@ Coord rect_spacing(const Rect& a, const Rect& b) {
 }  // namespace
 
 std::vector<DrcViolation> check_design_rules(const tech::Technology& t,
-                                             const Layout& layout,
-                                             const DrcOptions& options) {
+                                             const Layout& layout) {
   std::vector<DrcViolation> violations;
 
   // Bucket shapes per layer.
   std::map<tech::Layer, std::vector<const Shape*>> by_layer;
   for (const Shape& s : layout.shapes()) {
-    if (tech::metal_index(s.layer) < 0 && options.metals_only) continue;
+    if (tech::metal_index(s.layer) < 0) continue;
     if (s.rect.width() == 0 || s.rect.height() == 0) continue;  // markers
     by_layer[s.layer].push_back(&s);
   }
 
   for (const auto& [layer, shapes] : by_layer) {
-    if (tech::metal_index(layer) < 0) continue;
     const tech::MetalLayerInfo& m = t.metal(layer);
     const Coord min_w = to_nm(m.min_width);
     const Coord min_s = to_nm(m.min_spacing);
@@ -65,10 +63,7 @@ std::vector<DrcViolation> check_design_rules(const tech::Technology& t,
       for (std::size_t j = i + 1; j < shapes.size(); ++j) {
         const Shape* a = shapes[i];
         const Shape* b = shapes[j];
-        if (options.same_net_spacing_exempt && !a->net.empty() &&
-            a->net == b->net) {
-          continue;
-        }
+        if (!a->net.empty() && a->net == b->net) continue;
         if (a->rect.intersects(b->rect)) {
           // Different-net overlap is a short: report as zero spacing.
           DrcViolation v;

@@ -25,17 +25,10 @@ struct DrcViolation {
   std::string to_string() const;
 };
 
-struct DrcOptions {
-  /// Check only routing metals (front-end layers have generator-internal
-  /// conventions the simple rules do not model).
-  bool metals_only = true;
-  /// Shapes on the same net may abut/overlap freely.
-  bool same_net_spacing_exempt = true;
-};
-
-/// Runs the checks and returns all violations (empty = clean).
+/// Runs the checks on routing metals (front-end layers follow generator
+/// conventions the simple rules do not model) and returns all violations
+/// (empty = clean). Shapes on one net may abut or overlap freely.
 std::vector<DrcViolation> check_design_rules(const tech::Technology& t,
-                                             const Layout& layout,
-                                             const DrcOptions& options = {});
+                                             const Layout& layout);
 
 }  // namespace olp::geom

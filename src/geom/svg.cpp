@@ -9,6 +9,8 @@ namespace olp::geom {
 
 namespace {
 
+constexpr double kMarginPx = 10.0;
+
 struct LayerStyle {
   const char* fill;
   double opacity;
@@ -38,16 +40,16 @@ std::string to_svg(const Layout& layout, const SvgOptions& opt) {
   const double h = static_cast<double>(bb.height()) * opt.scale;
 
   auto sx = [&](Coord x) {
-    return (static_cast<double>(x - bb.x_lo)) * opt.scale + opt.margin_px;
+    return (static_cast<double>(x - bb.x_lo)) * opt.scale + kMarginPx;
   };
   // SVG y grows downward; layout y grows upward.
   auto sy = [&](Coord y) {
-    return h - (static_cast<double>(y - bb.y_lo)) * opt.scale + opt.margin_px;
+    return h - (static_cast<double>(y - bb.y_lo)) * opt.scale + kMarginPx;
   };
 
   std::ostringstream os;
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-     << w + 2 * opt.margin_px << "\" height=\"" << h + 2 * opt.margin_px
+     << w + 2 * kMarginPx << "\" height=\"" << h + 2 * kMarginPx
      << "\">\n";
   os << "<title>" << layout.name() << "</title>\n";
   os << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";

@@ -13,7 +13,6 @@ struct SvgOptions {
   double scale = 0.2;        ///< SVG pixels per nm
   bool label_pins = true;
   bool label_nets = false;   ///< annotate shapes with their net name
-  double margin_px = 10.0;
 };
 
 /// Renders the layout as a standalone SVG document.

@@ -12,6 +12,14 @@ namespace olp::place {
 
 namespace {
 
+/// The area and symmetry weights of the cost, and the schedule: the start
+/// temperature is kInitialTemp times the first state's cost, cooled by
+/// kCooling every iteration.
+constexpr double kAreaWeight = 1.0;
+constexpr double kSymmetryWeight = 4.0;
+constexpr double kInitialTemp = 1.0;
+constexpr double kCooling = 0.995;
+
 /// Each block's index in each sequence; pack_into's per-run work buffers.
 struct SequenceIndex {
   std::vector<std::size_t> in_pos;
@@ -123,9 +131,9 @@ void evaluate(const std::vector<Block>& blocks,
     // already prevented by the sequence pair.
   }
   const double norm = std::sqrt(std::max(c.width * c.height, 1e-18));
-  c.cost = opt.area_weight * c.width * c.height +
+  c.cost = kAreaWeight * c.width * c.height +
            opt.hpwl_weight * c.hpwl * norm +
-           opt.symmetry_weight * c.sym_penalty * norm;
+           kSymmetryWeight * c.sym_penalty * norm;
 }
 
 /// Snaps symmetry pairs exactly: equal y, mirrored pin orientation, and
@@ -337,7 +345,7 @@ PlacementResult AnnealingPlacer::place(
   std::vector<int> best_neg = neg;
   std::vector<bool> best_mirrored = mirrored;
 
-  double temp = options_.initial_temp * std::max(current, 1e-18);
+  double temp = kInitialTemp * std::max(current, 1e-18);
   for (int it = 0; it < options_.iterations; ++it) {
     // Budget-bounded annealing: stop early with the best placement so far
     // (the initial packing was scored before the loop, so the best state is
@@ -359,7 +367,7 @@ PlacementResult AnnealingPlacer::place(
     } else {
       apply_move(move, pos, neg, mirrored);
     }
-    temp *= options_.cooling;
+    temp *= kCooling;
   }
   // The best state packed again: evaluate() is a pure function of the
   // state, so this is the candidate the anneal scored.

@@ -66,11 +66,7 @@ struct PlacementResult {
 
 struct PlacerOptions {
   int iterations = 20000;
-  double initial_temp = 1.0;
-  double cooling = 0.995;    ///< geometric cooling factor, every iteration
-  double area_weight = 1.0;
   double hpwl_weight = 0.5;
-  double symmetry_weight = 4.0;
   std::uint64_t seed = 1;
   /// Optional execution budget (not owned, may be null). Exhaustion stops
   /// the annealing loop early; the best placement found so far (at least the

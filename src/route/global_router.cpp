@@ -14,6 +14,11 @@
 
 namespace olp::route {
 
+/// The grid pitch [m], also the halo around the region, and the cost of a
+/// via step in gcell steps.
+constexpr double kGcellSize = 200e-9;
+constexpr double kViaCost = 2.0;
+
 double NetRoute::length_on(tech::Layer layer) const {
   double total = 0.0;
   for (const RouteSegment& s : segments) {
@@ -46,17 +51,16 @@ GlobalRouter::GlobalRouter(const tech::Technology& technology,
                            geom::Rect region, RouterOptions options)
     : tech_(technology), opt_(options), region_(region),
       input_region_(region) {
-  OLP_CHECK(opt_.gcell_size > 0, "gcell size must be positive");
   OLP_CHECK(opt_.min_layer >= 0 && opt_.max_layer < tech::kNumRoutingLayers &&
                 opt_.min_layer <= opt_.max_layer,
             "bad layer range");
-  const geom::Coord halo = geom::to_nm(opt_.gcell_size);
+  const geom::Coord halo = geom::to_nm(kGcellSize);
   region_ = geom::Rect{region.x_lo - halo, region.y_lo - halo,
                        region.x_hi + halo, region.y_hi + halo};
   const double w = geom::to_meters(region_.width());
   const double h = geom::to_meters(region_.height());
-  nx_ = std::max(2, static_cast<int>(std::ceil(w / opt_.gcell_size)) + 1);
-  ny_ = std::max(2, static_cast<int>(std::ceil(h / opt_.gcell_size)) + 1);
+  nx_ = std::max(2, static_cast<int>(std::ceil(w / kGcellSize)) + 1);
+  ny_ = std::max(2, static_cast<int>(std::ceil(h / kGcellSize)) + 1);
   nl_ = tech::kNumRoutingLayers;
   usage_x_.assign(static_cast<std::size_t>(nx_ * ny_ * nl_), 0);
   usage_y_.assign(static_cast<std::size_t>(nx_ * ny_ * nl_), 0);
@@ -78,9 +82,9 @@ void GlobalRouter::set_budget(Budget* budget) {
 
 std::pair<int, int> GlobalRouter::snap(geom::Point p) const {
   int gx = static_cast<int>(
-      std::llround(geom::to_meters(p.x - region_.x_lo) / opt_.gcell_size));
+      std::llround(geom::to_meters(p.x - region_.x_lo) / kGcellSize));
   int gy = static_cast<int>(
-      std::llround(geom::to_meters(p.y - region_.y_lo) / opt_.gcell_size));
+      std::llround(geom::to_meters(p.y - region_.y_lo) / kGcellSize));
   gx = std::clamp(gx, 0, nx_ - 1);
   gy = std::clamp(gy, 0, ny_ - 1);
   return {gx, gy};
@@ -168,8 +172,8 @@ NetRoute GlobalRouter::attempt(const std::string& net_name,
 
   auto unsnap = [&](int gx, int gy) {
     return geom::Point{
-        region_.x_lo + geom::to_nm(gx * opt_.gcell_size),
-        region_.y_lo + geom::to_nm(gy * opt_.gcell_size)};
+        region_.x_lo + geom::to_nm(gx * kGcellSize),
+        region_.y_lo + geom::to_nm(gy * kGcellSize)};
   };
 
   const int total_nodes = nx_ * ny_ * nl_;
@@ -277,8 +281,8 @@ NetRoute GlobalRouter::attempt(const std::string& net_name,
         }
       }
       // Via moves.
-      if (l + 1 <= opt_.max_layer) relax(index(x, y, l + 1), opt_.via_cost);
-      if (l - 1 >= opt_.min_layer) relax(index(x, y, l - 1), opt_.via_cost);
+      if (l + 1 <= opt_.max_layer) relax(index(x, y, l + 1), kViaCost);
+      if (l - 1 >= opt_.min_layer) relax(index(x, y, l - 1), kViaCost);
     }
 
     if (reached < 0) {

@@ -57,11 +57,9 @@ struct NetRoute {
 };
 
 struct RouterOptions {
-  double gcell_size = 200e-9;  ///< grid pitch [m]
   int min_layer = 2;           ///< lowest routing metal index (0 = M1); the
                                ///< paper's global routes run on M3 and up
   int max_layer = 4;           ///< highest routing metal index
-  double via_cost = 2.0;       ///< in units of gcell steps
   double congestion_cost = 4.0;///< extra cost per unit overflow
   int edge_capacity = 8;       ///< tracks per gcell edge per layer
 };

@@ -244,6 +244,15 @@ bool Simulator::FirstFactorization::factor(const std::vector<double>& a_new,
 
 namespace {
 
+/// DC Newton's iteration cap, node-voltage tolerances (absolute [V] plus
+/// relative) and largest node-voltage step [V]; the transient retry ladder's
+/// length.
+constexpr int kMaxNewtonIterations = 200;
+constexpr double kVtolAbs = 1e-9;
+constexpr double kVtolRel = 1e-6;
+constexpr double kDamping = 0.3;
+constexpr int kMaxTranRetries = 2;
+
 template <typename T>
 void add(std::vector<T>& a, int slot, T v) {
   if (slot >= 0) a[static_cast<std::size_t>(slot)] += v;
@@ -366,7 +375,7 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
   stamp_sources(b0, 0.0, source_scale);
 
   OpResult result;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
     // Budget-bounded Newton: unwind with the current (non-converged) state.
     if (budget_ != nullptr && budget_->check()) break;
     sys.a = a0;
@@ -386,9 +395,8 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
       const std::size_t ks = static_cast<std::size_t>(k);
       double delta = sys.x[ks] - x[ks];
       if (k < nn) {
-        delta = std::clamp(delta, -options.damping, options.damping);
-        if (std::fabs(delta) >
-            options.vtol_abs + options.vtol_rel * std::fabs(x[ks])) {
+        delta = std::clamp(delta, -kDamping, kDamping);
+        if (std::fabs(delta) > kVtolAbs + kVtolRel * std::fabs(x[ks])) {
           within_tol = false;
         }
       }
@@ -403,7 +411,7 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
     }
   }
   result.converged = false;
-  result.iterations = options.max_iterations;
+  result.iterations = kMaxNewtonIterations;
   result.x = std::move(x);
   return result;
 }
@@ -600,7 +608,7 @@ TranResult Simulator::tran(const TranOptions& options) const {
   TranOptions retry = options;
   int retries = 0;
   bool budget_ended = false;
-  while (!r.ok && retries < options.max_retries) {
+  while (!r.ok && retries < kMaxTranRetries) {
     if (budget_ != nullptr && budget_->check()) {
       budget_ended = true;
       break;

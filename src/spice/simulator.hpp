@@ -7,7 +7,7 @@
 // current per independent voltage source, then one per VCVS.
 //
 // Every analysis stamps into one structural pattern built by the constructor
-// (see DESIGN.md §6k): each device knows its matrix slots, and each analysis
+// (see DESIGN.md §3.3): each device knows its matrix slots, and each analysis
 // call orders a sparse LU once and refactors it numerically per Newton
 // iteration, timestep or frequency. An op() call whose first matrix is
 // bitwise equal to the first matrix of the last op() call that ordered
@@ -36,10 +36,6 @@ namespace olp::spice {
 
 /// Options for the DC operating-point solve.
 struct OpOptions {
-  int max_iterations = 200;
-  double vtol_abs = 1e-9;   ///< absolute voltage convergence tolerance [V]
-  double vtol_rel = 1e-6;   ///< relative voltage convergence tolerance
-  double damping = 0.3;     ///< max node-voltage update per Newton step [V]
   double gmin_floor = 1e-12;  ///< permanent node-to-ground conductance [S]
   /// Warm-start solution (full unknown vector); empty = start from zero.
   std::vector<double> initial_guess;
@@ -83,9 +79,6 @@ struct TranOptions {
   int max_newton = 80;
   /// Use backward Euler throughout instead of trapezoidal (more damping).
   bool backward_euler = false;
-  /// On ok=false, retry this many times with backward Euler and halved dt
-  /// before giving up (0 disables the ladder).
-  int max_retries = 2;
   /// Optional. Called with each recorded sample in time order, the t = 0
   /// sample first; when it returns true, the attempt ends at that sample
   /// with ok = true. Each attempt (every retry, every tran() call) calls its
@@ -155,11 +148,11 @@ class Simulator {
   /// Small-signal AC sweep around the operating point `op_x` (run op() first).
   AcResult ac(const std::vector<double>& op_x, const AcOptions& options) const;
 
-  /// Transient analysis. On non-convergence, retries up to
-  /// `options.max_retries` times with backward Euler and a halved timestep
-  /// (each retry is reported to the diagnostics sink) before returning
-  /// ok=false. An exhausted budget ends the ladder early. An attempt that
-  /// `options.stop_when` ends is a success and is not retried.
+  /// Transient analysis. On non-convergence, retries up to two times with
+  /// backward Euler and a halved timestep (each retry is reported to the
+  /// diagnostics sink) before returning ok=false. An exhausted budget ends
+  /// the ladder early. An attempt that `options.stop_when` ends is a success
+  /// and is not retried.
   TranResult tran(const TranOptions& options) const;
 
   const Circuit& circuit() const { return circuit_; }

@@ -26,8 +26,9 @@ struct WireInterval {
   bool bounded() const { return hi.has_value(); }
 
   std::string to_string() const {
-    return "[" + std::to_string(lo) + ", " +
-           (hi ? std::to_string(*hi) : std::string("inf")) + "]";
+    std::string s = "[";
+    s += std::to_string(lo);
+    return s + ", " + (hi ? std::to_string(*hi) : "inf") + "]";
   }
 };
 

@@ -40,7 +40,12 @@ void check(bool ok, const char* what, long got, long want) {
   ++g_failures;
 }
 
-std::string key_of(int i) { return "k" + std::to_string(i); }
+// Not "k" + std::to_string(i): GCC 12 at -O3 reports a false -Wrestrict on
+// a literal plus a temporary string.
+std::string key_of(int i) {
+  const std::string key = "k";
+  return key + std::to_string(i);
+}
 
 olp::core::MetricValues value_of(int i) {
   olp::core::MetricValues v;

@@ -165,7 +165,9 @@ TEST_P(ChaosWithBudget, FaultsComposeWithTightBudget) {
     }
     EXPECT_TRUE(has_budget_diag);
   }
-  if (report.degraded) EXPECT_FALSE(report.diagnostics.empty());
+  if (report.degraded) {
+    EXPECT_FALSE(report.diagnostics.empty());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosWithBudget,
@@ -231,7 +233,9 @@ TEST(ChaosPooled, FaultsComposeWithPoolDelaysAndTightBudget) {
     EXPECT_NE(report.budget.tripped, BudgetKind::kNone);
     EXPECT_TRUE(report.degraded);
   }
-  if (report.degraded) EXPECT_FALSE(report.diagnostics.empty());
+  if (report.degraded) {
+    EXPECT_FALSE(report.diagnostics.empty());
+  }
 }
 
 TEST(Chaos, CleanRunReportsNothing) {

@@ -86,7 +86,8 @@ TEST(Drc, RoutesOfDifferentNetsAtPitchAreClean) {
   Layout out("r");
   for (int k = 0; k < 2; ++k) {
     route::NetRoute nr;
-    nr.net = "n" + std::to_string(k);
+    nr.net = "n";
+    nr.net += std::to_string(k);
     nr.routed = true;
     const Coord y = k * to_nm(t().metal(tech::Layer::kM3).pitch);
     nr.segments.push_back(route::RouteSegment{

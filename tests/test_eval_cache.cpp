@@ -37,6 +37,13 @@ const tech::Technology& t() {
   return tech;
 }
 
+// Not "k" + std::to_string(i): GCC 12 at -O3 reports a false -Wrestrict on
+// a literal plus a temporary string.
+std::string key_of(int i) {
+  const std::string key = "k";
+  return key + std::to_string(i);
+}
+
 pcell::LayoutConfig cfg(int nfin, int nf, int m) {
   pcell::LayoutConfig c;
   c.nfin = nfin;
@@ -542,11 +549,11 @@ TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
     threads.emplace_back([&, w] {
       const int lo = w * (kKeys / kWriters);
       for (int i = lo; i < lo + kKeys / kWriters; ++i) {
-        cache.insert("k" + std::to_string(i), value_of(i), w);
+        cache.insert(key_of(i), value_of(i), w);
       }
       // Contended tail: first-writer-wins on identical values.
       for (int i = kKeys - 40; i < kKeys; ++i) {
-        cache.insert("k" + std::to_string(i), value_of(i), w);
+        cache.insert(key_of(i), value_of(i), w);
       }
     });
   }
@@ -557,7 +564,7 @@ TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
       for (int round = 0; round < kRounds; ++round) {
         for (int i = 0; i < kKeys; ++i) {
           EvalCache::Claim claim;
-          if (cache.lookup("k" + std::to_string(i), claim, &v,
+          if (cache.lookup(key_of(i), claim, &v,
                            /*client=*/100)) {
             ++my_hits;
             const double want = static_cast<double>(i) * 1.25 + 0.5;
@@ -586,7 +593,7 @@ TEST(EvalCache, ConcurrentReadersAndWritersReconcileExactly) {
   for (int i = 0; i < kKeys; ++i) {
     MetricValues v;
     EvalCache::Claim claim;
-    ASSERT_TRUE(cache.lookup("k" + std::to_string(i), claim, &v)) << i;
+    ASSERT_TRUE(cache.lookup(key_of(i), claim, &v)) << i;
     const double want = static_cast<double>(i) * 1.25 + 0.5;
     const double got = v.at(MetricKind::kGm);
     EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << i;

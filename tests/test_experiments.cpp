@@ -112,10 +112,10 @@ TEST(DpOptionsExperiment, TableIIIShape) {
 }
 
 TEST(PortSweepExperiment, TableIVIntervalShapes) {
-  // Table IV on our own cost curves, with the plateau slack bench_paper
-  // prints its intervals with: the DP curve is U-shaped with the interval
-  // [3, 5]; the passive CM keeps improving to the end of the sweep, so no
-  // upper limit.
+  // Table IV on our own cost curves, with the port optimizer's plateau
+  // slack, which bench_paper prints its intervals with: the DP curve is
+  // U-shaped with the interval [3, 5]; the passive CM keeps improving to
+  // the end of the sweep, so no upper limit.
   set_log_level(LogLevel::kError);
   const std::vector<PortSweepRow> rows = run_port_sweep(t());
   ASSERT_EQ(rows.size(), 7u);
@@ -125,11 +125,13 @@ TEST(PortSweepExperiment, TableIVIntervalShapes) {
     dp.push_back(row.dp_cost);
     cm.push_back(row.cm_cost);
   }
-  const WireInterval dp_iv = core::interval_from_curve(dp, 0.04);
+  const WireInterval dp_iv =
+      core::interval_from_curve(dp, core::kPlateauTolerance);
   EXPECT_EQ(dp_iv.lo, 3);
   ASSERT_TRUE(dp_iv.hi.has_value());
   EXPECT_EQ(*dp_iv.hi, 5);
-  EXPECT_FALSE(core::interval_from_curve(cm, 0.04).hi.has_value());
+  EXPECT_FALSE(
+      core::interval_from_curve(cm, core::kPlateauTolerance).hi.has_value());
 }
 
 TEST(StepCountsExperiment, TableVCounts) {

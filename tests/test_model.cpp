@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "spice/model.hpp"
@@ -215,6 +218,21 @@ struct BiasPoint {
   double vds;
 };
 
+// Names each test by its bias, vgs0p45_vds0p7 or vgs0p5_vdsm0p2, and prints
+// the bias as (0.45, 0.7) where gtest would dump its bytes.
+void PrintTo(const BiasPoint& p, std::ostream* os) {
+  *os << "(" << p.vgs << ", " << p.vds << ")";
+}
+
+std::string bias_name(const ::testing::TestParamInfo<BiasPoint>& info) {
+  std::ostringstream os;
+  os << "vgs" << info.param.vgs << "_vds" << info.param.vds;
+  std::string name = os.str();
+  std::replace(name.begin(), name.end(), '.', 'p');
+  std::replace(name.begin(), name.end(), '-', 'm');
+  return name;
+}
+
 class MosDerivatives : public ::testing::TestWithParam<BiasPoint> {};
 
 TEST_P(MosDerivatives, GmMatchesFiniteDifference) {
@@ -248,7 +266,8 @@ INSTANTIATE_TEST_SUITE_P(
                       BiasPoint{0.45, 0.1}, BiasPoint{0.45, 0.7},
                       BiasPoint{0.6, 0.05}, BiasPoint{0.6, 0.4},
                       BiasPoint{0.8, 0.8}, BiasPoint{0.5, -0.2},
-                      BiasPoint{0.7, -0.05}));
+                      BiasPoint{0.7, -0.05}),
+    bias_name);
 
 // Property: Id is continuous and increasing in vgs at fixed vds.
 class MosMonotone : public ::testing::TestWithParam<double> {};

@@ -32,7 +32,9 @@
 // Global allocation counter for the zero-allocation test. Replacing the
 // global operator new/delete pair counts every heap allocation in the
 // process; the test only looks at the delta across a few instrumentation
-// calls while the registry is disabled.
+// calls while the registry is disabled. The deletes stay out of line: GCC
+// 12 takes an inlined std::free of a new-expression's pointer for a
+// mismatched pair (-Wmismatched-new-delete), though this file replaces both.
 static std::atomic<long> g_alloc_count{0};
 
 void* operator new(std::size_t size) {
@@ -47,10 +49,14 @@ void* operator new[](std::size_t size) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace olp::obs {
 namespace {
@@ -372,7 +378,9 @@ TEST(Obs, SnapshotIsDeterministicRegardlessOfMergeTiming) {
     EXPECT_EQ(a.spans[i].parent, b.spans[i].parent);
     EXPECT_EQ(a.spans[i].name, b.spans[i].name);
     EXPECT_EQ(a.spans[i].tid, b.spans[i].tid);
-    if (i > 0) EXPECT_LT(a.spans[i - 1].id, a.spans[i].id);
+    if (i > 0) {
+      EXPECT_LT(a.spans[i - 1].id, a.spans[i].id);
+    }
   }
   EXPECT_EQ(a.counters, b.counters);
   // Every inner span is parented under an outer span from its own thread.
@@ -527,8 +535,12 @@ TEST(TraceExport, ThreadNameMetadataRecordsInChromeTrace) {
   ASSERT_GE(main_tid, 0);
   EXPECT_NE(helper_tid, main_tid);
   for (const SpanRecord& s : snap.spans) {
-    if (s.name == "named.helper") EXPECT_EQ(s.tid, helper_tid);
-    if (s.name == "named.main") EXPECT_EQ(s.tid, main_tid);
+    if (s.name == "named.helper") {
+      EXPECT_EQ(s.tid, helper_tid);
+    }
+    if (s.name == "named.main") {
+      EXPECT_EQ(s.tid, main_tid);
+    }
   }
 }
 

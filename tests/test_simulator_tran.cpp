@@ -519,7 +519,9 @@ TEST(Measure, DelayBetweenKeepsTheTwoPassBits) {
         two_pass_delay(dc.times, dc.ref, 0.5, dc.ref_rising, dc.sig, 0.5,
                        dc.sig_rising, dc.ref_skip);
     ASSERT_EQ(got.has_value(), want.has_value()) << "case " << index;
-    if (got) EXPECT_EQ(bits(*got), bits(*want)) << "case " << index;
+    if (got) {
+      EXPECT_EQ(bits(*got), bits(*want)) << "case " << index;
+    }
     for (double v : dc.sig) exact_hits += v == 0.5;
   }
   EXPECT_GT(exact_hits, 1000);
