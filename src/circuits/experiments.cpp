@@ -202,7 +202,7 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
     return cs.measure(r);
   };
   ex.results["narrow"] = measure_width(1);
-  ex.results["wide"] = measure_width(kMaxPortWires);
+  ex.results["wide"] = measure_width(core::kMaxPortWires);
   ex.results["optimized"] = measure_width(0);
   ex.results["optimized"]["wires"] = w_opt;
 
@@ -243,7 +243,7 @@ CircuitExperiment run_cs_amp(const tech::Technology& t,
   };
   primitive_metrics(-1, "schematic");
   primitive_metrics(1, "narrow");
-  primitive_metrics(kMaxPortWires, "wide");
+  primitive_metrics(core::kMaxPortWires, "wide");
   primitive_metrics(0, "optimized");
   return ex;
 }
@@ -394,26 +394,28 @@ std::vector<PortSweepRow> run_port_sweep(const tech::Technology& t) {
   const core::LayoutCandidate cm_best = cm_opt.optimize(cm, 512, oopt).front();
   const core::MetricValues cm_ref = cm_opt.schematic_reference(cm, 512);
 
+  // One primitive's cost with `rc` at `port` (the DP's "da" route is
+  // mirrored to "db": symmetric routes).
+  auto cost_with = [](const core::PrimitiveEvaluator& eval,
+                      const core::LayoutCandidate& best,
+                      const core::MetricValues& ref, const char* port,
+                      const extract::WireRc& rc) {
+    core::EvalCondition cond;
+    cond.tuning = best.tuning;
+    cond.port_wires[port] = rc;
+    core::EvalOutcome out;
+    const core::MetricValues values = eval.evaluate(best.layout, cond, &out);
+    return core::layout_cost(eval, best.layout, ref, values, out.quarantined);
+  };
+
   const route::NetRoute route = reference_route();
   std::vector<PortSweepRow> rows;
   for (int w = 1; w <= kMaxWires; ++w) {
     const extract::WireRc rc = core::route_wire_rc(t, route, w);
-
-    core::EvalCondition dc;
-    dc.tuning = dp_best.tuning;
-    dc.port_wires["da"] = rc;  // mirrored to db (symmetric routes)
-    const core::CostBreakdown dcb = core::compute_cost(
-        core::metric_library(dp.type).metrics, dp_ref,
-        dp_eval.evaluate(dp_best.layout, dc),
-        0.1 * dp_eval.random_offset_sigma(dp_best.layout));
-
-    core::EvalCondition cc;
-    cc.tuning = cm_best.tuning;
-    cc.port_wires["out"] = rc;
-    const core::CostBreakdown ccb = core::compute_cost(
-        core::metric_library(cm.type).metrics, cm_ref,
-        cm_eval.evaluate(cm_best.layout, cc),
-        0.1 * cm_eval.random_offset_sigma(cm_best.layout));
+    const core::CostBreakdown dcb =
+        cost_with(dp_eval, dp_best, dp_ref, "da", rc);
+    const core::CostBreakdown ccb =
+        cost_with(cm_eval, cm_best, cm_ref, "out", rc);
 
     PortSweepRow row;
     row.wires = w;

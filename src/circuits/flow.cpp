@@ -631,7 +631,7 @@ void FlowEngine::place_and_route(Run& run, const Choice& chosen) const {
 void FlowEngine::choose_wire_counts(Run& run, const Choice& chosen) const {
   FlowReport& report = run.report;
   obs::Span portopt_span("port_optimization");
-  core::PortOptimizer port_opt(tech_, {kMaxPortWires});
+  core::PortOptimizer port_opt(tech_);
   port_opt.set_diagnostics(&run.sink);
   port_opt.set_budget(&run.budget);
   port_opt.set_pool(pool());

@@ -67,9 +67,6 @@ enum class FlowMode {
 /// also the suffix of the flow's root span, "flow.<name>".
 const char* flow_mode_name(FlowMode mode);
 
-/// The most parallel routes Algorithm 2 sweeps per net.
-inline constexpr int kMaxPortWires = 8;
-
 struct FlowOptions {
   int bins = 3;
   int max_tuning_wires = 8;

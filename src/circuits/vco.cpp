@@ -171,7 +171,6 @@ std::optional<double> RoVco::frequency(const Realization& realization,
     spice::TranOptions tr;
     tr.tstop = win.tstop;
     tr.dt = win.dt;
-    tr.record_stride = 1;
     const spice::TranResult res = sim.tran(tr);
     if (!res.ok) continue;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/evaluator.hpp"
 #include "util/error.hpp"
 
 namespace olp::core {
@@ -42,6 +43,17 @@ CostBreakdown compute_cost(const std::vector<MetricSpec>& specs,
     result.total += spec.weight * term.deviation * 100.0;
   }
   return result;
+}
+
+CostBreakdown layout_cost(const PrimitiveEvaluator& evaluator,
+                          const pcell::PrimitiveLayout& layout,
+                          const MetricValues& reference,
+                          const MetricValues& values, long quarantined) {
+  CostBreakdown cb =
+      compute_cost(metric_library(layout.netlist.type).metrics, reference,
+                   values, 0.1 * evaluator.random_offset_sigma(layout));
+  if (quarantined > 0 || !std::isfinite(cb.total)) cb.total = kQuarantineCost;
+  return cb;
 }
 
 }  // namespace olp::core

@@ -17,6 +17,13 @@
 
 namespace olp::core {
 
+class PrimitiveEvaluator;
+
+/// Cost assigned to an evaluation that produced a quarantined (non-finite)
+/// metric: large enough to lose against any healthy candidate, finite so
+/// sorting and downstream arithmetic stay well-defined.
+inline constexpr double kQuarantineCost = 1e12;
+
 /// One metric's contribution to the cost.
 struct MetricDeviation {
   MetricSpec spec;
@@ -39,5 +46,14 @@ struct CostBreakdown {
 CostBreakdown compute_cost(const std::vector<MetricSpec>& specs,
                            const MetricValues& schematic,
                            const MetricValues& layout, double offset_spec);
+
+/// The one cost of Algorithms 1 and 2: Eq. 5 over the Table II metrics of
+/// `layout`'s family against `reference`, with an offset spec of 10% of the
+/// random mismatch sigma. The total is kQuarantineCost when the evaluation
+/// quarantined `quarantined` > 0 metrics or the total is not finite.
+CostBreakdown layout_cost(const PrimitiveEvaluator& evaluator,
+                          const pcell::PrimitiveLayout& layout,
+                          const MetricValues& reference,
+                          const MetricValues& values, long quarantined);
 
 }  // namespace olp::core

@@ -55,8 +55,6 @@ void append_model(std::string& out, const spice::MosModel& m) {
 
 }  // namespace
 
-EvalCache::EvalCache(std::size_t shards) : shards_(shards == 0 ? 1 : shards) {}
-
 std::string EvalCache::context_key(const BiasContext& bias,
                                    const spice::MosModel& nmos,
                                    const spice::MosModel& pmos) {
@@ -145,7 +143,7 @@ std::string EvalCache::make_key(const pcell::PrimitiveLayout& layout,
 
 EvalCache::Shard& EvalCache::shard_for(const std::string& key) {
   const std::size_t h = std::hash<std::string>{}(key);
-  return shards_[h % shards_.size()];
+  return shards_[h % kShards];
 }
 
 bool EvalCache::lookup(const std::string& key, Claim& claim,
@@ -176,10 +174,14 @@ bool EvalCache::lookup(const std::string& key, Claim& claim,
     const std::uint64_t awaited = flight->second;
     claim.waited_ = true;
     waits_.fetch_add(1, std::memory_order_relaxed);
+    const std::int64_t wait_t0 = obs::enabled() ? obs::steady_now_us() : 0;
     shard.released.wait(lock, [&] {
       const auto it = shard.in_flight.find(key);
       return it == shard.in_flight.end() || it->second != awaited;
     });
+    if (wait_t0 != 0) {
+      obs::counter_add("eval.cache_wait_us", obs::steady_now_us() - wait_t0);
+    }
     if (read()) return true;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);

@@ -23,7 +23,7 @@
 // tests/test_determinism.cpp). The full key string is the map key; the hash
 // only selects a shard, so hash collisions are benign by construction.
 //
-// Concurrency: 16 shards by default, each a plain map behind its own mutex.
+// Concurrency: 16 shards, each a plain map behind its own mutex.
 // lookup() and insert() both take the shard mutex; their waits are
 // attributed to "obs.contention.eval_cache_lookup.*" and
 // "obs.contention.eval_cache_insert.*". Entries are stored by value, never
@@ -33,7 +33,8 @@
 // given, so it is the one evaluation of that key in flight. A second lookup
 // of a claimed key waits for the claim to end, then reads the map again. A
 // claim ends when its holder is destroyed (RAII: every exit path, a throw
-// included); the evaluator inserts before that. When the owner inserted
+// included); the evaluator inserts before that. The time lookups spend
+// waiting is the counter "eval.cache_wait_us". When the owner inserted
 // nothing (its evaluation was budget-cut, quarantined or threw), its waiters
 // evaluate for themselves, unclaimed. Each lookup still counts once, as the
 // hit or miss it ended as. Waiting is deadlock-free because an evaluation
@@ -56,6 +57,7 @@
 // bit-identical regardless of which client computed them (same key => same
 // bits), so sharing preserves per-job determinism.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -111,7 +113,7 @@ class EvalCache {
     bool waited_ = false;
   };
 
-  explicit EvalCache(std::size_t shards = 16);
+  EvalCache() = default;
 
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
@@ -169,7 +171,8 @@ class EvalCache {
   };
   Shard& shard_for(const std::string& key);
 
-  std::vector<Shard> shards_;
+  static constexpr std::size_t kShards = 16;
+  std::array<Shard, kShards> shards_;
   std::atomic<long> hits_{0};
   std::atomic<long> misses_{0};
   std::atomic<long> cross_client_hits_{0};

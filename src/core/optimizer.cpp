@@ -51,11 +51,6 @@ MetricValues PrimitiveOptimizer::schematic_reference(
   });
 }
 
-double PrimitiveOptimizer::offset_spec(
-    const pcell::PrimitiveLayout& layout) const {
-  return 0.1 * evaluator_.random_offset_sigma(layout);
-}
-
 CostBreakdown PrimitiveOptimizer::cost_of(
     pcell::PrimitiveLayout& layout, const extract::TuningMap& tuning,
     const MetricValues& reference, MetricValues* values_out) const {
@@ -70,18 +65,10 @@ CostBreakdown PrimitiveOptimizer::cost_of(
       [&]() -> const auto& { return generator_.materialize(layout); },
       &outcome);
   if (values_out != nullptr) *values_out = values;
-  const MetricLibraryEntry lib = metric_library(layout.netlist.type);
-  CostBreakdown cb =
-      compute_cost(lib.metrics, reference, values, offset_spec(layout));
-  // Quarantine clamp: an evaluation that sanitized a non-finite metric (or a
-  // cost that is itself non-finite, e.g. a zero schematic reference) gets a
-  // large-but-finite penalty so it loses cleanly instead of poisoning sorts.
-  // The per-call outcome (not a stats() delta) attributes the quarantine to
+  // The per-call outcome (not a stats() delta) attributes a quarantine to
   // this evaluation even when other evaluations run concurrently.
-  if (outcome.quarantined > 0 || !std::isfinite(cb.total)) {
-    cb.total = kQuarantineCost;
-  }
-  return cb;
+  return layout_cost(evaluator_, layout, reference, values,
+                     outcome.quarantined);
 }
 
 std::vector<LayoutCandidate> PrimitiveOptimizer::evaluate_all(
@@ -105,50 +92,31 @@ std::vector<LayoutCandidate> PrimitiveOptimizer::evaluate_all(
   obs::counter_add("optimizer.candidates",
                    static_cast<long>(configs.size()));
 
-  // Budget-bounded enumeration: exhaustion stops further claims, keeping
-  // every candidate evaluated so far. When the budget is gone before even the
-  // schematic reference, the reference evaluation is skipped too.
-  bool truncated = budget_ != nullptr && budget_->check();
-  MetricValues reference;
-  if (!truncated) reference = schematic_reference(netlist, fins_per_device);
-
-  // Ordered reduction: each task fills its index-addressed slot; the merge
-  // below walks the slots in submission order and keeps the contiguous
-  // evaluated prefix, so a budget trip yields the same truncation point the
-  // serial loop would have produced.
-  std::vector<LayoutCandidate> slots(configs.size());
-  std::vector<char> have(configs.size(), 0);
-  if (!truncated) {
-    run_indexed(pool_, configs.size(), [&](std::size_t i) {
-      if (budget_ != nullptr && budget_->check()) return false;
+  // Budget-bounded enumeration: exhaustion keeps every candidate evaluated
+  // so far. When the budget is gone before even the schematic reference,
+  // the reference evaluation is skipped too.
+  std::vector<LayoutCandidate> candidates;
+  if (budget_ == nullptr || !budget_->check()) {
+    const MetricValues reference =
+        schematic_reference(netlist, fins_per_device);
+    candidates = sweep(pool_, budget_, configs.size(), [&](std::size_t i) {
       LayoutCandidate cand;
       cand.layout = generator_.footprint(netlist, configs[i]);
       cand.cost = cost_of(cand.layout, {}, reference, &cand.values);
       cand.quarantined = cand.cost.total >= kQuarantineCost;
-      slots[i] = std::move(cand);
-      have[i] = 1;
-      return true;
+      return cand;
     });
   }
-  std::vector<LayoutCandidate> candidates;
   std::vector<double> aspects;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (!have[i]) {
-      truncated = true;
-      break;
-    }
-    if (slots[i].quarantined) obs::counter_add("optimizer.quarantined");
-    aspects.push_back(slots[i].layout.aspect_ratio());
-    candidates.push_back(std::move(slots[i]));
+  for (const LayoutCandidate& cand : candidates) {
+    if (cand.quarantined) obs::counter_add("optimizer.quarantined");
+    aspects.push_back(cand.layout.aspect_ratio());
   }
-  if (truncated) {
-    obs::counter_add("budget.truncations");
-    if (diag_) {
-      diag_->report(DiagSeverity::kWarning, "optimizer", netlist.name,
-                    budget_->description() + "; evaluated " +
-                        std::to_string(candidates.size()) + " of " +
-                        std::to_string(configs.size()) + " configurations");
-    }
+  if (candidates.size() < configs.size()) {
+    report_truncation(*budget_, diag_, "optimizer", netlist.name,
+                      "evaluated " + std::to_string(candidates.size()) +
+                          " of " + std::to_string(configs.size()) +
+                          " configurations");
   }
   if (candidates.empty()) {
     // Exhausted before the first evaluation: salvage the first configuration
@@ -181,27 +149,18 @@ void PrimitiveOptimizer::tune(LayoutCandidate& candidate,
       candidate.layout.netlist, candidate.layout.config.fins_per_device());
 
   auto cost_at = [&](const extract::TuningMap& tuning) {
-    MetricValues values;
-    const CostBreakdown cb =
-        cost_of(candidate.layout, tuning, reference, &values);
-    return std::pair<double, MetricValues>(cb.total, values);
+    return cost_of(candidate.layout, tuning, reference, nullptr).total;
   };
 
   // Budget-bounded tuning: a trip mid-sweep reverts to the entry tuning so
   // (tuning, values, cost) stay mutually consistent without spending further
-  // testbenches on the final refresh. The candidate survives untuned. Under
-  // a pool the trip shows up as an unfilled slot in the ordered reduction —
-  // same outcome, same diagnostic.
+  // testbenches on the final refresh. The candidate survives untuned.
   const extract::TuningMap entry_tuning = candidate.tuning;
   auto revert_to_entry = [&]() {
     candidate.tuning = entry_tuning;
-    obs::counter_add("budget.truncations");
-    if (diag_) {
-      diag_->report(DiagSeverity::kWarning, "optimizer",
-                    candidate.layout.netlist.name,
-                    budget_->description() +
-                        "; tuning sweep abandoned, keeping entry tuning");
-    }
+    report_truncation(*budget_, diag_, "optimizer",
+                      candidate.layout.netlist.name,
+                      "tuning sweep abandoned, keeping entry tuning");
   };
 
   if (!lib.terminals_correlated || lib.tuning_terminals.size() == 1) {
@@ -211,23 +170,15 @@ void PrimitiveOptimizer::tune(LayoutCandidate& candidate,
     // terminal's chosen tuning.
     for (const std::string& terminal : lib.tuning_terminals) {
       const std::size_t n = static_cast<std::size_t>(max_wires);
-      std::vector<double> costs(n, 0.0);
-      std::vector<char> have(n, 0);
-      run_indexed(pool_, n, [&](std::size_t k) {
-        if (budget_ != nullptr && budget_->check()) return false;
-        extract::TuningMap tuning = candidate.tuning;
-        tuning[terminal] = static_cast<int>(k) + 1;
-        costs[k] = cost_at(tuning).first;
-        have[k] = 1;
-        return true;
-      });
-      std::vector<double> curve;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (!have[k]) {
-          revert_to_entry();
-          return;
-        }
-        curve.push_back(costs[k]);
+      const std::vector<double> curve =
+          sweep(pool_, budget_, n, [&](std::size_t k) {
+            extract::TuningMap tuning = candidate.tuning;
+            tuning[terminal] = static_cast<int>(k) + 1;
+            return cost_at(tuning);
+          });
+      if (curve.size() < n) {
+        revert_to_entry();
+        return;
       }
       const std::size_t stop = tuning_stop_index(curve);
       candidate.tuning[terminal] = static_cast<int>(stop) + 1;
@@ -235,42 +186,31 @@ void PrimitiveOptimizer::tune(LayoutCandidate& candidate,
   } else {
     // Correlated terminals: enumerate combinations (Algorithm 1 line 12).
     // Practically at most two terminals are correlated (paper Sec. III-A3).
-    // The pairs are flattened w0-major so the strict-< argmin scan below
-    // visits them in exactly the serial nested-loop order.
+    // The pairs are flattened w0-major, so the first minimum is the one the
+    // serial nested loop's strict-< scan keeps.
     OLP_CHECK(lib.tuning_terminals.size() == 2,
               "joint tuning supports exactly two correlated terminals");
     const std::size_t n =
         static_cast<std::size_t>(max_wires) * static_cast<std::size_t>(max_wires);
-    std::vector<double> costs(n, 0.0);
-    std::vector<char> have(n, 0);
-    run_indexed(pool_, n, [&](std::size_t k) {
-      if (budget_ != nullptr && budget_->check()) return false;
-      extract::TuningMap tuning = candidate.tuning;
-      tuning[lib.tuning_terminals[0]] =
-          static_cast<int>(k) / max_wires + 1;
-      tuning[lib.tuning_terminals[1]] =
-          static_cast<int>(k) % max_wires + 1;
-      costs[k] = cost_at(tuning).first;
-      have[k] = 1;
-      return true;
-    });
-    double best = std::numeric_limits<double>::infinity();
-    extract::TuningMap best_tuning = candidate.tuning;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!have[k]) {
-        revert_to_entry();
-        return;
-      }
-      if (costs[k] < best) {
-        best = costs[k];
-        best_tuning = candidate.tuning;
-        best_tuning[lib.tuning_terminals[0]] =
-            static_cast<int>(k) / max_wires + 1;
-        best_tuning[lib.tuning_terminals[1]] =
-            static_cast<int>(k) % max_wires + 1;
-      }
+    auto set_pair = [&](extract::TuningMap& tuning, std::size_t k) {
+      tuning[lib.tuning_terminals[0]] = static_cast<int>(k) / max_wires + 1;
+      tuning[lib.tuning_terminals[1]] = static_cast<int>(k) % max_wires + 1;
+    };
+    const std::vector<double> costs =
+        sweep(pool_, budget_, n, [&](std::size_t k) {
+          extract::TuningMap tuning = candidate.tuning;
+          set_pair(tuning, k);
+          return cost_at(tuning);
+        });
+    if (costs.size() < n) {
+      revert_to_entry();
+      return;
     }
-    candidate.tuning = best_tuning;
+    if (!costs.empty()) {
+      const auto best = std::min_element(costs.begin(), costs.end());
+      set_pair(candidate.tuning,
+               static_cast<std::size_t>(best - costs.begin()));
+    }
   }
 
   // Refresh the candidate's measured values and cost at the final tuning.
@@ -353,13 +293,10 @@ std::vector<LayoutCandidate> PrimitiveOptimizer::optimize(
   // still evaluated, still valid options for placement.
   for (std::size_t k = 0; k < selected.size(); ++k) {
     if (budget_ != nullptr && budget_->check()) {
-      obs::counter_add("budget.truncations");
-      if (diag_) {
-        diag_->report(DiagSeverity::kWarning, "optimizer", netlist.name,
-                      budget_->description() + "; tuned " + std::to_string(k) +
-                          " of " + std::to_string(selected.size()) +
-                          " selected candidates");
-      }
+      report_truncation(*budget_, diag_, "optimizer", netlist.name,
+                        "tuned " + std::to_string(k) + " of " +
+                            std::to_string(selected.size()) +
+                            " selected candidates");
       break;
     }
     tune(selected[k], options.max_tuning_wires);

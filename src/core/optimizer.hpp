@@ -27,11 +27,6 @@ class TaskPool;
 
 namespace olp::core {
 
-/// Cost assigned to a candidate whose evaluation produced a quarantined
-/// (non-finite) metric: large enough to lose against any healthy candidate,
-/// finite so sorting and downstream arithmetic stay well-defined.
-inline constexpr double kQuarantineCost = 1e12;
-
 /// One evaluated (and possibly tuned) layout option.
 struct LayoutCandidate {
   /// A footprint (layout.footprint_only) when the candidate was scored from
@@ -100,11 +95,9 @@ class PrimitiveOptimizer {
   MetricValues schematic_reference(const pcell::PrimitiveNetlist& netlist,
                                    int fins_per_device) const;
 
-  /// The offset spec: 10% of the random mismatch offset (Eq. 6 discussion).
-  double offset_spec(const pcell::PrimitiveLayout& layout) const;
-
  private:
-  /// Evaluates and costs `layout`; a miss materializes it in place.
+  /// Evaluates and costs `layout` (layout_cost); a miss materializes it in
+  /// place.
   CostBreakdown cost_of(pcell::PrimitiveLayout& layout,
                         const extract::TuningMap& tuning,
                         const MetricValues& reference,

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "util/budget.hpp"
-#include "util/diag.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/obs.hpp"
@@ -83,17 +82,18 @@ double PortOptimizer::primitive_cost(
     cond.port_wires[pr.port] =
         route_wire_rc(tech_, pr.route, port_count.at(pr.port));
   }
-  const MetricValues values = primitive.evaluator->evaluate(*primitive.layout, cond);
+  EvalOutcome outcome;
+  const MetricValues values =
+      primitive.evaluator->evaluate(*primitive.layout, cond, &outcome);
 
   EvalCondition ideal;
   ideal.ideal = true;
+  EvalOutcome ideal_outcome;
   const MetricValues reference =
-      primitive.evaluator->evaluate(*primitive.layout, ideal);
-  const MetricLibraryEntry lib =
-      metric_library(primitive.layout->netlist.type);
-  const double offset_spec =
-      0.1 * primitive.evaluator->random_offset_sigma(*primitive.layout);
-  return compute_cost(lib.metrics, reference, values, offset_spec).total;
+      primitive.evaluator->evaluate(*primitive.layout, ideal, &ideal_outcome);
+  return layout_cost(*primitive.evaluator, *primitive.layout, reference,
+                     values, outcome.quarantined + ideal_outcome.quarantined)
+      .total;
 }
 
 std::vector<PortConstraint> PortOptimizer::generate_constraints(
@@ -106,30 +106,16 @@ std::vector<PortConstraint> PortOptimizer::generate_constraints(
   std::vector<PortConstraint> constraints;
   bool truncated = false;
   for (const std::string& net : nets) {
-    // The sweep points are independent: evaluate them through the pool and
-    // merge the contiguous explored prefix in wire order. A budget trip
-    // leaves a hole; the prefix before it still yields a valid constraint
-    // (plateau over the explored range) — same as the serial break.
-    const std::size_t n = static_cast<std::size_t>(options_.max_wires);
-    std::vector<double> costs(n, 0.0);
-    std::vector<char> have(n, 0);
-    run_indexed(pool_, n, [&](std::size_t k) {
-      if (budget_ != nullptr && budget_->check()) return false;
+    // A budget trip keeps the explored prefix, which still yields a valid
+    // constraint (plateau over the explored range).
+    const std::size_t n = static_cast<std::size_t>(kMaxPortWires);
+    std::vector<double> curve = sweep(pool_, budget_, n, [&](std::size_t k) {
       std::map<std::string, int> net_wires;
       net_wires[net] = static_cast<int>(k) + 1;  // other nets at one route
       obs::counter_add("portopt.sweep_points");
-      costs[k] = primitive_cost(primitive, net_wires);
-      have[k] = 1;
-      return true;
+      return primitive_cost(primitive, net_wires);
     });
-    std::vector<double> curve;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!have[k]) {
-        truncated = true;
-        break;
-      }
-      curve.push_back(costs[k]);
-    }
+    truncated = truncated || curve.size() < n;
     // Exhausted before any sweep point: no constraint for this net; the
     // realization falls back to the single-route default.
     if (curve.empty()) continue;
@@ -141,14 +127,11 @@ std::vector<PortConstraint> PortOptimizer::generate_constraints(
     constraints.push_back(std::move(pc));
   }
   if (truncated) {
-    obs::counter_add("budget.truncations");
-    if (diag_) {
-      diag_->report(DiagSeverity::kWarning, "portopt", primitive.instance,
-                    budget_->description() + "; port-wire sweep truncated, " +
-                        std::to_string(constraints.size()) + " of " +
-                        std::to_string(nets.size()) +
-                        " nets constrained from explored prefixes");
-    }
+    report_truncation(*budget_, diag_, "portopt", primitive.instance,
+                      "port-wire sweep truncated, " +
+                          std::to_string(constraints.size()) + " of " +
+                          std::to_string(nets.size()) +
+                          " nets constrained from explored prefixes");
   }
   return constraints;
 }
@@ -181,16 +164,11 @@ std::vector<NetWireDecision> PortOptimizer::reconcile(
       // Simulate all primitives on this net across the gap range and pick
       // the total-cost minimizer (Algorithm 2 lines 13-14).
       d.from_overlap = false;
-      // Gap points are independent: evaluate them through the pool, then
-      // take the strict-< argmin over the contiguous explored prefix — the
-      // same "keep the best count found so far" the serial break produced
-      // (best_w starts at the feasible gap_lo).
+      // The strict-< argmin over the explored prefix keeps the best count
+      // found before a budget trip (best_w starts at the feasible gap_lo).
       const std::size_t gap_n =
           static_cast<std::size_t>(rec.gap_hi - rec.gap_lo + 1);
-      std::vector<double> totals(gap_n, 0.0);
-      std::vector<char> have(gap_n, 0);
-      run_indexed(pool_, gap_n, [&](std::size_t k) {
-        if (budget_ != nullptr && budget_->check()) return false;
+      auto gap_total = [&](std::size_t k) {
         const int w = rec.gap_lo + static_cast<int>(k);
         double total = 0.0;
         for (const PortOptPrimitive& prim : primitives) {
@@ -206,23 +184,19 @@ std::vector<NetWireDecision> PortOptimizer::reconcile(
           net_wires[net] = w;
           total += primitive_cost(prim, net_wires);
         }
-        totals[k] = total;
-        have[k] = 1;
-        return true;
-      });
+        return total;
+      };
+      const std::vector<double> totals =
+          sweep(pool_, budget_, gap_n, gap_total);
+      if (totals.size() < gap_n) {
+        report_truncation(
+            *budget_, diag_, "portopt", net,
+            "gap re-simulation truncated at w=" +
+                std::to_string(rec.gap_lo + static_cast<int>(totals.size())));
+      }
       double best_cost = std::numeric_limits<double>::infinity();
       int best_w = rec.gap_lo;
-      for (std::size_t k = 0; k < gap_n; ++k) {
-        if (!have[k]) {
-          obs::counter_add("budget.truncations");
-          if (diag_) {
-            diag_->report(DiagSeverity::kWarning, "portopt", net,
-                          budget_->description() +
-                              "; gap re-simulation truncated at w=" +
-                              std::to_string(rec.gap_lo + static_cast<int>(k)));
-          }
-          break;
-        }
+      for (std::size_t k = 0; k < totals.size(); ++k) {
         if (totals[k] < best_cost) {
           best_cost = totals[k];
           best_w = rec.gap_lo + static_cast<int>(k);

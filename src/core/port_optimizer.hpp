@@ -62,9 +62,8 @@ struct NetWireDecision {
 /// maximum-curvature point of these cost curves).
 inline constexpr double kPlateauTolerance = 0.04;
 
-struct PortOptimizerOptions {
-  int max_wires = 8;
-};
+/// Step 1 sweeps each net from 1 to this many parallel routes.
+inline constexpr int kMaxPortWires = 8;
 
 /// Converts a global route to a lumped RC for `parallel` routes. Parallel
 /// routes divide resistance (wires and via stacks) and multiply capacitance.
@@ -74,9 +73,8 @@ extract::WireRc route_wire_rc(const tech::Technology& t,
 /// Algorithm 2 over a set of primitives sharing global routes.
 class PortOptimizer {
  public:
-  explicit PortOptimizer(const tech::Technology& technology,
-                         PortOptimizerOptions options = {})
-      : tech_(technology), options_(options) {}
+  explicit PortOptimizer(const tech::Technology& technology)
+      : tech_(technology) {}
 
   /// Attaches a diagnostics sink (may be null); receives budget-truncation
   /// records. The sink must outlive the optimizer.
@@ -108,11 +106,12 @@ class PortOptimizer {
       const std::vector<PortOptPrimitive>& primitives) const;
 
  private:
+  /// Eqs. 5-6 (layout_cost) of the primitive with the given per-net route
+  /// counts (one route elsewhere), against its schematic reference.
   double primitive_cost(const PortOptPrimitive& primitive,
                         const std::map<std::string, int>& net_wires) const;
 
   const tech::Technology& tech_;
-  PortOptimizerOptions options_;
   DiagnosticsSink* diag_ = nullptr;
   Budget* budget_ = nullptr;
   TaskPool* pool_ = nullptr;

@@ -9,6 +9,7 @@ namespace olp::geom {
 
 namespace {
 
+constexpr double kScale = 0.2;  ///< SVG pixels per nm
 constexpr double kMarginPx = 10.0;
 
 struct LayerStyle {
@@ -34,17 +35,16 @@ LayerStyle style_of(tech::Layer layer) {
 }  // namespace
 
 std::string to_svg(const Layout& layout, const SvgOptions& opt) {
-  OLP_CHECK(opt.scale > 0, "SVG scale must be positive");
   const Rect bb = layout.bounding_box();
-  const double w = static_cast<double>(bb.width()) * opt.scale;
-  const double h = static_cast<double>(bb.height()) * opt.scale;
+  const double w = static_cast<double>(bb.width()) * kScale;
+  const double h = static_cast<double>(bb.height()) * kScale;
 
   auto sx = [&](Coord x) {
-    return (static_cast<double>(x - bb.x_lo)) * opt.scale + kMarginPx;
+    return (static_cast<double>(x - bb.x_lo)) * kScale + kMarginPx;
   };
   // SVG y grows downward; layout y grows upward.
   auto sy = [&](Coord y) {
-    return h - (static_cast<double>(y - bb.y_lo)) * opt.scale + kMarginPx;
+    return h - (static_cast<double>(y - bb.y_lo)) * kScale + kMarginPx;
   };
 
   std::ostringstream os;
@@ -58,8 +58,8 @@ std::string to_svg(const Layout& layout, const SvgOptions& opt) {
     if (s.rect.width() == 0 || s.rect.height() == 0) continue;
     const LayerStyle st = style_of(s.layer);
     os << "<rect x=\"" << sx(s.rect.x_lo) << "\" y=\"" << sy(s.rect.y_hi)
-       << "\" width=\"" << static_cast<double>(s.rect.width()) * opt.scale
-       << "\" height=\"" << static_cast<double>(s.rect.height()) * opt.scale
+       << "\" width=\"" << static_cast<double>(s.rect.width()) * kScale
+       << "\" height=\"" << static_cast<double>(s.rect.height()) * kScale
        << "\" fill=\"" << st.fill << "\" fill-opacity=\"" << st.opacity
        << "\"";
     if (!s.net.empty()) {
@@ -77,9 +77,9 @@ std::string to_svg(const Layout& layout, const SvgOptions& opt) {
   for (const Pin& p : layout.pins()) {
     os << "<rect x=\"" << sx(p.rect.x_lo) << "\" y=\"" << sy(p.rect.y_hi)
        << "\" width=\""
-       << std::max(2.0, static_cast<double>(p.rect.width()) * opt.scale)
+       << std::max(2.0, static_cast<double>(p.rect.width()) * kScale)
        << "\" height=\""
-       << std::max(2.0, static_cast<double>(p.rect.height()) * opt.scale)
+       << std::max(2.0, static_cast<double>(p.rect.height()) * kScale)
        << "\" fill=\"black\"/>\n";
     if (opt.label_pins) {
       os << "<text x=\"" << sx(p.rect.x_hi) + 2 << "\" y=\""

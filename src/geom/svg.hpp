@@ -10,7 +10,6 @@
 namespace olp::geom {
 
 struct SvgOptions {
-  double scale = 0.2;        ///< SVG pixels per nm
   bool label_pins = true;
   bool label_nets = false;   ///< annotate shapes with their net name
 };

@@ -114,12 +114,8 @@ NetRoute GlobalRouter::route(const std::string& net_name,
   // net stays unrouted and the flow degrades it downstream.
   if (budget_ != nullptr && budget_->check()) {
     obs::counter_add("router.unrouted");
-    obs::counter_add("budget.truncations");
-    if (diag_) {
-      diag_->report(DiagSeverity::kWarning, "router", net_name,
-                    budget_->description() +
-                        "; skipping widened-layer retry, net stays unrouted");
-    }
+    report_truncation(*budget_, diag_, "router", net_name,
+                      "skipping widened-layer retry, net stays unrouted");
     return primary;
   }
   obs::counter_add("router.fallback_retries");

@@ -244,9 +244,10 @@ bool Simulator::FirstFactorization::factor(const std::vector<double>& a_new,
 
 namespace {
 
-/// DC Newton's iteration cap, node-voltage tolerances (absolute [V] plus
-/// relative) and largest node-voltage step [V]; the transient retry ladder's
-/// length.
+/// Every analysis's conductance from each node to ground [S]; DC Newton's
+/// iteration cap, node-voltage tolerances (absolute [V] plus relative) and
+/// largest node-voltage step [V]; the transient retry ladder's length.
+constexpr double kGminFloor = 1e-12;
 constexpr int kMaxNewtonIterations = 200;
 constexpr double kVtolAbs = 1e-9;
 constexpr double kVtolRel = 1e-6;
@@ -355,38 +356,23 @@ void Simulator::stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
   }
 }
 
-OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
-                              double source_scale,
-                              const std::vector<double>& guess,
-                              System<double>& sys) const {
+OpResult Simulator::newton(const std::vector<double>& a0,
+                           const std::vector<double>& b0,
+                           const NewtonLimits& limits, std::vector<double> x,
+                           System<double>& sys) const {
   const int n = n_unknowns();
   const int nn = circuit_.node_count() - 1;
-  std::vector<double> x = guess;
-  if (x.empty()) x.assign(static_cast<std::size_t>(n), 0.0);
-  OLP_CHECK(static_cast<int>(x.size()) == n, "bad initial guess size");
-
-  // The iterate-independent part, once per call: linear devices with gmin to
-  // ground on every node, and the scaled sources.
-  std::vector<double> a0(sys.a.size()), b0(sys.b.size());
-  stamp_linear(a0);
-  for (const int slot : slots_.node_diag) {
-    add(a0, slot, gmin + options.gmin_floor);
-  }
-  stamp_sources(b0, 0.0, source_scale);
-
   OpResult result;
-  for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
+  result.iterations = limits.max_iterations;
+  for (int iter = 0; iter < limits.max_iterations; ++iter) {
     // Budget-bounded Newton: unwind with the current (non-converged) state.
-    if (budget_ != nullptr && budget_->check()) break;
+    if (limits.budgeted && budget_ != nullptr && budget_->check()) break;
     sys.a = a0;
     sys.b = b0;
     stamp_mosfets(sys.a, sys.b, x);
-
     if (!sys.solve()) {
-      result.converged = false;
       result.iterations = iter + 1;
-      result.x = std::move(x);
-      return result;
+      break;
     }
 
     // Damped update on node voltages; branch currents move freely.
@@ -395,8 +381,9 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
       const std::size_t ks = static_cast<std::size_t>(k);
       double delta = sys.x[ks] - x[ks];
       if (k < nn) {
-        delta = std::clamp(delta, -kDamping, kDamping);
-        if (std::fabs(delta) > kVtolAbs + kVtolRel * std::fabs(x[ks])) {
+        delta = std::clamp(delta, -limits.max_step, limits.max_step);
+        if (std::fabs(delta) >
+            limits.vtol_abs + limits.vtol_rel * std::fabs(x[ks])) {
           within_tol = false;
         }
       }
@@ -406,14 +393,30 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
       sys.check_kcl(x);
       result.converged = true;
       result.iterations = iter + 1;
-      result.x = std::move(x);
-      return result;
+      break;
     }
   }
-  result.converged = false;
-  result.iterations = kMaxNewtonIterations;
   result.x = std::move(x);
   return result;
+}
+
+OpResult Simulator::newton_dc(double gmin, double source_scale,
+                              const std::vector<double>& guess,
+                              System<double>& sys) const {
+  const int n = n_unknowns();
+  std::vector<double> x = guess;
+  if (x.empty()) x.assign(static_cast<std::size_t>(n), 0.0);
+  OLP_CHECK(static_cast<int>(x.size()) == n, "bad initial guess size");
+
+  // The iterate-independent part, once per call: linear devices with gmin to
+  // ground on every node, and the scaled sources.
+  std::vector<double> a0(sys.a.size()), b0(sys.b.size());
+  stamp_linear(a0);
+  for (const int slot : slots_.node_diag) add(a0, slot, gmin + kGminFloor);
+  stamp_sources(b0, 0.0, source_scale);
+  const NewtonLimits limits{kMaxNewtonIterations, kDamping, kVtolAbs,
+                            kVtolRel, /*budgeted=*/true};
+  return newton(a0, b0, limits, std::move(x), sys);
 }
 
 OpResult Simulator::op(const OpOptions& options) const {
@@ -441,7 +444,7 @@ OpResult Simulator::op_impl(const OpOptions& options,
   }
 
   // Stage 1: plain Newton from the provided guess.
-  OpResult r = newton_dc(options, 0.0, 1.0, options.initial_guess, sys);
+  OpResult r = newton_dc(0.0, 1.0, options.initial_guess, sys);
   if (r.converged) return r;
   // Budget exhausted: skip the continuation ladder, return what we have.
   if (budget_ != nullptr && budget_->check()) return r;
@@ -451,7 +454,7 @@ OpResult Simulator::op_impl(const OpOptions& options,
   std::vector<double> warm = options.initial_guess;
   bool chain_ok = true;
   for (double gmin = 1e-3; gmin >= 1e-12; gmin *= 1e-2) {
-    OpResult stage = newton_dc(options, gmin, 1.0, warm, sys);
+    OpResult stage = newton_dc(gmin, 1.0, warm, sys);
     if (!stage.converged) {
       chain_ok = false;
       break;
@@ -459,7 +462,7 @@ OpResult Simulator::op_impl(const OpOptions& options,
     warm = stage.x;
   }
   if (chain_ok) {
-    OpResult final_stage = newton_dc(options, 0.0, 1.0, warm, sys);
+    OpResult final_stage = newton_dc(0.0, 1.0, warm, sys);
     if (final_stage.converged) return final_stage;
     r = final_stage;
   }
@@ -468,15 +471,14 @@ OpResult Simulator::op_impl(const OpOptions& options,
   // Stage 3: source stepping — ramp all independent sources from zero.
   warm.assign(static_cast<std::size_t>(n_unknowns()), 0.0);
   for (double scale = 0.1; scale <= 1.0 + 1e-12; scale += 0.1) {
-    OpResult stage = newton_dc(options, 1e-9, scale, warm, sys);
+    OpResult stage = newton_dc(1e-9, scale, warm, sys);
     if (!stage.converged) {
       OLP_WARN << "source stepping failed at scale " << scale;
       return stage;
     }
     warm = stage.x;
   }
-  OpResult final_stage = newton_dc(options, 0.0, 1.0, warm, sys);
-  return final_stage;
+  return newton_dc(0.0, 1.0, warm, sys);
 }
 
 std::vector<std::vector<double>> Simulator::dc_sweep(
@@ -556,7 +558,7 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   for (std::size_t k = 0; k < mos_ops.size(); ++k) {
     add_mos(a0, mos_[k].slots, mos_ops[k].gm, mos_ops[k].gds);
   }
-  for (const int slot : slots_.node_diag) add(a0, slot, C{1e-12, 0});
+  for (const int slot : slots_.node_diag) add(a0, slot, C{kGminFloor, 0});
   for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
     const VSource& v = circuit_.vsources()[k];
     if (v.ac_mag != 0.0) {
@@ -639,9 +641,8 @@ TranResult Simulator::tran(const TranOptions& options) const {
 
 TranResult Simulator::tran_attempt(const TranOptions& options) const {
   obs::counter_add("sim.tran.attempts");
-  OLP_CHECK(options.dt > 0 && options.tstop > options.dt &&
-                options.record_stride >= 1,
-            "transient needs dt > 0, tstop > dt and record_stride >= 1");
+  OLP_CHECK(options.dt > 0 && options.tstop > options.dt,
+            "transient needs dt > 0 and tstop > dt");
   if (FaultInjector::global().should_fail(FaultSite::kTranNonConvergence)) {
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "chaos",
@@ -654,20 +655,12 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     injected.samples.emplace_back(static_cast<std::size_t>(n_unknowns()), 0.0);
     return injected;
   }
-  const int n = n_unknowns();
-  const int nn = circuit_.node_count() - 1;
-
   // Initial state.
-  std::vector<double> x;
-  if (options.start_from_op) {
-    OpResult op0 = op();
-    if (!op0.converged) {
-      OLP_WARN << "transient: t=0 operating point failed to converge";
-    }
-    x = std::move(op0.x);
-  } else {
-    x.assign(static_cast<std::size_t>(n), 0.0);
+  OpResult op0 = op();
+  if (!op0.converged) {
+    OLP_WARN << "transient: t=0 operating point failed to converge";
   }
+  std::vector<double> x = std::move(op0.x);
   // Node initial conditions override the OP (ring-symmetry kick).
   for (const auto& [node, value] : circuit_.initial_conditions()) {
     x[static_cast<std::size_t>(node - 1)] = value;
@@ -719,7 +712,7 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     return trapezoidal ? 2.0 * c.c / h_at : c.c / h_at;
   };
   // The iterate-independent matrix of one (step, method): linear devices,
-  // capacitor companion conductances and the 1e-12 diagonal. A transient
+  // capacitor companion conductances and the kGminFloor diagonal. A transient
   // meets at most three (h trapezoidal, h and a substep backward Euler);
   // each is stamped on first use. Map entries stay put as others are added.
   std::map<std::pair<double, bool>, std::vector<double>> companions;
@@ -734,9 +727,11 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
       if (caps_[k].c <= 0) continue;
       add_quad(a0, slots_.caps[k], cap_geq(caps_[k], h_at, trapezoidal));
     }
-    for (const int slot : slots_.node_diag) add(a0, slot, 1e-12);
+    for (const int slot : slots_.node_diag) add(a0, slot, kGminFloor);
     return a0;
   };
+  // A step's Newton: 0.5 V steps, 1e-7 V + 1e-5·|v|, no budget check.
+  const NewtonLimits limits{options.max_newton, 0.5, 1e-7, 1e-5, false};
   std::vector<double> b0(sys.b.size());
 
   // One Newton solve of the companion system at time `t_at` with step
@@ -759,32 +754,9 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
       add_rhs(b0, c.b - 1, -ieq_into_a);
     }
 
-    x_out = x_prev;  // warm start
-    for (int iter = 0; iter < options.max_newton; ++iter) {
-      sys.a = a0;
-      sys.b = b0;
-      stamp_mosfets(sys.a, sys.b, x_out);
-
-      if (!sys.solve()) return false;
-
-      bool within_tol = true;
-      for (int k = 0; k < n; ++k) {
-        const std::size_t ks = static_cast<std::size_t>(k);
-        double delta = sys.x[ks] - x_out[ks];
-        if (k < nn) {
-          delta = std::clamp(delta, -0.5, 0.5);
-          if (std::fabs(delta) > 1e-7 + 1e-5 * std::fabs(x_out[ks])) {
-            within_tol = false;
-          }
-        }
-        x_out[ks] += delta;
-      }
-      if (within_tol && iter > 0) {
-        sys.check_kcl(x_out);
-        return true;
-      }
-    }
-    return false;
+    OpResult r = newton(a0, b0, limits, x_prev, sys);  // warm start
+    x_out = std::move(r.x);
+    return r.converged;
   };
 
   auto update_icap = [&](bool trapezoidal, double h_at,
@@ -802,7 +774,6 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     }
   };
 
-  long recorded = 0;
   for (long step = 1; step <= steps; ++step) {
     // Budget-bounded timestepping: a truncated transient is reported as
     // ok=false so callers degrade instead of trusting partial waveforms.
@@ -849,12 +820,9 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     }
 
     x = std::move(x_new);
-    ++recorded;
-    if (recorded % options.record_stride == 0 || step == steps) {
-      result.times.push_back(t);
-      result.samples.push_back(x);
-      if (stopped()) return result;
-    }
+    result.times.push_back(t);
+    result.samples.push_back(x);
+    if (stopped()) return result;
   }
   result.ok = true;
   return result;

@@ -36,7 +36,6 @@ namespace olp::spice {
 
 /// Options for the DC operating-point solve.
 struct OpOptions {
-  double gmin_floor = 1e-12;  ///< permanent node-to-ground conductance [S]
   /// Warm-start solution (full unknown vector); empty = start from zero.
   std::vector<double> initial_guess;
 };
@@ -68,15 +67,12 @@ struct AcResult {
   std::vector<std::vector<std::complex<double>>> solutions;
 };
 
+/// A transient starts from op(), node initial conditions overriding it (the
+/// VCO testbench's symmetry kick), and records every step.
 struct TranOptions {
   double tstop = 1e-9;    ///< simulation end time [s]
   double dt = 1e-12;      ///< fixed timestep [s]
-  int record_stride = 1;  ///< keep every k-th sample
-  /// When true, the initial state is the DC operating point at t = 0 with any
-  /// node initial conditions overriding the OP values (this is how the VCO
-  /// testbench breaks ring symmetry).
-  bool start_from_op = true;
-  int max_newton = 80;
+  int max_newton = 80;    ///< Newton iterations per step
   /// Use backward Euler throughout instead of trapezoidal (more damping).
   bool backward_euler = false;
   /// Optional. Called with each recorded sample in time order, the t = 0
@@ -214,10 +210,27 @@ class Simulator {
   /// op() continuation ladder without the instrumentation wrapper.
   OpResult op_impl(const OpOptions& options, System<double>& sys) const;
 
+  /// Per-analysis limits of the damped Newton loop: the iteration cap, the
+  /// largest node-voltage step [V], convergence at every node's
+  /// |dv| <= vtol_abs + vtol_rel·|v|, and a budget check per iteration.
+  struct NewtonLimits {
+    int max_iterations;
+    double max_step, vtol_abs, vtol_rel;
+    bool budgeted;
+  };
+
+  /// Damped Newton from `x` on the static part (a0, b0) plus the MOSFETs
+  /// linearized at each iterate; branch currents move freely. Returns
+  /// convergence, the iterations run (the cap when the budget stopped it)
+  /// and the last iterate.
+  OpResult newton(const std::vector<double>& a0, const std::vector<double>& b0,
+                  const NewtonLimits& limits, std::vector<double> x,
+                  System<double>& sys) const;
+
   /// One Newton solve of the DC system with sources scaled by `source_scale`
   /// and `gmin` to ground on every node. Returns convergence and iterations.
-  OpResult newton_dc(const OpOptions& options, double gmin,
-                     double source_scale, const std::vector<double>& guess,
+  OpResult newton_dc(double gmin, double source_scale,
+                     const std::vector<double>& guess,
                      System<double>& sys) const;
 
   /// Stamps all static linear devices (R, VCVS, VCCS) and the voltage-source

@@ -3,7 +3,9 @@
 #include <limits>
 #include <sstream>
 
+#include "util/diag.hpp"
 #include "util/env.hpp"
+#include "util/obs.hpp"
 
 namespace olp {
 
@@ -141,6 +143,16 @@ std::string Budget::description() const {
       break;
   }
   return os.str();
+}
+
+void report_truncation(const Budget& budget, DiagnosticsSink* diag,
+                       const std::string& stage, const std::string& subject,
+                       const std::string& what) {
+  obs::counter_add("budget.truncations");
+  if (diag != nullptr) {
+    diag->report(DiagSeverity::kWarning, stage, subject,
+                 budget.description() + "; " + what);
+  }
 }
 
 }  // namespace olp

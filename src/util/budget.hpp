@@ -22,6 +22,8 @@
 
 namespace olp {
 
+class DiagnosticsSink;
+
 // All flow timing (deadline math, FlowReport::runtime_s) goes through this
 // single monotonic source; it must never go backwards under wall-clock
 // adjustment.
@@ -143,5 +145,11 @@ class Budget {
   std::atomic<bool> exhausted_{false};
   std::atomic<BudgetKind> tripped_{BudgetKind::kNone};
 };
+
+/// Records a loop the exhausted `budget` cut short: bumps
+/// "budget.truncations" and reports "<description>; <what>" to `diag`.
+void report_truncation(const Budget& budget, DiagnosticsSink* diag,
+                       const std::string& stage, const std::string& subject,
+                       const std::string& what);
 
 }  // namespace olp

@@ -9,14 +9,14 @@
 
 namespace olp::obs {
 
-namespace {
-
 std::int64_t steady_now_us() {
   // Span timestamps share the flow's one monotonic source (util/budget).
   return std::chrono::duration_cast<std::chrono::microseconds>(
              BudgetClock::now().time_since_epoch())
       .count();
 }
+
+namespace {
 
 /// Nearest-rank percentile of an ascending-sorted sample vector:
 /// the smallest element with at least ceil(q * n) samples at or below it.

@@ -252,6 +252,10 @@ class Registry {
 /// Fast-path enabled check (one relaxed atomic load).
 inline bool enabled() { return Registry::global().enabled(); }
 
+/// The monotonic clock spans are timed with, in microseconds. Read it only
+/// while enabled(), so disabled runs pay nothing for their wait counters.
+std::int64_t steady_now_us();
+
 /// Bumps a named monotonic counter, which saturates at long's range.
 /// `name` must be a literal or otherwise outlive the call; nothing is
 /// allocated when disabled.

@@ -27,12 +27,6 @@ void chaos_delay(std::size_t index) {
 constexpr obs::LockSite kPoolLock{"obs.contention.pool.contended",
                                   "obs.contention.pool.wait_us"};
 
-std::int64_t now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 int resolve_num_threads(int requested) {
@@ -77,9 +71,9 @@ TaskPool::Batch* TaskPool::front_claimable() {
   return nullptr;
 }
 
-void TaskPool::parallel_for(std::size_t n,
-                            const std::function<bool(std::size_t)>& task) {
-  if (n == 0) return;
+std::int64_t TaskPool::parallel_for(
+    std::size_t n, const std::function<bool(std::size_t)>& task) {
+  if (n == 0) return 0;
   obs::counter_add("pool.batches");
   if (workers_.empty()) {
     // Inline path: the seed-serial loop (ordered, break on false).
@@ -95,7 +89,7 @@ void TaskPool::parallel_for(std::size_t n,
     }
     obs::counter_add("pool.tasks", ran);
     if (stopped) obs::counter_add("pool.stopped_batches");
-    return;
+    return 0;
   }
 
   Batch batch;
@@ -115,13 +109,17 @@ void TaskPool::parallel_for(std::size_t n,
   // free worker — nested submission cannot deadlock), then waits for
   // stragglers claimed by workers.
   while (batch.claimable()) run_one(lock, batch, /*is_worker=*/false);
+  const std::int64_t wait_t0 = obs::enabled() ? obs::steady_now_us() : 0;
   done_cv_.wait(lock, [&batch] { return batch.done(); });
+  const std::int64_t waited_us =
+      wait_t0 != 0 ? obs::steady_now_us() - wait_t0 : 0;
   queue_.erase(std::find(queue_.begin(), queue_.end(), &batch));
   const bool stopped = batch.stop;
   std::exception_ptr error = batch.error;
   lock.unlock();
   if (stopped) obs::counter_add("pool.stopped_batches");
   if (error != nullptr) std::rethrow_exception(error);
+  return waited_us;
 }
 
 void TaskPool::worker_loop() {
@@ -129,11 +127,11 @@ void TaskPool::worker_loop() {
   for (;;) {
     // Idle time = waiting for claimable work; the clock is only read while
     // the registry is enabled, so disabled runs pay nothing here.
-    const std::int64_t idle_t0 = obs::enabled() ? now_us() : 0;
+    const std::int64_t idle_t0 = obs::enabled() ? obs::steady_now_us() : 0;
     work_cv_.wait(lock,
                   [this] { return shutdown_ || front_claimable() != nullptr; });
     if (idle_t0 != 0) {
-      obs::counter_add("obs.pool.idle_us", now_us() - idle_t0);
+      obs::counter_add("obs.pool.idle_us", obs::steady_now_us() - idle_t0);
     }
     if (shutdown_) return;
     run_one(lock, *front_claimable(), /*is_worker=*/true);
@@ -150,7 +148,7 @@ void TaskPool::run_one(std::unique_lock<std::mutex>& lock, Batch& batch,
 
   bool keep_going = false;
   std::exception_ptr thrown;
-  const std::int64_t busy_t0 = obs::enabled() ? now_us() : 0;
+  const std::int64_t busy_t0 = obs::enabled() ? obs::steady_now_us() : 0;
   {
     // Workers adopt the submitting thread's span position so their spans
     // (and any diagnostics' span paths) nest inside the submitting span.
@@ -167,7 +165,7 @@ void TaskPool::run_one(std::unique_lock<std::mutex>& lock, Batch& batch,
   }
   obs::counter_add("pool.tasks");
   if (busy_t0 != 0 && is_worker) {
-    obs::counter_add("obs.pool.busy_us", now_us() - busy_t0);
+    obs::counter_add("obs.pool.busy_us", obs::steady_now_us() - busy_t0);
   }
 
   obs::timed_relock(lock, kPoolLock);
@@ -182,17 +180,6 @@ void TaskPool::run_one(std::unique_lock<std::mutex>& lock, Batch& batch,
     batch.stop = true;
   }
   if (batch.done()) done_cv_.notify_all();
-}
-
-void run_indexed(TaskPool* pool, std::size_t n,
-                 const std::function<bool(std::size_t)>& task) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, task);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!task(i)) break;
-  }
 }
 
 }  // namespace olp

@@ -3,16 +3,14 @@
 // ordered-reduction contract.
 //
 // parallel_for(n, task) runs task(0..n-1) with the calling thread
-// participating alongside the workers. Determinism comes from the calling
-// convention, not from scheduling: tasks write their result into an
-// index-addressed slot owned by the caller, and the caller merges the slots
-// in submission order after parallel_for returns — results are therefore
-// independent of completion order. A task returns false to request early
-// exit (budget exhaustion): no further indices are handed out, in-flight
-// tasks finish, and slots past the stop point stay unfilled. With one
-// thread, parallel_for degenerates to an inline ordered loop with break
-// semantics — bit-identical to the pre-pool serial code, including the
-// per-index Budget::check() sequence.
+// participating alongside the workers. A task returns false to stop the
+// batch: no further indices are handed out and in-flight tasks finish. With
+// one thread, parallel_for is an inline ordered loop that breaks on false.
+// Determinism comes from the calling convention, not from scheduling:
+// sweep() (below) fills index-addressed slots, checks the budget once per
+// index in index order, and returns the slots in index order, so its result
+// is independent of completion order. Budget exhaustion is sticky, so a
+// trip on any thread drains that batch promptly; other batches go on.
 //
 // Scheduling: one mutex guards one queue of submitted batches and the claim
 // state of every queued batch. Workers always claim one index from the
@@ -29,19 +27,14 @@
 // claimed in order and merged by its own caller, so concurrent batches stay
 // bit-identical to running each alone.
 //
-// Budget interaction: the pool knows nothing about budgets. Tasks probe
-// Budget::check() themselves and return false once it trips; because
-// exhaustion is sticky, a trip on any worker (a deadline passing, a
-// testbench limit reached) drains that batch promptly (every subsequent
-// claim sees the trip and stops) — other batches on the pool are untouched.
-//
 // Chaos: each task draws at FaultSite::kPoolTaskDelay; a fired draw sleeps
 // a few hundred deterministic, index-derived microseconds, letting tests
 // scramble completion order adversarially without touching results.
 //
 // Telemetry (via util/obs): "pool.batches", "pool.tasks",
-// "pool.stopped_batches" count work; "obs.pool.queue_depth" (histogram of
-// the queue's depth at each submission), "obs.pool.busy_us"/
+// "pool.stopped_batches" count work; "pool.submitter_wait_us" (sweep()
+// callers waiting on other threads' tasks), "obs.pool.queue_depth"
+// (histogram of the queue's depth at each submission), "obs.pool.busy_us"/
 // "obs.pool.idle_us" (cumulative worker task-execution vs. wait time), and
 // "obs.contention.pool.{contended,wait_us}" (queue-mutex lock waits, via
 // obs::timed_lock) show how the pool scales. Workers run under the
@@ -51,13 +44,18 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "util/budget.hpp"
 #include "util/obs.hpp"
 
 namespace olp {
@@ -90,8 +88,10 @@ class TaskPool {
   /// the exception thrown by the lowest claimed index is rethrown here after
   /// the batch drains; the pool stays usable. May be called from multiple
   /// threads concurrently and from inside a running task (see file comment).
-  void parallel_for(std::size_t n,
-                    const std::function<bool(std::size_t)>& task);
+  /// Returns the microseconds the caller then waited for tasks on other
+  /// threads once no index of its batch was left (0 while obs is disabled).
+  std::int64_t parallel_for(std::size_t n,
+                            const std::function<bool(std::size_t)>& task);
 
  private:
   /// One submitted batch; lives on the submitting thread's stack for the
@@ -128,9 +128,46 @@ class TaskPool {
   bool shutdown_ = false;
 };
 
-/// Serial/parallel dispatch helper: with a pool, parallel_for; without one,
-/// the exact seed-serial loop (ordered, breaks on false, no chaos draws).
-void run_indexed(TaskPool* pool, std::size_t n,
-                 const std::function<bool(std::size_t)>& task);
+/// Evaluates eval(0), eval(1), ... and returns the contiguous evaluated
+/// prefix in index order. `budget` (may be null) is checked once before
+/// each index, under one lock and in index order however the pool starts
+/// the points, so when the points consume no checks themselves the prefix
+/// and the check count are the serial loop's at any thread count. With a
+/// pool the points run through parallel_for; without one, inline. A
+/// point's exception ends the sweep and propagates.
+template <class Eval>
+auto sweep(TaskPool* pool, Budget* budget, std::size_t n, Eval&& eval) {
+  using T = std::decay_t<std::invoke_result_t<Eval&, std::size_t>>;
+  std::vector<std::optional<T>> slots(n);
+  std::mutex mu;
+  std::size_t next = 0;  // indices [0, next) passed their check
+  bool tripped = false;
+  const auto point = [&](std::size_t) {
+    std::size_t i = 0;
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (tripped || (budget != nullptr && budget->check())) {
+        tripped = true;
+        return false;
+      }
+      i = next++;
+    }
+    slots[i].emplace(eval(i));
+    return true;
+  };
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!point(i)) break;
+    }
+  } else {
+    obs::counter_add("pool.submitter_wait_us", pool->parallel_for(n, point));
+  }
+  std::vector<T> prefix;
+  prefix.reserve(next);
+  for (std::size_t i = 0; i < next; ++i) {
+    prefix.push_back(*std::move(slots[i]));
+  }
+  return prefix;
+}
 
 }  // namespace olp

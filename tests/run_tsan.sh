@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # ThreadSanitizer smoke run: build the eval-cache and obs registry stress
-# binaries, the DC simulator tests and the OTA flow example with
-# -fsanitize=thread, run both stresses and the DC simulator tests (op()
-# calls pooled on one Simulator share its remembered first factorization),
+# binaries, the DC simulator and task pool tests and the OTA flow example
+# with -fsanitize=thread, run both stresses, the DC simulator tests (op()
+# calls pooled on one Simulator share its remembered first factorization)
+# and the task pool's suite (nested and concurrent submission,
+# cancellation, worker exceptions, sweep() under chaos delays), then
 # drive the example through the parallel + cached code path (8 worker
 # threads, eval cache on), then drive the batch example the same way —
 # concurrent jobs racing over the shared worker pool and cross-job eval
@@ -42,7 +44,8 @@ cmake -S "${src_dir}" -B "${build_dir}" \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build "${build_dir}" --target ota_layout_flow batch_flows \
-  eval_cache_stress obs_stress test_simulator_dc -j "$(nproc)" > /dev/null
+  eval_cache_stress obs_stress test_simulator_dc test_task_pool \
+  -j "$(nproc)" > /dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "${probe}" "${tmp}"' EXIT
@@ -77,22 +80,33 @@ if grep -q "ThreadSanitizer" "${obs_out}"; then
   exit 1
 fi
 
+# One sanitized gtest binary: it must pass with no race report.
+run_suite() {
+  local name="$1" what="$2"
+  local suite_out="${tmp}/${name}_stdout.txt"
+  if ! TSAN_OPTIONS="${tsan_opts}" \
+      "${build_dir}/tests/${name}" > "${suite_out}" 2>&1; then
+    echo "tsan smoke: sanitized ${name} failed" >&2
+    cat "${suite_out}" >&2
+    exit 1
+  fi
+  if grep -q "ThreadSanitizer" "${suite_out}"; then
+    echo "tsan smoke: ThreadSanitizer reported a race in ${what}" >&2
+    cat "${suite_out}" >&2
+    exit 1
+  fi
+  echo "tsan smoke: sanitized ${name} passed"
+}
+
 # The DC simulator tests: DcOp.PooledOpsOnOneSimulatorAgree runs op() from
 # 4 pool workers on one Simulator, racing the compare, adopt and replace of
 # its remembered first factorization.
-dc_out="${tmp}/dc_stdout.txt"
-if ! TSAN_OPTIONS="${tsan_opts}" \
-    "${build_dir}/tests/test_simulator_dc" > "${dc_out}" 2>&1; then
-  echo "tsan smoke: sanitized test_simulator_dc failed" >&2
-  cat "${dc_out}" >&2
-  exit 1
-fi
-if grep -q "ThreadSanitizer" "${dc_out}"; then
-  echo "tsan smoke: ThreadSanitizer reported a race in the simulator" >&2
-  cat "${dc_out}" >&2
-  exit 1
-fi
-echo "tsan smoke: sanitized test_simulator_dc passed"
+run_suite test_simulator_dc "the simulator"
+
+# The task pool's own suite: nested and concurrent submitters, cancellation
+# by a deadline, worker exceptions, and sweep() under chaos delays at every
+# fuel limit.
+run_suite test_task_pool "the task pool"
 
 # A modest testbench budget keeps the (TSan-slowed) run bounded while still
 # exercising every stage; the budget path itself is part of what is raced:

@@ -311,9 +311,9 @@ TEST(EvalCache, BudgetCutEvaluationsAreNeverCached) {
 }
 
 TEST(EvalCache, FullKeyEqualityMakesShardCollisionsBenign) {
-  // One shard forces every key through the same map: distinct keys must
-  // still resolve to their own entries (the hash only picks the shard).
-  EvalCache cache(/*shards=*/1);
+  // 200 keys over 16 shards share maps: distinct keys must still resolve
+  // to their own entries (the hash only picks the shard).
+  EvalCache cache;
   for (int i = 0; i < 200; ++i) {
     MetricValues v;
     v[MetricKind::kGm] = static_cast<double>(i);
@@ -334,7 +334,7 @@ TEST(EvalCache, FullKeyEqualityMakesShardCollisionsBenign) {
 TEST(EvalCacheBounded, UnboundedDefaultNeverEvicts) {
   // The cache has no capacity bound: every insert stays resident with its
   // own value.
-  EvalCache cache(4);
+  EvalCache cache;
   for (int i = 0; i < 1000; ++i) {
     MetricValues v;
     v[MetricKind::kGain] = static_cast<double>(i);
@@ -354,7 +354,7 @@ TEST(EvalCacheBounded, UnboundedDefaultNeverEvicts) {
 TEST(EvalCacheSnapshot, LiveEntriesWinOverRestore) {
   // A later write of a key already in the cache neither replaces the live
   // value nor takes over its owner.
-  EvalCache cache(2);
+  EvalCache cache;
   MetricValues live, late;
   live[MetricKind::kGain] = 2.0;
   late[MetricKind::kGain] = 1.0;

@@ -90,7 +90,7 @@ TEST_F(FlowOnOta, ConstraintsAndDecisionsProduced) {
   EXPECT_FALSE(opt_report_.decisions.empty());
   for (const core::NetWireDecision& d : opt_report_.decisions) {
     EXPECT_GE(d.parallel_routes, 1);
-    EXPECT_LE(d.parallel_routes, kMaxPortWires);
+    EXPECT_LE(d.parallel_routes, core::kMaxPortWires);
   }
 }
 

@@ -1,57 +1,13 @@
-// Tests for the primitive library registry and the DC sweep analysis.
+// Tests for the DC sweep analysis.
 
 #include <gtest/gtest.h>
 
 #include "circuits/common.hpp"
-#include "core/library.hpp"
 #include "spice/simulator.hpp"
 #include "util/logging.hpp"
 
 namespace olp {
 namespace {
-
-// --- primitive library ----------------------------------------------------------
-
-TEST(PrimitiveLibrary, HasAtLeastTheTaxonomyOfSectionIIA) {
-  const core::PrimitiveLibrary& lib = core::PrimitiveLibrary::standard();
-  EXPECT_GE(lib.size(), 10u);
-  for (const char* name :
-       {"diff_pair", "cascode_diff_pair", "current_mirror",
-        "cascode_current_mirror", "active_current_mirror", "current_source",
-        "current_source_pmos", "common_source", "current_starved_inverter",
-        "cross_coupled_pair", "latch_pair", "switch"}) {
-    EXPECT_TRUE(lib.contains(name)) << name;
-  }
-}
-
-TEST(PrimitiveLibrary, EntriesAreSelfConsistent) {
-  for (const core::LibraryEntry& e :
-       core::PrimitiveLibrary::standard().entries()) {
-    EXPECT_EQ(e.name, e.netlist.name);
-    EXPECT_FALSE(e.netlist.devices.empty()) << e.name;
-    EXPECT_FALSE(e.netlist.ports.empty()) << e.name;
-    EXPECT_FALSE(e.metrics.metrics.empty()) << e.name;
-    EXPECT_FALSE(e.description.empty()) << e.name;
-    // The metrics entry matches the netlist's family.
-    EXPECT_EQ(e.metrics.type, e.netlist.type) << e.name;
-  }
-}
-
-TEST(PrimitiveLibrary, UniqueNames) {
-  const core::PrimitiveLibrary& lib = core::PrimitiveLibrary::standard();
-  for (std::size_t i = 0; i < lib.entries().size(); ++i) {
-    for (std::size_t j = i + 1; j < lib.entries().size(); ++j) {
-      EXPECT_NE(lib.entries()[i].name, lib.entries()[j].name);
-    }
-  }
-}
-
-TEST(PrimitiveLibrary, FindThrowsOnUnknown) {
-  EXPECT_THROW(core::PrimitiveLibrary::standard().find("nosuch"),
-               InvalidArgumentError);
-  EXPECT_EQ(core::PrimitiveLibrary::standard().find("diff_pair").name,
-            "diff_pair");
-}
 
 // --- DC sweep ---------------------------------------------------------------------
 

@@ -149,19 +149,27 @@ TEST(Optimizer, SchematicReferenceIsLayoutInvariant) {
   EXPECT_DOUBLE_EQ(ref.at(MetricKind::kGm), ref2.at(MetricKind::kGm));
 }
 
+// layout_cost, the cost both algorithms score with, measures the pair's
+// systematic offset against 10% of its random mismatch sigma.
 TEST(Optimizer, OffsetSpecIsTenPercentOfSigma) {
   const pcell::PrimitiveGenerator gen(t());
   const PrimitiveEvaluator eval(t(), circuits::default_nmos(),
                                 circuits::default_pmos(), dp_bias());
-  const PrimitiveOptimizer opt(gen, eval);
   pcell::LayoutConfig c;
   c.nfin = 8;
   c.nf = 12;
   c.m = 1;
   const pcell::PrimitiveLayout lay =
       gen.generate(pcell::make_diff_pair(), c);
-  EXPECT_NEAR(opt.offset_spec(lay), 0.1 * eval.random_offset_sigma(lay),
-              1e-12);
+  const MetricValues values = eval.evaluate(lay, EvalCondition{});
+  const CostBreakdown cb = layout_cost(eval, lay, values, values, 0);
+  int offset_terms = 0;
+  for (const MetricDeviation& term : cb.terms) {
+    if (term.spec.kind != MetricKind::kInputOffset) continue;
+    ++offset_terms;
+    EXPECT_NEAR(term.x_spec, 0.1 * eval.random_offset_sigma(lay), 1e-12);
+  }
+  EXPECT_EQ(offset_terms, 1);
 }
 
 // With a cache, candidates are scored from footprints: a cache hit builds

@@ -6,6 +6,7 @@
 #include "circuits/common.hpp"
 #include "core/optimizer.hpp"
 #include "core/port_optimizer.hpp"
+#include "util/faults.hpp"
 
 namespace olp::core {
 namespace {
@@ -120,14 +121,12 @@ struct DpFixture {
 
 TEST(PortOptimizer, GeneratesConstraintPerNet) {
   DpFixture fx;
-  PortOptimizerOptions opt;
-  opt.max_wires = 6;
-  PortOptimizer po(t(), opt);
+  PortOptimizer po(t());
   const std::vector<PortConstraint> pcs =
       po.generate_constraints(fx.primitive());
   ASSERT_EQ(pcs.size(), 2u);
   for (const PortConstraint& pc : pcs) {
-    EXPECT_EQ(pc.cost_curve.size(), 6u);
+    EXPECT_EQ(pc.cost_curve.size(), static_cast<std::size_t>(kMaxPortWires));
     EXPECT_GE(pc.interval.lo, 1);
     for (double cost : pc.cost_curve) EXPECT_GE(cost, 0.0);
   }
@@ -137,9 +136,7 @@ TEST(PortOptimizer, SymmetricDrainSweepsDoNotExplode) {
   // The drain sweep widens both sides together; cost must stay bounded (no
   // phantom offset from an asymmetric testbench).
   DpFixture fx;
-  PortOptimizerOptions opt;
-  opt.max_wires = 5;
-  PortOptimizer po(t(), opt);
+  PortOptimizer po(t());
   const std::vector<PortConstraint> pcs =
       po.generate_constraints(fx.primitive());
   for (const PortConstraint& pc : pcs) {
@@ -149,9 +146,29 @@ TEST(PortOptimizer, SymmetricDrainSweepsDoNotExplode) {
   }
 }
 
+// A sweep point whose evaluation quarantined a metric costs kQuarantineCost,
+// as in Algorithm 1, so a failed simulation cannot set a port interval.
+TEST(PortOptimizer, QuarantinedSweepPointsLoseCleanly) {
+  DpFixture fx;
+  FaultConfig config;
+  config.nan_metric_rate = 1.0;  // every evaluation quarantines a metric
+  std::vector<PortConstraint> pcs;
+  {
+    ScopedFaultInjection chaos(config);
+    pcs = PortOptimizer(t()).generate_constraints(fx.primitive());
+  }
+  ASSERT_EQ(pcs.size(), 2u);
+  for (const PortConstraint& pc : pcs) {
+    ASSERT_EQ(pc.cost_curve.size(), static_cast<std::size_t>(kMaxPortWires));
+    for (double cost : pc.cost_curve) {
+      EXPECT_EQ(cost, kQuarantineCost) << pc.circuit_net;
+    }
+  }
+}
+
 TEST(PortOptimizer, ReconcileOverlapUsesMaxLowerBound) {
   DpFixture fx;
-  PortOptimizer po(t(), {});
+  PortOptimizer po(t());
   std::vector<PortConstraint> pcs;
   PortConstraint a;
   a.instance = "p1";
@@ -171,9 +188,7 @@ TEST(PortOptimizer, ReconcileOverlapUsesMaxLowerBound) {
 
 TEST(PortOptimizer, ReconcileGapRunsJointSimulation) {
   DpFixture fx;
-  PortOptimizerOptions opt;
-  opt.max_wires = 6;
-  PortOptimizer po(t(), opt);
+  PortOptimizer po(t());
   PortOptPrimitive prim = fx.primitive();
   std::vector<PortConstraint> pcs;
   PortConstraint a;
@@ -195,19 +210,17 @@ TEST(PortOptimizer, ReconcileGapRunsJointSimulation) {
 
 TEST(PortOptimizer, EndToEndOptimizeProducesDecisions) {
   DpFixture fx;
-  PortOptimizerOptions opt;
-  opt.max_wires = 5;
-  PortOptimizer po(t(), opt);
+  PortOptimizer po(t());
   const std::vector<NetWireDecision> d = po.optimize({fx.primitive()});
   ASSERT_EQ(d.size(), 2u);
   for (const NetWireDecision& dec : d) {
     EXPECT_GE(dec.parallel_routes, 1);
-    EXPECT_LE(dec.parallel_routes, 5);
+    EXPECT_LE(dec.parallel_routes, kMaxPortWires);
   }
 }
 
 TEST(PortOptimizer, IncompletePrimitiveThrows) {
-  PortOptimizer po(t(), {});
+  PortOptimizer po(t());
   PortOptPrimitive bad;
   bad.instance = "x";
   bad.routes.push_back(PortRoute{"da", "n", m3_route(1e-6)});

@@ -334,26 +334,29 @@ TEST(DcOp, ColdStartAdoptsTheFirstFactorization) {
   EXPECT_FALSE(same_bits(second, first));
 }
 
-// A different gmin floor moves the first matrix's diagonal: no adoption.
+// A warm start at the operating point linearizes the MOSFETs where the
+// cold start does not, so its first matrix differs: no adoption.
 TEST(DcOp, DifferentGminOrdersAnew) {
   const Circuit c = biased_nmos();
   const Simulator sim(c);
-  (void)sim.op();
+  const OpResult cold = sim.op();
+  ASSERT_TRUE(cold.converged);
   OpOptions options;
-  options.gmin_floor = 1e-10;
+  options.initial_guess = cold.x;
   OpResult op;
   EXPECT_EQ(orderings_during([&] { op = sim.op(options); }), 1);
   EXPECT_TRUE(same_bits(op, Simulator(c).op(options)));
 }
 
-// Pooled op() calls on one simulator, alternating two gmin floors so that
-// calls keep replacing the remembered factorization while others compare
-// with it and adopt it, all return a lone call's bits. Its mutex is what
-// keeps them apart; tsan_smoke runs this under ThreadSanitizer.
+// Pooled op() calls on one simulator, alternating a cold start and a warm
+// start at the operating point so that calls keep replacing the remembered
+// factorization while others compare with it and adopt it, all return a
+// lone call's bits. Its mutex is what keeps them apart; tsan_smoke runs
+// this under ThreadSanitizer.
 TEST(DcOp, PooledOpsOnOneSimulatorAgree) {
   const Circuit c = biased_nmos();
   OpOptions other;
-  other.gmin_floor = 1e-10;
+  other.initial_guess = Simulator(c).op().x;
   const OpResult expected[2] = {Simulator(c).op(), Simulator(c).op(other)};
   const Simulator sim(c);
   std::vector<OpResult> results(256);

@@ -209,55 +209,51 @@ TEST(Tran, InverterSwitches) {
 
 // A transient ended by stop_when is a bitwise prefix of the full run that
 // ends at the first recorded sample deciding the delay, so it measures the
-// same bits. With a stride the decision sees recorded samples only.
+// same bits.
 TEST(Tran, StopsAtTheSampleThatDecidesTheDelay) {
   const Circuit c = inverter();
   const Simulator sim(c);
-  for (const int stride : {1, 3}) {
-    SCOPED_TRACE("record_stride " + std::to_string(stride));
-    TranOptions tr;
-    tr.tstop = 1e-9;
-    tr.dt = 1e-12;
-    tr.record_stride = stride;
-    const TranResult full = sim.tran(tr);
-    tr.stop_when = stop_at_delay(sim);
-    TranResult stopped;
-    {
-      obs::ScopedObservability scope;
-      stopped = sim.tran(tr);
-      EXPECT_EQ(obs::Registry::global().counter("sim.tran.stopped"), 1);
-    }
-    ASSERT_TRUE(full.ok);
-    ASSERT_TRUE(stopped.ok);
-    const std::size_t m = stopped.times.size();
-    ASSERT_LT(m, full.times.size() / 2);
-    ASSERT_EQ(stopped.samples.size(), m);
-    EXPECT_EQ(std::memcmp(stopped.times.data(), full.times.data(),
-                          m * sizeof(double)),
-              0);
-    for (std::size_t k = 0; k < m; ++k) {
-      ASSERT_EQ(stopped.samples[k].size(), full.samples[k].size());
-      ASSERT_EQ(std::memcmp(stopped.samples[k].data(), full.samples[k].data(),
-                            full.samples[k].size() * sizeof(double)),
-                0)
-          << "sample " << k;
-    }
-
-    auto prefix = [&](std::size_t n) {
-      TranResult p;
-      p.times.assign(full.times.begin(), full.times.begin() + n);
-      p.samples.assign(full.samples.begin(), full.samples.begin() + n);
-      return p;
-    };
-    EXPECT_FALSE(inverter_delay(sim, prefix(m - 1)).has_value());
-    EXPECT_TRUE(inverter_delay(sim, prefix(m)).has_value());
-
-    const auto d_full = inverter_delay(sim, full);
-    const auto d_stopped = inverter_delay(sim, stopped);
-    ASSERT_TRUE(d_full.has_value());
-    ASSERT_TRUE(d_stopped.has_value());
-    EXPECT_EQ(bits(*d_stopped), bits(*d_full));
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 1e-12;
+  const TranResult full = sim.tran(tr);
+  tr.stop_when = stop_at_delay(sim);
+  TranResult stopped;
+  {
+    obs::ScopedObservability scope;
+    stopped = sim.tran(tr);
+    EXPECT_EQ(obs::Registry::global().counter("sim.tran.stopped"), 1);
   }
+  ASSERT_TRUE(full.ok);
+  ASSERT_TRUE(stopped.ok);
+  const std::size_t m = stopped.times.size();
+  ASSERT_LT(m, full.times.size() / 2);
+  ASSERT_EQ(stopped.samples.size(), m);
+  EXPECT_EQ(std::memcmp(stopped.times.data(), full.times.data(),
+                        m * sizeof(double)),
+            0);
+  for (std::size_t k = 0; k < m; ++k) {
+    ASSERT_EQ(stopped.samples[k].size(), full.samples[k].size());
+    ASSERT_EQ(std::memcmp(stopped.samples[k].data(), full.samples[k].data(),
+                          full.samples[k].size() * sizeof(double)),
+              0)
+        << "sample " << k;
+  }
+
+  auto prefix = [&](std::size_t n) {
+    TranResult p;
+    p.times.assign(full.times.begin(), full.times.begin() + n);
+    p.samples.assign(full.samples.begin(), full.samples.begin() + n);
+    return p;
+  };
+  EXPECT_FALSE(inverter_delay(sim, prefix(m - 1)).has_value());
+  EXPECT_TRUE(inverter_delay(sim, prefix(m)).has_value());
+
+  const auto d_full = inverter_delay(sim, full);
+  const auto d_stopped = inverter_delay(sim, stopped);
+  ASSERT_TRUE(d_full.has_value());
+  ASSERT_TRUE(d_stopped.has_value());
+  EXPECT_EQ(bits(*d_stopped), bits(*d_full));
 }
 
 // No predicate state survives an attempt: two tran() calls with one
@@ -289,17 +285,6 @@ TEST(Tran, StopStartsOverWithEveryAttempt) {
   EXPECT_FALSE(sim.tran(tr).ok);
   EXPECT_EQ(calls_at_t0, (std::vector<int>{0, 0, 0}));
 }
-TEST(Tran, RecordStrideThinsSamples) {
-  const Circuit c = rc_step();
-  Simulator sim(c);
-  TranOptions tr;
-  tr.tstop = 2e-9;
-  tr.dt = 10e-12;
-  tr.record_stride = 4;
-  const TranResult res = sim.tran(tr);
-  ASSERT_TRUE(res.ok);
-  EXPECT_LT(res.samples.size(), 60u);
-}
 
 TEST(Tran, RejectsBadOptions) {
   const Circuit c = rc_step();
@@ -308,8 +293,7 @@ TEST(Tran, RejectsBadOptions) {
   tr.tstop = 1e-9;
   tr.dt = 0.0;
   EXPECT_THROW(sim.tran(tr), InvalidArgumentError);
-  tr.dt = 1e-12;
-  tr.record_stride = 0;
+  tr.dt = 2e-9;  // longer than tstop
   EXPECT_THROW(sim.tran(tr), InvalidArgumentError);
 }
 
@@ -350,32 +334,36 @@ TEST(Tran, FailureDiagnosticCountsTheRetriesThatRan) {
 }
 
 // The live-simulator contract: a source waveform changed between two
-// analyses on one Simulator is seen by the next op() and tran().
+// analyses on one Simulator is seen by the next op() and tran(). The
+// source steps from v0 to v1 at t = 0, so op() sees v0 and the transient
+// charges the RC from v0 toward v1 for five time constants.
 TEST(Tran, SeesSourceChangedBetweenAnalyses) {
+  auto step = [](double v0, double v1) {
+    return Waveform::pulse(v0, v1, 0.0, 1e-12, 1e-12, 1.0, 2.0);
+  };
   Circuit c;
   const NodeId in = c.node("in");
   const NodeId out = c.node("out");
-  c.add_vsource("vin", in, kGround, Waveform::dc(0.4));
+  c.add_vsource("vin", in, kGround, step(0.1, 0.4));
   c.add_resistor("r", in, out, 1e3);
   c.add_capacitor("c", out, kGround, 1e-12);
   const Simulator sim(c);
   TranOptions tr;
   tr.tstop = 5e-9;
   tr.dt = 10e-12;
-  tr.start_from_op = false;  // charge from 0 V: five time constants
 
-  EXPECT_NEAR(sim.voltage(sim.op().x, out), 0.4, 1e-9);
+  EXPECT_NEAR(sim.voltage(sim.op().x, out), 0.1, 1e-9);
   TranResult res = sim.tran(tr);
   ASSERT_TRUE(res.ok);
-  EXPECT_NEAR(sim.voltage(res.samples.back(), out), 0.4 * (1 - std::exp(-5.0)),
-              1e-3);
+  EXPECT_NEAR(sim.voltage(res.samples.back(), out),
+              0.4 - 0.3 * std::exp(-5.0), 1e-3);
 
-  c.vsources()[0].wave = Waveform::dc(0.7);
-  EXPECT_NEAR(sim.voltage(sim.op().x, out), 0.7, 1e-9);
+  c.vsources()[0].wave = step(0.2, 0.7);
+  EXPECT_NEAR(sim.voltage(sim.op().x, out), 0.2, 1e-9);
   res = sim.tran(tr);
   ASSERT_TRUE(res.ok);
-  EXPECT_NEAR(sim.voltage(res.samples.back(), out), 0.7 * (1 - std::exp(-5.0)),
-              1e-3);
+  EXPECT_NEAR(sim.voltage(res.samples.back(), out),
+              0.7 - 0.5 * std::exp(-5.0), 1e-3);
 }
 
 // --- time-domain measurement helpers ----------------------------------------

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -285,13 +286,64 @@ TEST(TaskPool, ExceptionStaysWithItsOwnBatch) {
   }
 }
 
-TEST(TaskPool, RunIndexedWithoutPoolIsAPlainOrderedLoop) {
+// sweep() checks the budget once before each index, in index order, so
+// under every fuel limit a 4-thread sweep under chaos delays returns the
+// serial loop's prefix after as many checks. n exceeds the 24 delay
+// lengths, so some points start before points of lower index.
+TEST(TaskPool, SweepReturnsTheSerialPrefixUnderChaosDelays) {
+  FaultConfig config;
+  config.seed = 5;
+  config.pool_delay_rate = 1.0;
+  ScopedFaultInjection chaos(config);
+  TaskPool pool(4);
+  const std::size_t n = 30;
+  auto square = [](std::size_t i) { return static_cast<long>(i * i); };
+  for (long fuel = 0; fuel <= static_cast<long>(n); ++fuel) {
+    SCOPED_TRACE("fuel " + std::to_string(fuel));
+    BudgetOptions limits;
+    limits.max_checks = fuel;
+    Budget serial_budget(limits);
+    Budget pooled_budget(limits);
+    const std::vector<long> serial = sweep(nullptr, &serial_budget, n, square);
+    const std::vector<long> pooled = sweep(&pool, &pooled_budget, n, square);
+    EXPECT_EQ(serial.size(), static_cast<std::size_t>(fuel));
+    EXPECT_EQ(pooled, serial);
+    EXPECT_EQ(pooled_budget.checks(), serial_budget.checks());
+  }
+}
+
+// Without a pool, sweep() is the plain ordered loop: it runs the points
+// inline in index order and stops at the first tripped check, having made
+// one check per evaluated index plus the one that tripped.
+TEST(TaskPool, SerialSweepStopsAtTheFirstTrippedCheck) {
+  BudgetOptions limits;
+  limits.max_checks = 5;
+  Budget budget(limits);
   std::vector<std::size_t> order;
-  run_indexed(nullptr, 8, [&](std::size_t i) {
-    order.push_back(i);
-    return i != 4;  // break after index 4
-  });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  const std::vector<std::size_t> prefix =
+      sweep(nullptr, &budget, 8, [&](std::size_t i) {
+        order.push_back(i);
+        return i;
+      });
+  EXPECT_EQ(prefix, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(order, prefix);
+  EXPECT_EQ(budget.checks(), static_cast<long>(prefix.size()) + 1);
+  EXPECT_EQ(sweep(nullptr, nullptr, 3, [](std::size_t i) { return i; }).size(),
+            3u);
+}
+
+TEST(TaskPool, SweepMovesMoveOnlyResults) {
+  TaskPool pool(4);
+  for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
+    const std::vector<std::unique_ptr<int>> out =
+        sweep(p, nullptr, 16, [](std::size_t i) {
+          return std::make_unique<int>(static_cast<int>(i));
+        });
+    ASSERT_EQ(out.size(), 16u);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(*out[i], static_cast<int>(i));
+    }
+  }
 }
 
 TEST(TaskPool, EmptyBatchIsANoOp) {

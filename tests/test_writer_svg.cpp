@@ -198,9 +198,8 @@ TEST(Svg, WriteToFileAndValidateOptions) {
   geom::write_svg(l, path);
   std::ifstream in(path);
   EXPECT_TRUE(static_cast<bool>(in));
-  geom::SvgOptions bad;
-  bad.scale = 0.0;
-  EXPECT_THROW(geom::to_svg(l, bad), InvalidArgumentError);
+  EXPECT_THROW(geom::write_svg(l, "/olp-no-such-dir/cell.svg"),
+               InvalidArgumentError);
 }
 
 }  // namespace
